@@ -6,6 +6,7 @@ error.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import logging
@@ -14,16 +15,16 @@ from pathlib import Path
 
 import click
 
-from .corpus import (load_feature_table, load_lexicon, load_scale_configs,
-                     load_semantic_embeddings, top_n)
+from .corpus import load_feature_table, load_lexicon, load_scale_configs, top_n
 from .errors import AnalysisError, InputError, ProviderError
 from .phonetic import cosine_similarity_matrix
-from .pipeline import (RunConfig, render_global_grid, render_pole_tables,
+from .pipeline import (RunConfig, analysed_morphemes, load_language_spaces,
+                       load_vocabulary, render_global_grid, render_pole_tables,
                        render_subspace_grid, run_global, run_interpret,
                        run_subspace, write_manifest)
 from .segmentation import (HttpProvider, ReplayProvider, sample_for_verification,
-                           dedupe_into_morpheme_set, read_segmentation_cache,
-                           segment_words, write_verification_sheet)
+                           dedupe_into_morpheme_set, segment_words,
+                           write_verification_sheet)
 
 log = logging.getLogger(__name__)
 
@@ -52,10 +53,6 @@ seed_option = click.option("--seed", type=int, default=None,
                            help="Override the master seed.")
 
 
-def _load_config(config_path, seed=None, **overrides) -> RunConfig:
-    return RunConfig.from_file(config_path, seed=seed, **overrides)
-
-
 @click.group()
 @click.option("-v", "--verbose", is_flag=True, help="Debug logging.")
 def main(verbose):
@@ -69,17 +66,15 @@ def main(verbose):
 @_exit_codes
 def ingest(config_path):
     """Validate all configured inputs and print a summary."""
-    config = _load_config(config_path)
+    config = RunConfig.from_file(config_path)
     table = load_feature_table(config.feature_table)
     click.echo(f"feature table: {len(table.segments)} segments x "
                f"{table.n_features} features")
     for lang in config.languages:
-        paths = config.inputs[lang]
-        lexicon = load_lexicon(paths["lexicon"], lang)
-        vocab, missing = load_semantic_embeddings(paths["vectors"],
-                                                  lexicon.words())
+        lexicon, vocab = load_vocabulary(config, lang)
         click.echo(f"{lang}: {len(lexicon)} lexemes, {vocab.n_items} with "
-                   f"embeddings ({len(missing)} missing), dim {vocab.n_dims}")
+                   f"embeddings ({len(lexicon) - vocab.n_items} missing), "
+                   f"dim {vocab.n_dims}")
     scales = load_scale_configs(config.scales)
     click.echo(f"scales: {', '.join(s.name for s in scales)}")
 
@@ -95,7 +90,7 @@ def ingest(config_path):
 @_exit_codes
 def segment(config_path, seed, provider_url, provider_model, replay_path):
     """Segment the top-frequency words of each language via the provider."""
-    config = _load_config(config_path, seed=seed)
+    config = RunConfig.from_file(config_path, seed=seed)
     if replay_path:
         provider = ReplayProvider(replay_path)
     elif provider_url:
@@ -122,10 +117,9 @@ def segment(config_path, seed, provider_url, provider_model, replay_path):
 @_exit_codes
 def verify(config_path, seed, sample_n):
     """Draw the native-speaker verification sample per language."""
-    config = _load_config(config_path, seed=seed)
+    config = RunConfig.from_file(config_path, seed=seed)
     for lang in config.languages:
-        segs = read_segmentation_cache(config.inputs[lang]["segmentations"])
-        mset = dedupe_into_morpheme_set(segs, lang)
+        mset = analysed_morphemes(config, lang)
         sample, short = sample_for_verification(mset, n=sample_n, seed=config.seed)
         path = Path(config.output_dir) / lang / "verification.tsv"
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -139,8 +133,7 @@ def verify(config_path, seed, sample_n):
 @_exit_codes
 def embed(config_path):
     """Build and export similarity matrices for inspection."""
-    config = _load_config(config_path)
-    from .pipeline import load_language_spaces
+    config = RunConfig.from_file(config_path)
     for lang in config.languages:
         phon, sem, _, _, _ = load_language_spaces(config, lang)
         out = Path(config.output_dir) / lang
@@ -148,7 +141,6 @@ def embed(config_path):
         for name, matrix in (("phonetic", phon), ("semantic", sem)):
             sim, _ = cosine_similarity_matrix(matrix)
             sim.save_binary(out / f"sim_{name}.bin")
-            sim.save_tsv(out / f"sim_{name}.tsv")
         click.echo(f"{lang}: exported similarity matrices for "
                    f"{phon.n_items} morphemes to {out}")
 
@@ -160,13 +152,11 @@ def embed(config_path):
 @_exit_codes
 def analyze_global(config_path, seed, shuffles):
     """Run the global alignment suite (RSA, MI, kNN, CCA)."""
-    config = _load_config(config_path, seed=seed)
+    config = RunConfig.from_file(config_path, seed=seed)
     if shuffles is not None:
-        params = dict(config.params)
-        params["shuffles"] = shuffles
-        params["null_points"] = min(params["null_points"], shuffles)
-        config = RunConfig(**{**config.to_obj(), "params": params,
-                              "languages": config.languages})
+        config = dataclasses.replace(config, params={
+            **config.params, "shuffles": shuffles,
+            "null_points": min(config.params["null_points"], shuffles)})
     written = run_global(config)
     write_manifest(config, {k: str(v) for k, v in written.items()})
     for key, path in written.items():
@@ -181,12 +171,10 @@ def analyze_global(config_path, seed, shuffles):
 @_exit_codes
 def analyze_subspace(config_path, seed, scatter):
     """Run the hypothesized-scale subspace analyses."""
-    config = _load_config(config_path, seed=seed)
+    config = RunConfig.from_file(config_path, seed=seed)
     if scatter is not None:
-        params = dict(config.params)
-        params["scatter"] = scatter
-        config = RunConfig(**{**config.to_obj(), "params": params,
-                              "languages": config.languages})
+        config = dataclasses.replace(
+            config, params={**config.params, "scatter": scatter})
     written = run_subspace(config)
     write_manifest(config, {k: str(v) for k, v in written.items()})
     for key, path in written.items():
@@ -198,7 +186,7 @@ def analyze_subspace(config_path, seed, scatter):
 @_exit_codes
 def interpret(config_path):
     """Emit pole reports for significant canonical variates."""
-    config = _load_config(config_path)
+    config = RunConfig.from_file(config_path)
     written = run_interpret(config)
     for key, path in written.items():
         click.echo(f"{key}: {path}")
@@ -209,7 +197,7 @@ def interpret(config_path):
 @_exit_codes
 def report(config_path):
     """Re-render markdown reports from existing JSON payloads."""
-    config = _load_config(config_path)
+    config = RunConfig.from_file(config_path)
     out = Path(config.output_dir)
     payloads = []
     for lang in config.languages:

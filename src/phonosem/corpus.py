@@ -73,9 +73,6 @@ class Lexicon:
     def words(self) -> list[str]:
         return [lx.word for lx in self.lexemes]
 
-    def by_word(self) -> dict[str, Lexeme]:
-        return {lx.word: lx for lx in self.lexemes}
-
 
 @dataclass(frozen=True)
 class Morpheme:
@@ -146,9 +143,6 @@ class EmbeddingMatrix:
     @property
     def n_dims(self) -> int:
         return self.vectors.shape[1]
-
-    def row(self, item_id: str) -> np.ndarray:
-        return self.vectors[self.ids.index(item_id)]
 
     def subset(self, keep: Sequence[int]) -> "EmbeddingMatrix":
         keep = list(keep)
@@ -247,12 +241,6 @@ def top_n(lexicon: Lexicon, n: int) -> Lexicon:
     return Lexicon(language=lexicon.language, lexemes=lexicon.lexemes[:n])
 
 
-def zipf_filter(lexicon: Lexicon, cutoff: float) -> Lexicon:
-    """Keep lexemes with zipf strictly greater than the cutoff."""
-    kept = tuple(lx for lx in lexicon if lx.zipf > cutoff)
-    return Lexicon(language=lexicon.language, lexemes=kept)
-
-
 # ---------------------------------------------------------------------------
 # Segment feature table
 
@@ -315,12 +303,15 @@ def load_semantic_embeddings(
 ) -> tuple[EmbeddingMatrix, list[str]]:
     """Load vectors for the given vocabulary from a word2vec-style text file.
 
-    Returns the matrix (rows in file order of first occurrence) and the
-    sorted list of vocabulary items not found in the file.
+    Trailing whitespace on a line is ignored. A token listed more than
+    once keeps its first vector. Returns the matrix (rows in file order of
+    first occurrence) and the sorted list of vocabulary items not found in
+    the file.
     """
     path = Path(path)
     wanted = {_nfc(w) for w in vocabulary}
     ids: list[str] = []
+    seen: set[str] = set()
     rows: list[np.ndarray] = []
     dim: int | None = None
     with _open_input(path) as fh:
@@ -334,7 +325,7 @@ def load_semantic_embeddings(
             lineno = 0
             fh.seek(0)
         for lineno, line in enumerate(fh, start=lineno + 1):
-            parts = line.rstrip("\n").split(" ")
+            parts = line.rstrip().split(" ")
             if len(parts) < 2:
                 continue
             token = _nfc(parts[0])
@@ -344,16 +335,17 @@ def load_semantic_embeddings(
                 raise ParseError(
                     f"{path}:{lineno}: dimension {len(parts) - 1} != {dim}"
                 )
-            if token in wanted and token not in ids:
+            if token in wanted and token not in seen:
                 try:
                     vec = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: non-numeric vector value") from None
+                seen.add(token)
                 ids.append(token)
                 rows.append(vec)
     if not ids:
         raise InputError(f"{path}: no vocabulary items matched")
-    missing = sorted(wanted - set(ids))
+    missing = sorted(wanted - seen)
     if missing:
         log.info("%s: %d vocabulary items missing", path, len(missing))
     return EmbeddingMatrix(ids=tuple(ids), vectors=np.vstack(rows)), missing
@@ -365,40 +357,6 @@ def save_semantic_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
         fh.write(f"{matrix.n_items} {matrix.n_dims}\n")
         for token, vec in zip(matrix.ids, matrix.vectors):
             fh.write(token + " " + " ".join(repr(float(v)) for v in vec) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Morpheme sets
-
-def load_morpheme_set(path: str | Path, language: str) -> MorphemeSet:
-    path = Path(path)
-    morphemes = []
-    with _open_input(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            morphemes.append(Morpheme(
-                form=_nfc(rec["form"]),
-                transcription=_nfc(rec["transcription"]),
-                sources=frozenset(_nfc(w) for w in rec["sources"]),
-                language=language,
-            ))
-    return MorphemeSet(language=language, morphemes=tuple(morphemes))
-
-
-def save_morpheme_set(mset: MorphemeSet, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for m in mset:
-            fh.write(json.dumps(
-                {"form": m.form, "transcription": m.transcription,
-                 "sources": sorted(m.sources)},
-                ensure_ascii=False, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -431,19 +389,3 @@ def load_scale_configs(path: str | Path | None = None) -> list[ScaleConfig]:
     except json.JSONDecodeError as exc:
         raise ParseError(f"scale config: {exc}") from None
     return _load_scales_obj(obj)
-
-
-def save_scale_configs(scales: Sequence[ScaleConfig], path: str | Path) -> None:
-    obj = {"scales": {}}
-    for sc in scales:
-        langs = sorted(sc.semantic_pos)
-        obj["scales"][sc.name] = {
-            "phonetic": {"pos": list(sc.phonetic_pos), "neg": list(sc.phonetic_neg)},
-            "semantic": {lang: {"pos": list(sc.semantic_pos[lang]),
-                                "neg": list(sc.semantic_neg[lang])}
-                         for lang in langs},
-        }
-    # insertion order preserved so load -> save -> load is the identity
-    Path(path).write_text(
-        json.dumps(obj, ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8")

@@ -75,65 +75,38 @@ def mean_pool(segments: Sequence[str], table: SegmentFeatureTable) -> np.ndarray
     return stack.mean(axis=0)
 
 
-def drop_zero_variance(
-    matrix: EmbeddingMatrix, tol: float = ZERO_VARIANCE_TOL
-) -> tuple[EmbeddingMatrix, list[int]]:
-    """Remove columns whose sample variance is <= tol.
+def standardize(
+    vectors: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Drop zero-variance columns, then z-score the rest.
 
-    Returns the reduced matrix and the kept column indices in original
-    order. Raises if every column is constant.
+    Columns are mapped to mean 0 and standard deviation 1 with the
+    population (n) divisor; rank and cosine statistics downstream are
+    insensitive to the divisor choice. Returns ``(standardized, kept,
+    mean, std)``: the kept column indices in original order and the
+    transform's moments, so other points can be mapped the same way as
+    ``(x[:, kept] - mean) / std``. Raises if every column is constant.
     """
-    if matrix.n_items < 2:
-        raise AnalysisError("need at least 2 rows to estimate variance")
-    var = matrix.vectors.var(axis=0)
-    kept = [i for i in range(matrix.n_dims) if var[i] > tol]
-    if not kept:
+    var = vectors.var(axis=0)
+    kept = np.flatnonzero(var > ZERO_VARIANCE_TOL)
+    if kept.size == 0:
         raise AnalysisError("all columns are zero-variance; degenerate space")
-    if len(kept) < matrix.n_dims:
-        log.info("dropped %d zero-variance dimensions", matrix.n_dims - len(kept))
-    return (
-        EmbeddingMatrix(ids=matrix.ids, vectors=matrix.vectors[:, kept]),
-        kept,
-    )
+    if kept.size < vectors.shape[1]:
+        log.info("dropped %d zero-variance dimensions", vectors.shape[1] - kept.size)
+    x = vectors[:, kept]
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    return (x - mean) / std, kept, mean, std
 
 
-def normalize_dataset(
-    matrix: EmbeddingMatrix, mode: str = "zscore"
-) -> EmbeddingMatrix:
-    """Standardize columns over the dataset.
+def _tokenize_and_pool(
+    items: Sequence[tuple[str, str]], table: SegmentFeatureTable
+) -> tuple[list[str], list[np.ndarray], list[str]]:
+    """Mean-pooled feature vectors of (item id, IPA) pairs.
 
-    ``zscore`` (default) maps each column to mean 0, standard deviation 1
-    using the population (n) divisor; ``minmax`` maps to [0, 1]. Rank and
-    cosine statistics downstream are insensitive to the divisor choice.
-    """
-    x = matrix.vectors
-    if mode == "zscore":
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
-        if np.any(std <= ZERO_VARIANCE_TOL):
-            raise AnalysisError("zero-variance column; run drop_zero_variance first")
-        out = (x - mean) / std
-    elif mode == "minmax":
-        lo, hi = x.min(axis=0), x.max(axis=0)
-        if np.any(hi - lo <= ZERO_VARIANCE_TOL):
-            raise AnalysisError("zero-range column; run drop_zero_variance first")
-        out = (x - lo) / (hi - lo)
-    else:
-        raise InputError(f"unknown normalization mode {mode!r}")
-    return EmbeddingMatrix(ids=matrix.ids, vectors=out)
-
-
-def build_phonetic_embeddings(
-    items: Sequence[tuple[str, str]],
-    table: SegmentFeatureTable,
-    normalize: str | None = "zscore",
-) -> tuple[EmbeddingMatrix, list[str], list[str]]:
-    """Tokenize + mean-pool a batch of (item id, IPA) pairs.
-
-    Items whose transcription matches nothing are excluded and returned
-    in the skipped list. Returns ``(matrix, kept_feature_names, skipped)``;
-    the matrix has zero-variance dimensions dropped and, unless
-    ``normalize`` is None, dataset-normalized columns.
+    Returns ``(ids, rows, skipped)``; items whose transcription is empty
+    or matches nothing in the table are left out and listed in
+    ``skipped``.
     """
     ids: list[str] = []
     rows: list[np.ndarray] = []
@@ -149,16 +122,27 @@ def build_phonetic_embeddings(
             continue
         ids.append(item_id)
         rows.append(mean_pool(segments, table))
+    return ids, rows, skipped
+
+
+def build_phonetic_embeddings(
+    items: Sequence[tuple[str, str]],
+    table: SegmentFeatureTable,
+) -> tuple[EmbeddingMatrix, list[str], list[str]]:
+    """Tokenize + mean-pool a batch of (item id, IPA) pairs.
+
+    Items whose transcription matches nothing are excluded and returned
+    in the skipped list. Returns ``(matrix, kept_feature_names, skipped)``;
+    the matrix is standardized (see :func:`standardize`).
+    """
+    ids, rows, skipped = _tokenize_and_pool(items, table)
     if not ids:
         raise AnalysisError("no item produced a phonetic embedding")
-    matrix = EmbeddingMatrix(ids=tuple(ids), vectors=np.vstack(rows))
-    matrix, kept = drop_zero_variance(matrix)
+    vectors, kept, _, _ = standardize(np.vstack(rows))
     names = [table.feature_names[i] for i in kept]
-    if normalize is not None:
-        matrix = normalize_dataset(matrix, mode=normalize)
     if skipped:
         log.info("phonetic embeddings: skipped %d untokenizable items", len(skipped))
-    return matrix, names, skipped
+    return EmbeddingMatrix(ids=tuple(ids), vectors=vectors), names, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +171,6 @@ class SimilarityMatrix:
         iu = np.triu_indices(self.n_items, k=1)
         return self.values[iu]
 
-    def permuted(self, perm: np.ndarray) -> "SimilarityMatrix":
-        """Apply one item permutation to rows and columns."""
-        return SimilarityMatrix(
-            ids=tuple(self.ids[i] for i in perm),
-            values=self.values[np.ix_(perm, perm)],
-        )
-
     # -- serialization ------------------------------------------------------
 
     def save_binary(self, path: str | Path) -> None:
@@ -213,12 +190,6 @@ class SimilarityMatrix:
         n = len(ids)
         values = np.fromfile(path, dtype=np.float64).reshape(n, n)
         return cls(ids=ids, values=values)
-
-    def save_tsv(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            fh.write("item\t" + "\t".join(self.ids) + "\n")
-            for item, row in zip(self.ids, self.values):
-                fh.write(item + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
 
 
 def cosine_similarity_matrix(

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import (EmbeddingMatrix, Lexicon, load_feature_table,
+from .corpus import (EmbeddingMatrix, Lexicon, MorphemeSet, load_feature_table,
                      load_lexicon, load_scale_configs,
                      load_semantic_embeddings)
 from .cca import build_pole_report, canonical_rank_correlations, fit_cca
@@ -53,6 +53,8 @@ DEFAULT_PARAMS = {
     "scatter": False,
 }
 
+ANALYSES = ("rsa", "mi", "knn", "cca", "subspace")
+
 _PARAM_BOUNDS = {
     "k": (1, None),
     "bins": (2, None),
@@ -77,12 +79,14 @@ class RunConfig:
     inputs: dict[str, dict[str, str]]  # language -> {lexicon, vectors, segmentations}
     output_dir: str = "results"
     scales: str | None = None
-    analyses: dict[str, bool] = field(default_factory=lambda: {
-        "rsa": True, "mi": True, "knn": True, "cca": True, "subspace": True})
+    analyses: dict[str, bool] = field(
+        default_factory=lambda: dict.fromkeys(ANALYSES, True))
     params: dict = field(default_factory=lambda: dict(DEFAULT_PARAMS))
     seed: int = 0
 
     def __post_init__(self):
+        _reject_unknown("params", self.params, DEFAULT_PARAMS)
+        _reject_unknown("analyses", self.analyses, ANALYSES)
         merged = dict(DEFAULT_PARAMS)
         merged.update(self.params)
         object.__setattr__(self, "params", merged)
@@ -102,14 +106,14 @@ class RunConfig:
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
         obj.update({k: v for k, v in overrides.items() if v is not None})
+        _reject_unknown("config", obj, [f.name for f in dataclasses.fields(cls)])
         return cls(
             languages=tuple(obj["languages"]),
             feature_table=obj["feature_table"],
             inputs=obj["inputs"],
             output_dir=obj.get("output_dir", "results"),
             scales=obj.get("scales"),
-            analyses=obj.get("analyses", dict(rsa=True, mi=True, knn=True,
-                                              cca=True, subspace=True)),
+            analyses=obj.get("analyses", dict.fromkeys(ANALYSES, True)),
             params=obj.get("params", {}),
             seed=int(obj.get("seed", 0)),
         )
@@ -129,6 +133,12 @@ class RunConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.to_obj(), sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def _reject_unknown(what: str, obj: dict, known) -> None:
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise InputError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
 def derive_seed(master: int, analysis: str, language: str) -> int:
@@ -175,40 +185,57 @@ def write_manifest(config: RunConfig, records: dict) -> Path:
 # ---------------------------------------------------------------------------
 # Shared loading
 
-def morpheme_items(config: RunConfig, language: str) -> list[tuple[str, str, str]]:
-    """(item id, form, transcription) triples in deterministic order."""
+def analysed_morphemes(config: RunConfig, language: str) -> MorphemeSet:
+    """The analysed morphemes: the segmentation cache after the
+    perplexity filter, deduplicated into (form, transcription) pairs."""
     segs = read_segmentation_cache(config.inputs[language]["segmentations"])
     if all(s.perplexity is not None for s in segs):
         segs, _ = perplexity_filter(segs, config.params["perplexity_threshold"])
     else:
         log.warning("%s: segmentations lack perplexities; filter skipped", language)
-    mset = dedupe_into_morpheme_set(segs, language)
-    return [(f"{m.form}|{m.transcription}", m.form, m.transcription) for m in mset]
+    return dedupe_into_morpheme_set(segs, language)
+
+
+def load_vocabulary(config: RunConfig,
+                    language: str) -> tuple[Lexicon, EmbeddingMatrix]:
+    """The lexicon and the vectors of every lexicon word found in the
+    vectors file."""
+    lexicon = load_lexicon(config.inputs[language]["lexicon"], language)
+    vocab, _ = load_semantic_embeddings(config.inputs[language]["vectors"],
+                                        lexicon.words())
+    return lexicon, vocab
 
 
 def load_language_spaces(config: RunConfig, language: str):
-    """Aligned phonetic and semantic embedding matrices over morphemes."""
+    """Aligned phonetic and semantic embedding matrices over morphemes.
+
+    A morpheme is kept when its form has a vector and neither of its two
+    rows has zero norm, since cosine similarity is undefined there.
+    """
     table = load_feature_table(config.feature_table)
-    items = morpheme_items(config, language)
-    if not items:
+    mset = analysed_morphemes(config, language)
+    if not mset:
         raise InputError(f"{language}: empty morpheme set")
 
     phon_matrix, feature_names, skipped = build_phonetic_embeddings(
-        [(item_id, tr) for item_id, _, tr in items], table)
+        [(f"{m.form}|{m.transcription}", m.transcription) for m in mset], table)
     sem_by_form, _ = load_semantic_embeddings(
-        config.inputs[language]["vectors"], {form for _, form, _ in items})
+        config.inputs[language]["vectors"], {m.form for m in mset})
     form_index = {w: i for i, w in enumerate(sem_by_form.ids)}
 
-    keep = [i for i, item_id in enumerate(phon_matrix.ids)
-            if item_id.split("|", 1)[0] in form_index]
+    forms = [item_id.split("|", 1)[0] for item_id in phon_matrix.ids]
+    phon_norm = np.linalg.norm(phon_matrix.vectors, axis=1)
+    sem_norm = np.linalg.norm(sem_by_form.vectors, axis=1)
+    keep = [i for i, form in enumerate(forms)
+            if form in form_index and phon_norm[i] > 0.0
+            and sem_norm[form_index[form]] > 0.0]
     if len(keep) < 3:
         raise AnalysisError(f"{language}: fewer than 3 morphemes in both spaces")
     phon = phon_matrix.subset(keep)
-    sem_rows = np.vstack([
-        sem_by_form.vectors[form_index[item_id.split("|", 1)[0]]]
-        for item_id in phon.ids])
-    sem = EmbeddingMatrix(ids=phon.ids, vectors=sem_rows)
-    return phon, sem, feature_names, len(items), skipped
+    sem = EmbeddingMatrix(
+        ids=phon.ids,
+        vectors=sem_by_form.vectors[[form_index[forms[i]] for i in keep]])
+    return phon, sem, feature_names, len(mset), skipped
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +251,6 @@ def run_global(config: RunConfig) -> dict[str, Path]:
         phon, sem, feature_names, n_total, skipped = load_language_spaces(config, lang)
         sim_phon, _ = cosine_similarity_matrix(phon)
         sim_sem, _ = cosine_similarity_matrix(sem)
-        if sim_phon.ids != sim_sem.ids:
-            common = [i for i, x in enumerate(phon.ids) if x in set(sim_phon.ids) & set(sim_sem.ids)]
-            phon, sem = phon.subset(common), sem.subset(common)
-            sim_phon, _ = cosine_similarity_matrix(phon)
-            sim_sem, _ = cosine_similarity_matrix(sem)
 
         results: dict[str, object] = {}
         if config.analyses.get("rsa", True):
@@ -338,9 +360,7 @@ def run_subspace(config: RunConfig) -> dict[str, Path]:
     cells = []
     written: dict[str, Path] = {}
     for lang in config.languages:
-        lexicon = load_lexicon(config.inputs[lang]["lexicon"], lang)
-        vocab, _ = load_semantic_embeddings(
-            config.inputs[lang]["vectors"], lexicon.words())
+        lexicon, vocab = load_vocabulary(config, lang)
         for scale in scales:
             if lang not in scale.semantic_pos:
                 raise InputError(
@@ -393,9 +413,7 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
         if cca_records is None:
             raise InputError(f"{lang}: no CCA results to interpret")
         model, phon, feature_names = _load_cca_artifacts(lang_dir)
-        lexicon = load_lexicon(config.inputs[lang]["lexicon"], lang)
-        vocab, _ = load_semantic_embeddings(
-            config.inputs[lang]["vectors"], lexicon.words())
+        lexicon, vocab = load_vocabulary(config, lang)
 
         reports = []
         for c, rec in enumerate(cca_records):

@@ -145,9 +145,10 @@ class HttpProvider:
     """Thin JSON-over-HTTP adapter.
 
     Request: ``{"model", "system", "user", "structured"}``; response:
-    ``{"text", "logprobs"?}``. Transient transport failures are retried
-    with exponential backoff (3 attempts). All exchanges are appended to
-    an audit log when one is configured.
+    ``{"text", "logprobs"?}``. Transient failures (connection errors,
+    timeouts, 5xx responses) are retried with exponential backoff
+    (3 attempts); a 4xx response fails at once. All exchanges are
+    appended to an audit log when one is configured.
     """
 
     def __init__(self, url: str, model: str, structured: bool = True,
@@ -173,11 +174,15 @@ class HttpProvider:
                 resp.raise_for_status()
                 body = resp.json()
                 break
-            except (requests.ConnectionError, requests.Timeout,
-                    requests.HTTPError, ValueError) as exc:
+            except requests.HTTPError as exc:
+                # a 4xx means the request itself is wrong; a retry repeats it
+                if exc.response is not None and exc.response.status_code < 500:
+                    raise ProviderError(f"provider rejected the request: {exc}") from None
                 last_exc = exc
-                if attempt + 1 < self.max_attempts:
-                    time.sleep(2.0 ** attempt)
+            except (requests.ConnectionError, requests.Timeout, ValueError) as exc:
+                last_exc = exc
+            if attempt + 1 < self.max_attempts:
+                time.sleep(2.0 ** attempt)
         else:
             raise ProviderError(
                 f"provider call failed after {self.max_attempts} attempts: {last_exc}"
@@ -346,10 +351,10 @@ def segment_words(
     language: str,
     provider: SegmentationProvider,
     cache_path: str | Path,
-    batch_size: int = 1,
     perplexity_threshold: float | None = PERPLEXITY_THRESHOLD,
 ) -> list[Segmentation]:
-    """Segment (word, lemma, ipa) triples through the provider.
+    """Segment (word, lemma, ipa) triples through the provider, one word
+    per request.
 
     Results are appended to the line-delimited JSON cache as they
     arrive; words already cached are not re-requested.
@@ -361,29 +366,26 @@ def segment_words(
             done[seg.word] = seg
     out: list[Segmentation] = []
     with cache_path.open("a", encoding="utf-8") as fh:
-        for start in range(0, len(words), batch_size):
-            batch = words[start:start + batch_size]
-            pending = [(w, lm, ipa) for w, lm, ipa in batch if w not in done]
-            out.extend(done[w] for w, _, _ in batch if w in done)
-            if not pending:
+        for word, lemma, ipa in words:
+            if word in done:
+                out.append(done[word])
                 continue
-            system, user = build_prompt(language, [(lm, ipa) for _, lm, ipa in pending])
+            system, user = build_prompt(language, [(lemma, ipa)])
             resp = provider.complete(system, user)
             perplexity = (response_perplexity(resp.logprobs)
                           if resp.logprobs else None)
-            # one response line per input word, in order
             lines = [ln for ln in resp.text.splitlines() if ln.strip()]
-            if len(lines) != len(pending):
+            if len(lines) != 1:
                 raise ProviderError(
-                    f"expected {len(pending)} response lines, got {len(lines)}"
+                    f"expected 1 response line per word, got {len(lines)} "
+                    f"response lines"
                 )
-            for (word, _, ipa), line in zip(pending, lines):
-                seg = Segmentation(
-                    word=word, ipa=ipa, pairs=tuple(parse_response(line)),
-                    perplexity=perplexity, provider=provider.name,
-                    timestamp=time.time())
-                fh.write(json.dumps(seg.to_record(), ensure_ascii=False) + "\n")
-                out.append(seg)
+            seg = Segmentation(
+                word=word, ipa=ipa, pairs=tuple(parse_response(lines[0])),
+                perplexity=perplexity, provider=provider.name,
+                timestamp=time.time())
+            fh.write(json.dumps(seg.to_record(), ensure_ascii=False) + "\n")
+            out.append(seg)
     if perplexity_threshold is not None:
         out, _ = perplexity_filter(out, perplexity_threshold)
     return out

@@ -259,28 +259,6 @@ def rsa(
     return _summarize("rsa", observed, null, p, n_shuffles, seed, "greater")
 
 
-def mutual_information(
-    x: np.ndarray,
-    y: np.ndarray,
-    bins: int = 20,
-    n_shuffles: int = 1000,
-    null_points: int = 500,
-    seed: int = 0,
-) -> AlignmentResult:
-    """Binned MI between two value vectors; null shuffles y's values."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    observed = mutual_information_value(x, y, bins=bins)
-
-    def stat(perm: np.ndarray) -> float:
-        return mutual_information_value(x, y[perm], bins=bins)
-
-    p, null = permutation_test(stat, observed, x.size, n_shuffles, null_points,
-                               seed, "greater")
-    return _summarize("mutual_information", observed, null, p, n_shuffles,
-                      seed, "greater")
-
-
 def mi_alignment(
     sim_a: SimilarityMatrix,
     sim_b: SimilarityMatrix,

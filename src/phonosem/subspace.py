@@ -20,8 +20,7 @@ import numpy as np
 
 from .corpus import EmbeddingMatrix, Lexicon, ScaleConfig, SegmentFeatureTable
 from .errors import AnalysisError, InputError
-from .phonetic import (EmptyTokenizationError, ZERO_VARIANCE_TOL, mean_pool,
-                       tokenize_ipa)
+from .phonetic import _tokenize_and_pool, standardize
 from .stats import (AlignmentResult, _summarize, permutation_test,
                     spearman_rho, stars)
 
@@ -189,24 +188,11 @@ def scale_alignment(
 
     # candidate pool: words with an embedding, an IPA transcription, and a
     # non-empty tokenization; all drops happen before selection
-    by_word = lexicon.by_word()
+    ipa = {lx.word: lx.ipa for lx in lexicon}
     emb_index = {w: i for i, w in enumerate(vocabulary.ids)}
-    cand_words: list[str] = []
-    cand_phon: list[np.ndarray] = []
-    dropped_no_phon = 0
     dropped_no_emb = sum(1 for lx in lexicon if lx.word not in emb_index)
-    for word, i in emb_index.items():
-        lx = by_word.get(word)
-        if lx is None or not lx.transcribable:
-            dropped_no_phon += 1
-            continue
-        try:
-            segments, _ = tokenize_ipa(lx.ipa, table)
-        except EmptyTokenizationError:
-            dropped_no_phon += 1
-            continue
-        cand_words.append(word)
-        cand_phon.append(mean_pool(segments, table))
+    cand_words, cand_phon, no_phon = _tokenize_and_pool(
+        [(w, ipa.get(w, "")) for w in vocabulary.ids], table)
     if len(cand_words) < 3:
         raise AnalysisError(
             f"scale {scale.name!r} ({language}): fewer than 3 usable words"
@@ -217,19 +203,9 @@ def scale_alignment(
         vectors=vocabulary.vectors[[emb_index[w] for w in cand_words]],
     )
     selected, _ = select_words(cand_matrix, sem_line, n=n_words)
-    sel_set = {w: j for j, w in enumerate(cand_words)}
-    sel_idx = [sel_set[w] for w in selected]
-
-    phon_raw = np.vstack([cand_phon[j] for j in sel_idx])
-    var = phon_raw.var(axis=0)
-    kept = np.flatnonzero(var > ZERO_VARIANCE_TOL)
-    if kept.size == 0:
-        raise AnalysisError(
-            f"scale {scale.name!r} ({language}): degenerate phonetic space"
-        )
-    mean = phon_raw[:, kept].mean(axis=0)
-    std = phon_raw[:, kept].std(axis=0)
-    phon_std = (phon_raw[:, kept] - mean) / std
+    cand_index = {w: j for j, w in enumerate(cand_words)}
+    phon_std, kept, mean, std = standardize(
+        np.vstack([cand_phon[cand_index[w]] for w in selected]))
 
     pos_seg = _segment_vectors(scale.phonetic_pos, table, scale.name)[:, kept]
     neg_seg = _segment_vectors(scale.phonetic_neg, table, scale.name)[:, kept]
@@ -256,7 +232,7 @@ def scale_alignment(
         p_value=p,
         n_words=len(selected),
         n_dropped_no_embedding=dropped_no_emb,
-        n_dropped_no_phonetics=dropped_no_phon,
+        n_dropped_no_phonetics=len(no_phon),
         semantic_coords=sem_coords,
         phonetic_coords=phon_coords,
         words=tuple(selected),

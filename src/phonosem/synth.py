@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (Lexicon, Lexeme, SegmentFeatureTable, save_feature_table,
-                     save_lexicon)
+from .corpus import (EmbeddingMatrix, Lexicon, Lexeme, SegmentFeatureTable,
+                     save_feature_table, save_lexicon, save_semantic_embeddings)
 
 FEATURES = ("syllabic", "sonorant", "consonantal", "voice", "continuant", "labial")
 
@@ -102,10 +102,8 @@ def make_planted_language(
     }
     save_lexicon(lexicon, paths["lexicon"])
     save_feature_table(table, paths["feature_table"])
-    with paths["vectors"].open("w", encoding="utf-8") as fh:
-        fh.write(f"{n_morphemes} {semantic_dim}\n")
-        for w, vec in zip(words, vectors):
-            fh.write(w + " " + " ".join(repr(float(v)) for v in vec) + "\n")
+    save_semantic_embeddings(EmbeddingMatrix(ids=tuple(words), vectors=vectors),
+                             paths["vectors"])
     with paths["segmentations"].open("w", encoding="utf-8") as fh:
         for w, ipa in zip(words, ipas):
             fh.write(json.dumps({

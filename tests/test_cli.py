@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from phonosem.cli import main
 from phonosem.corpus import load_lexicon
+from phonosem.synth import make_planted_language
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +82,21 @@ class TestIngest:
         result = invoke("ingest", "--config", path)
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("section,key", [
+        ("params", "shufles"), ("analyses", "rsaa"), (None, "sead")])
+    def test_unknown_config_key_is_exit_one(self, workspace, tmp_path,
+                                            section, key):
+        _, _, config = workspace
+        if section is None:
+            broken = {**config, key: 1}
+        else:
+            broken = {**config, section: {**config.get(section, {}), key: 1}}
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        result = invoke("ingest", "--config", path)
+        assert result.exit_code == 1
+        assert key in result.output
+
 
 class TestSegmentAndVerify:
     def test_segment_requires_provider(self, workspace):
@@ -108,6 +125,27 @@ class TestSegmentAndVerify:
         sheet = ws / "results" / "syn" / "verification.tsv"
         assert sheet.exists()
         assert len(sheet.read_text(encoding="utf-8").splitlines()) == 21
+
+    def test_verify_samples_the_perplexity_filtered_set(self, workspace, tmp_path):
+        _, _, config = workspace
+        segs = tmp_path / "segs.jsonl"
+        records = [("calm", "kam", 1.1), ("noisy", "nojzi", 2.0),
+                   ("plain", "plen", 1.0)]
+        segs.write_text("".join(json.dumps({
+            "word": w, "ipa": ipa, "pairs": [[w, ipa]], "perplexity": ppl,
+            "provider": "replay", "timestamp": 0.0}) + "\n"
+            for w, ipa, ppl in records), encoding="utf-8")
+        cfg = {**config,
+               "inputs": {"syn": {**config["inputs"]["syn"],
+                                  "segmentations": str(segs)}},
+               "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        result = invoke("verify", "--config", path, "-n", 10)
+        assert result.exit_code == 0, result.output
+        sheet = (tmp_path / "out" / "syn" / "verification.tsv").read_text("utf-8")
+        forms = [line.split("\t")[0] for line in sheet.splitlines()[1:]]
+        assert sorted(forms) == ["calm", "plain"]
 
 
 class TestAnalyze:
@@ -153,6 +191,33 @@ class TestAnalyze:
         path.write_text(json.dumps(cfg), encoding="utf-8")
         result = invoke("interpret", "--config", path)
         assert result.exit_code == 1
+
+    def test_zero_semantic_vector_leaves_both_spaces(self, tmp_path):
+        paths = make_planted_language(tmp_path / "lang", n_morphemes=60,
+                                      semantic_dim=4, seed=5)
+        lines = paths["vectors"].read_text(encoding="utf-8").splitlines()
+        zeroed = lines[1].split(" ")[0]
+        lines[1] = zeroed + " 0.0 0.0 0.0 0.0"
+        paths["vectors"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = {"languages": ["syn"],
+               "feature_table": str(paths["feature_table"]),
+               "inputs": {"syn": {k: str(v) for k, v in paths.items()
+                                  if k != "feature_table"}},
+               "output_dir": str(tmp_path / "out"),
+               "params": {"shuffles": 5, "null_points": 5, "n_components": 2}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+        lang_dir = tmp_path / "out" / "syn"
+        payload = json.loads((lang_dir / "global.json").read_text("utf-8"))
+        assert payload["n_morphemes_segmented"] == 60
+        assert payload["n_morphemes"] == 59
+        # CCA is fitted on the same 59 items the similarity statistics use
+        ids = np.load(lang_dir / "cca_model.npz",
+                      allow_pickle=True)["phonetic_ids"].tolist()
+        assert len(ids) == 59
+        assert not any(item.startswith(zeroed + "|") for item in ids)
 
     def test_too_few_morphemes_is_exit_two(self, workspace, tmp_path):
         _, _, config = workspace

@@ -9,8 +9,8 @@ from phonosem.corpus import EmbeddingMatrix, SegmentFeatureTable
 from phonosem.errors import AnalysisError, InputError
 from phonosem.phonetic import (EmptyTokenizationError, SimilarityMatrix,
                                build_phonetic_embeddings,
-                               cosine_similarity_matrix, drop_zero_variance,
-                               mean_pool, normalize_dataset, tokenize_ipa)
+                               cosine_similarity_matrix, mean_pool,
+                               standardize, tokenize_ipa)
 
 
 @pytest.fixture
@@ -84,52 +84,40 @@ def _module_table():
 
 class TestPostProcessing:
     def test_constant_column_dropped(self):
-        m = EmbeddingMatrix(("a", "b"), np.array([[0.5, 1.0], [0.5, 2.0]]))
-        reduced, kept = drop_zero_variance(m)
-        assert kept == [1]
-        assert reduced.n_dims == 1
+        out, kept, _, _ = standardize(np.array([[0.5, 1.0], [0.5, 2.0]]))
+        assert kept.tolist() == [1]
+        assert out.shape == (2, 1)
 
     def test_no_constant_columns_unchanged(self):
-        m = EmbeddingMatrix(("a", "b"), np.array([[0.0, 1.0], [1.0, 2.5]]))
-        reduced, kept = drop_zero_variance(m)
-        assert kept == [0, 1]
-        assert np.array_equal(reduced.vectors, m.vectors)
+        x = np.array([[0.0, 1.0], [1.0, 2.5]])
+        out, kept, mean, std = standardize(x)
+        assert kept.tolist() == [0, 1]
+        assert np.array_equal(out * std + mean, x)
 
     def test_all_constant_is_error(self):
-        m = EmbeddingMatrix(("a", "b"), np.full((2, 3), 0.25))
         with pytest.raises(AnalysisError, match="degenerate"):
-            drop_zero_variance(m)
+            standardize(np.full((2, 3), 0.25))
 
     def test_two_point_zscore(self):
-        m = EmbeddingMatrix(("a", "b"), np.array([[1.0], [3.0]]))
-        out = normalize_dataset(m)
-        assert np.allclose(out.vectors[:, 0], [-1.0, 1.0])
+        out, _, _, _ = standardize(np.array([[1.0], [3.0]]))
+        assert np.allclose(out[:, 0], [-1.0, 1.0])
 
     def test_zscore_idempotent(self):
         rng = np.random.default_rng(0)
-        m = EmbeddingMatrix(tuple("abcde"), rng.normal(size=(5, 3)))
-        once = normalize_dataset(m)
-        twice = normalize_dataset(once)
-        assert np.allclose(once.vectors, twice.vectors, atol=1e-12)
+        once, _, _, _ = standardize(rng.normal(size=(5, 3)))
+        twice, _, _, _ = standardize(once)
+        assert np.allclose(once, twice, atol=1e-12)
 
     def test_zscore_moments(self):
         rng = np.random.default_rng(1)
-        m = EmbeddingMatrix(tuple("abcde"), rng.normal(size=(5, 3)))
-        out = normalize_dataset(m).vectors
+        out, _, _, _ = standardize(rng.normal(size=(5, 3)))
         assert np.all(np.abs(out.mean(axis=0)) < 1e-12)
         assert np.allclose(out.var(axis=0), 1.0, atol=1e-9)
 
-    def test_minmax_range(self):
-        rng = np.random.default_rng(2)
-        m = EmbeddingMatrix(tuple("abcd"), rng.normal(size=(4, 2)))
-        out = normalize_dataset(m, mode="minmax").vectors
-        assert np.allclose(out.min(axis=0), 0.0)
-        assert np.allclose(out.max(axis=0), 1.0)
-
     def test_zero_variance_guard(self):
-        m = EmbeddingMatrix(("a", "b"), np.array([[1.0], [1.0]]))
+        # a constant column never reaches the division by its std
         with pytest.raises(AnalysisError):
-            normalize_dataset(m)
+            standardize(np.array([[1.0], [1.0]]))
 
     def test_drop_then_normalize_unit_variance(self, feature_table):
         rng = np.random.default_rng(3)

@@ -3,14 +3,17 @@ provider boundary."""
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
+import requests
 
 from phonosem.corpus import MorphemeSet
 from phonosem.errors import InputError, ParseError, ProviderError
-from phonosem.segmentation import (ReplayProvider, Segmentation, build_prompt,
-                                   dedupe_into_morpheme_set, error_rate_ci,
+from phonosem.segmentation import (HttpProvider, ReplayProvider, Segmentation,
+                                   build_prompt, dedupe_into_morpheme_set,
+                                   error_rate_ci,
                                    load_example_set, parse_response,
                                    perplexity_filter, read_segmentation_cache,
                                    render_pairs, response_perplexity,
@@ -261,6 +264,53 @@ class TestProviders:
         seg = Segmentation(word="a", ipa="ab", pairs=(("a", "ab"),),
                            perplexity=1.25, provider="replay", timestamp=5.0)
         assert Segmentation.from_record(seg.to_record()) == seg
+
+
+class _FakeResponse:
+    def __init__(self, status, body=None):
+        self.status_code = status
+        self._body = body
+
+    def raise_for_status(self):
+        if self.status_code >= 400:
+            raise requests.HTTPError(f"{self.status_code} error", response=self)
+
+    def json(self):
+        return self._body
+
+
+class TestHttpProvider:
+    def serve(self, monkeypatch, outcomes):
+        """Answer successive posts with ``outcomes`` (a response or an
+        exception to raise); return the post and sleep call logs."""
+        posts, sleeps = [], []
+
+        def post(url, json, timeout):
+            posts.append(json)
+            outcome = outcomes[len(posts) - 1]
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        return posts, sleeps
+
+    def test_client_error_is_not_retried(self, monkeypatch):
+        posts, sleeps = self.serve(monkeypatch, [_FakeResponse(404)])
+        with pytest.raises(ProviderError, match="rejected"):
+            HttpProvider("http://localhost:1/seg", "m").complete("sys", "user")
+        assert len(posts) == 1
+        assert sleeps == []
+
+    def test_transient_errors_are_retried(self, monkeypatch):
+        posts, sleeps = self.serve(monkeypatch, [
+            requests.ConnectionError("refused"), _FakeResponse(503),
+            _FakeResponse(200, {"text": "(run,rʌn)", "logprobs": [-0.1]})])
+        resp = HttpProvider("http://localhost:1/seg", "m").complete("sys", "user")
+        assert resp.text == "(run,rʌn)"
+        assert len(posts) == 3
+        assert sleeps == [1.0, 2.0]
 
 
 class _FailingProvider:
