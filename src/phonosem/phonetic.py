@@ -159,8 +159,9 @@ class SimilarityMatrix:
             raise InputError(
                 f"similarity shape {self.values.shape} does not match {n} ids"
             )
-        if not np.allclose(self.values, self.values.T, atol=1e-12, rtol=0.0):
-            raise AnalysisError("similarity matrix is not symmetric")
+        # exact: the permutation nulls read each pair from one triangle
+        if not np.array_equal(self.values, self.values.T):
+            raise AnalysisError("similarity matrix is not exactly symmetric")
 
     @property
     def n_items(self) -> int:
@@ -168,8 +169,8 @@ class SimilarityMatrix:
 
     def pair_vector(self) -> np.ndarray:
         """Strict upper triangle in fixed (i < j) row-major order."""
-        iu = np.triu_indices(self.n_items, k=1)
-        return self.values[iu]
+        n = self.n_items
+        return self.values[np.triu(np.ones((n, n), dtype=bool), k=1)]
 
     # -- serialization ------------------------------------------------------
 

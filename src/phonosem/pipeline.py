@@ -30,7 +30,7 @@ from .phonetic import build_phonetic_embeddings, cosine_similarity_matrix
 from .segmentation import (dedupe_into_morpheme_set, perplexity_filter,
                            read_segmentation_cache)
 from .stats import knn_overlap, mi_alignment, rsa, stars
-from .subspace import scale_alignment
+from .subspace import _pool_candidates, scale_alignment
 
 log = logging.getLogger(__name__)
 
@@ -104,7 +104,16 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: not valid JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise InputError(f"{path}: top level must be a JSON object")
+        missing = [k for k in ("languages", "feature_table", "inputs")
+                   if k not in obj]
+        if missing:
+            raise InputError(f"{path}: missing required key(s): {', '.join(missing)}")
         obj.update({k: v for k, v in overrides.items() if v is not None})
         _reject_unknown("config", obj, [f.name for f in dataclasses.fields(cls)])
         return cls(
@@ -361,6 +370,7 @@ def run_subspace(config: RunConfig) -> dict[str, Path]:
     written: dict[str, Path] = {}
     for lang in config.languages:
         lexicon, vocab = load_vocabulary(config, lang)
+        candidates = _pool_candidates(vocab, lexicon, table)
         for scale in scales:
             if lang not in scale.semantic_pos:
                 raise InputError(
@@ -370,7 +380,8 @@ def run_subspace(config: RunConfig) -> dict[str, Path]:
                 n_words=p["subspace_pool"],
                 n_shuffles=p["subspace_shuffles"],
                 null_points=p["subspace_null_points"],
-                seed=derive_seed(config.seed, f"subspace:{scale.name}", lang))
+                seed=derive_seed(config.seed, f"subspace:{scale.name}", lang),
+                candidates=candidates)
             cells.append(result.to_record())
             if p.get("scatter"):
                 scatter = out_dir / "scatter" / f"{lang}_{scale.name}.tsv"

@@ -9,20 +9,37 @@ cross-space correspondence under test.
 Each shuffle draws its permutation from an independent substream seeded
 by (seed, shuffle index), so results are identical regardless of
 evaluation order or parallelism.
+
+Whatever a permutation leaves unchanged is computed once per test: the
+pair ranks (RSA) and bin indices (MI) of the permuted space, stored as
+symmetric item-by-item matrices, each row's top-k neighbours (kNN), and
+the ranks of both coordinate vectors (subspace scales). Each shuffle is
+then a gather plus a reduction that gives the same bits as recomputing
+the statistic on the permuted matrix. This relies on the permuted
+similarity matrix being exactly symmetric, as
+:func:`~phonosem.phonetic.cosine_similarity_matrix` makes it: a permuted
+pair vector then holds the same multiset of values.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import AnalysisError
 from .phonetic import SimilarityMatrix
 
+log = logging.getLogger(__name__)
+
 NULL_QUANTILES = (0.025, 0.25, 0.5, 0.75, 0.975)
+# Matrix elements one row block of a pair gather covers: small enough that
+# each block's temporaries reuse freed heap memory; blocks of a few MB are
+# mapped afresh each time, and their page faults cost more than the gather.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def stars(p: float) -> str:
@@ -82,18 +99,50 @@ def spearman_rho(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise AnalysisError("spearman_rho needs two 1-D vectors of equal length")
-    if x.size < 3:
-        raise AnalysisError(f"spearman_rho needs >= 3 points, got {x.size}")
-    rho = _rho_of_ranks(rankdata(x), rankdata(y))
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise AnalysisError("spearman_rho needs finite values")
+    return _spearman_of_ranks(_midranks(x), _midranks(y))
+
+
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of finite values, ties sharing their mean rank (as
+    ``scipy.stats.rankdata``; midranks are half-integers, so exact)."""
+    order = np.argsort(x)
+    xs = x[order]
+    new = np.empty(x.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(xs[1:], xs[:-1], out=new[1:])
+    del xs
+    starts = np.flatnonzero(new)
+    del new
+    sizes = np.diff(starts, append=x.size)
+    mid = sizes + 1.0
+    mid *= 0.5
+    mid += starts
+    del starts
+    in_order = np.repeat(mid, sizes)
+    del mid, sizes
+    ranks = np.empty(x.size)
+    ranks[order] = in_order
+    return ranks
+
+
+def _spearman_of_ranks(rx: np.ndarray, ry: np.ndarray) -> float:
+    """Spearman's rho from two midrank vectors, clipped to [-1, 1]."""
+    if rx.size < 3:
+        raise AnalysisError(f"spearman_rho needs >= 3 points, got {rx.size}")
+    center = _rank_center(rx.size)
+    rho = _rho_of_centered(rx - center, ry - center)
     return float(min(1.0, max(-1.0, rho)))
 
 
-def _rho_of_ranks(rx: np.ndarray, ry: np.ndarray) -> float:
+def _rank_center(n: int) -> float:
     # midranks always average exactly (n+1)/2; centering analytically keeps
     # rho exactly antisymmetric under rank reversal
-    center = (rx.size + 1) / 2.0
-    cx = rx - center
-    cy = ry - center
+    return (n + 1) / 2.0
+
+
+def _rho_of_centered(cx: np.ndarray, cy: np.ndarray) -> float:
     denom = float(np.sqrt(np.dot(cx, cx) * np.dot(cy, cy)))
     if denom == 0.0:
         raise AnalysisError("spearman_rho undefined for a constant vector")
@@ -111,13 +160,41 @@ def mutual_information_value(
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    _check_mi_input(x, y, bins)
+    codes = (_bin_index(x, _bin_edges(x, bins)) * bins
+             + _bin_index(y, _bin_edges(y, bins)))
+    return _mi_bits(np.bincount(codes, minlength=bins * bins), bins)
+
+
+def _check_mi_input(x: np.ndarray, y: np.ndarray, bins: int) -> None:
     if x.shape != y.shape or x.ndim != 1:
         raise AnalysisError("mutual information needs two 1-D vectors of equal length")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise AnalysisError("mutual information needs finite values")
     if x.size < bins:
         raise AnalysisError(f"need at least bins={bins} samples, got {x.size}")
-    joint, _, _ = np.histogram2d(x, y, bins=bins)
+
+
+def _bin_edges(values: np.ndarray, bins: int) -> np.ndarray:
+    """Equal-width edges over [min, max], drawn as ``np.histogram2d``
+    draws them; a constant vector gets [v - 0.5, v + 0.5]."""
+    lo, hi = values.min(), values.max()
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    return np.linspace(lo, hi, bins + 1)
+
+
+def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """0-based bin of each value; the top bin is right-closed."""
+    idx = np.searchsorted(edges, values, side="right")
+    idx[values == edges[-1]] -= 1
+    idx -= 1
+    return idx
+
+
+def _mi_bits(counts: np.ndarray, bins: int) -> float:
+    """Plug-in MI of a joint histogram given as flat bin counts."""
+    joint = counts.reshape(bins, bins).astype(np.float64)
     pxy = joint / joint.sum()
     px = pxy.sum(axis=1)
     py = pxy.sum(axis=0)
@@ -126,29 +203,93 @@ def mutual_information_value(
     return max(0.0, mi)
 
 
-def _neighbor_sets(sim: SimilarityMatrix, k: int) -> list[frozenset[int]]:
-    """Top-k most similar other items per item; ties broken by ascending
-    item index (stable sort on descending similarity)."""
-    n = sim.n_items
-    out = []
-    for i in range(n):
-        row = sim.values[i].copy()
-        row[i] = -np.inf  # exclude self
-        order = np.argsort(-row, kind="stable")
-        out.append(frozenset(order[:k].tolist()))
-    return out
+def _top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, list]:
+    """Each row's k most similar other items, ties broken by ascending
+    item index (as a stable sort on descending similarity breaks them).
+
+    Returns an n x k array of neighbour indices, unordered within a row,
+    and the tie rows: ``(row, above, tied)`` for each row whose k-th and
+    (k+1)-th most similar items are equally similar, where ``above`` are
+    the items more similar than the k-th and ``tied`` the items as
+    similar. Only on those rows does relabelling the items change which
+    of them the tie-break keeps (see :func:`_break_ties`).
+    """
+    n = values.shape[0]
+    nb = np.empty((n, k), dtype=np.intp)
+    ties = []
+    for i0, i1 in _row_blocks(n):
+        rows = np.arange(i1 - i0)
+        neg = -values[i0:i1]
+        neg[rows, rows + i0] = np.inf  # self sorts last
+        part = np.argpartition(neg, (k - 1, k), axis=1)
+        nb[i0:i1] = part[:, :k]
+        kth = np.take_along_axis(neg, part[:, k - 1:k + 1], axis=1)
+        for t in np.flatnonzero(kth[:, 0] == kth[:, 1]):
+            ties.append((i0 + int(t), np.flatnonzero(neg[t] < kth[t, 0]),
+                         np.flatnonzero(neg[t] == kth[t, 0])))
+    _break_ties(nb, ties, np.arange(n), k)
+    return nb, ties
+
+
+def _break_ties(nb: np.ndarray, ties: list, inv: np.ndarray, k: int) -> None:
+    """Fill the tie rows of ``nb``, whose items are relabelled by ``inv``
+    (row ``r`` becomes row ``inv[r]``): the items above the tie, then the
+    tied items with the smallest new labels."""
+    for r, above, tied in ties:
+        row = nb[inv[r]]
+        row[:above.size] = inv[above]
+        row[above.size:] = np.sort(inv[tied])[:k - above.size]
+
+
+def _mean_overlap(na: np.ndarray, nb: np.ndarray, k: int) -> float:
+    """Mean over rows of |na[i] & nb[i]| / k, for rows of distinct items."""
+    both = np.sort(np.concatenate((na, nb), axis=1), axis=1)
+    shared = np.count_nonzero(both[:, 1:] == both[:, :-1], axis=1)
+    return float(np.mean(shared / k))
+
+
+def _check_k(n: int, k: int) -> None:
+    if n <= k:
+        raise AnalysisError(f"kNN overlap needs more than k={k} items, got {n}")
 
 
 def knn_overlap_value(sim_a: SimilarityMatrix, sim_b: SimilarityMatrix, k: int = 10) -> float:
     """Mean proportion of shared k-nearest neighbors across items."""
     if sim_a.ids != sim_b.ids:
         raise AnalysisError("kNN overlap: item ids differ between spaces")
-    n = sim_a.n_items
-    if n <= k:
-        raise AnalysisError(f"kNN overlap needs more than k={k} items, got {n}")
-    na = _neighbor_sets(sim_a, k)
-    nb = _neighbor_sets(sim_b, k)
-    return float(np.mean([len(a & b) / k for a, b in zip(na, nb)]))
+    _check_k(sim_a.n_items, k)
+    return _mean_overlap(_top_k(sim_a.values, k)[0],
+                         _top_k(sim_b.values, k)[0], k)
+
+
+# ---------------------------------------------------------------------------
+# Pair gathers
+
+def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) row ranges covering about ``_BLOCK_ELEMENTS``
+    elements of an n x n matrix each."""
+    step = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    for i0 in range(0, n, step):
+        yield i0, min(n, i0 + step)
+
+
+def _permuted_pairs(matrix: np.ndarray, perm: np.ndarray) -> Iterator[np.ndarray]:
+    """The pair vector of ``matrix[perm][:, perm]`` (strict upper
+    triangle, row-major), one row block at a time."""
+    n = perm.size
+    for i0, i1 in _row_blocks(n):
+        block = matrix.take(perm[i0:i1], axis=0).take(perm[i0 + 1:], axis=1)
+        yield block[np.arange(n - i0 - 1) >= np.arange(i1 - i0)[:, None]]
+
+
+def _symmetric(pairs: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric n x n matrix with a zero diagonal whose pair vector
+    is ``pairs``."""
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    out = np.zeros((n, n), dtype=pairs.dtype)
+    out[upper] = pairs
+    out.T[upper] = pairs
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +327,8 @@ def permutation_test(
 
     ``statistic`` receives one permutation of ``range(n_items)`` per
     shuffle. The null sample is the first ``null_points`` shuffle values;
-    p uses the add-one rule on that sample.
+    p uses the add-one rule on that sample. Progress (shuffles done,
+    rate, time left) is logged at INFO each time another tenth is done.
     """
     if n_shuffles < 1:
         raise AnalysisError("n_shuffles must be >= 1")
@@ -195,9 +337,15 @@ def permutation_test(
             f"null_points={null_points} exceeds n_shuffles={n_shuffles}"
         )
     null = np.empty(n_shuffles, dtype=np.float64)
+    start = time.perf_counter()
     for i in range(n_shuffles):
         perm = shuffle_rng(seed, i).permutation(n_items)
         null[i] = statistic(perm)
+        if (i + 1) * 10 // n_shuffles > i * 10 // n_shuffles:
+            elapsed = time.perf_counter() - start
+            rate = (i + 1) / elapsed if elapsed > 0 else float("inf")
+            log.info("permutation test: %d/%d shuffles, %.1f/s, ETA %.1f s",
+                     i + 1, n_shuffles, rate, (n_shuffles - i - 1) / rate)
     null_sample = null[:null_points]
     p = permutation_pvalue(observed, null_sample, alternative)
     return p, null_sample
@@ -243,16 +391,34 @@ def rsa(
     null_points: int = 500,
     seed: int = 0,
 ) -> AlignmentResult:
-    """Spearman correlation of the two pair vectors, permutation-tested."""
+    """Spearman correlation of the two pair vectors, permutation-tested.
+
+    The midranks of a permuted pair vector are the permuted midranks, so
+    B's pair midranks are computed once and kept doubled (integers) in
+    a symmetric matrix; a shuffle gathers them in permuted pair order.
+    """
     _check_same_items(sim_a, sim_b)
-    tri_a = sim_a.pair_vector()
     n = sim_a.n_items
-    observed = spearman_rho(tri_a, sim_b.pair_vector())
-    rank_a = rankdata(tri_a)
+    rank_a = _midranks(sim_a.pair_vector())
+    rank_b = _midranks(sim_b.pair_vector())
+    observed = _spearman_of_ranks(rank_a, rank_b)
+    doubled_b = _symmetric(
+        (2.0 * rank_b).astype(np.min_scalar_type(2 * rank_b.size)), n)
+    del rank_b
+    # A's ranks are centred once, B's in place in one reused buffer
+    center = _rank_center(rank_a.size)
+    centered_a = rank_a - center
+    del rank_a
+    centered_b = np.empty_like(centered_a)
 
     def stat(perm: np.ndarray) -> float:
-        tri = sim_b.values[np.ix_(perm, perm)][np.triu_indices(n, k=1)]
-        return _rho_of_ranks(rank_a, rankdata(tri))
+        start = 0
+        for pairs in _permuted_pairs(doubled_b, perm):
+            centered_b[start:start + pairs.size] = pairs
+            start += pairs.size
+        np.multiply(centered_b, 0.5, out=centered_b)
+        np.subtract(centered_b, center, out=centered_b)
+        return _rho_of_centered(centered_a, centered_b)
 
     p, null = permutation_test(stat, observed, n, n_shuffles, null_points,
                                seed, "greater")
@@ -267,16 +433,35 @@ def mi_alignment(
     null_points: int = 500,
     seed: int = 0,
 ) -> AlignmentResult:
-    """Binned MI between the two pair vectors with an item-identity null."""
+    """Binned MI between the two pair vectors with an item-identity null.
+
+    Bin edges depend only on each pair vector's value set, so every
+    pair's bin is computed once (B's in a symmetric matrix); a shuffle
+    counts the gathered joint bins.
+    """
     _check_same_items(sim_a, sim_b)
-    tri_a = sim_a.pair_vector()
     n = sim_a.n_items
-    observed = mutual_information_value(tri_a, sim_b.pair_vector(), bins=bins)
+    tri_a = sim_a.pair_vector()
+    tri_b = sim_b.pair_vector()
+    _check_mi_input(tri_a, tri_b, bins)
+    cells = bins * bins
+    codes_a = (_bin_index(tri_a, _bin_edges(tri_a, bins)) * bins).astype(
+        np.min_scalar_type(cells - 1))
+    del tri_a
+    bins_b = _symmetric(_bin_index(tri_b, _bin_edges(tri_b, bins)).astype(
+        np.min_scalar_type(bins - 1)), n)
+    del tri_b
 
     def stat(perm: np.ndarray) -> float:
-        tri = sim_b.values[np.ix_(perm, perm)][np.triu_indices(n, k=1)]
-        return mutual_information_value(tri_a, tri, bins=bins)
+        counts = np.zeros(cells, dtype=np.intp)
+        start = 0
+        for pairs in _permuted_pairs(bins_b, perm):
+            counts += np.bincount(codes_a[start:start + pairs.size] + pairs,
+                                  minlength=cells)
+            start += pairs.size
+        return _mi_bits(counts, bins)
 
+    observed = stat(np.arange(n))
     p, null = permutation_test(stat, observed, n, n_shuffles, null_points,
                                seed, "greater")
     return _summarize("mutual_information", observed, null, p, n_shuffles,
@@ -292,18 +477,25 @@ def knn_overlap(
     null_points: int = 500,
     seed: int = 0,
 ) -> AlignmentResult:
-    """Mean k-nearest-neighbor overlap with an item-identity null."""
+    """Mean k-nearest-neighbor overlap with an item-identity null.
+
+    Both spaces' top-k lists are computed once; a shuffle relabels B's
+    lists and redoes the tie-break only on rows tied at the k-th
+    neighbour, where it depends on the labels.
+    """
     _check_same_items(sim_a, sim_b)
-    observed = knn_overlap_value(sim_a, sim_b, k=k)
-    na = _neighbor_sets(sim_a, k)
-    values_b = sim_b.values
     n = sim_a.n_items
+    _check_k(n, k)
+    na, _ = _top_k(sim_a.values, k)
+    nb, ties = _top_k(sim_b.values, k)
+    observed = _mean_overlap(na, nb, k)
 
     def stat(perm: np.ndarray) -> float:
-        permuted = SimilarityMatrix(ids=sim_a.ids,
-                                    values=values_b[np.ix_(perm, perm)])
-        nb = _neighbor_sets(permuted, k)
-        return float(np.mean([len(a & b) / k for a, b in zip(na, nb)]))
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(n)
+        nb_perm = inv[nb[perm]]
+        _break_ties(nb_perm, ties, inv, k)
+        return _mean_overlap(na, nb_perm, k)
 
     p, null = permutation_test(stat, observed, n, n_shuffles, null_points,
                                seed, "greater")

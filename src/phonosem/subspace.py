@@ -21,8 +21,8 @@ import numpy as np
 from .corpus import EmbeddingMatrix, Lexicon, ScaleConfig, SegmentFeatureTable
 from .errors import AnalysisError, InputError
 from .phonetic import _tokenize_and_pool, standardize
-from .stats import (AlignmentResult, _summarize, permutation_test,
-                    spearman_rho, stars)
+from .stats import (AlignmentResult, _midranks, _spearman_of_ranks,
+                    _summarize, permutation_test, stars)
 
 log = logging.getLogger(__name__)
 
@@ -157,6 +157,36 @@ def _segment_vectors(
     return np.vstack([table[s] for s in segments])
 
 
+@dataclass(frozen=True)
+class _Candidates:
+    """A language's candidate words for every scale: the words with an
+    embedding, an IPA transcription and a non-empty tokenization, with
+    their semantic vectors and mean-pooled phonetic feature vectors (rows
+    in word order)."""
+
+    words: EmbeddingMatrix
+    phonetic: np.ndarray
+    dropped_no_embedding: int
+    dropped_no_phonetics: int
+
+
+def _pool_candidates(
+    vocabulary: EmbeddingMatrix, lexicon: Lexicon, table: SegmentFeatureTable
+) -> _Candidates:
+    ipa = {lx.word: lx.ipa for lx in lexicon}
+    emb_index = {w: i for i, w in enumerate(vocabulary.ids)}
+    words, rows, no_phon = _tokenize_and_pool(
+        [(w, ipa.get(w, "")) for w in vocabulary.ids], table)
+    return _Candidates(
+        words=EmbeddingMatrix(
+            ids=tuple(words),
+            vectors=vocabulary.vectors[[emb_index[w] for w in words]]),
+        phonetic=np.vstack(rows) if rows else np.empty((0, table.n_features)),
+        dropped_no_embedding=sum(1 for lx in lexicon if lx.word not in emb_index),
+        dropped_no_phonetics=len(no_phon),
+    )
+
+
 def scale_alignment(
     scale: ScaleConfig,
     language: str,
@@ -167,6 +197,8 @@ def scale_alignment(
     n_shuffles: int = 5000,
     null_points: int = 5000,
     seed: int = 0,
+    *,
+    candidates: _Candidates | None = None,
 ) -> ScaleResult:
     """Correlate word projections onto one scale's paired lines.
 
@@ -175,7 +207,11 @@ def scale_alignment(
     z-scoring) over the selected set, and the phonetic exemplar segments
     are mapped through the same transform before the phonetic line is
     built. Significance shuffles the word-to-phonetic-coordinate
-    assignment, two-sided.
+    assignment, two-sided; both coordinate vectors are ranked once.
+
+    The candidate words do not depend on the scale: a caller running
+    several scales over one vocabulary pools them once and passes them
+    as ``candidates``.
     """
     if language not in scale.semantic_pos:
         raise InputError(f"scale {scale.name!r} has no exemplars for {language!r}")
@@ -186,40 +222,33 @@ def scale_alignment(
         space="semantic",
     )
 
-    # candidate pool: words with an embedding, an IPA transcription, and a
-    # non-empty tokenization; all drops happen before selection
-    ipa = {lx.word: lx.ipa for lx in lexicon}
-    emb_index = {w: i for i, w in enumerate(vocabulary.ids)}
-    dropped_no_emb = sum(1 for lx in lexicon if lx.word not in emb_index)
-    cand_words, cand_phon, no_phon = _tokenize_and_pool(
-        [(w, ipa.get(w, "")) for w in vocabulary.ids], table)
-    if len(cand_words) < 3:
+    # all drops happen before selection
+    if candidates is None:
+        candidates = _pool_candidates(vocabulary, lexicon, table)
+    if candidates.words.n_items < 3:
         raise AnalysisError(
             f"scale {scale.name!r} ({language}): fewer than 3 usable words"
         )
 
-    cand_matrix = EmbeddingMatrix(
-        ids=tuple(cand_words),
-        vectors=vocabulary.vectors[[emb_index[w] for w in cand_words]],
-    )
-    selected, _ = select_words(cand_matrix, sem_line, n=n_words)
-    cand_index = {w: j for j, w in enumerate(cand_words)}
-    phon_std, kept, mean, std = standardize(
-        np.vstack([cand_phon[cand_index[w]] for w in selected]))
+    selected, _ = select_words(candidates.words, sem_line, n=n_words)
+    cand_index = {w: j for j, w in enumerate(candidates.words.ids)}
+    rows = [cand_index[w] for w in selected]
+    phon_std, kept, mean, std = standardize(candidates.phonetic[rows])
 
     pos_seg = _segment_vectors(scale.phonetic_pos, table, scale.name)[:, kept]
     neg_seg = _segment_vectors(scale.phonetic_neg, table, scale.name)[:, kept]
     phon_line = build_line((pos_seg - mean) / std, (neg_seg - mean) / std,
                            space="phonetic")
 
-    sem_vecs = vocabulary.vectors[[emb_index[w] for w in selected]]
-    sem_coords = project(sem_vecs, sem_line)
+    sem_coords = project(candidates.words.vectors[rows], sem_line)
     phon_coords = project(phon_std, phon_line)
 
-    rho = spearman_rho(sem_coords, phon_coords)
+    rank_sem = _midranks(sem_coords)
+    rank_phon = _midranks(phon_coords)
+    rho = _spearman_of_ranks(rank_sem, rank_phon)
 
     def stat(perm: np.ndarray) -> float:
-        return spearman_rho(sem_coords, phon_coords[perm])
+        return _spearman_of_ranks(rank_sem, rank_phon[perm])
 
     p, null = permutation_test(stat, rho, len(selected), n_shuffles,
                                null_points, seed, "two-sided")
@@ -231,8 +260,8 @@ def scale_alignment(
         rho=rho,
         p_value=p,
         n_words=len(selected),
-        n_dropped_no_embedding=dropped_no_emb,
-        n_dropped_no_phonetics=len(no_phon),
+        n_dropped_no_embedding=candidates.dropped_no_embedding,
+        n_dropped_no_phonetics=candidates.dropped_no_phonetics,
         semantic_coords=sem_coords,
         phonetic_coords=phon_coords,
         words=tuple(selected),

@@ -97,6 +97,26 @@ class TestIngest:
         assert result.exit_code == 1
         assert key in result.output
 
+    @pytest.mark.parametrize("text,message", [
+        ("{not json", "not valid JSON"),
+        ("[1, 2]", "top level must be a JSON object"),
+        ("drop:languages", "missing required key(s): languages"),
+        ("drop:feature_table", "missing required key(s): feature_table"),
+        ("drop:inputs", "missing required key(s): inputs"),
+    ])
+    def test_malformed_config_is_input_error(self, workspace, tmp_path,
+                                             text, message):
+        _, _, config = workspace
+        if text.startswith("drop:"):
+            key = text.split(":", 1)[1]
+            text = json.dumps({k: v for k, v in config.items() if k != key})
+        path = tmp_path / "malformed.json"
+        path.write_text(text, encoding="utf-8")
+        result = invoke("ingest", "--config", path)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"input error: {path}: {message}" in result.output
+
 
 class TestSegmentAndVerify:
     def test_segment_requires_provider(self, workspace):

@@ -186,3 +186,8 @@ class TestCosineSimilarity:
     def test_asymmetric_rejected(self):
         with pytest.raises(AnalysisError, match="symmetric"):
             SimilarityMatrix(("a", "b"), np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+    def test_rounding_asymmetry_rejected(self):
+        values = np.array([[1.0, 0.5], [0.5 + 1e-15, 1.0]])
+        with pytest.raises(AnalysisError, match="exactly symmetric"):
+            SimilarityMatrix(("a", "b"), values)

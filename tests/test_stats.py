@@ -1,6 +1,8 @@
 """Alignment statistics against brute-force oracles, plus the
 permutation engine's contract."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,6 +270,27 @@ class TestPermutationEngine:
         with pytest.raises(AnalysisError):
             permutation_test(lambda perm: 0.0, 0.0, n_items=5,
                              n_shuffles=10, null_points=20, seed=0)
+
+    @pytest.mark.parametrize("n_shuffles,lines", [(100, 10), (25, 10),
+                                                  (7, 7), (1, 1)])
+    def test_progress_logged_each_tenth(self, caplog, n_shuffles, lines):
+        def stat(perm):
+            return float(perm[0])
+
+        quiet = permutation_test(stat, 2.0, n_items=8, n_shuffles=n_shuffles,
+                                 null_points=1, seed=4)
+        with caplog.at_level(logging.INFO, logger="phonosem.stats"):
+            logged = permutation_test(stat, 2.0, n_items=8,
+                                      n_shuffles=n_shuffles, null_points=1,
+                                      seed=4)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "phonosem.stats"]
+        assert len(messages) == lines
+        assert messages[-1].startswith(
+            f"permutation test: {n_shuffles}/{n_shuffles} shuffles, ")
+        assert all("/s, ETA " in m for m in messages)
+        assert logged[0] == quiet[0]
+        assert np.array_equal(logged[1], quiet[1])
 
     def test_p_never_zero_or_above_one(self):
         rng = np.random.default_rng(20)

@@ -1,9 +1,13 @@
 """Centroid lines, projections, word selection, and scale alignment."""
 
+import json
+
 import numpy as np
 import pytest
 
-from phonosem.corpus import (EmbeddingMatrix, Lexeme, Lexicon, ScaleConfig)
+from phonosem import pipeline, subspace
+from phonosem.corpus import (EmbeddingMatrix, Lexeme, Lexicon, ScaleConfig,
+                             load_lexicon)
 from phonosem.errors import AnalysisError, InputError
 from phonosem.subspace import (CentroidLine, build_line,
                                perpendicular_distance, project,
@@ -224,3 +228,39 @@ class TestScaleAlignment:
         with pytest.raises(InputError, match="'fi'"):
             scale_alignment(scale, "fi", EmbeddingMatrix(tuple(words), vectors),
                             lexicon, feature_table)
+
+
+def test_run_subspace_pools_once_per_language(planted_dir, tmp_path, monkeypatch):
+    _, paths = planted_dir
+    words = [lx.word for lx in load_lexicon(paths["lexicon"], "syn")]
+    languages = ("syn", "alt")
+    scales = {"scales": {
+        name: {"phonetic": {"pos": pos, "neg": neg},
+               "semantic": {lang: {"pos": words[i:i + 2], "neg": words[i + 2:i + 4]}
+                            for lang in languages}}
+        for i, (name, pos, neg) in enumerate([
+            ("one", ["m", "n"], ["p", "t"]), ("two", ["l", "m"], ["k", "t"]),
+            ("three", ["n", "l"], ["p", "k"])])}}
+    scales_path = tmp_path / "scales.json"
+    scales_path.write_text(json.dumps(scales), encoding="utf-8")
+    inputs = {role: str(paths[role]) for role in ("lexicon", "vectors", "segmentations")}
+    config = pipeline.RunConfig(
+        languages=languages, feature_table=str(paths["feature_table"]),
+        inputs={lang: inputs for lang in languages},
+        output_dir=str(tmp_path / "out"), scales=str(scales_path),
+        params={"subspace_shuffles": 5, "subspace_null_points": 5,
+                "subspace_pool": 50})
+
+    calls = []
+    original = subspace._pool_candidates
+
+    def counting(vocabulary, lexicon, table):
+        calls.append(lexicon.language)
+        return original(vocabulary, lexicon, table)
+
+    monkeypatch.setattr(pipeline, "_pool_candidates", counting)
+    monkeypatch.setattr(subspace, "_pool_candidates", counting)
+    pipeline.run_subspace(config)
+    assert calls == list(languages)
+    payload = json.loads((tmp_path / "out" / "subspace.json").read_text(encoding="utf-8"))
+    assert len(payload["cells"]) == 6
