@@ -20,8 +20,8 @@ import numpy as np
 
 from .corpus import EmbeddingMatrix, Lexicon
 from .errors import AnalysisError
-from .stats import (AlignmentResult, _summarize, permutation_pvalue,
-                    shuffle_rng, spearman_rho)
+from .stats import (AlignmentResult, _summarize, permutation_test,
+                    spearman_rho)
 
 log = logging.getLogger(__name__)
 
@@ -151,6 +151,12 @@ def structure_loadings(original: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return np.clip(out, -1.0, 1.0)
 
 
+def _rank_correlations(scores_x: np.ndarray, scores_y: np.ndarray) -> np.ndarray:
+    """Spearman rho of each pair of variate score columns."""
+    return np.array([spearman_rho(scores_x[:, c], scores_y[:, c])
+                     for c in range(scores_x.shape[1])])
+
+
 def canonical_rank_correlations(
     model: CcaModel,
     X: EmbeddingMatrix | np.ndarray | None = None,
@@ -168,39 +174,28 @@ def canonical_rank_correlations(
     available with ``refit=False`` and is flagged in the result notes.
     """
     k = model.n_components
-    observed = np.array([
-        spearman_rho(model.scores_phonetic[:, c], model.scores_semantic[:, c])
-        for c in range(k)
-    ])
-    n = model.n_items
-    null = np.empty((n_shuffles, k))
+    observed = _rank_correlations(model.scores_phonetic, model.scores_semantic)
     if refit:
         if X is None or Y is None:
             raise AnalysisError("refit nulls require the original X and Y")
         ys = Y.vectors if isinstance(Y, EmbeddingMatrix) else np.asarray(Y)
-        for i in range(n_shuffles):
-            perm = shuffle_rng(seed, i).permutation(n)
+
+        def stat(perm: np.ndarray) -> np.ndarray:
             shuffled = fit_cca(X, ys[perm], n_components=k, ridge=model.ridge)
-            for c in range(k):
-                null[i, c] = spearman_rho(shuffled.scores_phonetic[:, c],
-                                          shuffled.scores_semantic[:, c])
+            return _rank_correlations(shuffled.scores_phonetic,
+                                      shuffled.scores_semantic)
         notes = ()
     else:
-        for i in range(n_shuffles):
-            perm = shuffle_rng(seed, i).permutation(n)
-            for c in range(k):
-                null[i, c] = spearman_rho(model.scores_phonetic[:, c],
-                                          model.scores_semantic[perm, c])
+        def stat(perm: np.ndarray) -> np.ndarray:
+            return _rank_correlations(model.scores_phonetic,
+                                      model.scores_semantic[perm])
         notes = ("fast mode: scores shuffled without re-fitting",)
 
-    results = []
-    for c in range(k):
-        sample = null[:null_points, c]
-        p = permutation_pvalue(observed[c], sample, "greater")
-        results.append(_summarize(
-            f"cca_cv{c + 1}", float(observed[c]), sample, p, n_shuffles,
-            seed, "greater", notes=notes))
-    return results
+    p, null = permutation_test(stat, observed, model.n_items, n_shuffles,
+                               null_points, seed, "greater")
+    return [_summarize(f"cca_cv{c + 1}", observed[c], null[:, c], p[c],
+                       n_shuffles, seed, "greater", notes=notes)
+            for c in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +275,12 @@ def semantic_pole_neighbors(
     ok = norms > 0.0
     sims = np.full(len(cand_idx), -np.inf)
     sims[ok] = (vecs[ok] @ direction) / norms[ok]
-    order = sorted(range(len(cand_idx)), key=lambda j: (-sims[j], vocabulary.ids[cand_idx[j]]))
-    top = order[:k]
+    cand_ids = [vocabulary.ids[i] for i in cand_idx]
+    top = np.lexsort((np.array(cand_ids), -sims))[:k]
     short = len(top) < k
     if short:
         log.warning("semantic pole: only %d candidates for k=%d", len(top), k)
-    return [(vocabulary.ids[cand_idx[j]], float(sims[j])) for j in top], short
+    return [(cand_ids[j], float(sims[j])) for j in top], short
 
 
 @dataclass(frozen=True)

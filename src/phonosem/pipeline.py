@@ -24,11 +24,12 @@ from . import __version__
 from .corpus import (EmbeddingMatrix, Lexicon, MorphemeSet, load_feature_table,
                      load_lexicon, load_scale_configs,
                      load_semantic_embeddings)
-from .cca import build_pole_report, canonical_rank_correlations, fit_cca
+from .cca import (CcaModel, build_pole_report, canonical_rank_correlations,
+                  fit_cca)
 from .errors import AnalysisError, InputError
 from .phonetic import build_phonetic_embeddings, cosine_similarity_matrix
-from .segmentation import (dedupe_into_morpheme_set, perplexity_filter,
-                           read_segmentation_cache)
+from .segmentation import (PERPLEXITY_THRESHOLD, dedupe_into_morpheme_set,
+                           perplexity_filter, read_segmentation_cache)
 from .stats import knn_overlap, mi_alignment, rsa, stars
 from .subspace import _pool_candidates, scale_alignment
 
@@ -49,7 +50,7 @@ DEFAULT_PARAMS = {
     "subspace_pool": 10000,
     "cca_ridge": 1e-8,
     "cca_refit": True,
-    "perplexity_threshold": 1.4,
+    "perplexity_threshold": PERPLEXITY_THRESHOLD,
     "scatter": False,
 }
 
@@ -116,28 +117,11 @@ class RunConfig:
             raise InputError(f"{path}: missing required key(s): {', '.join(missing)}")
         obj.update({k: v for k, v in overrides.items() if v is not None})
         _reject_unknown("config", obj, [f.name for f in dataclasses.fields(cls)])
-        return cls(
-            languages=tuple(obj["languages"]),
-            feature_table=obj["feature_table"],
-            inputs=obj["inputs"],
-            output_dir=obj.get("output_dir", "results"),
-            scales=obj.get("scales"),
-            analyses=obj.get("analyses", dict.fromkeys(ANALYSES, True)),
-            params=obj.get("params", {}),
-            seed=int(obj.get("seed", 0)),
-        )
+        return cls(**{**obj, "languages": tuple(obj["languages"]),
+                      "seed": int(obj.get("seed", 0))})
 
     def to_obj(self) -> dict:
-        return {
-            "languages": list(self.languages),
-            "feature_table": self.feature_table,
-            "inputs": self.inputs,
-            "output_dir": self.output_dir,
-            "scales": self.scales,
-            "analyses": self.analyses,
-            "params": self.params,
-            "seed": self.seed,
-        }
+        return {**dataclasses.asdict(self), "languages": list(self.languages)}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_obj(), sort_keys=True, ensure_ascii=False)
@@ -287,7 +271,8 @@ def run_global(config: RunConfig) -> dict[str, Path]:
                 seed=derive_seed(config.seed, "cca", lang),
                 refit=p["cca_refit"])
             results["cca"] = [r.to_record() for r in cv_results]
-            _save_cca_artifacts(out_dir / lang, model, phon, feature_names)
+            _save_cca_artifacts(out_dir / lang, model, phon, feature_names,
+                                config.config_hash())
 
         payload = {
             "language": lang,
@@ -314,50 +299,36 @@ def run_global(config: RunConfig) -> dict[str, Path]:
     return written
 
 
-def _save_cca_artifacts(lang_dir: Path, model, phon: EmbeddingMatrix,
-                        feature_names) -> None:
+def _save_cca_artifacts(lang_dir: Path, model: CcaModel, phon: EmbeddingMatrix,
+                        feature_names, config_hash: str) -> None:
     lang_dir.mkdir(parents=True, exist_ok=True)
     np.savez(
         lang_dir / "cca_model.npz",
-        weights_phonetic=model.weights_phonetic,
-        weights_semantic=model.weights_semantic,
-        scores_phonetic=model.scores_phonetic,
-        scores_semantic=model.scores_semantic,
-        canonical_pearson=model.canonical_pearson,
-        mean_phonetic=model.mean_phonetic,
-        scale_phonetic=model.scale_phonetic,
-        mean_semantic=model.mean_semantic,
-        scale_semantic=model.scale_semantic,
-        ridge=model.ridge,
+        **{f.name: getattr(model, f.name) for f in dataclasses.fields(CcaModel)},
         phonetic_vectors=phon.vectors,
-        phonetic_ids=np.array(phon.ids, dtype=object),
-        feature_names=np.array(list(feature_names), dtype=object),
+        phonetic_ids=np.array(phon.ids, dtype=str),
+        feature_names=np.array(list(feature_names), dtype=str),
+        config_hash=config_hash,
     )
 
 
-def _load_cca_artifacts(lang_dir: Path):
-    from .cca import CcaModel
-
+def _load_cca_artifacts(lang_dir: Path, config_hash: str):
+    """The fitted model, phonetic matrix and feature names saved by the
+    ``analyze-global`` run whose payload carries ``config_hash``."""
     path = lang_dir / "cca_model.npz"
     if not path.exists():
         raise InputError(f"{path}: no fitted CCA artifacts; run analyze-global first")
-    z = np.load(path, allow_pickle=True)
-    model = CcaModel(
-        n_components=z["weights_phonetic"].shape[1],
-        weights_phonetic=z["weights_phonetic"],
-        weights_semantic=z["weights_semantic"],
-        scores_phonetic=z["scores_phonetic"],
-        scores_semantic=z["scores_semantic"],
-        canonical_pearson=z["canonical_pearson"],
-        mean_phonetic=z["mean_phonetic"],
-        scale_phonetic=z["scale_phonetic"],
-        mean_semantic=z["mean_semantic"],
-        scale_semantic=z["scale_semantic"],
-        ridge=float(z["ridge"]),
-    )
-    phon = EmbeddingMatrix(ids=tuple(z["phonetic_ids"].tolist()),
-                           vectors=z["phonetic_vectors"])
-    return model, phon, [str(x) for x in z["feature_names"].tolist()]
+    with np.load(path) as z:
+        stamp = str(z["config_hash"]) if "config_hash" in z.files else None
+        if stamp != config_hash:
+            raise InputError(
+                f"{path}: stamped {stamp or 'with no config hash'}, but "
+                f"global.json has {config_hash}; run analyze-global again")
+        model = CcaModel(**{f.name: z[f.name][()]
+                            for f in dataclasses.fields(CcaModel)})
+        phon = EmbeddingMatrix(ids=tuple(z["phonetic_ids"].tolist()),
+                               vectors=z["phonetic_vectors"])
+        return model, phon, z["feature_names"].tolist()
 
 
 def run_subspace(config: RunConfig) -> dict[str, Path]:
@@ -423,7 +394,8 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
         cca_records = payload.get("results", {}).get("cca")
         if cca_records is None:
             raise InputError(f"{lang}: no CCA results to interpret")
-        model, phon, feature_names = _load_cca_artifacts(lang_dir)
+        model, phon, feature_names = _load_cca_artifacts(
+            lang_dir, payload["config_hash"])
         lexicon, vocab = load_vocabulary(config, lang)
 
         reports = []

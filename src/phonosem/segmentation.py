@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import time
-import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -22,12 +21,15 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Morpheme, MorphemeSet
+from .corpus import Morpheme, MorphemeSet, _nfc
 from .errors import InputError, ParseError, ProviderError
 
 log = logging.getLogger(__name__)
 
 PERPLEXITY_THRESHOLD = 1.4
+# HttpProvider: attempts per request and seconds per attempt
+HTTP_ATTEMPTS = 3
+HTTP_TIMEOUT_S = 60.0
 
 LANGUAGE_NAMES = {
     "en": "English",
@@ -37,10 +39,6 @@ LANGUAGE_NAMES = {
     "tr": "Turkish",
     "ta": "Tamil",
 }
-
-
-def _nfc(s: str) -> str:
-    return unicodedata.normalize("NFC", s)
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +149,10 @@ class HttpProvider:
     appended to an audit log when one is configured.
     """
 
-    def __init__(self, url: str, model: str, structured: bool = True,
-                 max_attempts: int = 3, timeout: float = 60.0,
+    def __init__(self, url: str, model: str,
                  audit_path: str | Path | None = None):
         self.url = url
         self.model = model
-        self.structured = structured
-        self.max_attempts = max_attempts
-        self.timeout = timeout
         self.audit_path = Path(audit_path) if audit_path else None
         self.name = f"http:{model}"
 
@@ -166,11 +160,11 @@ class HttpProvider:
         import requests
 
         payload = {"model": self.model, "system": system, "user": user,
-                   "structured": self.structured}
+                   "structured": True}
         last_exc: Exception | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(HTTP_ATTEMPTS):
             try:
-                resp = requests.post(self.url, json=payload, timeout=self.timeout)
+                resp = requests.post(self.url, json=payload, timeout=HTTP_TIMEOUT_S)
                 resp.raise_for_status()
                 body = resp.json()
                 break
@@ -181,11 +175,11 @@ class HttpProvider:
                 last_exc = exc
             except (requests.ConnectionError, requests.Timeout, ValueError) as exc:
                 last_exc = exc
-            if attempt + 1 < self.max_attempts:
+            if attempt + 1 < HTTP_ATTEMPTS:
                 time.sleep(2.0 ** attempt)
         else:
             raise ProviderError(
-                f"provider call failed after {self.max_attempts} attempts: {last_exc}"
+                f"provider call failed after {HTTP_ATTEMPTS} attempts: {last_exc}"
             )
         if "text" not in body:
             raise ProviderError("provider response lacks 'text'")
@@ -351,7 +345,7 @@ def segment_words(
     language: str,
     provider: SegmentationProvider,
     cache_path: str | Path,
-    perplexity_threshold: float | None = PERPLEXITY_THRESHOLD,
+    perplexity_threshold: float = PERPLEXITY_THRESHOLD,
 ) -> list[Segmentation]:
     """Segment (word, lemma, ipa) triples through the provider, one word
     per request.
@@ -362,8 +356,8 @@ def segment_words(
     cache_path = Path(cache_path)
     done: dict[str, Segmentation] = {}
     if cache_path.exists():
-        for seg in read_segmentation_cache(cache_path):
-            done[seg.word] = seg
+        _cut_partial_line(cache_path)
+        done = {seg.word: seg for seg in read_segmentation_cache(cache_path)}
     out: list[Segmentation] = []
     with cache_path.open("a", encoding="utf-8") as fh:
         for word, lemma, ipa in words:
@@ -386,20 +380,40 @@ def segment_words(
                 timestamp=time.time())
             fh.write(json.dumps(seg.to_record(), ensure_ascii=False) + "\n")
             out.append(seg)
-    if perplexity_threshold is not None:
-        out, _ = perplexity_filter(out, perplexity_threshold)
-    return out
+    kept, _ = perplexity_filter(out, perplexity_threshold)
+    return kept
 
 
 def read_segmentation_cache(path: str | Path) -> list[Segmentation]:
+    """The cached records in file order.
+
+    A last line that lacks its newline and does not parse is what a
+    killed run leaves behind: it is dropped with a warning. Any other
+    malformed line is a ParseError.
+    """
     segs = []
-    with Path(path).open(encoding="utf-8") as fh:
+    with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                segs.append(Segmentation.from_record(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
+                segs.append(Segmentation.from_record(json.loads(line.decode("utf-8"))))
+            # UnicodeDecodeError and json.JSONDecodeError are ValueErrors
+            except (ValueError, KeyError) as exc:
+                if line.endswith(b"\n"):
+                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+                log.warning("%s:%d: dropped a partial last line (%s)",
+                            path, lineno, exc)
     return segs
+
+
+def _cut_partial_line(path: Path) -> None:
+    """Cut off what follows the cache's last newline, where a killed run
+    leaves a partial record, so that appended records start on a line
+    of their own."""
+    with path.open("rb+") as fh:
+        data = fh.read()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            log.warning("%s: cut off a partial last line", path)
+            fh.truncate(end)

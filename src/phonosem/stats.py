@@ -301,34 +301,38 @@ def shuffle_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def permutation_pvalue(
-    observed: float, null_sample: np.ndarray, alternative: str
-) -> float:
-    """Add-one permutation p-value; never 0, never above 1."""
-    m = null_sample.size
+    observed: float | np.ndarray, null_sample: np.ndarray, alternative: str
+) -> float | np.ndarray:
+    """Add-one permutation p-value; never 0, never above 1. A null
+    sample of shape (m, k) gives one p per column."""
+    m = null_sample.shape[0]
     if alternative == "greater":
-        hits = int(np.sum(null_sample >= observed))
+        hits = np.sum(null_sample >= observed, axis=0)
     elif alternative == "two-sided":
-        hits = int(np.sum(np.abs(null_sample) >= abs(observed)))
+        hits = np.sum(np.abs(null_sample) >= np.abs(observed), axis=0)
     else:
         raise AnalysisError(f"unknown alternative {alternative!r}")
-    return (1 + hits) / (1 + m)
+    p = (1 + hits) / (1 + m)
+    return p if np.ndim(p) else float(p)
 
 
 def permutation_test(
-    statistic: Callable[[np.ndarray], float],
-    observed: float,
+    statistic: Callable[[np.ndarray], float | np.ndarray],
+    observed: float | np.ndarray,
     n_items: int,
     n_shuffles: int = 1000,
     null_points: int = 500,
     seed: int = 0,
     alternative: str = "greater",
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Recompute ``statistic`` under random item permutations.
 
     ``statistic`` receives one permutation of ``range(n_items)`` per
-    shuffle. The null sample is the first ``null_points`` shuffle values;
-    p uses the add-one rule on that sample. Progress (shuffles done,
-    rate, time left) is logged at INFO each time another tenth is done.
+    shuffle and returns a scalar or, like ``observed``, k values tested
+    one by one. The null sample is the first ``null_points`` shuffle
+    values; p uses the add-one rule on that sample (per column for k
+    values). Progress (shuffles done, rate, time left) is logged at
+    INFO each time another tenth is done.
     """
     if n_shuffles < 1:
         raise AnalysisError("n_shuffles must be >= 1")
@@ -336,7 +340,7 @@ def permutation_test(
         raise AnalysisError(
             f"null_points={null_points} exceeds n_shuffles={n_shuffles}"
         )
-    null = np.empty(n_shuffles, dtype=np.float64)
+    null = np.empty((n_shuffles,) + np.shape(observed), dtype=np.float64)
     start = time.perf_counter()
     for i in range(n_shuffles):
         perm = shuffle_rng(seed, i).permutation(n_items)

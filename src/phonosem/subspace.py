@@ -91,8 +91,7 @@ def select_words(
     than n, all words are returned with the short flag set.
     """
     dist = perpendicular_distance(vocabulary.vectors, line)
-    order = sorted(range(vocabulary.n_items),
-                   key=lambda i: (dist[i], vocabulary.ids[i]))
+    order = np.lexsort((np.array(vocabulary.ids), dist))
     short = vocabulary.n_items < n
     if short:
         log.warning("select_words: vocabulary %d smaller than n=%d",

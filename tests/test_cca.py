@@ -1,5 +1,7 @@
 """CCA fitting, canonical rank correlations, loadings, and poles."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,19 @@ class TestCanonicalRankCorrelations:
                                               null_points=20, seed=0,
                                               refit=False)
         assert all("fast mode" in " ".join(r.notes) for r in results)
+
+    @pytest.mark.parametrize("refit", [True, False])
+    def test_progress_logged(self, caplog, refit):
+        rng = np.random.default_rng(42)
+        x, y = random_pair(rng)
+        model = fit_cca(x, y, n_components=2)
+        with caplog.at_level(logging.INFO, logger="phonosem.stats"):
+            canonical_rank_correlations(model, X=x, Y=y, n_shuffles=20,
+                                        null_points=20, seed=0, refit=refit)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "phonosem.stats"]
+        assert len(messages) == 10
+        assert messages[-1].startswith("permutation test: 20/20 shuffles, ")
 
     def test_refit_requires_inputs(self):
         rng = np.random.default_rng(41)
@@ -221,6 +236,22 @@ class TestSemanticPoleNeighbors:
             sims[w] = float(vec @ direction / np.linalg.norm(vec))
         expected = sorted(vocab.ids, key=lambda w: (-sims[w], w))[:5]
         assert [w for w, _ in neighbors] == expected
+
+    def test_tied_similarities_break_by_word(self):
+        rng = np.random.default_rng(50)
+        model, vocab, lexicon = self.make_fixture(rng)
+        words = ("z", "b", "é", "ab", "a", "w3", "w1", "w2")
+        base = rng.normal(size=(2, 4))
+        vocab = EmbeddingMatrix(words, np.repeat(base, 4, axis=0))
+        lexicon = Lexicon("en", tuple(Lexeme(w, w, 5.0, "") for w in words))
+        neighbors, _ = semantic_pole_neighbors(model, 0, "+", vocab, lexicon, k=6)
+        assert len({s for _, s in neighbors}) == 2
+        direction = model.weights_semantic[:, 0] / model.scale_semantic
+        cosine = base @ direction / np.linalg.norm(base, axis=1)
+        groups = [sorted(words[:4]), sorted(words[4:])]
+        if cosine[1] > cosine[0]:
+            groups.reverse()
+        assert [w for w, _ in neighbors] == (groups[0] + groups[1])[:6]
 
     def test_sign_flip_swaps_poles(self):
         rng = np.random.default_rng(49)

@@ -1,6 +1,7 @@
 """Command-line workflow: exit codes, artifacts, and re-rendering."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -203,6 +204,57 @@ class TestAnalyze:
         # the planted signal makes at least the first variate significant
         assert payload["components"]
         assert payload["components"][0]["component"] == 1
+
+    def test_cca_model_loads_without_pickle(self, workspace):
+        ws, _, _ = workspace
+        lang_dir = ws / "results" / "syn"
+        payload = json.loads((lang_dir / "global.json").read_text("utf-8"))
+        with np.load(lang_dir / "cca_model.npz") as z:
+            arrays = {name: z[name] for name in z.files}
+        assert str(arrays["config_hash"]) == payload["config_hash"]
+        assert arrays["phonetic_ids"].dtype.kind == "U"
+        assert arrays["feature_names"].dtype.kind == "U"
+        assert int(arrays["n_components"]) == 3
+
+    @staticmethod
+    def copied_results(workspace, tmp_path):
+        """A config whose output directory holds a copy of the
+        workspace's analyze-global results."""
+        ws, _, config = workspace
+        shutil.copytree(ws / "results", tmp_path / "out")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "output_dir": str(tmp_path / "out")}),
+                        encoding="utf-8")
+        return path, tmp_path / "out" / "syn"
+
+    def test_interpret_rejects_a_model_from_another_run(self, workspace, tmp_path):
+        path, lang_dir = self.copied_results(workspace, tmp_path)
+        global_path = lang_dir / "global.json"
+        payload = json.loads(global_path.read_text("utf-8"))
+        payload["config_hash"] = "0" * 16
+        global_path.write_text(json.dumps(payload), encoding="utf-8")
+        result = invoke("interpret", "--config", path)
+        assert result.exit_code == 1
+        assert "run analyze-global again" in result.output
+
+    def test_interpret_rejects_an_unstamped_model(self, workspace, tmp_path):
+        path, lang_dir = self.copied_results(workspace, tmp_path)
+        with np.load(lang_dir / "cca_model.npz") as z:
+            arrays = {name: z[name] for name in z.files if name != "config_hash"}
+        np.savez(lang_dir / "cca_model.npz", **arrays)
+        result = invoke("interpret", "--config", path)
+        assert result.exit_code == 1
+        assert "with no config hash" in result.output
+
+    def test_interpret_after_global_with_other_shuffles(self, workspace, tmp_path):
+        _, _, config = workspace
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "output_dir": str(tmp_path / "out")}),
+                        encoding="utf-8")
+        result = invoke("analyze-global", "--config", path, "--shuffles", 20)
+        assert result.exit_code == 0, result.output
+        result = invoke("interpret", "--config", path)
+        assert result.exit_code == 0, result.output
 
     def test_interpret_before_global_is_exit_one(self, workspace, tmp_path):
         _, _, config = workspace

@@ -6,17 +6,20 @@ shuffle: gather the permuted matrix with ``np.ix_`` and re-rank its pair
 vector, re-bin it with ``np.histogram2d``, re-sort every row for its
 neighbours with a ``SimilarityMatrix`` per shuffle, or re-rank the
 permuted coordinates. Driven through the same ``permutation_test`` loop,
-they must give records equal with ``==`` to the engine's.
+they must give records equal with ``==`` to the engine's. The CCA
+oracle is the hand-written shuffle loop the canonical variates had
+before they ran on ``permutation_test``.
 """
 
 import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+from phonosem.cca import canonical_rank_correlations, fit_cca
 from phonosem.corpus import EmbeddingMatrix, ScaleConfig
 from phonosem.phonetic import SimilarityMatrix, cosine_similarity_matrix
 from phonosem.stats import (_midranks, _summarize, knn_overlap, mi_alignment,
-                            permutation_test, rsa)
+                            permutation_test, rsa, shuffle_rng, spearman_rho)
 from phonosem.subspace import _pool_candidates, scale_alignment
 
 
@@ -248,3 +251,56 @@ def test_scale_alignment_with_pooled_candidates(small_language, feature_table):
     assert pooled.words == alone.words
     assert np.array_equal(pooled.phonetic_coords, alone.phonetic_coords)
     assert np.array_equal(pooled.semantic_coords, alone.semantic_coords)
+
+
+# ---------------------------------------------------------------------------
+# CCA canonical variates
+
+def oracle_cca(model, X, Y, shuffles, points, seed, refit):
+    """One record per variate from a loop over shuffles: a full refit
+    per shuffle, or the semantic scores permuted."""
+    k, n = model.n_components, model.n_items
+    observed = [spearman_rho(model.scores_phonetic[:, c],
+                             model.scores_semantic[:, c]) for c in range(k)]
+    null = np.empty((shuffles, k))
+    for i in range(shuffles):
+        perm = shuffle_rng(seed, i).permutation(n)
+        if refit:
+            shuffled = fit_cca(X, np.asarray(Y)[perm], n_components=k,
+                               ridge=model.ridge)
+            sx, sy = shuffled.scores_phonetic, shuffled.scores_semantic
+        else:
+            sx, sy = model.scores_phonetic, model.scores_semantic[perm]
+        for c in range(k):
+            null[i, c] = spearman_rho(sx[:, c], sy[:, c])
+    notes = () if refit else ("fast mode: scores shuffled without re-fitting",)
+    records = []
+    for c in range(k):
+        sample = null[:points, c]
+        p = (1 + int(np.sum(sample >= observed[c]))) / (1 + sample.size)
+        records.append(_summarize(f"cca_cv{c + 1}", observed[c], sample, p,
+                                  shuffles, seed, "greater", notes).to_record())
+    return records
+
+
+def tied_blocks():
+    """Both spaces repeat every item three times, so each variate's
+    scores tie in threes; the semantic block is a noisy linear map of
+    the phonetic one."""
+    rng = np.random.default_rng(309)
+    base = rng.normal(size=(25, 4))
+    x = np.repeat(base, 3, axis=0)
+    y = np.repeat(base @ rng.normal(size=(4, 6))
+                  + rng.normal(size=(25, 6)), 3, axis=0)
+    return x, y
+
+
+@pytest.mark.parametrize("refit", [True, False])
+def test_cca_variates_equal_oracle(refit):
+    x, y = tied_blocks()
+    model = fit_cca(x, y, n_components=3)
+    assert np.unique(model.scores_phonetic[:, 1]).size < model.n_items
+    got = [r.to_record() for r in canonical_rank_correlations(
+        model, X=x, Y=y, n_shuffles=25, null_points=20, seed=13, refit=refit)]
+    assert got == oracle_cca(model, x, y, 25, 20, 13, refit)
+    assert len(got) == 3

@@ -266,6 +266,76 @@ class TestProviders:
         assert Segmentation.from_record(seg.to_record()) == seg
 
 
+class TestCacheResume:
+    """A run killed mid-write leaves a partial last line in the cache."""
+
+    WORDS = [("run", "run", "rʌn"), ("redo", "redo", "ri:du:"),
+             ("odd", "odd", "ɒd")]
+
+    @staticmethod
+    def line(word, ipa):
+        return json.dumps({"word": word, "ipa": ipa, "pairs": [[word, ipa]],
+                           "perplexity": 1.0, "provider": "replay",
+                           "timestamp": 0.0}, ensure_ascii=False) + "\n"
+
+    def killed_cache(self, path):
+        """Two complete records, then the third cut inside a two-byte
+        character."""
+        partial = self.line("odd", "ɒd").encode("utf-8")
+        cut = partial.index("ɒ".encode("utf-8")) + 1
+        path.write_bytes((self.line("run", "rʌn") + self.line("redo", "ri:du:"))
+                         .encode("utf-8") + partial[:cut])
+
+    def replay(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        path.write_text("".join(
+            json.dumps({"user": f"input: {lemma},{ipa}", "text": f"({lemma},{ipa})",
+                        "logprobs": [-0.1]}, ensure_ascii=False) + "\n"
+            for _, lemma, ipa in self.WORDS), encoding="utf-8")
+        return ReplayProvider(path)
+
+    def assert_each_word_once(self, cache):
+        text = cache.read_text(encoding="utf-8")
+        assert text.endswith("\n")
+        words = [json.loads(ln)["word"] for ln in text.splitlines()]
+        assert words == [w for w, _, _ in self.WORDS]
+
+    def test_read_drops_partial_last_line(self, tmp_path, caplog):
+        cache = tmp_path / "cache.jsonl"
+        self.killed_cache(cache)
+        with caplog.at_level("WARNING", logger="phonosem.segmentation"):
+            segs = read_segmentation_cache(cache)
+        assert [s.word for s in segs] == ["run", "redo"]
+        assert any("partial last line" in r.getMessage() for r in caplog.records)
+
+    def test_resume_appends_after_cut(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        self.killed_cache(cache)
+        segs = segment_words(self.WORDS, "en", self.replay(tmp_path), cache)
+        assert [s.word for s in segs] == ["run", "redo", "odd"]
+        self.assert_each_word_once(cache)
+
+    def test_resume_after_complete_last_line_without_newline(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(self.line("run", "rʌn") + self.line("redo", "ri:du:")
+                         + self.line("odd", "ɒd").rstrip("\n"), encoding="utf-8")
+        assert len(read_segmentation_cache(cache)) == 3
+        segment_words(self.WORDS, "en", self.replay(tmp_path), cache)
+        self.assert_each_word_once(cache)
+
+    @pytest.mark.parametrize("after", ["odd line", "odd line cut", ""])
+    def test_malformed_complete_line_raises(self, tmp_path, after):
+        """A malformed line that ends in a newline is an error, whether
+        complete or partial lines follow it or none do."""
+        rest = {"odd line": self.line("odd", "ɒd"),
+                "odd line cut": self.line("odd", "ɒd")[:12], "": ""}[after]
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(self.line("run", "rʌn") + '{"word": "re\n' + rest,
+                         encoding="utf-8")
+        with pytest.raises(ParseError, match=":2:"):
+            read_segmentation_cache(cache)
+
+
 class _FakeResponse:
     def __init__(self, status, body=None):
         self.status_code = status

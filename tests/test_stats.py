@@ -292,6 +292,25 @@ class TestPermutationEngine:
         assert logged[0] == quiet[0]
         assert np.array_equal(logged[1], quiet[1])
 
+    @pytest.mark.parametrize("alternative", ["greater", "two-sided"])
+    def test_vector_statistic_tests_each_column(self, alternative):
+        x = np.arange(12.0)
+        columns = (lambda perm: spearman_rho(x, x[perm]),
+                   lambda perm: float(perm[0]) - 5.0,
+                   lambda perm: 0.25)
+        observed = np.array([0.1, 3.0, 0.25])
+        p, null = permutation_test(
+            lambda perm: np.array([f(perm) for f in columns]), observed,
+            n_items=12, n_shuffles=40, null_points=30, seed=5,
+            alternative=alternative)
+        assert null.shape == (30, 3)
+        for c, f in enumerate(columns):
+            p_c, null_c = permutation_test(f, observed[c], n_items=12,
+                                           n_shuffles=40, null_points=30,
+                                           seed=5, alternative=alternative)
+            assert p[c] == p_c
+            assert np.array_equal(null[:, c], null_c)
+
     def test_p_never_zero_or_above_one(self):
         rng = np.random.default_rng(20)
         null = rng.normal(size=199)

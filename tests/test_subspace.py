@@ -117,6 +117,19 @@ class TestSelectWords:
         expected = [w for _, w in sorted(zip(dist, vocab.ids))][:30]
         assert words == expected
 
+    def test_tied_distances_break_by_word(self):
+        rng = np.random.default_rng(66)
+        ids = tuple(rng.permutation(
+            ["a", "ab", "b", "ba", "é", "z", "zz", "ø", "aé", "ä"]).tolist()
+        ) + tuple(f"w{i}" for i in range(30))
+        vectors = np.repeat(rng.integers(0, 3, size=(8, 3)).astype(float),
+                            5, axis=0)[rng.permutation(40)]
+        line = build_line([(1.0, 0.0, 0.0)], [(0.0, 0.0, 0.0)])
+        dist = perpendicular_distance(vectors, line)
+        assert np.unique(dist).size < 10
+        words, _ = select_words(EmbeddingMatrix(ids, vectors), line, n=25)
+        assert words == [w for _, w in sorted(zip(dist, ids))][:25]
+
     def test_input_order_invariance(self):
         rng = np.random.default_rng(65)
         ids = tuple(f"w{i}" for i in range(40))
