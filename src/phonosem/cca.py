@@ -63,16 +63,18 @@ def _inv_sqrt(cov: np.ndarray, ridge: float) -> np.ndarray:
     return evecs @ ((evecs / np.sqrt(evals)).T)
 
 
-def fit_cca(
+def _whitened_blocks(
     X: EmbeddingMatrix | np.ndarray,
     Y: EmbeddingMatrix | np.ndarray,
-    n_components: int = 5,
-    ridge: float = DEFAULT_RIDGE,
-) -> CcaModel:
-    """Fit ridge-stabilized CCA between two per-item matrices.
+    n_components: int,
+    ridge: float,
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Check a pair of per-item blocks and return, for X and then Y, the
+    standardized block, its column mean and scale, and its whitening
+    matrix W = (C + ridge*I)^-1/2 of the within-block covariance C.
 
-    X holds the phonetic space, Y the semantic space; rows must be the
-    same items in the same order.
+    A row permutation of Y leaves its mean, scale and W unchanged, so a
+    permuted refit needs only the cross-covariance anew.
     """
     xs = X.vectors if isinstance(X, EmbeddingMatrix) else np.asarray(X, dtype=np.float64)
     ys = Y.vectors if isinstance(Y, EmbeddingMatrix) else np.asarray(Y, dtype=np.float64)
@@ -87,13 +89,27 @@ def fit_cca(
     if n <= max(dx, dy):
         raise AnalysisError("need more items than the larger dimensionality")
 
-    xs, mx, sx = _standardize(xs)
-    ys, my, sy = _standardize(ys)
-    cxx = xs.T @ xs / n
-    cyy = ys.T @ ys / n
+    def whiten(block: np.ndarray) -> tuple[np.ndarray, ...]:
+        z, mean, scale = _standardize(block)
+        return z, mean, scale, _inv_sqrt(z.T @ z / n, ridge)
+    return whiten(xs), whiten(ys)
+
+
+def fit_cca(
+    X: EmbeddingMatrix | np.ndarray,
+    Y: EmbeddingMatrix | np.ndarray,
+    n_components: int = 5,
+    ridge: float = DEFAULT_RIDGE,
+) -> CcaModel:
+    """Fit ridge-stabilized CCA between two per-item matrices.
+
+    X holds the phonetic space, Y the semantic space; rows must be the
+    same items in the same order.
+    """
+    (xs, mx, sx, wx_white), (ys, my, sy, wy_white) = _whitened_blocks(
+        X, Y, n_components, ridge)
+    n = xs.shape[0]
     cxy = xs.T @ ys / n
-    wx_white = _inv_sqrt(cxx, ridge)
-    wy_white = _inv_sqrt(cyy, ridge)
     u, s, vt = np.linalg.svd(wx_white @ cxy @ wy_white, full_matrices=False)
 
     wx = wx_white @ u[:, :n_components]
@@ -172,18 +188,30 @@ def canonical_rank_correlations(
     of the semantic matrix and re-fits the full CCA, so the null reflects
     the whole estimation pipeline. The cheaper scores-only shuffle is
     available with ``refit=False`` and is flagged in the result notes.
+
+    A refit differs from the observed fit only in its cross-covariance:
+    each block's standardization and whitening are computed once, and
+    each shuffle takes one d_x×d_y SVD. The variates are not oriented,
+    since a rank correlation is the same when both of a pair flip sign.
     """
     k = model.n_components
     observed = _rank_correlations(model.scores_phonetic, model.scores_semantic)
     if refit:
         if X is None or Y is None:
             raise AnalysisError("refit nulls require the original X and Y")
-        ys = Y.vectors if isinstance(Y, EmbeddingMatrix) else np.asarray(Y)
+        (xs, _, _, wx), (ys, _, _, wy) = _whitened_blocks(X, Y, k, model.ridge)
+        n = xs.shape[0]
+        xw = xs @ wx
+        items = np.arange(n)
+        inverse = np.empty(n, dtype=np.intp)
 
         def stat(perm: np.ndarray) -> np.ndarray:
-            shuffled = fit_cca(X, ys[perm], n_components=k, ridge=model.ridge)
-            return _rank_correlations(shuffled.scores_phonetic,
-                                      shuffled.scores_semantic)
+            # Item i meets semantic row perm[i]. Moving the narrow
+            # phonetic block by the inverse instead gives the same pairs.
+            inverse[perm] = items
+            xp = xw[inverse]
+            u, _, vt = np.linalg.svd((xp.T @ ys) @ wy / n, full_matrices=False)
+            return _rank_correlations(xp @ u[:, :k], ys @ (wy @ vt[:k].T))
         notes = ()
     else:
         def stat(perm: np.ndarray) -> np.ndarray:
@@ -234,6 +262,28 @@ def extract_phonetic_pole(
     return kept
 
 
+@dataclass(frozen=True)
+class _PoleCandidates:
+    """The vocabulary words above a zipf cutoff, in vocabulary order,
+    with their vectors and the vectors' norms."""
+
+    ids: np.ndarray
+    vectors: np.ndarray
+    norms: np.ndarray
+
+
+def _pole_candidates(
+    vocabulary: EmbeddingMatrix, lexicon: Lexicon, zipf_cutoff: float
+) -> _PoleCandidates:
+    zipf = {lx.word: lx.zipf for lx in lexicon}
+    cand_idx = [i for i, w in enumerate(vocabulary.ids)
+                if zipf.get(w, -np.inf) > zipf_cutoff]
+    vecs = vocabulary.vectors[cand_idx]
+    return _PoleCandidates(
+        ids=np.array([vocabulary.ids[i] for i in cand_idx], dtype=str),
+        vectors=vecs, norms=np.linalg.norm(vecs, axis=1))
+
+
 def semantic_pole_neighbors(
     model: CcaModel,
     component: int,
@@ -242,6 +292,8 @@ def semantic_pole_neighbors(
     lexicon: Lexicon,
     k: int = 10,
     zipf_cutoff: float = 4.5,
+    *,
+    candidates: _PoleCandidates | None = None,
 ) -> tuple[list[tuple[str, float]], bool]:
     """Nearest vocabulary words to one semantic pole direction.
 
@@ -251,6 +303,10 @@ def semantic_pole_neighbors(
     variate up to a constant). Candidates are restricted to words above
     the zipf cutoff. Returns (neighbors, short_flag); short_flag is set
     when fewer than k candidates exist.
+
+    A caller that asks for several poles can build the candidates once
+    with ``_pole_candidates`` (same vocabulary, lexicon and cutoff) and
+    pass them as ``candidates``.
     """
     if sign not in ("+", "-"):
         raise AnalysisError(f"sign must be '+' or '-', got {sign!r}")
@@ -264,23 +320,19 @@ def semantic_pole_neighbors(
         raise AnalysisError("zero pole direction")
     direction = direction / norm
 
-    zipf = {lx.word: lx.zipf for lx in lexicon}
-    cand_idx = [i for i, w in enumerate(vocabulary.ids)
-                if zipf.get(w, -np.inf) > zipf_cutoff]
-    if not cand_idx:
+    if candidates is None:
+        candidates = _pole_candidates(vocabulary, lexicon, zipf_cutoff)
+    if not candidates.ids.size:
         log.warning("semantic pole: no candidates above zipf %.2f", zipf_cutoff)
         return [], True
-    vecs = vocabulary.vectors[cand_idx]
-    norms = np.linalg.norm(vecs, axis=1)
-    ok = norms > 0.0
-    sims = np.full(len(cand_idx), -np.inf)
-    sims[ok] = (vecs[ok] @ direction) / norms[ok]
-    cand_ids = [vocabulary.ids[i] for i in cand_idx]
-    top = np.lexsort((np.array(cand_ids), -sims))[:k]
+    ok = candidates.norms > 0.0
+    sims = np.full(candidates.ids.size, -np.inf)
+    sims[ok] = (candidates.vectors[ok] @ direction) / candidates.norms[ok]
+    top = np.lexsort((candidates.ids, -sims))[:k]
     short = len(top) < k
     if short:
         log.warning("semantic pole: only %d candidates for k=%d", len(top), k)
-    return [(cand_ids[j], float(sims[j])) for j in top], short
+    return [(str(candidates.ids[j]), float(sims[j])) for j in top], short
 
 
 @dataclass(frozen=True)
@@ -316,15 +368,22 @@ def build_pole_report(
     zipf_cutoff: float = 4.5,
     percentile: float = 75.0,
     threshold: float = 0.05,
+    *,
+    candidates: _PoleCandidates | None = None,
 ) -> PoleReport:
-    """Assemble the interpretation table row for one canonical variate."""
+    """Assemble the interpretation table row for one canonical variate.
+
+    ``candidates`` is passed on to ``semantic_pole_neighbors``.
+    """
     xs = (phonetic_matrix.vectors if isinstance(phonetic_matrix, EmbeddingMatrix)
           else np.asarray(phonetic_matrix))
     loadings = structure_loadings(xs, model.scores_phonetic[:, component])
     pos, _ = semantic_pole_neighbors(model, component, "+", vocabulary, lexicon,
-                                     k=k, zipf_cutoff=zipf_cutoff)
+                                     k=k, zipf_cutoff=zipf_cutoff,
+                                     candidates=candidates)
     neg, _ = semantic_pole_neighbors(model, component, "-", vocabulary, lexicon,
-                                     k=k, zipf_cutoff=zipf_cutoff)
+                                     k=k, zipf_cutoff=zipf_cutoff,
+                                     candidates=candidates)
     return PoleReport(
         component=component + 1,
         phonetic_pos=tuple(extract_phonetic_pole(loadings, feature_names, "+",

@@ -325,19 +325,24 @@ def load_semantic_embeddings(
             lineno = 0
             fh.seek(0)
         for lineno, line in enumerate(fh, start=lineno + 1):
-            parts = line.rstrip().split(" ")
-            if len(parts) < 2:
+            line = line.rstrip()
+            end = line.find(" ")
+            if end < 0:
                 continue
-            token = _nfc(parts[0])
+            token = _nfc(line[:end])
+            keep = token in wanted and token not in seen
+            # only the kept lines are split; the others are counted
+            cells = line.split(" ") if keep else None
+            n_values = len(cells) - 1 if keep else line.count(" ")
             if dim is None:
-                dim = len(parts) - 1
-            elif len(parts) - 1 != dim:
+                dim = n_values
+            elif n_values != dim:
                 raise ParseError(
-                    f"{path}:{lineno}: dimension {len(parts) - 1} != {dim}"
+                    f"{path}:{lineno}: dimension {n_values} != {dim}"
                 )
-            if token in wanted and token not in seen:
+            if keep:
                 try:
-                    vec = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
+                    vec = np.asarray([float(v) for v in cells[1:]], dtype=np.float64)
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: non-numeric vector value") from None
                 seen.add(token)

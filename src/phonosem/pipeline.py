@@ -24,8 +24,8 @@ from . import __version__
 from .corpus import (EmbeddingMatrix, Lexicon, MorphemeSet, load_feature_table,
                      load_lexicon, load_scale_configs,
                      load_semantic_embeddings)
-from .cca import (CcaModel, build_pole_report, canonical_rank_correlations,
-                  fit_cca)
+from .cca import (CcaModel, _pole_candidates, build_pole_report,
+                  canonical_rank_correlations, fit_cca)
 from .errors import AnalysisError, InputError
 from .phonetic import build_phonetic_embeddings, cosine_similarity_matrix
 from .segmentation import (PERPLEXITY_THRESHOLD, dedupe_into_morpheme_set,
@@ -242,8 +242,9 @@ def run_global(config: RunConfig) -> dict[str, Path]:
     grid_rows = []
     for lang in config.languages:
         phon, sem, feature_names, n_total, skipped = load_language_spaces(config, lang)
-        sim_phon, _ = cosine_similarity_matrix(phon)
-        sim_sem, _ = cosine_similarity_matrix(sem)
+        if any(config.analyses.get(a, True) for a in ("rsa", "mi", "knn")):
+            sim_phon, _ = cosine_similarity_matrix(phon)
+            sim_sem, _ = cosine_similarity_matrix(sem)
 
         results: dict[str, object] = {}
         if config.analyses.get("rsa", True):
@@ -276,7 +277,7 @@ def run_global(config: RunConfig) -> dict[str, Path]:
 
         payload = {
             "language": lang,
-            "n_morphemes": sim_phon.n_items,
+            "n_morphemes": phon.n_items,
             "n_morphemes_segmented": n_total,
             "n_skipped_phonetics": len(skipped),
             "config_hash": config.config_hash(),
@@ -398,14 +399,14 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
             lang_dir, payload["config_hash"])
         lexicon, vocab = load_vocabulary(config, lang)
 
-        reports = []
-        for c, rec in enumerate(cca_records):
-            if rec["p"] < 0.05:
-                report = build_pole_report(
-                    model, c, phon, feature_names, vocab, lexicon,
-                    k=p["k"], zipf_cutoff=p["zipf_cutoff"],
-                    percentile=p["percentile"], threshold=p["threshold"])
-                reports.append(report.to_record())
+        significant = [c for c, rec in enumerate(cca_records) if rec["p"] < 0.05]
+        candidates = (_pole_candidates(vocab, lexicon, p["zipf_cutoff"])
+                      if significant else None)
+        reports = [build_pole_report(
+            model, c, phon, feature_names, vocab, lexicon,
+            k=p["k"], zipf_cutoff=p["zipf_cutoff"],
+            percentile=p["percentile"], threshold=p["threshold"],
+            candidates=candidates).to_record() for c in significant]
         if not reports:
             log.info("%s: no significant components; empty pole report", lang)
         out = {

@@ -5,7 +5,8 @@ import logging
 import numpy as np
 import pytest
 
-from phonosem.cca import (build_pole_report, canonical_rank_correlations,
+from phonosem.cca import (_pole_candidates, build_pole_report,
+                          canonical_rank_correlations,
                           extract_phonetic_pole, fit_cca,
                           semantic_pole_neighbors, structure_loadings)
 from phonosem.corpus import EmbeddingMatrix, Lexeme, Lexicon
@@ -267,6 +268,25 @@ class TestSemanticPoleNeighbors:
         neg_f, _ = semantic_pole_neighbors(flipped, 0, "-", vocab, lexicon, k=5)
         assert pos_f == neg
         assert neg_f == pos
+
+    @pytest.mark.parametrize("cutoff", [4.5, 10.0])
+    def test_shared_candidates_give_the_same_neighbors(self, cutoff):
+        rng = np.random.default_rng(51)
+        model, vocab, _ = self.make_fixture(rng, n_words=40)
+        vectors = vocab.vectors.copy()
+        vectors[3] = 0.0
+        vectors[9] = vectors[8]
+        vocab = EmbeddingMatrix(vocab.ids, vectors)
+        lexicon = Lexicon("en", tuple(
+            Lexeme(w, w, 4.0 if i % 3 == 0 else 5.0, "")
+            for i, w in enumerate(vocab.ids)))
+        candidates = _pole_candidates(vocab, lexicon, cutoff)
+        for component in range(model.n_components):
+            for sign in "+-":
+                args = (model, component, sign, vocab, lexicon, 30, cutoff)
+                shared = semantic_pole_neighbors(*args, candidates=candidates)
+                assert shared == semantic_pole_neighbors(*args)
+                assert all(type(w) is str for w, _ in shared[0])
 
 
 class TestPoleReport:

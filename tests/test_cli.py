@@ -182,6 +182,31 @@ class TestAnalyze:
         assert (out / "global.md").read_text("utf-8").startswith("| Language")
         assert (out / "manifest.json").exists()
 
+    def test_cca_only_global_builds_no_similarity(self, workspace, tmp_path,
+                                                  monkeypatch):
+        _, _, config = workspace
+        payloads = {}
+        for name, analyses in [("all", {}), ("cca", {"rsa": False, "mi": False,
+                                                     "knn": False})]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({
+                **config, "analyses": analyses,
+                "output_dir": str(tmp_path / name)}), encoding="utf-8")
+            if name == "cca":
+                def refuse(matrix):
+                    raise AssertionError("similarity built for a CCA-only run")
+                monkeypatch.setattr("phonosem.pipeline.cosine_similarity_matrix",
+                                    refuse)
+            result = invoke("analyze-global", "--config", path)
+            assert result.exit_code == 0, result.output
+            payloads[name] = json.loads(
+                (tmp_path / name / "syn" / "global.json").read_text("utf-8"))
+        full, cca_only = payloads["all"], payloads["cca"]
+        assert set(cca_only["results"]) == {"cca"}
+        full["results"] = {"cca": full["results"]["cca"]}
+        full["config_hash"] = cca_only["config_hash"]
+        assert cca_only == full
+
     def test_subspace_writes_grid(self, workspace):
         ws, config_path, _ = workspace
         result = invoke("analyze-subspace", "--config", config_path,

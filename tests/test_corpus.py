@@ -158,6 +158,13 @@ class TestSemanticEmbeddings:
         with pytest.raises(ParseError, match="dimension"):
             load_semantic_embeddings(path, {"x", "y"})
 
+    def test_ragged_row_outside_vocabulary_names_line(self, tmp_path):
+        path = tmp_path / "v.vec"
+        self.write_vec(path, [("x", [1, 2, 3]), ("y", [4, 5, 6]),
+                              ("q", [1, 2]), ("z", [7, 8, 9])], header="4 3")
+        with pytest.raises(ParseError, match=r"v\.vec:4: dimension 2 != 3"):
+            load_semantic_embeddings(path, {"x", "z"})
+
     def test_count_header_skipped(self, tmp_path):
         path = tmp_path / "v.vec"
         self.write_vec(path, [("x", [1.0, 2.0])], header="1 2")

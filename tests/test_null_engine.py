@@ -304,3 +304,25 @@ def test_cca_variates_equal_oracle(refit):
         model, X=x, Y=y, n_shuffles=25, null_points=20, seed=13, refit=refit)]
     assert got == oracle_cca(model, x, y, 25, 20, 13, refit)
     assert len(got) == 3
+
+
+def untied_blocks(seed):
+    """Continuous random blocks with d_x 2-9, d_y 2-120 and n from
+    d_y + 2, the semantic one a linear map of the phonetic one of random
+    strength plus noise, and a random number of variates."""
+    rng = np.random.default_rng(seed)
+    dx = int(rng.integers(2, 10))
+    dy = int(rng.integers(2, 121))
+    n = dy + 2 + int(rng.integers(0, 40))
+    x = rng.normal(size=(n, dx))
+    y = rng.uniform() * x @ rng.normal(size=(dx, dy)) + rng.normal(size=(n, dy))
+    return x, y, int(rng.integers(1, min(dx, dy) + 1))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cca_refit_equals_oracle_on_untied_blocks(seed):
+    x, y, k = untied_blocks(seed)
+    model = fit_cca(x, y, n_components=k)
+    got = [r.to_record() for r in canonical_rank_correlations(
+        model, X=x, Y=y, n_shuffles=20, null_points=20, seed=seed)]
+    assert got == oracle_cca(model, x, y, 20, 20, seed, True)
