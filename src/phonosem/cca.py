@@ -175,20 +175,16 @@ def _rank_correlations(scores_x: np.ndarray, scores_y: np.ndarray) -> np.ndarray
 
 def canonical_rank_correlations(
     model: CcaModel,
-    X: EmbeddingMatrix | np.ndarray | None = None,
-    Y: EmbeddingMatrix | np.ndarray | None = None,
+    X: EmbeddingMatrix | np.ndarray,
+    Y: EmbeddingMatrix | np.ndarray,
     n_shuffles: int = 1000,
     null_points: int = 500,
     seed: int = 0,
-    refit: bool = True,
 ) -> list[AlignmentResult]:
     """Per-component Spearman correlation of the paired variate scores.
 
-    With ``refit`` (default) every shuffle permutes the item assignment
-    of the semantic matrix and re-fits the full CCA, so the null reflects
-    the whole estimation pipeline. The cheaper scores-only shuffle is
-    available with ``refit=False`` and is flagged in the result notes.
-
+    Every shuffle permutes the item assignment of the semantic matrix and
+    re-fits the CCA, so the null reflects the whole estimation pipeline.
     A refit differs from the observed fit only in its cross-covariance:
     each block's standardization and whitening are computed once, and
     each shuffle takes one d_x×d_y SVD. The variates are not oriented,
@@ -196,33 +192,24 @@ def canonical_rank_correlations(
     """
     k = model.n_components
     observed = _rank_correlations(model.scores_phonetic, model.scores_semantic)
-    if refit:
-        if X is None or Y is None:
-            raise AnalysisError("refit nulls require the original X and Y")
-        (xs, _, _, wx), (ys, _, _, wy) = _whitened_blocks(X, Y, k, model.ridge)
-        n = xs.shape[0]
-        xw = xs @ wx
-        items = np.arange(n)
-        inverse = np.empty(n, dtype=np.intp)
+    (xs, _, _, wx), (ys, _, _, wy) = _whitened_blocks(X, Y, k, model.ridge)
+    n = xs.shape[0]
+    xw = xs @ wx
+    items = np.arange(n)
+    inverse = np.empty(n, dtype=np.intp)
 
-        def stat(perm: np.ndarray) -> np.ndarray:
-            # Item i meets semantic row perm[i]. Moving the narrow
-            # phonetic block by the inverse instead gives the same pairs.
-            inverse[perm] = items
-            xp = xw[inverse]
-            u, _, vt = np.linalg.svd((xp.T @ ys) @ wy / n, full_matrices=False)
-            return _rank_correlations(xp @ u[:, :k], ys @ (wy @ vt[:k].T))
-        notes = ()
-    else:
-        def stat(perm: np.ndarray) -> np.ndarray:
-            return _rank_correlations(model.scores_phonetic,
-                                      model.scores_semantic[perm])
-        notes = ("fast mode: scores shuffled without re-fitting",)
+    def stat(perm: np.ndarray) -> np.ndarray:
+        # Item i meets semantic row perm[i]. Moving the narrow phonetic
+        # block by the inverse instead gives the same pairs.
+        inverse[perm] = items
+        xp = xw[inverse]
+        u, _, vt = np.linalg.svd((xp.T @ ys) @ wy / n, full_matrices=False)
+        return _rank_correlations(xp @ u[:, :k], ys @ (wy @ vt[:k].T))
 
     p, null = permutation_test(stat, observed, model.n_items, n_shuffles,
                                null_points, seed, "greater")
     return [_summarize(f"cca_cv{c + 1}", observed[c], null[:, c], p[c],
-                       n_shuffles, seed, "greater", notes=notes)
+                       n_shuffles, seed, "greater")
             for c in range(k)]
 
 
@@ -263,7 +250,7 @@ def extract_phonetic_pole(
 
 
 @dataclass(frozen=True)
-class _PoleCandidates:
+class PoleCandidates:
     """The vocabulary words above a zipf cutoff, in vocabulary order,
     with their vectors and the vectors' norms."""
 
@@ -272,14 +259,14 @@ class _PoleCandidates:
     norms: np.ndarray
 
 
-def _pole_candidates(
+def pole_candidates(
     vocabulary: EmbeddingMatrix, lexicon: Lexicon, zipf_cutoff: float
-) -> _PoleCandidates:
+) -> PoleCandidates:
     zipf = {lx.word: lx.zipf for lx in lexicon}
     cand_idx = [i for i, w in enumerate(vocabulary.ids)
                 if zipf.get(w, -np.inf) > zipf_cutoff]
     vecs = vocabulary.vectors[cand_idx]
-    return _PoleCandidates(
+    return PoleCandidates(
         ids=np.array([vocabulary.ids[i] for i in cand_idx], dtype=str),
         vectors=vecs, norms=np.linalg.norm(vecs, axis=1))
 
@@ -288,25 +275,17 @@ def semantic_pole_neighbors(
     model: CcaModel,
     component: int,
     sign: str,
-    vocabulary: EmbeddingMatrix,
-    lexicon: Lexicon,
+    candidates: PoleCandidates,
     k: int = 10,
-    zipf_cutoff: float = 4.5,
-    *,
-    candidates: _PoleCandidates | None = None,
 ) -> tuple[list[tuple[str, float]], bool]:
-    """Nearest vocabulary words to one semantic pole direction.
+    """Nearest candidate words to one semantic pole direction.
 
     The pole direction is the signed semantic weight vector mapped back
     to raw embedding coordinates (weights divided by the per-dimension
     standardization scale, so that raw-space projections reproduce the
-    variate up to a constant). Candidates are restricted to words above
-    the zipf cutoff. Returns (neighbors, short_flag); short_flag is set
-    when fewer than k candidates exist.
-
-    A caller that asks for several poles can build the candidates once
-    with ``_pole_candidates`` (same vocabulary, lexicon and cutoff) and
-    pass them as ``candidates``.
+    variate up to a constant). The candidates are the words above the
+    zipf cutoff (``pole_candidates``). Returns (neighbors, short_flag);
+    short_flag is set when fewer than k candidates exist.
     """
     if sign not in ("+", "-"):
         raise AnalysisError(f"sign must be '+' or '-', got {sign!r}")
@@ -320,10 +299,8 @@ def semantic_pole_neighbors(
         raise AnalysisError("zero pole direction")
     direction = direction / norm
 
-    if candidates is None:
-        candidates = _pole_candidates(vocabulary, lexicon, zipf_cutoff)
     if not candidates.ids.size:
-        log.warning("semantic pole: no candidates above zipf %.2f", zipf_cutoff)
+        log.warning("semantic pole: no candidates above the zipf cutoff")
         return [], True
     ok = candidates.norms > 0.0
     sims = np.full(candidates.ids.size, -np.inf)
@@ -362,28 +339,17 @@ def build_pole_report(
     component: int,
     phonetic_matrix: EmbeddingMatrix | np.ndarray,
     feature_names: Sequence[str],
-    vocabulary: EmbeddingMatrix,
-    lexicon: Lexicon,
+    candidates: PoleCandidates,
     k: int = 10,
-    zipf_cutoff: float = 4.5,
     percentile: float = 75.0,
     threshold: float = 0.05,
-    *,
-    candidates: _PoleCandidates | None = None,
 ) -> PoleReport:
-    """Assemble the interpretation table row for one canonical variate.
-
-    ``candidates`` is passed on to ``semantic_pole_neighbors``.
-    """
+    """Assemble the interpretation table row for one canonical variate."""
     xs = (phonetic_matrix.vectors if isinstance(phonetic_matrix, EmbeddingMatrix)
           else np.asarray(phonetic_matrix))
     loadings = structure_loadings(xs, model.scores_phonetic[:, component])
-    pos, _ = semantic_pole_neighbors(model, component, "+", vocabulary, lexicon,
-                                     k=k, zipf_cutoff=zipf_cutoff,
-                                     candidates=candidates)
-    neg, _ = semantic_pole_neighbors(model, component, "-", vocabulary, lexicon,
-                                     k=k, zipf_cutoff=zipf_cutoff,
-                                     candidates=candidates)
+    pos, _ = semantic_pole_neighbors(model, component, "+", candidates, k=k)
+    neg, _ = semantic_pole_neighbors(model, component, "-", candidates, k=k)
     return PoleReport(
         component=component + 1,
         phonetic_pos=tuple(extract_phonetic_pole(loadings, feature_names, "+",

@@ -21,7 +21,7 @@ from .phonetic import cosine_similarity_matrix
 from .pipeline import (RunConfig, analysed_morphemes, load_language_spaces,
                        load_vocabulary, render_global_grid, render_pole_tables,
                        render_subspace_grid, run_global, run_interpret,
-                       run_subspace, write_manifest)
+                       run_subspace)
 from .segmentation import (HttpProvider, ReplayProvider, sample_for_verification,
                            dedupe_into_morpheme_set, segment_words,
                            write_verification_sheet)
@@ -158,7 +158,6 @@ def analyze_global(config_path, seed, shuffles):
             **config.params, "shuffles": shuffles,
             "null_points": min(config.params["null_points"], shuffles)})
     written = run_global(config)
-    write_manifest(config, {k: str(v) for k, v in written.items()})
     for key, path in written.items():
         click.echo(f"{key}: {path}")
 
@@ -176,7 +175,6 @@ def analyze_subspace(config_path, seed, scatter):
         config = dataclasses.replace(
             config, params={**config.params, "scatter": scatter})
     written = run_subspace(config)
-    write_manifest(config, {k: str(v) for k, v in written.items()})
     for key, path in written.items():
         click.echo(f"{key}: {path}")
 

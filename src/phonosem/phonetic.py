@@ -181,17 +181,6 @@ class SimilarityMatrix:
         path.with_suffix(path.suffix + ".ids").write_text(
             "\n".join(self.ids) + "\n", encoding="utf-8")
 
-    @classmethod
-    def load_binary(cls, path: str | Path) -> "SimilarityMatrix":
-        path = Path(path)
-        ids = tuple(
-            path.with_suffix(path.suffix + ".ids")
-            .read_text(encoding="utf-8").splitlines()
-        )
-        n = len(ids)
-        values = np.fromfile(path, dtype=np.float64).reshape(n, n)
-        return cls(ids=ids, values=values)
-
 
 def cosine_similarity_matrix(
     matrix: EmbeddingMatrix,

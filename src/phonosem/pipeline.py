@@ -24,14 +24,14 @@ from . import __version__
 from .corpus import (EmbeddingMatrix, Lexicon, MorphemeSet, load_feature_table,
                      load_lexicon, load_scale_configs,
                      load_semantic_embeddings)
-from .cca import (CcaModel, _pole_candidates, build_pole_report,
-                  canonical_rank_correlations, fit_cca)
+from .cca import (CcaModel, build_pole_report, canonical_rank_correlations,
+                  fit_cca, pole_candidates)
 from .errors import AnalysisError, InputError
 from .phonetic import build_phonetic_embeddings, cosine_similarity_matrix
 from .segmentation import (PERPLEXITY_THRESHOLD, dedupe_into_morpheme_set,
                            perplexity_filter, read_segmentation_cache)
 from .stats import knn_overlap, mi_alignment, rsa, stars
-from .subspace import _pool_candidates, scale_alignment
+from .subspace import pool_candidates, scale_alignment
 
 log = logging.getLogger(__name__)
 
@@ -49,6 +49,7 @@ DEFAULT_PARAMS = {
     "top_words": 5000,
     "subspace_pool": 10000,
     "cca_ridge": 1e-8,
+    # must be True; kept since every payload's params and config_hash hold it
     "cca_refit": True,
     "perplexity_threshold": PERPLEXITY_THRESHOLD,
     "scatter": False,
@@ -95,6 +96,9 @@ class RunConfig:
             v = merged[name]
             if (lo is not None and v < lo) or (hi is not None and v > hi):
                 raise InputError(f"parameter {name}={v} outside documented bounds")
+        if merged["cca_refit"] is not True:
+            raise InputError("cca_refit=false, the scores-only CCA null, was "
+                             "removed; every CCA null refits the CCA")
         if merged["null_points"] > merged["shuffles"]:
             raise InputError("null_points exceeds shuffles")
         if merged["subspace_null_points"] > merged["subspace_shuffles"]:
@@ -155,18 +159,26 @@ def _file_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(config: RunConfig, records: dict) -> Path:
+def _language_inputs(config: RunConfig, language: str) -> dict[str, str]:
+    """Role -> path of every input file a language's analyses read."""
+    return {"feature_table": config.feature_table, **config.inputs[language]}
+
+
+def _input_digests(config: RunConfig) -> dict[str, str]:
+    """Path -> SHA-256 of every input file, each file read once."""
+    paths = dict.fromkeys(path for lang in config.languages
+                          for path in _language_inputs(config, lang).values())
+    return {path: _file_digest(path) for path in paths}
+
+
+def write_manifest(config: RunConfig, written: dict, digests: dict) -> Path:
     """Run manifest with wall-clock metadata; kept apart from payloads."""
     out = Path(config.output_dir)
-    digests = {config.feature_table: _file_digest(config.feature_table)}
-    for lang in config.languages:
-        for role, path in config.inputs[lang].items():
-            digests[path] = _file_digest(path)
     manifest = {
         "config": config.to_obj(),
         "config_hash": config.config_hash(),
         "input_digests": digests,
-        "results": records,
+        "results": {k: str(v) for k, v in written.items()},
         "tool_version": __version__,
         "timestamp": time.time(),
     }
@@ -235,8 +247,10 @@ def load_language_spaces(config: RunConfig, language: str):
 # Analysis runs
 
 def run_global(config: RunConfig) -> dict[str, Path]:
-    """Per-language global alignment grid (RSA, MI, kNN, CCA CV1-CV5)."""
+    """Per-language global alignment grid (RSA, MI, kNN, CCA CV1-CV5),
+    and the run manifest."""
     p = config.params
+    digests = _input_digests(config)
     out_dir = Path(config.output_dir)
     written: dict[str, Path] = {}
     grid_rows = []
@@ -269,11 +283,12 @@ def run_global(config: RunConfig) -> dict[str, Path]:
             cv_results = canonical_rank_correlations(
                 model, X=phon, Y=sem, n_shuffles=p["shuffles"],
                 null_points=p["null_points"],
-                seed=derive_seed(config.seed, "cca", lang),
-                refit=p["cca_refit"])
+                seed=derive_seed(config.seed, "cca", lang))
             results["cca"] = [r.to_record() for r in cv_results]
-            _save_cca_artifacts(out_dir / lang, model, phon, feature_names,
-                                config.config_hash())
+            _save_cca_artifacts(
+                out_dir / lang, model, phon, feature_names, config.config_hash(),
+                {role: digests[path]
+                 for role, path in _language_inputs(config, lang).items()})
 
         payload = {
             "language": lang,
@@ -297,11 +312,15 @@ def run_global(config: RunConfig) -> dict[str, Path]:
     md_path.parent.mkdir(parents=True, exist_ok=True)
     md_path.write_text(render_global_grid(grid_rows), encoding="utf-8")
     written["global:grid"] = md_path
+    write_manifest(config, written, digests)
     return written
 
 
 def _save_cca_artifacts(lang_dir: Path, model: CcaModel, phon: EmbeddingMatrix,
-                        feature_names, config_hash: str) -> None:
+                        feature_names, config_hash: str,
+                        input_digests: dict[str, str]) -> None:
+    """The fitted model, stamped with the run's config hash and the
+    SHA-256 of each input file by role."""
     lang_dir.mkdir(parents=True, exist_ok=True)
     np.savez(
         lang_dir / "cca_model.npz",
@@ -310,12 +329,15 @@ def _save_cca_artifacts(lang_dir: Path, model: CcaModel, phon: EmbeddingMatrix,
         phonetic_ids=np.array(phon.ids, dtype=str),
         feature_names=np.array(list(feature_names), dtype=str),
         config_hash=config_hash,
+        input_sha256=json.dumps(input_digests, sort_keys=True),
     )
 
 
-def _load_cca_artifacts(lang_dir: Path, config_hash: str):
+def _load_cca_artifacts(lang_dir: Path, config_hash: str,
+                        inputs: dict[str, str]):
     """The fitted model, phonetic matrix and feature names saved by the
-    ``analyze-global`` run whose payload carries ``config_hash``."""
+    ``analyze-global`` run whose payload carries ``config_hash``, from
+    the input files ``inputs`` (role -> path) hold now."""
     path = lang_dir / "cca_model.npz"
     if not path.exists():
         raise InputError(f"{path}: no fitted CCA artifacts; run analyze-global first")
@@ -325,6 +347,13 @@ def _load_cca_artifacts(lang_dir: Path, config_hash: str):
             raise InputError(
                 f"{path}: stamped {stamp or 'with no config hash'}, but "
                 f"global.json has {config_hash}; run analyze-global again")
+        stamped = (json.loads(str(z["input_sha256"]))
+                   if "input_sha256" in z.files else {})
+        for role, input_path in inputs.items():
+            if _file_digest(input_path) != stamped.get(role):
+                raise InputError(
+                    f"{input_path}: not the {role} file {path} is stamped "
+                    "with; run analyze-global again")
         model = CcaModel(**{f.name: z[f.name][()]
                             for f in dataclasses.fields(CcaModel)})
         phon = EmbeddingMatrix(ids=tuple(z["phonetic_ids"].tolist()),
@@ -342,18 +371,14 @@ def run_subspace(config: RunConfig) -> dict[str, Path]:
     written: dict[str, Path] = {}
     for lang in config.languages:
         lexicon, vocab = load_vocabulary(config, lang)
-        candidates = _pool_candidates(vocab, lexicon, table)
+        candidates = pool_candidates(vocab, lexicon, table)
         for scale in scales:
-            if lang not in scale.semantic_pos:
-                raise InputError(
-                    f"scale {scale.name!r} lacks exemplars for language {lang!r}")
             result = scale_alignment(
-                scale, lang, vocab, lexicon, table,
+                scale, lang, vocab, table, candidates,
                 n_words=p["subspace_pool"],
                 n_shuffles=p["subspace_shuffles"],
                 null_points=p["subspace_null_points"],
-                seed=derive_seed(config.seed, f"subspace:{scale.name}", lang),
-                candidates=candidates)
+                seed=derive_seed(config.seed, f"subspace:{scale.name}", lang))
             cells.append(result.to_record())
             if p.get("scatter"):
                 scatter = out_dir / "scatter" / f"{lang}_{scale.name}.tsv"
@@ -378,6 +403,7 @@ def run_subspace(config: RunConfig) -> dict[str, Path]:
     md_path = out_dir / "subspace.md"
     md_path.write_text(render_subspace_grid(payload), encoding="utf-8")
     written["subspace:grid"] = md_path
+    write_manifest(config, written, _input_digests(config))
     return written
 
 
@@ -396,17 +422,16 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
         if cca_records is None:
             raise InputError(f"{lang}: no CCA results to interpret")
         model, phon, feature_names = _load_cca_artifacts(
-            lang_dir, payload["config_hash"])
+            lang_dir, payload["config_hash"], _language_inputs(config, lang))
         lexicon, vocab = load_vocabulary(config, lang)
 
         significant = [c for c, rec in enumerate(cca_records) if rec["p"] < 0.05]
-        candidates = (_pole_candidates(vocab, lexicon, p["zipf_cutoff"])
-                      if significant else None)
+        if significant:
+            candidates = pole_candidates(vocab, lexicon, p["zipf_cutoff"])
         reports = [build_pole_report(
-            model, c, phon, feature_names, vocab, lexicon,
-            k=p["k"], zipf_cutoff=p["zipf_cutoff"],
-            percentile=p["percentile"], threshold=p["threshold"],
-            candidates=candidates).to_record() for c in significant]
+            model, c, phon, feature_names, candidates, k=p["k"],
+            percentile=p["percentile"], threshold=p["threshold"]).to_record()
+            for c in significant]
         if not reports:
             log.info("%s: no significant components; empty pole report", lang)
         out = {

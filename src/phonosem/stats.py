@@ -329,30 +329,27 @@ def permutation_test(
 
     ``statistic`` receives one permutation of ``range(n_items)`` per
     shuffle and returns a scalar or, like ``observed``, k values tested
-    one by one. The null sample is the first ``null_points`` shuffle
-    values; p uses the add-one rule on that sample (per column for k
-    values). Progress (shuffles done, rate, time left) is logged at
-    INFO each time another tenth is done.
+    one by one. Shuffle i draws its permutation from (seed, i) alone.
+    Only the first ``null_points`` shuffles are drawn; they are the null
+    sample, and ``n_shuffles``, which callers record, bounds it. p uses
+    the add-one rule on that sample (per column for k values). Progress
+    (shuffles done, rate, time left) is logged at INFO each time another
+    tenth is done.
     """
-    if n_shuffles < 1:
-        raise AnalysisError("n_shuffles must be >= 1")
-    if null_points > n_shuffles:
+    if not 1 <= null_points <= n_shuffles:
         raise AnalysisError(
-            f"null_points={null_points} exceeds n_shuffles={n_shuffles}"
-        )
-    null = np.empty((n_shuffles,) + np.shape(observed), dtype=np.float64)
+            f"null_points={null_points} outside 1..n_shuffles={n_shuffles}")
+    null = np.empty((null_points,) + np.shape(observed), dtype=np.float64)
     start = time.perf_counter()
-    for i in range(n_shuffles):
+    for i in range(null_points):
         perm = shuffle_rng(seed, i).permutation(n_items)
         null[i] = statistic(perm)
-        if (i + 1) * 10 // n_shuffles > i * 10 // n_shuffles:
+        if (i + 1) * 10 // null_points > i * 10 // null_points:
             elapsed = time.perf_counter() - start
             rate = (i + 1) / elapsed if elapsed > 0 else float("inf")
             log.info("permutation test: %d/%d shuffles, %.1f/s, ETA %.1f s",
-                     i + 1, n_shuffles, rate, (n_shuffles - i - 1) / rate)
-    null_sample = null[:null_points]
-    p = permutation_pvalue(observed, null_sample, alternative)
-    return p, null_sample
+                     i + 1, null_points, rate, (null_points - i - 1) / rate)
+    return permutation_pvalue(observed, null, alternative), null
 
 
 def _summarize(

@@ -32,14 +32,11 @@ class CentroidLine:
     origin: np.ndarray      # negative-pole centroid
     direction: np.ndarray   # positive centroid - negative centroid
     space: str              # "phonetic" or "semantic"
-    midpoint: np.ndarray | None = None
+    midpoint: np.ndarray    # (positive centroid + negative centroid) / 2
 
     def __post_init__(self):
         if np.linalg.norm(self.direction) == 0.0:
             raise AnalysisError("coincident centroids; line direction is zero")
-        if self.midpoint is None:
-            object.__setattr__(self, "midpoint",
-                               self.origin + self.direction / 2.0)
 
 
 def build_line(
@@ -157,7 +154,7 @@ def _segment_vectors(
 
 
 @dataclass(frozen=True)
-class _Candidates:
+class ScaleCandidates:
     """A language's candidate words for every scale: the words with an
     embedding, an IPA transcription and a non-empty tokenization, with
     their semantic vectors and mean-pooled phonetic feature vectors (rows
@@ -169,14 +166,14 @@ class _Candidates:
     dropped_no_phonetics: int
 
 
-def _pool_candidates(
+def pool_candidates(
     vocabulary: EmbeddingMatrix, lexicon: Lexicon, table: SegmentFeatureTable
-) -> _Candidates:
+) -> ScaleCandidates:
     ipa = {lx.word: lx.ipa for lx in lexicon}
     emb_index = {w: i for i, w in enumerate(vocabulary.ids)}
     words, rows, no_phon = _tokenize_and_pool(
         [(w, ipa.get(w, "")) for w in vocabulary.ids], table)
-    return _Candidates(
+    return ScaleCandidates(
         words=EmbeddingMatrix(
             ids=tuple(words),
             vectors=vocabulary.vectors[[emb_index[w] for w in words]]),
@@ -190,27 +187,23 @@ def scale_alignment(
     scale: ScaleConfig,
     language: str,
     vocabulary: EmbeddingMatrix,
-    lexicon: Lexicon,
     table: SegmentFeatureTable,
+    candidates: ScaleCandidates,
     n_words: int = 10000,
     n_shuffles: int = 5000,
     null_points: int = 5000,
     seed: int = 0,
-    *,
-    candidates: _Candidates | None = None,
 ) -> ScaleResult:
     """Correlate word projections onto one scale's paired lines.
 
-    Words are selected near the semantic line; their phonetic embeddings
+    The candidates are the vocabulary's words with phonetics
+    (``pool_candidates``), the same for every scale. Words are selected
+    among them near the semantic line; their phonetic embeddings
     are mean-pooled feature vectors post-processed (zero-variance drop +
     z-scoring) over the selected set, and the phonetic exemplar segments
     are mapped through the same transform before the phonetic line is
     built. Significance shuffles the word-to-phonetic-coordinate
     assignment, two-sided; both coordinate vectors are ranked once.
-
-    The candidate words do not depend on the scale: a caller running
-    several scales over one vocabulary pools them once and passes them
-    as ``candidates``.
     """
     if language not in scale.semantic_pos:
         raise InputError(f"scale {scale.name!r} has no exemplars for {language!r}")
@@ -221,9 +214,6 @@ def scale_alignment(
         space="semantic",
     )
 
-    # all drops happen before selection
-    if candidates is None:
-        candidates = _pool_candidates(vocabulary, lexicon, table)
     if candidates.words.n_items < 3:
         raise AnalysisError(
             f"scale {scale.name!r} ({language}): fewer than 3 usable words"

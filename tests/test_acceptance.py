@@ -27,8 +27,8 @@ from phonosem.segmentation import (LANGUAGE_NAMES, error_rate_ci,
 from phonosem.stats import (knn_overlap, knn_overlap_value, mi_alignment,
                             mutual_information_value, permutation_test, rsa,
                             spearman_rho)
-from phonosem.subspace import (build_line, perpendicular_distance, project,
-                               scale_alignment)
+from phonosem.subspace import (build_line, perpendicular_distance,
+                               pool_candidates, project, scale_alignment)
 from phonosem.synth import make_planted_language
 
 
@@ -419,7 +419,8 @@ def test_10_subspace_geometry(capsys, small_language, feature_table):
             phon.reverse()
         scale = ScaleConfig("demo", phon[0], phon[1],
                             {"en": sem[0]}, {"en": sem[1]})
-        return scale_alignment(scale, "en", vocab, lexicon, feature_table,
+        return scale_alignment(scale, "en", vocab, feature_table,
+                               pool_candidates(vocab, lexicon, feature_table),
                                n_words=50, n_shuffles=40, null_points=40,
                                seed=5)
 

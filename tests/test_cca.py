@@ -5,9 +5,8 @@ import logging
 import numpy as np
 import pytest
 
-from phonosem.cca import (_pole_candidates, build_pole_report,
-                          canonical_rank_correlations,
-                          extract_phonetic_pole, fit_cca,
+from phonosem.cca import (build_pole_report, canonical_rank_correlations,
+                          extract_phonetic_pole, fit_cca, pole_candidates,
                           semantic_pole_neighbors, structure_loadings)
 from phonosem.corpus import EmbeddingMatrix, Lexeme, Lexicon
 from phonosem.errors import AnalysisError
@@ -102,35 +101,17 @@ class TestCanonicalRankCorrelations:
         from phonosem.stats import spearman_rho
         assert spearman_rho([1, 2, 3], [2, 3, 1]) == pytest.approx(-0.5, abs=1e-15)
 
-    def test_fast_mode_flagged(self):
-        rng = np.random.default_rng(40)
-        x, y = random_pair(rng)
-        model = fit_cca(x, y, n_components=2)
-        results = canonical_rank_correlations(model, n_shuffles=20,
-                                              null_points=20, seed=0,
-                                              refit=False)
-        assert all("fast mode" in " ".join(r.notes) for r in results)
-
-    @pytest.mark.parametrize("refit", [True, False])
-    def test_progress_logged(self, caplog, refit):
+    def test_progress_logged(self, caplog):
         rng = np.random.default_rng(42)
         x, y = random_pair(rng)
         model = fit_cca(x, y, n_components=2)
         with caplog.at_level(logging.INFO, logger="phonosem.stats"):
             canonical_rank_correlations(model, X=x, Y=y, n_shuffles=20,
-                                        null_points=20, seed=0, refit=refit)
+                                        null_points=20, seed=0)
         messages = [r.getMessage() for r in caplog.records
                     if r.name == "phonosem.stats"]
         assert len(messages) == 10
         assert messages[-1].startswith("permutation test: 20/20 shuffles, ")
-
-    def test_refit_requires_inputs(self):
-        rng = np.random.default_rng(41)
-        x, y = random_pair(rng)
-        model = fit_cca(x, y, n_components=2)
-        with pytest.raises(AnalysisError):
-            canonical_rank_correlations(model, n_shuffles=5, null_points=5,
-                                        seed=0, refit=True)
 
 
 class TestStructureLoadings:
@@ -213,7 +194,8 @@ class TestSemanticPoleNeighbors:
         vectors = vocab.vectors.copy()
         vectors[7] = direction / np.linalg.norm(direction)
         vocab = EmbeddingMatrix(vocab.ids, vectors)
-        neighbors, short = semantic_pole_neighbors(model, 0, "+", vocab, lexicon)
+        neighbors, short = semantic_pole_neighbors(
+            model, 0, "+", pole_candidates(vocab, lexicon, 4.5))
         assert not short
         assert neighbors[0][0] == "w7"
         assert neighbors[0][1] == pytest.approx(1.0, abs=1e-12)
@@ -221,15 +203,16 @@ class TestSemanticPoleNeighbors:
     def test_zipf_cutoff_empties_candidates(self):
         rng = np.random.default_rng(47)
         model, vocab, lexicon = self.make_fixture(rng)
-        neighbors, short = semantic_pole_neighbors(model, 0, "+", vocab,
-                                                   lexicon, zipf_cutoff=10.0)
+        neighbors, short = semantic_pole_neighbors(
+            model, 0, "+", pole_candidates(vocab, lexicon, 10.0))
         assert neighbors == []
         assert short
 
     def test_matches_brute_force_ranking(self):
         rng = np.random.default_rng(48)
         model, vocab, lexicon = self.make_fixture(rng)
-        neighbors, _ = semantic_pole_neighbors(model, 1, "-", vocab, lexicon, k=5)
+        neighbors, _ = semantic_pole_neighbors(
+            model, 1, "-", pole_candidates(vocab, lexicon, 4.5), k=5)
         direction = -model.weights_semantic[:, 1] / model.scale_semantic
         direction = direction / np.linalg.norm(direction)
         sims = {}
@@ -245,7 +228,8 @@ class TestSemanticPoleNeighbors:
         base = rng.normal(size=(2, 4))
         vocab = EmbeddingMatrix(words, np.repeat(base, 4, axis=0))
         lexicon = Lexicon("en", tuple(Lexeme(w, w, 5.0, "") for w in words))
-        neighbors, _ = semantic_pole_neighbors(model, 0, "+", vocab, lexicon, k=6)
+        neighbors, _ = semantic_pole_neighbors(
+            model, 0, "+", pole_candidates(vocab, lexicon, 4.5), k=6)
         assert len({s for _, s in neighbors}) == 2
         direction = model.weights_semantic[:, 0] / model.scale_semantic
         cosine = base @ direction / np.linalg.norm(base, axis=1)
@@ -257,36 +241,18 @@ class TestSemanticPoleNeighbors:
     def test_sign_flip_swaps_poles(self):
         rng = np.random.default_rng(49)
         model, vocab, lexicon = self.make_fixture(rng)
-        pos, _ = semantic_pole_neighbors(model, 0, "+", vocab, lexicon, k=5)
-        neg, _ = semantic_pole_neighbors(model, 0, "-", vocab, lexicon, k=5)
+        candidates = pole_candidates(vocab, lexicon, 4.5)
+        pos, _ = semantic_pole_neighbors(model, 0, "+", candidates, k=5)
+        neg, _ = semantic_pole_neighbors(model, 0, "-", candidates, k=5)
         flipped = model.__class__(**{
             **{f.name: getattr(model, f.name)
                for f in model.__dataclass_fields__.values()},
             "weights_semantic": -model.weights_semantic,
         })
-        pos_f, _ = semantic_pole_neighbors(flipped, 0, "+", vocab, lexicon, k=5)
-        neg_f, _ = semantic_pole_neighbors(flipped, 0, "-", vocab, lexicon, k=5)
+        pos_f, _ = semantic_pole_neighbors(flipped, 0, "+", candidates, k=5)
+        neg_f, _ = semantic_pole_neighbors(flipped, 0, "-", candidates, k=5)
         assert pos_f == neg
         assert neg_f == pos
-
-    @pytest.mark.parametrize("cutoff", [4.5, 10.0])
-    def test_shared_candidates_give_the_same_neighbors(self, cutoff):
-        rng = np.random.default_rng(51)
-        model, vocab, _ = self.make_fixture(rng, n_words=40)
-        vectors = vocab.vectors.copy()
-        vectors[3] = 0.0
-        vectors[9] = vectors[8]
-        vocab = EmbeddingMatrix(vocab.ids, vectors)
-        lexicon = Lexicon("en", tuple(
-            Lexeme(w, w, 4.0 if i % 3 == 0 else 5.0, "")
-            for i, w in enumerate(vocab.ids)))
-        candidates = _pole_candidates(vocab, lexicon, cutoff)
-        for component in range(model.n_components):
-            for sign in "+-":
-                args = (model, component, sign, vocab, lexicon, 30, cutoff)
-                shared = semantic_pole_neighbors(*args, candidates=candidates)
-                assert shared == semantic_pole_neighbors(*args)
-                assert all(type(w) is str for w, _ in shared[0])
 
 
 class TestPoleReport:
@@ -300,7 +266,7 @@ class TestPoleReport:
         lexicon = Lexicon("en", tuple(Lexeme(w, w, 5.0, "") for w in words))
         xs = (x - model.mean_phonetic) / model.scale_phonetic
         report = build_pole_report(model, 0, xs, ["f0", "f1", "f2", "f3"],
-                                   vocab, lexicon, k=5)
+                                   pole_candidates(vocab, lexicon, 4.5), k=5)
         assert report.component == 1
         assert len(report.semantic_pos) == 5
         assert len(report.semantic_neg) == 5

@@ -1,14 +1,20 @@
 """Command-line workflow: exit codes, artifacts, and re-rendering."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import phonosem
 from phonosem.cli import main
 from phonosem.corpus import load_lexicon
+from phonosem.pipeline import DEFAULT_PARAMS
 from phonosem.synth import make_planted_language
 
 
@@ -56,6 +62,21 @@ def invoke(*args):
     return CliRunner().invoke(main, [str(a) for a in args])
 
 
+def language_config(tmp_path, params):
+    """A config file over a fresh 120-morpheme planted language of its
+    own, so a test may change the input files."""
+    paths = make_planted_language(tmp_path / "lang", n_morphemes=120, seed=9)
+    cfg = {"languages": ["syn"],
+           "feature_table": str(paths["feature_table"]),
+           "inputs": {"syn": {k: str(v) for k, v in paths.items()
+                              if k != "feature_table"}},
+           "output_dir": str(tmp_path / "out"),
+           "params": params}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path, paths
+
+
 class TestIngest:
     def test_summary(self, workspace):
         _, config_path, _ = workspace
@@ -82,6 +103,15 @@ class TestIngest:
         path.write_text(json.dumps(broken), encoding="utf-8")
         result = invoke("ingest", "--config", path)
         assert result.exit_code == 1
+
+    def test_scores_only_cca_null_is_exit_one(self, workspace, tmp_path):
+        _, _, config = workspace
+        broken = {**config, "params": {**config["params"], "cca_refit": False}}
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 1
+        assert "cca_refit=false, the scores-only CCA null, was removed" in result.output
 
     @pytest.mark.parametrize("section,key", [
         ("params", "shufles"), ("analyses", "rsaa"), (None, "sead")])
@@ -281,6 +311,26 @@ class TestAnalyze:
         result = invoke("interpret", "--config", path)
         assert result.exit_code == 0, result.output
 
+    def test_interpret_rejects_changed_vectors(self, tmp_path):
+        path, paths = language_config(
+            tmp_path, {"shuffles": 10, "null_points": 10, "n_components": 2})
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+        assert invoke("interpret", "--config", path).exit_code == 0
+        data = bytearray(paths["vectors"].read_bytes())
+        i = next(j for j in range(data.index(b"\n") + 1, len(data))
+                 if chr(data[j]).isdigit())
+        data[i] = ord("1") if data[i] != ord("1") else ord("2")
+        paths["vectors"].write_bytes(bytes(data))
+        result = invoke("interpret", "--config", path)
+        assert result.exit_code == 1
+        assert f"{paths['vectors']}: not the vectors file" in result.output
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text("utf-8"))
+        with np.load(tmp_path / "out" / "syn" / "cca_model.npz") as z:
+            stamp = json.loads(str(z["input_sha256"]))
+        assert stamp == {role: manifest["input_digests"][str(p)]
+                         for role, p in paths.items()}
+
     def test_interpret_before_global_is_exit_one(self, workspace, tmp_path):
         _, _, config = workspace
         cfg = {**config, "output_dir": str(tmp_path / "empty")}
@@ -349,3 +399,29 @@ class TestReport:
         assert (out / "global.md").exists()
         assert (out / "subspace.md").exists()
         assert "sonority_demo" in (out / "subspace.md").read_text("utf-8")
+
+
+def test_runtime_imports_no_test_only_package(tmp_path):
+    path, _ = language_config(
+        tmp_path, {"shuffles": 40, "null_points": 40, "n_components": 2})
+    script = (
+        "import sys\n"
+        "from phonosem.cli import main\n"
+        "for command in ('analyze-global', 'interpret'):\n"
+        "    main([command, '--config', sys.argv[1]], standalone_mode=False)\n"
+        "print(sorted({'scipy', 'hypothesis'} & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(phonosem.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+    poles = json.loads((tmp_path / "out" / "syn" / "poles.json").read_text("utf-8"))
+    assert poles["components"]
+
+
+def test_readme_parameter_table_lists_every_param():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("\n## Parameters\n", 1)[1].split("\n## ", 1)[0]
+    keys = [line.split("`")[1] for line in section.splitlines()
+            if line.startswith("| `")]
+    assert sorted(keys) == sorted(DEFAULT_PARAMS)

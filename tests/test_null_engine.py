@@ -20,7 +20,7 @@ from phonosem.corpus import EmbeddingMatrix, ScaleConfig
 from phonosem.phonetic import SimilarityMatrix, cosine_similarity_matrix
 from phonosem.stats import (_midranks, _summarize, knn_overlap, mi_alignment,
                             permutation_test, rsa, shuffle_rng, spearman_rho)
-from phonosem.subspace import _pool_candidates, scale_alignment
+from phonosem.subspace import pool_candidates, scale_alignment
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,8 @@ def test_scale_alignment_equals_oracle(small_language, feature_table):
     words, lexicon, vectors = small_language
     vocab = EmbeddingMatrix(tuple(words), vectors)
     scale = make_scale(words, list(feature_table.vectors))
-    res = scale_alignment(scale, "en", vocab, lexicon, feature_table,
+    res = scale_alignment(scale, "en", vocab, feature_table,
+                          pool_candidates(vocab, lexicon, feature_table),
                           n_words=60, n_shuffles=50, null_points=40, seed=11)
     sem, phon = res.semantic_coords, res.phonetic_coords
     assert np.unique(phon).size < phon.size  # tied phonetic coordinates
@@ -238,48 +239,29 @@ def test_scale_alignment_equals_oracle(small_language, feature_table):
     assert res.alignment.to_record() == expected
 
 
-def test_scale_alignment_with_pooled_candidates(small_language, feature_table):
-    words, lexicon, vectors = small_language
-    vocab = EmbeddingMatrix(tuple(words), vectors)
-    scale = make_scale(words, list(feature_table.vectors))
-    kwargs = dict(n_words=60, n_shuffles=20, null_points=20, seed=12)
-    alone = scale_alignment(scale, "en", vocab, lexicon, feature_table, **kwargs)
-    pooled = scale_alignment(
-        scale, "en", vocab, lexicon, feature_table,
-        candidates=_pool_candidates(vocab, lexicon, feature_table), **kwargs)
-    assert pooled.to_record() == alone.to_record()
-    assert pooled.words == alone.words
-    assert np.array_equal(pooled.phonetic_coords, alone.phonetic_coords)
-    assert np.array_equal(pooled.semantic_coords, alone.semantic_coords)
-
-
 # ---------------------------------------------------------------------------
 # CCA canonical variates
 
-def oracle_cca(model, X, Y, shuffles, points, seed, refit):
-    """One record per variate from a loop over shuffles: a full refit
-    per shuffle, or the semantic scores permuted."""
+def oracle_cca(model, X, Y, shuffles, points, seed):
+    """One record per variate from a loop over shuffles with a full
+    refit per shuffle."""
     k, n = model.n_components, model.n_items
     observed = [spearman_rho(model.scores_phonetic[:, c],
                              model.scores_semantic[:, c]) for c in range(k)]
     null = np.empty((shuffles, k))
     for i in range(shuffles):
         perm = shuffle_rng(seed, i).permutation(n)
-        if refit:
-            shuffled = fit_cca(X, np.asarray(Y)[perm], n_components=k,
-                               ridge=model.ridge)
-            sx, sy = shuffled.scores_phonetic, shuffled.scores_semantic
-        else:
-            sx, sy = model.scores_phonetic, model.scores_semantic[perm]
+        shuffled = fit_cca(X, np.asarray(Y)[perm], n_components=k,
+                           ridge=model.ridge)
         for c in range(k):
-            null[i, c] = spearman_rho(sx[:, c], sy[:, c])
-    notes = () if refit else ("fast mode: scores shuffled without re-fitting",)
+            null[i, c] = spearman_rho(shuffled.scores_phonetic[:, c],
+                                      shuffled.scores_semantic[:, c])
     records = []
     for c in range(k):
         sample = null[:points, c]
         p = (1 + int(np.sum(sample >= observed[c]))) / (1 + sample.size)
         records.append(_summarize(f"cca_cv{c + 1}", observed[c], sample, p,
-                                  shuffles, seed, "greater", notes).to_record())
+                                  shuffles, seed, "greater").to_record())
     return records
 
 
@@ -295,14 +277,13 @@ def tied_blocks():
     return x, y
 
 
-@pytest.mark.parametrize("refit", [True, False])
-def test_cca_variates_equal_oracle(refit):
+def test_cca_variates_equal_oracle():
     x, y = tied_blocks()
     model = fit_cca(x, y, n_components=3)
     assert np.unique(model.scores_phonetic[:, 1]).size < model.n_items
     got = [r.to_record() for r in canonical_rank_correlations(
-        model, X=x, Y=y, n_shuffles=25, null_points=20, seed=13, refit=refit)]
-    assert got == oracle_cca(model, x, y, 25, 20, 13, refit)
+        model, X=x, Y=y, n_shuffles=25, null_points=20, seed=13)]
+    assert got == oracle_cca(model, x, y, 25, 20, 13)
     assert len(got) == 3
 
 
@@ -325,4 +306,4 @@ def test_cca_refit_equals_oracle_on_untied_blocks(seed):
     model = fit_cca(x, y, n_components=k)
     got = [r.to_record() for r in canonical_rank_correlations(
         model, X=x, Y=y, n_shuffles=20, null_points=20, seed=seed)]
-    assert got == oracle_cca(model, x, y, 20, 20, seed, True)
+    assert got == oracle_cca(model, x, y, 20, 20, seed)

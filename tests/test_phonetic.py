@@ -179,9 +179,10 @@ class TestCosineSimilarity:
             EmbeddingMatrix(tuple("abcd"), rng.normal(size=(4, 3))))
         path = tmp_path / "sim.bin"
         sim.save_binary(path)
-        loaded = SimilarityMatrix.load_binary(path)
-        assert loaded.ids == sim.ids
-        assert np.array_equal(loaded.values, sim.values)
+        ids = tuple((tmp_path / "sim.bin.ids").read_text("utf-8").splitlines())
+        values = np.fromfile(path, dtype=np.float64).reshape(len(ids), -1)
+        assert ids == sim.ids
+        assert np.array_equal(values, sim.values)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(AnalysisError, match="symmetric"):

@@ -271,6 +271,25 @@ class TestPermutationEngine:
             permutation_test(lambda perm: 0.0, 0.0, n_items=5,
                              n_shuffles=10, null_points=20, seed=0)
 
+    def test_empty_null_sample_rejected(self):
+        with pytest.raises(AnalysisError):
+            permutation_test(lambda perm: 0.0, 0.0, n_items=5,
+                             n_shuffles=10, null_points=0, seed=0)
+
+    def test_draws_only_the_null_sample(self):
+        drawn = []
+
+        def stat(perm):
+            drawn.append(perm)
+            return float(perm[0])
+
+        _, null = permutation_test(stat, 0.0, n_items=9, n_shuffles=1000,
+                                   null_points=7, seed=5)
+        assert len(drawn) == 7
+        for i, perm in enumerate(drawn):
+            assert np.array_equal(perm, shuffle_rng(5, i).permutation(9))
+        assert np.array_equal(null, [perm[0] for perm in drawn])
+
     @pytest.mark.parametrize("n_shuffles,lines", [(100, 10), (25, 10),
                                                   (7, 7), (1, 1)])
     def test_progress_logged_each_tenth(self, caplog, n_shuffles, lines):
@@ -278,11 +297,11 @@ class TestPermutationEngine:
             return float(perm[0])
 
         quiet = permutation_test(stat, 2.0, n_items=8, n_shuffles=n_shuffles,
-                                 null_points=1, seed=4)
+                                 null_points=n_shuffles, seed=4)
         with caplog.at_level(logging.INFO, logger="phonosem.stats"):
             logged = permutation_test(stat, 2.0, n_items=8,
-                                      n_shuffles=n_shuffles, null_points=1,
-                                      seed=4)
+                                      n_shuffles=n_shuffles,
+                                      null_points=n_shuffles, seed=4)
         messages = [r.getMessage() for r in caplog.records
                     if r.name == "phonosem.stats"]
         assert len(messages) == lines

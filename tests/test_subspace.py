@@ -10,8 +10,8 @@ from phonosem.corpus import (EmbeddingMatrix, Lexeme, Lexicon, ScaleConfig,
                              load_lexicon)
 from phonosem.errors import AnalysisError, InputError
 from phonosem.subspace import (CentroidLine, build_line,
-                               perpendicular_distance, project,
-                               scale_alignment, select_words)
+                               perpendicular_distance, pool_candidates,
+                               project, scale_alignment, select_words)
 
 
 class TestBuildLine:
@@ -160,7 +160,8 @@ class TestScaleAlignment:
         segments = list(feature_table.vectors)
         scale = make_scale(words, segments, **scale_kwargs)
         vocab = EmbeddingMatrix(tuple(words), vectors)
-        return scale_alignment(scale, "en", vocab, lexicon, feature_table,
+        return scale_alignment(scale, "en", vocab, feature_table,
+                               pool_candidates(vocab, lexicon, feature_table),
                                n_words=50, n_shuffles=40, null_points=40,
                                seed=5)
 
@@ -219,11 +220,11 @@ class TestScaleAlignment:
         scale = ScaleConfig("son", ("m", "n"), ("p", "t"),
                             {"en": tuple(words[j] for j in order[-2:])},
                             {"en": tuple(words[j] for j in order[:2])})
-        res = scale_alignment(scale, "en",
-                              EmbeddingMatrix(tuple(words), vectors),
-                              Lexicon("en", tuple(lexemes)), table,
-                              n_words=60, n_shuffles=200, null_points=200,
-                              seed=1)
+        vocab = EmbeddingMatrix(tuple(words), vectors)
+        res = scale_alignment(
+            scale, "en", vocab, table,
+            pool_candidates(vocab, Lexicon("en", tuple(lexemes)), table),
+            n_words=60, n_shuffles=200, null_points=200, seed=1)
         assert res.rho > 0.9
         assert res.p_value == 1 / 201
 
@@ -231,16 +232,18 @@ class TestScaleAlignment:
         words, lexicon, vectors = small_language
         scale = ScaleConfig("demo", ("p",), ("t",),
                             {"en": ("nosuchword",)}, {"en": (words[0],)})
+        vocab = EmbeddingMatrix(tuple(words), vectors)
         with pytest.raises(InputError, match="nosuchword"):
-            scale_alignment(scale, "en", EmbeddingMatrix(tuple(words), vectors),
-                            lexicon, feature_table)
+            scale_alignment(scale, "en", vocab, feature_table,
+                            pool_candidates(vocab, lexicon, feature_table))
 
     def test_missing_language(self, small_language, feature_table):
         words, lexicon, vectors = small_language
         scale = make_scale(words, list(feature_table.vectors))
+        vocab = EmbeddingMatrix(tuple(words), vectors)
         with pytest.raises(InputError, match="'fi'"):
-            scale_alignment(scale, "fi", EmbeddingMatrix(tuple(words), vectors),
-                            lexicon, feature_table)
+            scale_alignment(scale, "fi", vocab, feature_table,
+                            pool_candidates(vocab, lexicon, feature_table))
 
 
 def test_run_subspace_pools_once_per_language(planted_dir, tmp_path, monkeypatch):
@@ -265,14 +268,13 @@ def test_run_subspace_pools_once_per_language(planted_dir, tmp_path, monkeypatch
                 "subspace_pool": 50})
 
     calls = []
-    original = subspace._pool_candidates
+    original = subspace.pool_candidates
 
     def counting(vocabulary, lexicon, table):
         calls.append(lexicon.language)
         return original(vocabulary, lexicon, table)
 
-    monkeypatch.setattr(pipeline, "_pool_candidates", counting)
-    monkeypatch.setattr(subspace, "_pool_candidates", counting)
+    monkeypatch.setattr(pipeline, "pool_candidates", counting)
     pipeline.run_subspace(config)
     assert calls == list(languages)
     payload = json.loads((tmp_path / "out" / "subspace.json").read_text(encoding="utf-8"))
