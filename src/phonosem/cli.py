@@ -139,8 +139,7 @@ def embed(config_path):
         out = Path(config.output_dir) / lang
         out.mkdir(parents=True, exist_ok=True)
         for name, matrix in (("phonetic", phon), ("semantic", sem)):
-            sim, _ = cosine_similarity_matrix(matrix)
-            sim.save_binary(out / f"sim_{name}.bin")
+            cosine_similarity_matrix(matrix).save_binary(out / f"sim_{name}.bin")
         click.echo(f"{lang}: exported similarity matrices for "
                    f"{phon.n_items} morphemes to {out}")
 

@@ -22,6 +22,7 @@ import json
 import logging
 import math
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -40,11 +41,19 @@ def _nfc(s: str) -> str:
     return unicodedata.normalize("NFC", s)
 
 
-def _open_input(path: Path):
+@contextmanager
+def _open_input(path: str | Path, mode: str = "r"):
+    """An input file open for reading; a missing or unreadable file, or
+    text that is not UTF-8, is an InputError that names the file."""
     try:
-        return path.open(encoding="utf-8")
+        fh = open(path, mode, encoding=None if "b" in mode else "utf-8")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not UTF-8 text") from None
 
 
 @dataclass(frozen=True)
@@ -187,7 +196,6 @@ class ScaleConfig:
 def load_lexicon(path: str | Path, language: str) -> Lexicon:
     """Load a TSV lexicon, dedupe by word (highest zipf wins), sort by
     descending zipf with lexicographic tie-break."""
-    path = Path(path)
     best: dict[str, Lexeme] = {}
     with _open_input(path) as fh:
         header = fh.readline()
@@ -245,7 +253,6 @@ def top_n(lexicon: Lexicon, n: int) -> Lexicon:
 # Segment feature table
 
 def load_feature_table(path: str | Path) -> SegmentFeatureTable:
-    path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     with _open_input(path) as fh:
         header = _nfc(fh.readline()).rstrip("\n").split("\t")
@@ -308,7 +315,6 @@ def load_semantic_embeddings(
     first occurrence) and the sorted list of vocabulary items not found in
     the file.
     """
-    path = Path(path)
     wanted = {_nfc(w) for w in vocabulary}
     ids: list[str] = []
     seen: set[str] = set()
@@ -350,10 +356,15 @@ def load_semantic_embeddings(
                 rows.append(vec)
     if not ids:
         raise InputError(f"{path}: no vocabulary items matched")
+    vectors = np.vstack(rows)
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        token = ids[int(np.argmin(finite))]
+        raise ParseError(f"{path}: non-finite vector value for {token!r}")
     missing = sorted(wanted - seen)
     if missing:
         log.info("%s: %d vocabulary items missing", path, len(missing))
-    return EmbeddingMatrix(ids=tuple(ids), vectors=np.vstack(rows)), missing
+    return EmbeddingMatrix(ids=tuple(ids), vectors=vectors), missing
 
 
 def save_semantic_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
@@ -367,10 +378,16 @@ def save_semantic_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # Scale configs
 
-def _load_scales_obj(obj: dict) -> list[ScaleConfig]:
-    scales = []
-    for name, entry in obj["scales"].items():
-        scales.append(ScaleConfig(
+def load_scale_configs(path: str | Path | None = None) -> list[ScaleConfig]:
+    """Load scale definitions; with no path, the shipped defaults."""
+    source = path or "shipped scales.json"
+    if path is None:
+        text = resources.files("phonosem.data").joinpath("scales.json").read_text("utf-8")
+    else:
+        with _open_input(path) as fh:
+            text = fh.read()
+    try:
+        return [ScaleConfig(
             name=name,
             phonetic_pos=tuple(_nfc(s) for s in entry["phonetic"]["pos"]),
             phonetic_neg=tuple(_nfc(s) for s in entry["phonetic"]["neg"]),
@@ -378,19 +395,11 @@ def _load_scales_obj(obj: dict) -> list[ScaleConfig]:
                           for lang, d in entry["semantic"].items()},
             semantic_neg={lang: tuple(_nfc(w) for w in d["neg"])
                           for lang, d in entry["semantic"].items()},
-        ))
-    return scales
-
-
-def load_scale_configs(path: str | Path | None = None) -> list[ScaleConfig]:
-    """Load scale definitions; with no path, the shipped defaults."""
-    if path is None:
-        text = resources.files("phonosem.data").joinpath("scales.json").read_text("utf-8")
-    else:
-        with _open_input(Path(path)) as fh:
-            text = fh.read()
-    try:
-        obj = json.loads(text)
+        ) for name, entry in json.loads(text)["scales"].items()]
     except json.JSONDecodeError as exc:
-        raise ParseError(f"scale config: {exc}") from None
-    return _load_scales_obj(obj)
+        raise ParseError(f"scale config: {source}: {exc}") from None
+    except KeyError as exc:
+        raise ParseError(f"scale config: {source}: missing key {exc}") from None
+    except (AttributeError, TypeError):
+        raise ParseError(f"scale config: {source}: \"scales\" must map each scale to "
+                         "phonetic and per-language semantic pos/neg lists") from None

@@ -182,20 +182,16 @@ class SimilarityMatrix:
             "\n".join(self.ids) + "\n", encoding="utf-8")
 
 
-def cosine_similarity_matrix(
-    matrix: EmbeddingMatrix,
-) -> tuple[SimilarityMatrix, list[str]]:
-    """Pairwise cosine similarity; zero-norm rows are excluded and reported."""
+def cosine_similarity_matrix(matrix: EmbeddingMatrix) -> SimilarityMatrix:
+    """Pairwise cosine similarity; a zero-norm row is an AnalysisError,
+    since its cosine is undefined."""
     norms = np.linalg.norm(matrix.vectors, axis=1)
-    bad = norms <= 0.0
-    excluded = [matrix.ids[i] for i in np.flatnonzero(bad)]
-    if excluded:
-        log.warning("cosine similarity: excluding %d zero-norm items", len(excluded))
-        matrix = matrix.subset(list(np.flatnonzero(~bad)))
-        norms = norms[~bad]
+    if not norms.all():
+        item = matrix.ids[int(np.argmin(norms))]
+        raise AnalysisError(f"cosine similarity: {item!r} has a zero-norm vector")
     unit = matrix.vectors / norms[:, None]
     values = unit @ unit.T
     np.clip(values, -1.0, 1.0, out=values)
     values = (values + values.T) / 2.0
     np.fill_diagonal(values, 1.0)
-    return SimilarityMatrix(ids=matrix.ids, values=values), excluded
+    return SimilarityMatrix(ids=matrix.ids, values=values)

@@ -17,12 +17,13 @@ import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from . import __version__
-from .corpus import (EmbeddingMatrix, Lexicon, MorphemeSet, load_feature_table,
-                     load_lexicon, load_scale_configs,
+from .corpus import (EmbeddingMatrix, Lexicon, MorphemeSet, _open_input,
+                     load_feature_table, load_lexicon, load_scale_configs,
                      load_semantic_embeddings)
 from .cca import (CcaModel, build_pole_report, canonical_rank_correlations,
                   fit_cca, pole_candidates)
@@ -35,43 +36,30 @@ from .subspace import pool_candidates, scale_alignment
 
 log = logging.getLogger(__name__)
 
-DEFAULT_PARAMS = {
-    "k": 10,
-    "bins": 20,
-    "n_components": 5,
-    "shuffles": 1000,
-    "null_points": 500,
-    "subspace_shuffles": 5000,
-    "subspace_null_points": 5000,
-    "percentile": 75.0,
-    "threshold": 0.05,
-    "zipf_cutoff": 4.5,
-    "top_words": 5000,
-    "subspace_pool": 10000,
-    "cca_ridge": 1e-8,
+# name -> (default, lowest, highest); None leaves that side open. A value
+# must have its default's type, except that an int may stand for a float.
+PARAMS = {
+    "k": (10, 1, None),
+    "bins": (20, 2, None),
+    "n_components": (5, 1, None),
+    "shuffles": (1000, 1, None),
+    "null_points": (500, 1, None),
+    "subspace_shuffles": (5000, 1, None),
+    "subspace_null_points": (5000, 1, None),
+    "percentile": (75.0, 0.0, 100.0),
+    "threshold": (0.05, 0.0, 1.0),
+    "zipf_cutoff": (4.5, None, None),
+    "top_words": (5000, 0, None),
+    "subspace_pool": (10000, 1, None),
+    "cca_ridge": (1e-8, 0.0, None),
     # must be True; kept since every payload's params and config_hash hold it
-    "cca_refit": True,
-    "perplexity_threshold": PERPLEXITY_THRESHOLD,
-    "scatter": False,
+    "cca_refit": (True, None, None),
+    "perplexity_threshold": (PERPLEXITY_THRESHOLD, 1.0, None),
+    "scatter": (False, None, None),
 }
+DEFAULT_PARAMS = {name: default for name, (default, _, _) in PARAMS.items()}
 
 ANALYSES = ("rsa", "mi", "knn", "cca", "subspace")
-
-_PARAM_BOUNDS = {
-    "k": (1, None),
-    "bins": (2, None),
-    "n_components": (1, None),
-    "shuffles": (1, None),
-    "null_points": (1, None),
-    "subspace_shuffles": (1, None),
-    "subspace_null_points": (1, None),
-    "percentile": (0.0, 100.0),
-    "threshold": (0.0, 1.0),
-    "top_words": (0, None),
-    "subspace_pool": (1, None),
-    "cca_ridge": (0.0, None),
-    "perplexity_threshold": (1.0, None),
-}
 
 
 @dataclass(frozen=True)
@@ -92,10 +80,14 @@ class RunConfig:
         merged = dict(DEFAULT_PARAMS)
         merged.update(self.params)
         object.__setattr__(self, "params", merged)
-        for name, (lo, hi) in _PARAM_BOUNDS.items():
-            v = merged[name]
+        for name, (default, lo, hi) in PARAMS.items():
+            v, kind = merged[name], type(default)
+            if type(v) is not kind and not (kind is float and type(v) is int):
+                raise InputError(f"parameter {name}={v!r}: expected {kind.__name__}")
             if (lo is not None and v < lo) or (hi is not None and v > hi):
                 raise InputError(f"parameter {name}={v} outside documented bounds")
+        if type(self.seed) is not int:
+            raise InputError(f"seed={self.seed!r}: expected int")
         if merged["cca_refit"] is not True:
             raise InputError("cca_refit=false, the scores-only CCA null, was "
                              "removed; every CCA null refits the CCA")
@@ -110,7 +102,8 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
         try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+            with _open_input(path) as fh:
+                obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: not valid JSON ({exc})") from None
         if not isinstance(obj, dict):
@@ -121,8 +114,7 @@ class RunConfig:
             raise InputError(f"{path}: missing required key(s): {', '.join(missing)}")
         obj.update({k: v for k, v in overrides.items() if v is not None})
         _reject_unknown("config", obj, [f.name for f in dataclasses.fields(cls)])
-        return cls(**{**obj, "languages": tuple(obj["languages"]),
-                      "seed": int(obj.get("seed", 0))})
+        return cls(**{**obj, "languages": tuple(obj["languages"])})
 
     def to_obj(self) -> dict:
         return {**dataclasses.asdict(self), "languages": list(self.languages)}
@@ -153,7 +145,7 @@ def _dump_json(obj, path: Path) -> None:
 
 def _file_digest(path: str | Path) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
+    with _open_input(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
@@ -164,11 +156,9 @@ def _language_inputs(config: RunConfig, language: str) -> dict[str, str]:
     return {"feature_table": config.feature_table, **config.inputs[language]}
 
 
-def _input_digests(config: RunConfig) -> dict[str, str]:
-    """Path -> SHA-256 of every input file, each file read once."""
-    paths = dict.fromkeys(path for lang in config.languages
-                          for path in _language_inputs(config, lang).values())
-    return {path: _file_digest(path) for path in paths}
+def _input_digests(paths: Iterable[str]) -> dict[str, str]:
+    """Path -> SHA-256 of each input file, each file read once."""
+    return {path: _file_digest(path) for path in dict.fromkeys(paths)}
 
 
 def write_manifest(config: RunConfig, written: dict, digests: dict) -> Path:
@@ -194,10 +184,7 @@ def analysed_morphemes(config: RunConfig, language: str) -> MorphemeSet:
     """The analysed morphemes: the segmentation cache after the
     perplexity filter, deduplicated into (form, transcription) pairs."""
     segs = read_segmentation_cache(config.inputs[language]["segmentations"])
-    if all(s.perplexity is not None for s in segs):
-        segs, _ = perplexity_filter(segs, config.params["perplexity_threshold"])
-    else:
-        log.warning("%s: segmentations lack perplexities; filter skipped", language)
+    segs, _ = perplexity_filter(segs, config.params["perplexity_threshold"])
     return dedupe_into_morpheme_set(segs, language)
 
 
@@ -250,15 +237,16 @@ def run_global(config: RunConfig) -> dict[str, Path]:
     """Per-language global alignment grid (RSA, MI, kNN, CCA CV1-CV5),
     and the run manifest."""
     p = config.params
-    digests = _input_digests(config)
+    digests = _input_digests(path for lang in config.languages
+                             for path in _language_inputs(config, lang).values())
     out_dir = Path(config.output_dir)
     written: dict[str, Path] = {}
     grid_rows = []
     for lang in config.languages:
         phon, sem, feature_names, n_total, skipped = load_language_spaces(config, lang)
         if any(config.analyses.get(a, True) for a in ("rsa", "mi", "knn")):
-            sim_phon, _ = cosine_similarity_matrix(phon)
-            sim_sem, _ = cosine_similarity_matrix(sem)
+            sim_phon = cosine_similarity_matrix(phon)
+            sim_sem = cosine_similarity_matrix(sem)
 
         results: dict[str, object] = {}
         if config.analyses.get("rsa", True):
@@ -364,6 +352,10 @@ def _load_cca_artifacts(lang_dir: Path, config_hash: str,
 def run_subspace(config: RunConfig) -> dict[str, Path]:
     """Languages x scales grid of projection rank correlations."""
     p = config.params
+    digests = _input_digests(filter(None, [
+        config.feature_table, config.scales,
+        *(config.inputs[lang][role] for lang in config.languages
+          for role in ("lexicon", "vectors"))]))
     out_dir = Path(config.output_dir)
     table = load_feature_table(config.feature_table)
     scales = load_scale_configs(config.scales)
@@ -403,7 +395,7 @@ def run_subspace(config: RunConfig) -> dict[str, Path]:
     md_path = out_dir / "subspace.md"
     md_path.write_text(render_subspace_grid(payload), encoding="utf-8")
     written["subspace:grid"] = md_path
-    write_manifest(config, written, _input_digests(config))
+    write_manifest(config, written, digests)
     return written
 
 
@@ -423,16 +415,17 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
             raise InputError(f"{lang}: no CCA results to interpret")
         model, phon, feature_names = _load_cca_artifacts(
             lang_dir, payload["config_hash"], _language_inputs(config, lang))
-        lexicon, vocab = load_vocabulary(config, lang)
 
         significant = [c for c, rec in enumerate(cca_records) if rec["p"] < 0.05]
+        reports = []
         if significant:
+            lexicon, vocab = load_vocabulary(config, lang)
             candidates = pole_candidates(vocab, lexicon, p["zipf_cutoff"])
-        reports = [build_pole_report(
-            model, c, phon, feature_names, candidates, k=p["k"],
-            percentile=p["percentile"], threshold=p["threshold"]).to_record()
-            for c in significant]
-        if not reports:
+            reports = [build_pole_report(
+                model, c, phon, feature_names, candidates, k=p["k"],
+                percentile=p["percentile"], threshold=p["threshold"]).to_record()
+                for c in significant]
+        else:
             log.info("%s: no significant components; empty pole report", lang)
         out = {
             "language": lang,

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Morpheme, MorphemeSet, _nfc
+from .corpus import Morpheme, MorphemeSet, _nfc, _open_input
 from .errors import InputError, ParseError, ProviderError
 
 log = logging.getLogger(__name__)
@@ -185,6 +185,7 @@ class HttpProvider:
             raise ProviderError("provider response lacks 'text'")
         logprobs = tuple(body["logprobs"]) if body.get("logprobs") else None
         if self.audit_path is not None:
+            self.audit_path.parent.mkdir(parents=True, exist_ok=True)
             with self.audit_path.open("a", encoding="utf-8") as fh:
                 fh.write(json.dumps({"request": payload, "response": body},
                                     ensure_ascii=False) + "\n")
@@ -201,7 +202,7 @@ class ReplayProvider:
     def __init__(self, path: str | Path):
         self.name = "replay"
         self._by_user: dict[str, ProviderResponse] = {}
-        with Path(path).open(encoding="utf-8") as fh:
+        with _open_input(path) as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
@@ -359,6 +360,7 @@ def segment_words(
         _cut_partial_line(cache_path)
         done = {seg.word: seg for seg in read_segmentation_cache(cache_path)}
     out: list[Segmentation] = []
+    cache_path.parent.mkdir(parents=True, exist_ok=True)
     with cache_path.open("a", encoding="utf-8") as fh:
         for word, lemma, ipa in words:
             if word in done:
@@ -392,7 +394,7 @@ def read_segmentation_cache(path: str | Path) -> list[Segmentation]:
     malformed line is a ParseError.
     """
     segs = []
-    with Path(path).open("rb") as fh:
+    with _open_input(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

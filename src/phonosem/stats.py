@@ -255,8 +255,7 @@ def _check_k(n: int, k: int) -> None:
 
 def knn_overlap_value(sim_a: SimilarityMatrix, sim_b: SimilarityMatrix, k: int = 10) -> float:
     """Mean proportion of shared k-nearest neighbors across items."""
-    if sim_a.ids != sim_b.ids:
-        raise AnalysisError("kNN overlap: item ids differ between spaces")
+    _check_same_items(sim_a, sim_b)
     _check_k(sim_a.n_items, k)
     return _mean_overlap(_top_k(sim_a.values, k)[0],
                          _top_k(sim_b.values, k)[0], k)

@@ -31,7 +31,6 @@ log = logging.getLogger(__name__)
 class CentroidLine:
     origin: np.ndarray      # negative-pole centroid
     direction: np.ndarray   # positive centroid - negative centroid
-    space: str              # "phonetic" or "semantic"
     midpoint: np.ndarray    # (positive centroid + negative centroid) / 2
 
     def __post_init__(self):
@@ -39,9 +38,7 @@ class CentroidLine:
             raise AnalysisError("coincident centroids; line direction is zero")
 
 
-def build_line(
-    pos_exemplars: np.ndarray, neg_exemplars: np.ndarray, space: str = "semantic"
-) -> CentroidLine:
+def build_line(pos_exemplars: np.ndarray, neg_exemplars: np.ndarray) -> CentroidLine:
     """Line through the centroids of the two opposing exemplar sets."""
     pos = np.atleast_2d(np.asarray(pos_exemplars, dtype=np.float64))
     neg = np.atleast_2d(np.asarray(neg_exemplars, dtype=np.float64))
@@ -53,7 +50,7 @@ def build_line(
     # symmetric under a pole swap, which makes swap antisymmetry of the
     # projection coordinates exact in floating point
     return CentroidLine(origin=origin, direction=pos_centroid - origin,
-                        space=space, midpoint=(pos_centroid + origin) / 2.0)
+                        midpoint=(pos_centroid + origin) / 2.0)
 
 
 def project(points: np.ndarray, line: CentroidLine) -> np.ndarray:
@@ -211,7 +208,6 @@ def scale_alignment(
     sem_line = build_line(
         _exemplar_vectors(scale.semantic_pos[language], vocabulary, scale.name, language),
         _exemplar_vectors(scale.semantic_neg[language], vocabulary, scale.name, language),
-        space="semantic",
     )
 
     if candidates.words.n_items < 3:
@@ -226,8 +222,7 @@ def scale_alignment(
 
     pos_seg = _segment_vectors(scale.phonetic_pos, table, scale.name)[:, kept]
     neg_seg = _segment_vectors(scale.phonetic_neg, table, scale.name)[:, kept]
-    phon_line = build_line((pos_seg - mean) / std, (neg_seg - mean) / std,
-                           space="phonetic")
+    phon_line = build_line((pos_seg - mean) / std, (neg_seg - mean) / std)
 
     sem_coords = project(candidates.words.vectors[rows], sem_line)
     phon_coords = project(phon_std, phon_line)

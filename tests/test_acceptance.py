@@ -140,9 +140,9 @@ def test_03_knn_overlap_oracle_equivalence(capsys):
     ids = tuple(f"i{j}" for j in range(30))
     ok = True
     for _ in range(100):
-        a, _ = cosine_similarity_matrix(
+        a = cosine_similarity_matrix(
             EmbeddingMatrix(ids, rng.normal(size=(30, 6))))
-        b, _ = cosine_similarity_matrix(
+        b = cosine_similarity_matrix(
             EmbeddingMatrix(ids, rng.normal(size=(30, 6))))
         got = knn_overlap_value(a, b, k=4)
         ok = ok and got == pytest.approx(oracle_knn(a.values, b.values, 4),
@@ -186,9 +186,9 @@ def test_05_permutation_calibration(capsys):
     ids = tuple(f"i{j}" for j in range(12))
 
     def sims(rng):
-        a, _ = cosine_similarity_matrix(
+        a = cosine_similarity_matrix(
             EmbeddingMatrix(ids, rng.normal(size=(12, 5))))
-        b, _ = cosine_similarity_matrix(
+        b = cosine_similarity_matrix(
             EmbeddingMatrix(ids, rng.normal(size=(12, 5))))
         return a, b
 

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 import phonosem
 from phonosem.cli import main
 from phonosem.corpus import load_lexicon
-from phonosem.pipeline import DEFAULT_PARAMS
+from phonosem.pipeline import PARAMS
 from phonosem.synth import make_planted_language
 
 
@@ -77,6 +77,49 @@ def language_config(tmp_path, params):
     return path, paths
 
 
+def scaled_language_config(tmp_path, params):
+    """``language_config`` with a one-scale file over the language's own
+    words; the scales file is returned among the paths."""
+    path, paths = language_config(tmp_path, params)
+    words = load_lexicon(paths["lexicon"], "syn").words()
+    scales = tmp_path / "scales.json"
+    scales.write_text(json.dumps({"scales": {"sonority_demo": {
+        "phonetic": {"pos": ["m", "n", "l"], "neg": ["p", "t", "k"]},
+        "semantic": {"syn": {"pos": words[:2], "neg": words[2:4]}}}}}),
+        encoding="utf-8")
+    cfg = json.loads(path.read_text("utf-8"))
+    path.write_text(json.dumps({**cfg, "scales": str(scales)}), encoding="utf-8")
+    return path, {**paths, "scales": scales}
+
+
+SMALL_RUN = {"shuffles": 5, "null_points": 5, "n_components": 2,
+             "subspace_shuffles": 5, "subspace_null_points": 5,
+             "subspace_pool": 50}
+
+
+@pytest.mark.parametrize("command,role", [
+    *(("ingest", r) for r in ("feature_table", "lexicon", "vectors", "scales")),
+    ("verify", "segmentations"),
+    *(("embed", r) for r in ("feature_table", "vectors", "segmentations")),
+    *(("analyze-global", r)
+      for r in ("feature_table", "lexicon", "vectors", "segmentations")),
+    *(("analyze-subspace", r)
+      for r in ("feature_table", "lexicon", "vectors", "scales")),
+    *(("interpret", r)
+      for r in ("feature_table", "lexicon", "vectors", "segmentations")),
+])
+def test_missing_input_file_is_exit_one(tmp_path, command, role):
+    path, paths = scaled_language_config(tmp_path, SMALL_RUN)
+    if command == "interpret":
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+    paths[role].unlink()
+    result = invoke(command, "--config", path)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"input error: {paths[role]}: " in result.output
+
+
 class TestIngest:
     def test_summary(self, workspace):
         _, config_path, _ = workspace
@@ -85,17 +128,6 @@ class TestIngest:
         assert "syn: 400 lexemes" in result.output
         assert "sonority_demo" in result.output
 
-    def test_missing_input_file_is_exit_one(self, workspace, tmp_path):
-        ws, _, config = workspace
-        broken = dict(config)
-        broken["inputs"] = {"syn": {**config["inputs"]["syn"],
-                                    "lexicon": str(tmp_path / "missing.tsv")}}
-        path = tmp_path / "broken.json"
-        path.write_text(json.dumps(broken), encoding="utf-8")
-        result = invoke("ingest", "--config", path)
-        assert result.exit_code == 1
-        assert "input error" in result.output
-
     def test_bad_params_exit_one(self, workspace, tmp_path):
         _, _, config = workspace
         broken = {**config, "params": {**config["params"], "null_points": 999}}
@@ -103,6 +135,33 @@ class TestIngest:
         path.write_text(json.dumps(broken), encoding="utf-8")
         result = invoke("ingest", "--config", path)
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("entry", [
+        {"params": {"k": "10"}}, {"params": {"k": True}},
+        {"params": {"shuffles": 2.5}}, {"params": {"scatter": "no"}},
+        {"seed": "x"}, {"seed": 1.7}, {"seed": True}],
+        ids=["k-str", "k-bool", "shuffles-float", "scatter-str",
+             "seed-str", "seed-float", "seed-bool"])
+    def test_value_of_the_wrong_type_is_exit_one(self, workspace, tmp_path,
+                                                 entry):
+        _, _, config = workspace
+        broken = {**config, **entry,
+                  "params": {**config["params"], **entry.get("params", {})}}
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        result = invoke("ingest", "--config", path)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "expected" in result.output
+
+    def test_int_is_accepted_for_a_float_param(self, workspace, tmp_path):
+        _, _, config = workspace
+        path = tmp_path / "int.json"
+        path.write_text(json.dumps(
+            {**config, "params": {**config["params"], "percentile": 75}}),
+            encoding="utf-8")
+        result = invoke("ingest", "--config", path)
+        assert result.exit_code == 0, result.output
 
     def test_scores_only_cca_null_is_exit_one(self, workspace, tmp_path):
         _, _, config = workspace
@@ -197,6 +256,24 @@ class TestSegmentAndVerify:
         sheet = (tmp_path / "out" / "syn" / "verification.tsv").read_text("utf-8")
         forms = [line.split("\t")[0] for line in sheet.splitlines()[1:]]
         assert sorted(forms) == ["calm", "plain"]
+
+    def test_cache_with_a_record_without_perplexity_is_exit_one(
+            self, workspace, tmp_path):
+        _, _, config = workspace
+        segs = tmp_path / "segs.jsonl"
+        segs.write_text("".join(json.dumps({
+            "word": w, "ipa": w, "pairs": [[w, w]], "perplexity": ppl,
+            "provider": "replay", "timestamp": 0.0}) + "\n"
+            for w, ppl in [("kam", 1.1), ("plen", None)]), encoding="utf-8")
+        cfg = {**config,
+               "inputs": {"syn": {**config["inputs"]["syn"],
+                                  "segmentations": str(segs)}},
+               "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        result = invoke("verify", "--config", path)
+        assert result.exit_code == 1
+        assert "input error: segmentation of 'plen' lacks a perplexity" in result.output
 
 
 class TestAnalyze:
@@ -331,6 +408,32 @@ class TestAnalyze:
         assert stamp == {role: manifest["input_digests"][str(p)]
                          for role, p in paths.items()}
 
+    def test_subspace_reads_and_hashes_no_segmentation_cache(self, tmp_path):
+        path, paths = scaled_language_config(tmp_path, SMALL_RUN)
+        paths["segmentations"].unlink()
+        result = invoke("analyze-subspace", "--config", path)
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text("utf-8"))
+        assert sorted(manifest["input_digests"]) == sorted(
+            str(paths[role]) for role in
+            ("feature_table", "lexicon", "vectors", "scales"))
+
+    def test_interpret_reads_no_vectors_without_a_significant_variate(
+            self, tmp_path, monkeypatch):
+        # 10 null points put every p-value at 1/11 or above
+        path, _ = language_config(
+            tmp_path, {"shuffles": 10, "null_points": 10, "n_components": 2})
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("vectors loaded with no significant variate")
+        monkeypatch.setattr("phonosem.pipeline.load_semantic_embeddings", refuse)
+        result = invoke("interpret", "--config", path)
+        assert result.exit_code == 0, result.output
+        poles = json.loads((tmp_path / "out" / "syn" / "poles.json").read_text("utf-8"))
+        assert poles["components"] == []
+
     def test_interpret_before_global_is_exit_one(self, workspace, tmp_path):
         _, _, config = workspace
         cfg = {**config, "output_dir": str(tmp_path / "empty")}
@@ -422,6 +525,11 @@ def test_runtime_imports_no_test_only_package(tmp_path):
 def test_readme_parameter_table_lists_every_param():
     readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
     section = readme.split("\n## Parameters\n", 1)[1].split("\n## ", 1)[0]
-    keys = [line.split("`")[1] for line in section.splitlines()
-            if line.startswith("| `")]
-    assert sorted(keys) == sorted(DEFAULT_PARAMS)
+    rows = {cells[0].strip("`"): cells[1:3] for cells in (
+        [c.strip() for c in line.split("|")[1:-1]]
+        for line in section.splitlines() if line.startswith("| `"))}
+    assert sorted(rows) == sorted(PARAMS)
+    for key, (default, _, _) in PARAMS.items():
+        documented, kind = json.loads(rows[key][0]), rows[key][1]
+        assert (documented, type(documented)) == (default, type(default)), key
+        assert kind == type(default).__name__, key

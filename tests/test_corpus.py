@@ -1,5 +1,6 @@
 """Loaders, data model invariants, and round-trips."""
 
+import json
 import unicodedata
 
 import numpy as np
@@ -36,6 +37,13 @@ class TestLoadLexicon:
         path = tmp_path / "lex.tsv"
         write_lexicon(path, [("a", "a", "high", "a")])
         with pytest.raises(ParseError, match=":2"):
+            load_lexicon(path, "en")
+
+    def test_text_that_is_not_utf8_names_file(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        write_lexicon(path, [("a", "a", 5.1, "a")])
+        path.write_bytes(path.read_bytes() + "caf\xe9\tcaf\xe9\t3.0\tkafe\n".encode("latin-1"))
+        with pytest.raises(ParseError, match=r"lex\.tsv: not UTF-8 text"):
             load_lexicon(path, "en")
 
     def test_bad_header(self, tmp_path):
@@ -171,6 +179,13 @@ class TestSemanticEmbeddings:
         matrix, _ = load_semantic_embeddings(path, {"x"})
         assert matrix.n_dims == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_token(self, tmp_path, value):
+        path = tmp_path / "v.vec"
+        self.write_vec(path, [("x", [1.0, 2.0]), ("y", [3.0, value])])
+        with pytest.raises(ParseError, match=r"v\.vec: non-finite vector value for 'y'"):
+            load_semantic_embeddings(path, {"x", "y"})
+
     def test_nothing_matched(self, tmp_path):
         path = tmp_path / "v.vec"
         self.write_vec(path, [("x", [1.0])])
@@ -222,6 +237,19 @@ class TestScaleConfig:
     def test_empty_exemplars_rejected(self):
         with pytest.raises(InputError, match="empty"):
             ScaleConfig("s", (), ("b",), {"en": ("big",)}, {"en": ("small",)})
+
+    @pytest.mark.parametrize("obj", [
+        {"scales": {"s": {"phonetic": {"pos": ["m"]},
+                          "semantic": {"en": {"pos": ["big"], "neg": ["small"]}}}}},
+        {"scales": []},
+        [{"scales": {}}],
+        {"scale": {}},
+    ])
+    def test_malformed_file_is_parse_error(self, tmp_path, obj):
+        path = tmp_path / "scales.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"scale config: {path}: "):
+            load_scale_configs(path)
 
     def test_shipped_defaults_load(self):
         scales = load_scale_configs()

@@ -132,38 +132,36 @@ class TestPostProcessing:
 class TestCosineSimilarity:
     def test_identical_rows(self):
         m = EmbeddingMatrix(("a", "b"), np.array([[1.0, 2.0], [1.0, 2.0]]))
-        sim, excluded = cosine_similarity_matrix(m)
-        assert excluded == []
+        sim = cosine_similarity_matrix(m)
         assert sim.values[0, 1] == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal_rows(self):
         m = EmbeddingMatrix(("a", "b"), np.array([[1.0, 0.0], [0.0, 1.0]]))
-        sim, _ = cosine_similarity_matrix(m)
+        sim = cosine_similarity_matrix(m)
         assert sim.values[0, 1] == 0.0
 
     def test_antipodal_rows(self):
         m = EmbeddingMatrix(("a", "b"), np.array([[1.0, 1.0], [-1.0, -1.0]]))
-        sim, _ = cosine_similarity_matrix(m)
+        sim = cosine_similarity_matrix(m)
         assert sim.values[0, 1] == pytest.approx(-1.0, abs=1e-15)
 
-    def test_zero_norm_rows_excluded(self):
+    def test_zero_norm_row_raises(self):
         m = EmbeddingMatrix(("a", "z", "b"),
                             np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]]))
-        sim, excluded = cosine_similarity_matrix(m)
-        assert excluded == ["z"]
-        assert sim.ids == ("a", "b")
+        with pytest.raises(AnalysisError, match="'z' has a zero-norm vector"):
+            cosine_similarity_matrix(m)
 
     def test_positive_row_scaling_invariance(self):
         rng = np.random.default_rng(4)
         vecs = rng.normal(size=(6, 4))
-        sim1, _ = cosine_similarity_matrix(EmbeddingMatrix(tuple("abcdef"), vecs))
+        sim1 = cosine_similarity_matrix(EmbeddingMatrix(tuple("abcdef"), vecs))
         scaled = vecs * rng.uniform(0.5, 3.0, size=(6, 1))
-        sim2, _ = cosine_similarity_matrix(EmbeddingMatrix(tuple("abcdef"), scaled))
+        sim2 = cosine_similarity_matrix(EmbeddingMatrix(tuple("abcdef"), scaled))
         assert np.allclose(sim1.values, sim2.values, atol=1e-12)
 
     def test_diagonal_and_symmetry(self):
         rng = np.random.default_rng(5)
-        sim, _ = cosine_similarity_matrix(
+        sim = cosine_similarity_matrix(
             EmbeddingMatrix(tuple("abcdefgh"), rng.normal(size=(8, 3))))
         assert np.array_equal(np.diag(sim.values), np.ones(8))
         assert np.array_equal(sim.values, sim.values.T)
@@ -175,7 +173,7 @@ class TestCosineSimilarity:
 
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
-        sim, _ = cosine_similarity_matrix(
+        sim = cosine_similarity_matrix(
             EmbeddingMatrix(tuple("abcd"), rng.normal(size=(4, 3))))
         path = tmp_path / "sim.bin"
         sim.save_binary(path)

@@ -8,7 +8,9 @@ import time
 import numpy as np
 import pytest
 import requests
+from click.testing import CliRunner
 
+from phonosem.cli import main
 from phonosem.corpus import MorphemeSet
 from phonosem.errors import InputError, ParseError, ProviderError
 from phonosem.segmentation import (HttpProvider, ReplayProvider, Segmentation,
@@ -381,6 +383,40 @@ class TestHttpProvider:
         assert resp.text == "(run,rʌn)"
         assert len(posts) == 3
         assert sleeps == [1.0, 2.0]
+
+    def test_audit_log_in_a_new_directory(self, monkeypatch, tmp_path):
+        self.serve(monkeypatch, [_FakeResponse(200, {"text": "(run,rʌn)"})])
+        audit = tmp_path / "new" / "audit.jsonl"
+        resp = HttpProvider("http://localhost:1/seg", "m",
+                            audit_path=audit).complete("sys", "user")
+        assert resp.text == "(run,rʌn)"
+        assert json.loads(audit.read_text("utf-8"))["response"] == {
+            "text": "(run,rʌn)"}
+
+    def test_segment_into_new_directories(self, monkeypatch, tmp_path):
+        # the first run of a project: neither results/ nor the cache's
+        # directory exists yet
+        words = [("run", "rʌn"), ("sit", "sɪt"), ("hop", "hɒp")]
+        self.serve(monkeypatch, [_FakeResponse(200, {
+            "text": f"({w},{ipa})", "logprobs": [-0.1]}) for w, ipa in words])
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("word\tlemma\tzipf\tipa\n" + "".join(
+            f"{w}\t{w}\t5.0\t{ipa}\n" for w, ipa in words), encoding="utf-8")
+        cache = tmp_path / "segs" / "en.jsonl"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "languages": ["en"], "feature_table": str(tmp_path / "features.tsv"),
+            "inputs": {"en": {"lexicon": str(lexicon),
+                              "vectors": str(tmp_path / "en.vec"),
+                              "segmentations": str(cache)}},
+            "output_dir": str(tmp_path / "results")}), encoding="utf-8")
+        result = CliRunner().invoke(main, [
+            "segment", "--config", str(config),
+            "--provider-url", "http://localhost:1/seg"])
+        assert result.exit_code == 0, result.output
+        assert len(read_segmentation_cache(cache)) == 3
+        audit = tmp_path / "results" / "provider_audit.jsonl"
+        assert len(audit.read_text("utf-8").splitlines()) == 3
 
 
 class _FailingProvider:

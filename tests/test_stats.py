@@ -175,7 +175,7 @@ class TestMutualInformation:
 def random_similarity(rng, n, dims=4):
     m = EmbeddingMatrix(tuple(f"i{j}" for j in range(n)),
                         rng.normal(size=(n, dims)))
-    sim, _ = cosine_similarity_matrix(m)
+    sim = cosine_similarity_matrix(m)
     return sim
 
 

@@ -58,7 +58,6 @@ class TestProject:
     def test_direction_scale_invariance(self):
         line = self.line
         doubled = CentroidLine(origin=line.origin, direction=2 * line.direction,
-                               space=line.space,
                                midpoint=line.origin + line.direction)
         # scaling direction moves the positive centroid; the coordinate of
         # a fixed physical point relative to each line still normalizes out
