@@ -28,10 +28,10 @@ from .corpus import (EmbeddingMatrix, Lexicon, MorphemeSet, _open_input,
 from .cca import (CcaModel, build_pole_report, canonical_rank_correlations,
                   fit_cca, pole_candidates)
 from .errors import AnalysisError, InputError
-from .phonetic import build_phonetic_embeddings, cosine_similarity_matrix
+from .phonetic import build_phonetic_embeddings
 from .segmentation import (PERPLEXITY_THRESHOLD, dedupe_into_morpheme_set,
                            perplexity_filter, read_segmentation_cache)
-from .stats import knn_overlap, mi_alignment, rsa, stars
+from .stats import knn_overlap, mi_alignment, prepare, rsa, stars
 from .subspace import pool_candidates, scale_alignment
 
 log = logging.getLogger(__name__)
@@ -244,26 +244,7 @@ def run_global(config: RunConfig) -> dict[str, Path]:
     grid_rows = []
     for lang in config.languages:
         phon, sem, feature_names, n_total, skipped = load_language_spaces(config, lang)
-        if any(config.analyses.get(a, True) for a in ("rsa", "mi", "knn")):
-            sim_phon = cosine_similarity_matrix(phon)
-            sim_sem = cosine_similarity_matrix(sem)
-
-        results: dict[str, object] = {}
-        if config.analyses.get("rsa", True):
-            results["rsa"] = rsa(
-                sim_phon, sim_sem, n_shuffles=p["shuffles"],
-                null_points=p["null_points"],
-                seed=derive_seed(config.seed, "rsa", lang)).to_record()
-        if config.analyses.get("mi", True):
-            results["mi"] = mi_alignment(
-                sim_phon, sim_sem, bins=p["bins"], n_shuffles=p["shuffles"],
-                null_points=p["null_points"],
-                seed=derive_seed(config.seed, "mi", lang)).to_record()
-        if config.analyses.get("knn", True):
-            results["knn"] = knn_overlap(
-                sim_phon, sim_sem, k=p["k"], n_shuffles=p["shuffles"],
-                null_points=p["null_points"],
-                seed=derive_seed(config.seed, "knn", lang)).to_record()
+        results = _similarity_results(config, lang, phon, sem)
         if config.analyses.get("cca", True):
             n_components = min(p["n_components"], phon.n_dims, sem.n_dims)
             model = fit_cca(phon, sem, n_components=n_components,
@@ -302,6 +283,37 @@ def run_global(config: RunConfig) -> dict[str, Path]:
     written["global:grid"] = md_path
     write_manifest(config, written, digests)
     return written
+
+
+def _similarity_results(config: RunConfig, lang: str, phon: EmbeddingMatrix,
+                        sem: EmbeddingMatrix) -> dict[str, object]:
+    """The RSA, MI and kNN records of one language, of those analyses
+    that are on. The two spaces are prepared one after the other, so
+    only one n x n similarity matrix exists at a time, and their
+    prepared content is freed on return."""
+    p = config.params
+    on = [a for a in ("rsa", "mi", "knn") if config.analyses.get(a, True)]
+    if not on:
+        return {}
+    space_phon = prepare(phon, on, bins=p["bins"], k=p["k"])
+    space_sem = prepare(sem, on, bins=p["bins"], k=p["k"])
+    results: dict[str, object] = {}
+    if "rsa" in on:
+        results["rsa"] = rsa(
+            space_phon, space_sem, n_shuffles=p["shuffles"],
+            null_points=p["null_points"],
+            seed=derive_seed(config.seed, "rsa", lang)).to_record()
+    if "mi" in on:
+        results["mi"] = mi_alignment(
+            space_phon, space_sem, bins=p["bins"], n_shuffles=p["shuffles"],
+            null_points=p["null_points"],
+            seed=derive_seed(config.seed, "mi", lang)).to_record()
+    if "knn" in on:
+        results["knn"] = knn_overlap(
+            space_phon, space_sem, k=p["k"], n_shuffles=p["shuffles"],
+            null_points=p["null_points"],
+            seed=derive_seed(config.seed, "knn", lang)).to_record()
+    return results
 
 
 def _save_cca_artifacts(lang_dir: Path, model: CcaModel, phon: EmbeddingMatrix,

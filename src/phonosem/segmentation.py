@@ -196,21 +196,25 @@ class ReplayProvider:
     """Serves recorded responses from a JSONL file, keyed by user text.
 
     Records: ``{"user": ..., "text": ..., "logprobs": [...]}``. The
-    default in tests, so the pipeline runs offline.
+    default in tests, so the pipeline runs offline. A line that is not
+    such a record is a ParseError naming the file and line.
     """
 
     def __init__(self, path: str | Path):
         self.name = "replay"
         self._by_user: dict[str, ProviderResponse] = {}
         with _open_input(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
-                lp = tuple(rec["logprobs"]) if rec.get("logprobs") else None
-                self._by_user[rec["user"]] = ProviderResponse(
-                    text=rec["text"], logprobs=lp)
+                try:
+                    rec = json.loads(line)
+                    lp = tuple(rec["logprobs"]) if rec.get("logprobs") else None
+                    self._by_user[rec["user"]] = ProviderResponse(
+                        text=rec["text"], logprobs=lp)
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise ParseError(f"{path}:{lineno}: {_record_error(exc)}") from None
 
     def complete(self, system: str, user: str) -> ProviderResponse:
         try:
@@ -247,10 +251,23 @@ class Segmentation:
             word=_nfc(rec["word"]),
             ipa=_nfc(rec["ipa"]),
             pairs=tuple((_nfc(m), _nfc(t)) for m, t in rec["pairs"]),
-            perplexity=rec.get("perplexity"),
+            perplexity=_perplexity(rec.get("perplexity")),
             provider=rec.get("provider", ""),
             timestamp=rec.get("timestamp", 0.0),
         )
+
+
+def _perplexity(value) -> float | None:
+    """A record's perplexity: a number, or None where it has none."""
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, (int, float))):
+        raise ValueError(f"perplexity {value!r} is not a number")
+    return value
+
+
+def _record_error(exc: Exception) -> str:
+    """What is wrong with a JSONL record, from the error reading it."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
 def response_perplexity(logprobs: Sequence[float]) -> float:
@@ -403,7 +420,7 @@ def read_segmentation_cache(path: str | Path) -> list[Segmentation]:
             # UnicodeDecodeError and json.JSONDecodeError are ValueErrors
             except (ValueError, KeyError) as exc:
                 if line.endswith(b"\n"):
-                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+                    raise ParseError(f"{path}:{lineno}: {_record_error(exc)}") from None
                 log.warning("%s:%d: dropped a partial last line (%s)",
                             path, lineno, exc)
     return segs

@@ -10,13 +10,14 @@ Each shuffle draws its permutation from an independent substream seeded
 by (seed, shuffle index), so results are identical regardless of
 evaluation order or parallelism.
 
-Whatever a permutation leaves unchanged is computed once per test: the
-pair ranks (RSA) and bin indices (MI) of the permuted space, stored as
-symmetric item-by-item matrices, each row's top-k neighbours (kNN), and
-the ranks of both coordinate vectors (subspace scales). Each shuffle is
-then a gather plus a reduction that gives the same bits as recomputing
-the statistic on the permuted matrix. This relies on the permuted
-similarity matrix being exactly symmetric, as
+Whatever a permutation leaves unchanged is computed once per space by
+:func:`prepare`: the pair midranks (RSA), the pair bin indices (MI) and
+each row's top-k neighbours (kNN); the scale test ranks both coordinate
+vectors once. The statistics then read only that prepared content: B's
+ranks and bins are spread into symmetric item-by-item matrices, and each
+shuffle is a gather plus a reduction that gives the same bits as
+recomputing the statistic on the permuted matrix. This relies on the
+permuted similarity matrix being exactly symmetric, as
 :func:`~phonosem.phonetic.cosine_similarity_matrix` makes it: a permuted
 pair vector then holds the same multiset of values.
 """
@@ -26,12 +27,13 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
+from .corpus import EmbeddingMatrix
 from .errors import AnalysisError
-from .phonetic import SimilarityMatrix
+from .phonetic import SimilarityMatrix, cosine_similarity_matrix
 
 log = logging.getLogger(__name__)
 
@@ -129,11 +131,15 @@ def _midranks(x: np.ndarray) -> np.ndarray:
 
 def _spearman_of_ranks(rx: np.ndarray, ry: np.ndarray) -> float:
     """Spearman's rho from two midrank vectors, clipped to [-1, 1]."""
-    if rx.size < 3:
-        raise AnalysisError(f"spearman_rho needs >= 3 points, got {rx.size}")
     center = _rank_center(rx.size)
-    rho = _rho_of_centered(rx - center, ry - center)
-    return float(min(1.0, max(-1.0, rho)))
+    return _spearman_of_centered(rx - center, ry - center)
+
+
+def _spearman_of_centered(cx: np.ndarray, cy: np.ndarray) -> float:
+    """Spearman's rho from two centred midrank vectors, clipped to [-1, 1]."""
+    if cx.size < 3:
+        raise AnalysisError(f"spearman_rho needs >= 3 points, got {cx.size}")
+    return float(min(1.0, max(-1.0, _rho_of_centered(cx, cy))))
 
 
 def _rank_center(n: int) -> float:
@@ -160,19 +166,20 @@ def mutual_information_value(
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    _check_mi_input(x, y, bins)
+    if x.shape != y.shape or x.ndim != 1:
+        raise AnalysisError("mutual information needs two 1-D vectors of equal length")
+    _check_mi_input(x, bins)
+    _check_mi_input(y, bins)
     codes = (_bin_index(x, _bin_edges(x, bins)) * bins
              + _bin_index(y, _bin_edges(y, bins)))
     return _mi_bits(np.bincount(codes, minlength=bins * bins), bins)
 
 
-def _check_mi_input(x: np.ndarray, y: np.ndarray, bins: int) -> None:
-    if x.shape != y.shape or x.ndim != 1:
-        raise AnalysisError("mutual information needs two 1-D vectors of equal length")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+def _check_mi_input(values: np.ndarray, bins: int) -> None:
+    if not np.all(np.isfinite(values)):
         raise AnalysisError("mutual information needs finite values")
-    if x.size < bins:
-        raise AnalysisError(f"need at least bins={bins} samples, got {x.size}")
+    if values.size < bins:
+        raise AnalysisError(f"need at least bins={bins} samples, got {values.size}")
 
 
 def _bin_edges(values: np.ndarray, bins: int) -> np.ndarray:
@@ -377,16 +384,99 @@ def _summarize(
 
 
 # ---------------------------------------------------------------------------
+# Prepared spaces
+
+@dataclass(frozen=True)
+class PreparedSpace:
+    """What the similarity statistics read of one space, computed once by
+    :func:`prepare`; an item permutation leaves all of it unchanged.
+
+    ``doubled_ranks`` (RSA) holds twice the midranks of the pair vector
+    (integers) in the smallest unsigned dtype that fits them;
+    ``bin_index`` (MI) holds each pair's bin among ``bins`` equal-width
+    bins; ``neighbours`` and ``ties`` (kNN) hold each row's top-``k``
+    items and the rows tied at the k-th, as :func:`_top_k` returns them.
+    Content that no analysis in ``analyses`` reads is None.
+    """
+
+    ids: tuple[str, ...]
+    analyses: frozenset[str]
+    bins: int
+    k: int
+    doubled_ranks: np.ndarray | None
+    bin_index: np.ndarray | None
+    neighbours: np.ndarray | None
+    ties: list | None
+
+    @property
+    def n_items(self) -> int:
+        return len(self.ids)
+
+
+def prepare(
+    space: EmbeddingMatrix | SimilarityMatrix,
+    analyses: Collection[str],
+    bins: int = 20,
+    k: int = 10,
+) -> PreparedSpace:
+    """The content that ``analyses`` (any of "rsa", "mi", "knn") read of
+    one similarity space, computed once.
+
+    An :class:`EmbeddingMatrix` gets its cosine similarity matrix built
+    here, and that n x n float64 matrix is freed as soon as the kNN lists
+    and the one pair vector are taken from it: the midranks and bin
+    indices are derived from the pair vector alone.
+    """
+    analyses = frozenset(analyses)
+    sim = (cosine_similarity_matrix(space) if isinstance(space, EmbeddingMatrix)
+           else space)
+    ids = sim.ids
+    pairs = neighbours = ties = None
+    if analyses & {"rsa", "mi"}:
+        pairs = sim.pair_vector()
+    if "mi" in analyses:
+        _check_mi_input(pairs, bins)
+    if "knn" in analyses:
+        _check_k(len(ids), k)
+        neighbours, ties = _top_k(sim.values, k)
+    del sim
+    bin_index = doubled_ranks = None
+    if "mi" in analyses:
+        bin_index = _bin_index(pairs, _bin_edges(pairs, bins)).astype(
+            np.min_scalar_type(bins - 1))
+    if "rsa" in analyses:
+        ranks = _midranks(pairs)
+        del pairs
+        ranks *= 2.0
+        doubled_ranks = ranks.astype(np.min_scalar_type(2 * ranks.size))
+    return PreparedSpace(ids=ids, analyses=analyses, bins=bins, k=k,
+                         doubled_ranks=doubled_ranks, bin_index=bin_index,
+                         neighbours=neighbours, ties=ties)
+
+
+def _prepared(space: SimilarityMatrix | PreparedSpace, analysis: str,
+              **params) -> PreparedSpace:
+    """``space`` prepared for ``analysis`` with ``params``: a similarity
+    matrix is prepared here, a prepared space must have been."""
+    if not isinstance(space, PreparedSpace):
+        return prepare(space, (analysis,), **params)
+    if analysis not in space.analyses or any(
+            getattr(space, name) != value for name, value in params.items()):
+        raise AnalysisError(f"space was not prepared for {analysis} with {params}")
+    return space
+
+
+# ---------------------------------------------------------------------------
 # Matrix-level alignment tests
 
-def _check_same_items(sim_a: SimilarityMatrix, sim_b: SimilarityMatrix) -> None:
+def _check_same_items(sim_a, sim_b) -> None:
     if sim_a.ids != sim_b.ids:
         raise AnalysisError("similarity matrices cover different item sets")
 
 
 def rsa(
-    sim_a: SimilarityMatrix,
-    sim_b: SimilarityMatrix,
+    sim_a: SimilarityMatrix | PreparedSpace,
+    sim_b: SimilarityMatrix | PreparedSpace,
     n_shuffles: int = 1000,
     null_points: int = 500,
     seed: int = 0,
@@ -394,40 +484,42 @@ def rsa(
     """Spearman correlation of the two pair vectors, permutation-tested.
 
     The midranks of a permuted pair vector are the permuted midranks, so
-    B's pair midranks are computed once and kept doubled (integers) in
-    a symmetric matrix; a shuffle gathers them in permuted pair order.
+    a shuffle gathers B's prepared doubled ranks, spread into a symmetric
+    matrix, in permuted pair order.
     """
     _check_same_items(sim_a, sim_b)
-    n = sim_a.n_items
-    rank_a = _midranks(sim_a.pair_vector())
-    rank_b = _midranks(sim_b.pair_vector())
-    observed = _spearman_of_ranks(rank_a, rank_b)
-    doubled_b = _symmetric(
-        (2.0 * rank_b).astype(np.min_scalar_type(2 * rank_b.size)), n)
-    del rank_b
-    # A's ranks are centred once, B's in place in one reused buffer
-    center = _rank_center(rank_a.size)
-    centered_a = rank_a - center
-    del rank_a
-    centered_b = np.empty_like(centered_a)
+    a, b = _prepared(sim_a, "rsa"), _prepared(sim_b, "rsa")
+    center = _rank_center(a.doubled_ranks.size)
+
+    def centered(out: np.ndarray, blocks) -> np.ndarray:
+        """Doubled ranks, given in pair order one block at a time, halved
+        and centred in ``out``."""
+        start = 0
+        for block in blocks:
+            out[start:start + block.size] = block
+            start += block.size
+        np.multiply(out, 0.5, out=out)
+        np.subtract(out, center, out=out)
+        return out
+
+    # A's ranks are centred once, B's in one reused buffer
+    centered_a = centered(np.empty(a.doubled_ranks.size), [a.doubled_ranks])
+    centered_b = centered(np.empty_like(centered_a), [b.doubled_ranks])
+    observed = _spearman_of_centered(centered_a, centered_b)
+    doubled_b = _symmetric(b.doubled_ranks, b.n_items)
 
     def stat(perm: np.ndarray) -> float:
-        start = 0
-        for pairs in _permuted_pairs(doubled_b, perm):
-            centered_b[start:start + pairs.size] = pairs
-            start += pairs.size
-        np.multiply(centered_b, 0.5, out=centered_b)
-        np.subtract(centered_b, center, out=centered_b)
-        return _rho_of_centered(centered_a, centered_b)
+        return _rho_of_centered(
+            centered_a, centered(centered_b, _permuted_pairs(doubled_b, perm)))
 
-    p, null = permutation_test(stat, observed, n, n_shuffles, null_points,
-                               seed, "greater")
+    p, null = permutation_test(stat, observed, a.n_items, n_shuffles,
+                               null_points, seed, "greater")
     return _summarize("rsa", observed, null, p, n_shuffles, seed, "greater")
 
 
 def mi_alignment(
-    sim_a: SimilarityMatrix,
-    sim_b: SimilarityMatrix,
+    sim_a: SimilarityMatrix | PreparedSpace,
+    sim_b: SimilarityMatrix | PreparedSpace,
     bins: int = 20,
     n_shuffles: int = 1000,
     null_points: int = 500,
@@ -436,21 +528,17 @@ def mi_alignment(
     """Binned MI between the two pair vectors with an item-identity null.
 
     Bin edges depend only on each pair vector's value set, so every
-    pair's bin is computed once (B's in a symmetric matrix); a shuffle
-    counts the gathered joint bins.
+    pair's bin is prepared once (B's spread into a symmetric matrix); a
+    shuffle counts the gathered joint bins.
     """
     _check_same_items(sim_a, sim_b)
-    n = sim_a.n_items
-    tri_a = sim_a.pair_vector()
-    tri_b = sim_b.pair_vector()
-    _check_mi_input(tri_a, tri_b, bins)
+    a = _prepared(sim_a, "mi", bins=bins)
+    b = _prepared(sim_b, "mi", bins=bins)
+    n = a.n_items
     cells = bins * bins
-    codes_a = (_bin_index(tri_a, _bin_edges(tri_a, bins)) * bins).astype(
-        np.min_scalar_type(cells - 1))
-    del tri_a
-    bins_b = _symmetric(_bin_index(tri_b, _bin_edges(tri_b, bins)).astype(
-        np.min_scalar_type(bins - 1)), n)
-    del tri_b
+    codes_a = a.bin_index.astype(np.min_scalar_type(cells - 1))
+    codes_a *= bins
+    bins_b = _symmetric(b.bin_index, n)
 
     def stat(perm: np.ndarray) -> float:
         counts = np.zeros(cells, dtype=np.intp)
@@ -470,8 +558,8 @@ def mi_alignment(
 
 
 def knn_overlap(
-    sim_a: SimilarityMatrix,
-    sim_b: SimilarityMatrix,
+    sim_a: SimilarityMatrix | PreparedSpace,
+    sim_b: SimilarityMatrix | PreparedSpace,
     k: int = 10,
     n_shuffles: int = 1000,
     null_points: int = 500,
@@ -479,15 +567,14 @@ def knn_overlap(
 ) -> AlignmentResult:
     """Mean k-nearest-neighbor overlap with an item-identity null.
 
-    Both spaces' top-k lists are computed once; a shuffle relabels B's
+    Both spaces' top-k lists are prepared once; a shuffle relabels B's
     lists and redoes the tie-break only on rows tied at the k-th
     neighbour, where it depends on the labels.
     """
     _check_same_items(sim_a, sim_b)
-    n = sim_a.n_items
-    _check_k(n, k)
-    na, _ = _top_k(sim_a.values, k)
-    nb, ties = _top_k(sim_b.values, k)
+    a, b = _prepared(sim_a, "knn", k=k), _prepared(sim_b, "knn", k=k)
+    n = a.n_items
+    na, nb, ties = a.neighbours, b.neighbours, b.ties
     observed = _mean_overlap(na, nb, k)
 
     def stat(perm: np.ndarray) -> float:

@@ -215,18 +215,40 @@ class TestSegmentAndVerify:
         assert result.exit_code == 1
         assert "provide --replay or --provider-url" in result.output
 
-    def test_replay_miss_is_exit_three(self, workspace, tmp_path):
-        ws, _, config = workspace
-        replay = tmp_path / "replay.jsonl"
-        replay.write_text("", encoding="utf-8")
+    @staticmethod
+    def segment_config(config, tmp_path):
         cfg = {**config, "languages": ["en"],
                "inputs": {"en": {**config["inputs"]["syn"],
                                  "segmentations": str(tmp_path / "cache.jsonl")}}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
+        return path
+
+    def test_replay_miss_is_exit_three(self, workspace, tmp_path):
+        ws, _, config = workspace
+        replay = tmp_path / "replay.jsonl"
+        replay.write_text("", encoding="utf-8")
+        path = self.segment_config(config, tmp_path)
         result = invoke("segment", "--config", path, "--replay", replay)
         assert result.exit_code == 3
         assert "provider error" in result.output
+
+    @pytest.mark.parametrize("line,message", [
+        ('{"user": "b" "text": "c"}', "Expecting ',' delimiter"),
+        ('{"user": "b", "logprobs": [-0.1]}', "missing key 'text'"),
+    ], ids=["missing-comma", "missing-text"])
+    def test_malformed_replay_line_is_exit_one(self, workspace, tmp_path,
+                                               line, message):
+        _, _, config = workspace
+        replay = tmp_path / "replay.jsonl"
+        replay.write_text(json.dumps({"user": "a", "text": "x"}) + "\n" + line
+                          + "\n", encoding="utf-8")
+        path = self.segment_config(config, tmp_path)
+        result = invoke("segment", "--config", path, "--replay", replay)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"input error: {replay}:2: " in result.output
+        assert message in result.output
 
     def test_verify_writes_sheet(self, workspace):
         ws, config_path, config = workspace
@@ -276,6 +298,30 @@ class TestSegmentAndVerify:
         assert "input error: segmentation of 'plen' lacks a perplexity" in result.output
 
 
+    @pytest.mark.parametrize("command", ["verify", "analyze-global"])
+    @pytest.mark.parametrize("perplexity", ["1.1", True, [1.1]],
+                             ids=["string", "bool", "list"])
+    def test_cache_with_a_perplexity_that_is_not_a_number_is_exit_one(
+            self, workspace, tmp_path, command, perplexity):
+        _, _, config = workspace
+        segs = tmp_path / "segs.jsonl"
+        segs.write_text("".join(json.dumps({
+            "word": w, "ipa": w, "pairs": [[w, w]], "perplexity": ppl,
+            "provider": "replay", "timestamp": 0.0}) + "\n"
+            for w, ppl in [("kam", 1.1), ("plen", perplexity)]), encoding="utf-8")
+        cfg = {**config,
+               "inputs": {"syn": {**config["inputs"]["syn"],
+                                  "segmentations": str(segs)}},
+               "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        result = invoke(command, "--config", path)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert (f"input error: {segs}:2: perplexity {perplexity!r} is not a number"
+                in result.output)
+
+
 class TestAnalyze:
     def test_global_writes_payloads(self, workspace):
         ws, config_path, _ = workspace
@@ -302,7 +348,7 @@ class TestAnalyze:
             if name == "cca":
                 def refuse(matrix):
                     raise AssertionError("similarity built for a CCA-only run")
-                monkeypatch.setattr("phonosem.pipeline.cosine_similarity_matrix",
+                monkeypatch.setattr("phonosem.stats.cosine_similarity_matrix",
                                     refuse)
             result = invoke("analyze-global", "--config", path)
             assert result.exit_code == 0, result.output

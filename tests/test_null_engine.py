@@ -17,9 +17,11 @@ from scipy.stats import rankdata
 
 from phonosem.cca import canonical_rank_correlations, fit_cca
 from phonosem.corpus import EmbeddingMatrix, ScaleConfig
+from phonosem.errors import AnalysisError
 from phonosem.phonetic import SimilarityMatrix, cosine_similarity_matrix
 from phonosem.stats import (_midranks, _summarize, knn_overlap, mi_alignment,
-                            permutation_test, rsa, shuffle_rng, spearman_rho)
+                            permutation_test, prepare, rsa, shuffle_rng,
+                            spearman_rho)
 from phonosem.subspace import pool_candidates, scale_alignment
 
 
@@ -202,6 +204,45 @@ def test_n_is_k_plus_one():
                            sim_a, sim_b, 5, 20, 20, 10)
     assert rsa(sim_a, sim_b, n_shuffles=20, null_points=20,
                seed=10).to_record() == oracle_rsa(sim_a, sim_b, 20, 20, 10)
+
+
+@pytest.mark.parametrize("case,bins,k", [("tied", 20, 4), ("grid", 4, 3)])
+def test_prepared_spaces_equal_matrices_and_oracles(case, bins, k):
+    sim_a, sim_b = PAIRS[case]()
+    a, b = (prepare(s, ("rsa", "mi", "knn"), bins=bins, k=k)
+            for s in (sim_a, sim_b))
+    for got, from_matrix, oracle in [
+        (rsa(a, b, 30, 20, 7), rsa(sim_a, sim_b, 30, 20, 7),
+         oracle_rsa(sim_a, sim_b, 30, 20, 7)),
+        (mi_alignment(a, b, bins, 30, 20, 8),
+         mi_alignment(sim_a, sim_b, bins, 30, 20, 8),
+         oracle_mi_alignment(sim_a, sim_b, bins, 30, 20, 8)),
+        (knn_overlap(a, b, k, 30, 20, 9), knn_overlap(sim_a, sim_b, k, 30, 20, 9),
+         oracle_knn_overlap(sim_a, sim_b, k, 30, 20, 9)),
+    ]:
+        assert got.to_record() == from_matrix.to_record() == oracle
+
+
+def test_prepare_for_knn_alone_ranks_and_bins_nothing(monkeypatch):
+    sim, _ = PAIRS["random"]()
+
+    def refuse(*args):
+        raise AssertionError("pair content computed for kNN alone")
+
+    monkeypatch.setattr("phonosem.stats._midranks", refuse)
+    monkeypatch.setattr(SimilarityMatrix, "pair_vector", refuse)
+    space = prepare(sim, ("knn",), k=6)
+    assert space.doubled_ranks is None and space.bin_index is None
+    assert space.neighbours.shape == (sim.n_items, 6)
+
+
+def test_space_prepared_otherwise_is_rejected():
+    sim_a, sim_b = PAIRS["random"]()
+    a, b = (prepare(s, ("mi",), bins=7) for s in (sim_a, sim_b))
+    with pytest.raises(AnalysisError, match="not prepared for mi"):
+        mi_alignment(a, b, bins=8, n_shuffles=5, null_points=5)
+    with pytest.raises(AnalysisError, match="not prepared for rsa"):
+        rsa(a, b, n_shuffles=5, null_points=5)
 
 
 def test_midranks_equal_scipy():
