@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import logging
 import sys
 from pathlib import Path
@@ -19,9 +18,9 @@ from .corpus import load_feature_table, load_lexicon, load_scale_configs, top_n
 from .errors import AnalysisError, InputError, ProviderError
 from .phonetic import cosine_similarity_matrix
 from .pipeline import (RunConfig, analysed_morphemes, load_language_spaces,
-                       load_vocabulary, render_global_grid, render_pole_tables,
-                       render_subspace_grid, run_global, run_interpret,
-                       run_subspace)
+                       load_vocabulary, read_json, render_global_grid,
+                       render_pole_tables, render_subspace_grid, run_global,
+                       run_interpret, run_subspace)
 from .segmentation import (HttpProvider, ReplayProvider, sample_for_verification,
                            dedupe_into_morpheme_set, segment_words,
                            write_verification_sheet)
@@ -81,16 +80,15 @@ def ingest(config_path):
 
 @main.command()
 @config_option
-@seed_option
 @click.option("--provider-url", default=None, help="HTTP provider endpoint.")
 @click.option("--provider-model", default="gpt-4.1", show_default=True)
 @click.option("--replay", "replay_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="Replay recorded responses from this JSONL file.")
 @_exit_codes
-def segment(config_path, seed, provider_url, provider_model, replay_path):
+def segment(config_path, provider_url, provider_model, replay_path):
     """Segment the top-frequency words of each language via the provider."""
-    config = RunConfig.from_file(config_path, seed=seed)
+    config = RunConfig.from_file(config_path)
     if replay_path:
         provider = ReplayProvider(replay_path)
     elif provider_url:
@@ -200,21 +198,21 @@ def report(config_path):
     for lang in config.languages:
         path = out / lang / "global.json"
         if path.exists():
-            payloads.append(json.loads(path.read_text(encoding="utf-8")))
+            payloads.append(read_json(path))
     if payloads:
         (out / "global.md").write_text(render_global_grid(payloads),
                                        encoding="utf-8")
         click.echo(f"rendered {out / 'global.md'}")
     sub = out / "subspace.json"
     if sub.exists():
-        payload = json.loads(sub.read_text(encoding="utf-8"))
+        payload = read_json(sub)
         (out / "subspace.md").write_text(render_subspace_grid(payload),
                                          encoding="utf-8")
         click.echo(f"rendered {out / 'subspace.md'}")
     for lang in config.languages:
         poles = out / lang / "poles.json"
         if poles.exists():
-            payload = json.loads(poles.read_text(encoding="utf-8"))
+            payload = read_json(poles)
             (out / lang / "poles.md").write_text(render_pole_tables(payload),
                                                  encoding="utf-8")
             click.echo(f"rendered {out / lang / 'poles.md'}")

@@ -101,11 +101,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
-        try:
-            with _open_input(path) as fh:
-                obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not valid JSON ({exc})") from None
+        obj = read_json(path)
         if not isinstance(obj, dict):
             raise InputError(f"{path}: top level must be a JSON object")
         missing = [k for k in ("languages", "feature_table", "inputs")
@@ -128,6 +124,16 @@ def _reject_unknown(what: str, obj: dict, known) -> None:
     unknown = sorted(set(obj) - set(known))
     if unknown:
         raise InputError(f"unknown {what} key(s): {', '.join(unknown)}")
+
+
+def read_json(path: str | Path):
+    """A JSON file a command reads: the configuration or a payload. A
+    file that is missing, unreadable or not JSON is an InputError naming it."""
+    try:
+        with _open_input(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: not valid JSON ({exc})") from None
 
 
 def derive_seed(master: int, analysis: str, language: str) -> int:
@@ -363,6 +369,9 @@ def _load_cca_artifacts(lang_dir: Path, config_hash: str,
 
 def run_subspace(config: RunConfig) -> dict[str, Path]:
     """Languages x scales grid of projection rank correlations."""
+    if not config.analyses.get("subspace", True):
+        raise InputError("analyses.subspace is false; analyze-subspace has "
+                         "nothing to run")
     p = config.params
     digests = _input_digests(filter(None, [
         config.feature_table, config.scales,
@@ -421,7 +430,7 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
         global_path = lang_dir / "global.json"
         if not global_path.exists():
             raise InputError(f"{global_path}: run analyze-global first")
-        payload = json.loads(global_path.read_text(encoding="utf-8"))
+        payload = read_json(global_path)
         cca_records = payload.get("results", {}).get("cca")
         if cca_records is None:
             raise InputError(f"{lang}: no CCA results to interpret")

@@ -323,6 +323,8 @@ def sample_for_verification(
     mset: MorphemeSet, n: int = 150, seed: int = 0
 ) -> tuple[list[Morpheme], bool]:
     """Uniform sample without replacement, deterministic under seed."""
+    if n < 1:
+        raise InputError(f"verification sample size n={n}: must be at least 1")
     if len(mset) == 0:
         raise InputError("cannot sample from an empty morpheme set")
     rng = np.random.default_rng(seed)
@@ -369,7 +371,9 @@ def segment_words(
     per request.
 
     Results are appended to the line-delimited JSON cache as they
-    arrive; words already cached are not re-requested.
+    arrive; words already cached are not re-requested. A response
+    without log-probabilities is a ProviderError, raised before its
+    word is cached.
     """
     cache_path = Path(cache_path)
     done: dict[str, Segmentation] = {}
@@ -385,8 +389,8 @@ def segment_words(
                 continue
             system, user = build_prompt(language, [(lemma, ipa)])
             resp = provider.complete(system, user)
-            perplexity = (response_perplexity(resp.logprobs)
-                          if resp.logprobs else None)
+            if not resp.logprobs:
+                raise ProviderError(f"response for {word!r} lacks log-probabilities")
             lines = [ln for ln in resp.text.splitlines() if ln.strip()]
             if len(lines) != 1:
                 raise ProviderError(
@@ -395,8 +399,8 @@ def segment_words(
                 )
             seg = Segmentation(
                 word=word, ipa=ipa, pairs=tuple(parse_response(lines[0])),
-                perplexity=perplexity, provider=provider.name,
-                timestamp=time.time())
+                perplexity=response_perplexity(resp.logprobs),
+                provider=provider.name, timestamp=time.time())
             fh.write(json.dumps(seg.to_record(), ensure_ascii=False) + "\n")
             out.append(seg)
     kept, _ = perplexity_filter(out, perplexity_threshold)

@@ -11,15 +11,16 @@ by (seed, shuffle index), so results are identical regardless of
 evaluation order or parallelism.
 
 Whatever a permutation leaves unchanged is computed once per space by
-:func:`prepare`: the pair midranks (RSA), the pair bin indices (MI) and
+:func:`prepare`: the pair ranks (RSA), the pair bin indices (MI) and
 each row's top-k neighbours (kNN); the scale test ranks both coordinate
-vectors once. The statistics then read only that prepared content: B's
-ranks and bins are spread into symmetric item-by-item matrices, and each
-shuffle is a gather plus a reduction that gives the same bits as
-recomputing the statistic on the permuted matrix. This relies on the
-permuted similarity matrix being exactly symmetric, as
-:func:`~phonosem.phonetic.cosine_similarity_matrix` makes it: a permuted
-pair vector then holds the same multiset of values.
+vectors once. Ranks are doubled integers (:func:`_doubled_ranks`) and
+every rho, observed or null, goes through :func:`_rho`. The statistics
+then read only that prepared content: B's ranks and bins are spread into
+symmetric item-by-item matrices, and each shuffle is a gather plus a
+reduction that gives the same bits as recomputing the statistic on the
+permuted matrix. This relies on the permuted similarity matrix being
+exactly symmetric, as :func:`~phonosem.phonetic.cosine_similarity_matrix`
+makes it: a permuted pair vector then holds the same multiset of values.
 """
 
 from __future__ import annotations
@@ -103,12 +104,13 @@ def spearman_rho(x: np.ndarray, y: np.ndarray) -> float:
         raise AnalysisError("spearman_rho needs two 1-D vectors of equal length")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise AnalysisError("spearman_rho needs finite values")
-    return _spearman_of_ranks(_midranks(x), _midranks(y))
+    return _rho(_centered(_doubled_ranks(x)), _centered(_doubled_ranks(y)))
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of finite values, ties sharing their mean rank (as
-    ``scipy.stats.rankdata``; midranks are half-integers, so exact)."""
+def _doubled_ranks(x: np.ndarray) -> np.ndarray:
+    """Twice the 1-based midranks of finite values (``2 *
+    scipy.stats.rankdata``), as float64: a tie group of m values at
+    0-based sorted position s gets 2s + m + 1, an exact integer."""
     order = np.argsort(x)
     xs = x[order]
     new = np.empty(x.size, dtype=bool)
@@ -118,41 +120,31 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     starts = np.flatnonzero(new)
     del new
     sizes = np.diff(starts, append=x.size)
-    mid = sizes + 1.0
-    mid *= 0.5
-    mid += starts
+    doubled = starts * 2.0
     del starts
-    in_order = np.repeat(mid, sizes)
-    del mid, sizes
+    doubled += sizes
+    doubled += 1.0
+    in_order = np.repeat(doubled, sizes)
+    del doubled, sizes
     ranks = np.empty(x.size)
     ranks[order] = in_order
     return ranks
 
 
-def _spearman_of_ranks(rx: np.ndarray, ry: np.ndarray) -> float:
-    """Spearman's rho from two midrank vectors, clipped to [-1, 1]."""
-    center = _rank_center(rx.size)
-    return _spearman_of_centered(rx - center, ry - center)
+def _centered(doubled: np.ndarray) -> np.ndarray:
+    """Doubled ranks minus their mean n + 1, as float64 (exactly twice the
+    centred midranks; an exact centre keeps rho antisymmetric)."""
+    return np.subtract(doubled, doubled.size + 1, dtype=np.float64)
 
 
-def _spearman_of_centered(cx: np.ndarray, cy: np.ndarray) -> float:
-    """Spearman's rho from two centred midrank vectors, clipped to [-1, 1]."""
+def _rho(cx: np.ndarray, cy: np.ndarray) -> float:
+    """Spearman's rho of two centred doubled-rank vectors, clipped to [-1, 1]."""
     if cx.size < 3:
         raise AnalysisError(f"spearman_rho needs >= 3 points, got {cx.size}")
-    return float(min(1.0, max(-1.0, _rho_of_centered(cx, cy))))
-
-
-def _rank_center(n: int) -> float:
-    # midranks always average exactly (n+1)/2; centering analytically keeps
-    # rho exactly antisymmetric under rank reversal
-    return (n + 1) / 2.0
-
-
-def _rho_of_centered(cx: np.ndarray, cy: np.ndarray) -> float:
     denom = float(np.sqrt(np.dot(cx, cx) * np.dot(cy, cy)))
     if denom == 0.0:
         raise AnalysisError("spearman_rho undefined for a constant vector")
-    return float(np.dot(cx, cy) / denom)
+    return min(1.0, max(-1.0, float(np.dot(cx, cy) / denom)))
 
 
 def mutual_information_value(
@@ -168,31 +160,22 @@ def mutual_information_value(
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise AnalysisError("mutual information needs two 1-D vectors of equal length")
-    _check_mi_input(x, bins)
-    _check_mi_input(y, bins)
-    codes = (_bin_index(x, _bin_edges(x, bins)) * bins
-             + _bin_index(y, _bin_edges(y, bins)))
+    codes = _bins(x, bins) * bins + _bins(y, bins)
     return _mi_bits(np.bincount(codes, minlength=bins * bins), bins)
 
 
-def _check_mi_input(values: np.ndarray, bins: int) -> None:
+def _bins(values: np.ndarray, bins: int) -> np.ndarray:
+    """0-based bin of each finite value among ``bins`` equal-width bins
+    over [min, max], edges drawn as ``np.histogram2d`` draws them; the
+    top bin is right-closed, and a constant vector gets [v - 0.5, v + 0.5]."""
     if not np.all(np.isfinite(values)):
         raise AnalysisError("mutual information needs finite values")
     if values.size < bins:
         raise AnalysisError(f"need at least bins={bins} samples, got {values.size}")
-
-
-def _bin_edges(values: np.ndarray, bins: int) -> np.ndarray:
-    """Equal-width edges over [min, max], drawn as ``np.histogram2d``
-    draws them; a constant vector gets [v - 0.5, v + 0.5]."""
     lo, hi = values.min(), values.max()
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    return np.linspace(lo, hi, bins + 1)
-
-
-def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """0-based bin of each value; the top bin is right-closed."""
+    edges = np.linspace(lo, hi, bins + 1)
     idx = np.searchsorted(edges, values, side="right")
     idx[values == edges[-1]] -= 1
     idx -= 1
@@ -424,7 +407,7 @@ def prepare(
 
     An :class:`EmbeddingMatrix` gets its cosine similarity matrix built
     here, and that n x n float64 matrix is freed as soon as the kNN lists
-    and the one pair vector are taken from it: the midranks and bin
+    and the one pair vector are taken from it: the doubled ranks and bin
     indices are derived from the pair vector alone.
     """
     analyses = frozenset(analyses)
@@ -434,20 +417,16 @@ def prepare(
     pairs = neighbours = ties = None
     if analyses & {"rsa", "mi"}:
         pairs = sim.pair_vector()
-    if "mi" in analyses:
-        _check_mi_input(pairs, bins)
     if "knn" in analyses:
         _check_k(len(ids), k)
         neighbours, ties = _top_k(sim.values, k)
     del sim
     bin_index = doubled_ranks = None
     if "mi" in analyses:
-        bin_index = _bin_index(pairs, _bin_edges(pairs, bins)).astype(
-            np.min_scalar_type(bins - 1))
+        bin_index = _bins(pairs, bins).astype(np.min_scalar_type(bins - 1))
     if "rsa" in analyses:
-        ranks = _midranks(pairs)
+        ranks = _doubled_ranks(pairs)
         del pairs
-        ranks *= 2.0
         doubled_ranks = ranks.astype(np.min_scalar_type(2 * ranks.size))
     return PreparedSpace(ids=ids, analyses=analyses, bins=bins, k=k,
                          doubled_ranks=doubled_ranks, bin_index=bin_index,
@@ -483,34 +462,26 @@ def rsa(
 ) -> AlignmentResult:
     """Spearman correlation of the two pair vectors, permutation-tested.
 
-    The midranks of a permuted pair vector are the permuted midranks, so
-    a shuffle gathers B's prepared doubled ranks, spread into a symmetric
-    matrix, in permuted pair order.
+    The ranks of a permuted pair vector are the permuted ranks, so a
+    shuffle gathers B's prepared doubled ranks, spread into a symmetric
+    matrix, in permuted pair order and centres them in one reused buffer.
     """
     _check_same_items(sim_a, sim_b)
     a, b = _prepared(sim_a, "rsa"), _prepared(sim_b, "rsa")
-    center = _rank_center(a.doubled_ranks.size)
-
-    def centered(out: np.ndarray, blocks) -> np.ndarray:
-        """Doubled ranks, given in pair order one block at a time, halved
-        and centred in ``out``."""
-        start = 0
-        for block in blocks:
-            out[start:start + block.size] = block
-            start += block.size
-        np.multiply(out, 0.5, out=out)
-        np.subtract(out, center, out=out)
-        return out
-
     # A's ranks are centred once, B's in one reused buffer
-    centered_a = centered(np.empty(a.doubled_ranks.size), [a.doubled_ranks])
-    centered_b = centered(np.empty_like(centered_a), [b.doubled_ranks])
-    observed = _spearman_of_centered(centered_a, centered_b)
+    centered_a = _centered(a.doubled_ranks)
+    centered_b = _centered(b.doubled_ranks)
+    observed = _rho(centered_a, centered_b)
     doubled_b = _symmetric(b.doubled_ranks, b.n_items)
+    shift = centered_b.size + 1
 
     def stat(perm: np.ndarray) -> float:
-        return _rho_of_centered(
-            centered_a, centered(centered_b, _permuted_pairs(doubled_b, perm)))
+        start = 0
+        for block in _permuted_pairs(doubled_b, perm):
+            np.subtract(block, shift, out=centered_b[start:start + block.size],
+                        dtype=np.float64)
+            start += block.size
+        return _rho(centered_a, centered_b)
 
     p, null = permutation_test(stat, observed, a.n_items, n_shuffles,
                                null_points, seed, "greater")

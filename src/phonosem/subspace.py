@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import EmbeddingMatrix, Lexicon, ScaleConfig, SegmentFeatureTable
 from .errors import AnalysisError, InputError
 from .phonetic import _tokenize_and_pool, standardize
-from .stats import (AlignmentResult, _midranks, _spearman_of_ranks,
+from .stats import (AlignmentResult, _centered, _doubled_ranks, _rho,
                     _summarize, permutation_test, stars)
 
 log = logging.getLogger(__name__)
@@ -227,12 +227,12 @@ def scale_alignment(
     sem_coords = project(candidates.words.vectors[rows], sem_line)
     phon_coords = project(phon_std, phon_line)
 
-    rank_sem = _midranks(sem_coords)
-    rank_phon = _midranks(phon_coords)
-    rho = _spearman_of_ranks(rank_sem, rank_phon)
+    centered_sem = _centered(_doubled_ranks(sem_coords))
+    centered_phon = _centered(_doubled_ranks(phon_coords))
+    rho = _rho(centered_sem, centered_phon)
 
     def stat(perm: np.ndarray) -> float:
-        return _spearman_of_ranks(rank_sem, rank_phon[perm])
+        return _rho(centered_sem, centered_phon[perm])
 
     p, null = permutation_test(stat, rho, len(selected), n_shuffles,
                                null_points, seed, "two-sided")

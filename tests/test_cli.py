@@ -15,6 +15,7 @@ import phonosem
 from phonosem.cli import main
 from phonosem.corpus import load_lexicon
 from phonosem.pipeline import PARAMS
+from phonosem.segmentation import read_segmentation_cache
 from phonosem.synth import make_planted_language
 
 
@@ -250,6 +251,57 @@ class TestSegmentAndVerify:
         assert f"input error: {replay}:2: " in result.output
         assert message in result.output
 
+    def test_response_without_logprobs_is_exit_three_and_not_cached(
+            self, tmp_path):
+        words = [("run", "rʌn", 5.0), ("sit", "sɪt", 4.0), ("hop", "hɒp", 3.0)]
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("word\tlemma\tzipf\tipa\n" + "".join(
+            f"{w}\t{w}\t{z}\t{ipa}\n" for w, ipa, z in words), encoding="utf-8")
+        cache = tmp_path / "cache.jsonl"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "languages": ["en"], "feature_table": str(tmp_path / "features.tsv"),
+            "inputs": {"en": {"lexicon": str(lexicon),
+                              "vectors": str(tmp_path / "en.vec"),
+                              "segmentations": str(cache)}},
+            "output_dir": str(tmp_path / "results")}), encoding="utf-8")
+
+        def replay(name, with_logprobs):
+            replay = tmp_path / name
+            replay.write_text("".join(json.dumps({
+                "user": f"input: {w},{ipa}", "text": f"({w},{ipa})",
+                **({"logprobs": [-0.1]} if with_logprobs(w) else {})},
+                ensure_ascii=False) + "\n" for w, ipa, _ in words),
+                encoding="utf-8")
+            return replay
+
+        bad = replay("bad.jsonl", lambda w: w == "run")
+        result = invoke("segment", "--config", path, "--replay", bad)
+        assert result.exit_code == 3
+        assert ("provider error: response for 'sit' lacks log-probabilities"
+                in result.output)
+        assert [seg.word for seg in read_segmentation_cache(cache)] == ["run"]
+        good = replay("good.jsonl", lambda w: True)
+        result = invoke("segment", "--config", path, "--replay", good)
+        assert result.exit_code == 0, result.output
+        assert [seg.word for seg in read_segmentation_cache(cache)] == [
+            "run", "sit", "hop"]
+
+    def test_segment_takes_no_seed(self, workspace):
+        _, config_path, _ = workspace
+        result = invoke("segment", "--config", config_path, "--seed", 1)
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--seed" in result.output
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_verify_sample_below_one_is_exit_one(self, workspace, n):
+        _, config_path, _ = workspace
+        result = invoke("verify", "--config", config_path, "-n", n)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert (f"input error: verification sample size n={n}: must be at "
+                "least 1" in result.output)
+
     def test_verify_writes_sheet(self, workspace):
         ws, config_path, config = workspace
         result = invoke("verify", "--config", config_path, "-n", 20)
@@ -372,6 +424,18 @@ class TestAnalyze:
         assert cells[0]["n_words"] == 100
         scatter = out / "scatter" / "syn_sonority_demo.tsv"
         assert len(scatter.read_text("utf-8").splitlines()) == 101
+
+    def test_subspace_switched_off_is_exit_one(self, workspace, tmp_path):
+        _, _, config = workspace
+        cfg = {**config, "analyses": {"subspace": False},
+               "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        result = invoke("analyze-subspace", "--config", path)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "input error: analyses.subspace is false" in result.output
+        assert not (tmp_path / "out" / "subspace.json").exists()
 
     def test_interpret_emits_poles(self, workspace):
         ws, config_path, _ = workspace
@@ -538,6 +602,25 @@ class TestAnalyze:
 
 
 class TestReport:
+    @pytest.mark.parametrize("command,payload", [
+        ("interpret", "syn/global.json"), ("report", "syn/global.json"),
+        ("report", "subspace.json"), ("report", "syn/poles.json")])
+    def test_truncated_payload_is_exit_one(self, workspace, tmp_path,
+                                           command, payload):
+        _, _, config = workspace
+        out = tmp_path / "out"
+        path = out / payload
+        path.parent.mkdir(parents=True)
+        # what a run killed while writing the payload leaves
+        path.write_text('{"config_hash": "0", "results": {', encoding="utf-8")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**config, "output_dir": str(out)}),
+                            encoding="utf-8")
+        result = invoke(command, "--config", cfg_path)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"input error: {path}: not valid JSON" in result.output
+
     def test_rerender_from_json(self, workspace):
         ws, config_path, _ = workspace
         out = ws / "results"

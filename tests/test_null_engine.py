@@ -19,9 +19,9 @@ from phonosem.cca import canonical_rank_correlations, fit_cca
 from phonosem.corpus import EmbeddingMatrix, ScaleConfig
 from phonosem.errors import AnalysisError
 from phonosem.phonetic import SimilarityMatrix, cosine_similarity_matrix
-from phonosem.stats import (_midranks, _summarize, knn_overlap, mi_alignment,
-                            permutation_test, prepare, rsa, shuffle_rng,
-                            spearman_rho)
+from phonosem.stats import (_doubled_ranks, _summarize, knn_overlap,
+                            mi_alignment, permutation_test, prepare, rsa,
+                            shuffle_rng, spearman_rho)
 from phonosem.subspace import pool_candidates, scale_alignment
 
 
@@ -229,7 +229,7 @@ def test_prepare_for_knn_alone_ranks_and_bins_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("pair content computed for kNN alone")
 
-    monkeypatch.setattr("phonosem.stats._midranks", refuse)
+    monkeypatch.setattr("phonosem.stats._doubled_ranks", refuse)
     monkeypatch.setattr(SimilarityMatrix, "pair_vector", refuse)
     space = prepare(sim, ("knn",), k=6)
     assert space.doubled_ranks is None and space.bin_index is None
@@ -245,12 +245,21 @@ def test_space_prepared_otherwise_is_rejected():
         rsa(a, b, n_shuffles=5, null_points=5)
 
 
-def test_midranks_equal_scipy():
+def test_doubled_ranks_equal_twice_scipy():
     rng = np.random.default_rng(308)
     for n in (1, 2, 3, 10, 500):
         for values in (rng.normal(size=n), rng.integers(0, 4, size=n) * 0.5,
                        np.zeros(n), np.array([0.0, -0.0] * n)):
-            assert np.array_equal(_midranks(values), rankdata(values))
+            assert np.array_equal(_doubled_ranks(values), 2 * rankdata(values))
+
+
+@pytest.mark.parametrize("case", ["random", "tied"])
+def test_space_prepared_for_rsa_holds_doubled_pair_ranks(case):
+    sim, _ = PAIRS[case]()
+    pairs = sim.pair_vector()
+    space = prepare(sim, ("rsa",))
+    assert space.doubled_ranks.dtype == np.min_scalar_type(2 * pairs.size)
+    assert np.array_equal(space.doubled_ranks, 2 * rankdata(pairs))
 
 
 # ---------------------------------------------------------------------------
