@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import EmbeddingMatrix, Lexicon
+from .corpus import EmbeddingMatrix
 from .errors import AnalysisError
 from .stats import (AlignmentResult, _summarize, permutation_test,
                     spearman_rho)
@@ -251,7 +251,7 @@ def extract_phonetic_pole(
 
 @dataclass(frozen=True)
 class PoleCandidates:
-    """The vocabulary words above a zipf cutoff, in vocabulary order,
+    """The candidate words of the semantic poles, in vocabulary order,
     with their vectors and the vectors' norms."""
 
     ids: np.ndarray
@@ -259,16 +259,13 @@ class PoleCandidates:
     norms: np.ndarray
 
 
-def pole_candidates(
-    vocabulary: EmbeddingMatrix, lexicon: Lexicon, zipf_cutoff: float
-) -> PoleCandidates:
-    zipf = {lx.word: lx.zipf for lx in lexicon}
-    cand_idx = [i for i, w in enumerate(vocabulary.ids)
-                if zipf.get(w, -np.inf) > zipf_cutoff]
-    vecs = vocabulary.vectors[cand_idx]
+def pole_candidates(vocabulary: EmbeddingMatrix) -> PoleCandidates:
+    """Every word of ``vocabulary`` as a pole candidate. The caller picks
+    the words: ``interpret`` loads the vectors of the lexicon words above
+    ``zipf_cutoff`` alone (``pipeline.load_pole_candidates``)."""
     return PoleCandidates(
-        ids=np.array([vocabulary.ids[i] for i in cand_idx], dtype=str),
-        vectors=vecs, norms=np.linalg.norm(vecs, axis=1))
+        ids=np.array(vocabulary.ids, dtype=str), vectors=vocabulary.vectors,
+        norms=np.linalg.norm(vocabulary.vectors, axis=1))
 
 
 def semantic_pole_neighbors(
@@ -284,7 +281,7 @@ def semantic_pole_neighbors(
     to raw embedding coordinates (weights divided by the per-dimension
     standardization scale, so that raw-space projections reproduce the
     variate up to a constant). The candidates are the words above the
-    zipf cutoff (``pole_candidates``). Returns (neighbors, short_flag);
+    zipf cutoff (see ``pole_candidates``). Returns (neighbors, short_flag);
     short_flag is set when fewer than k candidates exist.
     """
     if sign not in ("+", "-"):

@@ -1,11 +1,12 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 input error, 2 analysis error, 3 provider
-error.
+Exit codes: 0 success, 1 input error (a usage error too: an unknown
+option, a missing ``--config`` file), 2 analysis error, 3 provider error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import logging
@@ -52,7 +53,30 @@ seed_option = click.option("--seed", type=int, default=None,
                            help="Override the master seed.")
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group. click exits 2 on a usage error, which here is
+    the analysis-error code, so a usage error exits 1 instead."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_error_exits_one():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        # a command's own options are parsed inside the group's invoke
+        with _usage_error_exits_one():
+            return super().invoke(ctx)
+
+
+@contextlib.contextmanager
+def _usage_error_exits_one():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = 1
+        raise
+
+
+@click.group(cls=_Commands)
 @click.option("-v", "--verbose", is_flag=True, help="Debug logging.")
 def main(verbose):
     logging.basicConfig(

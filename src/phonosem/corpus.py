@@ -21,9 +21,11 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -129,6 +131,14 @@ class SegmentFeatureTable:
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
+
+    @cached_property
+    def segment_pattern(self) -> re.Pattern:
+        """Greedy longest-match tokenizer of IPA strings: every key,
+        longest first, then any single character, which matches only
+        where no key does (a dropped character)."""
+        keys = sorted((s for s in self.vectors if s), key=len, reverse=True)
+        return re.compile("|".join([*map(re.escape, keys), "."]), re.S)
 
 
 @dataclass(frozen=True)
@@ -306,14 +316,17 @@ def save_feature_table(table: SegmentFeatureTable, path: str | Path) -> None:
 # Semantic vectors
 
 def load_semantic_embeddings(
-    path: str | Path, vocabulary: Iterable[str]
+    path: str | Path, vocabulary: Iterable[str], allow_none: bool = False
 ) -> tuple[EmbeddingMatrix, list[str]]:
     """Load vectors for the given vocabulary from a word2vec-style text file.
 
-    Trailing whitespace on a line is ignored. A token listed more than
-    once keeps its first vector. Returns the matrix (rows in file order of
-    first occurrence) and the sorted list of vocabulary items not found in
-    the file.
+    Only the rows of vocabulary items are parsed; every other row is only
+    checked for its dimension, so a bad value there is no error. Trailing
+    whitespace on a line is ignored. A token listed more than once keeps
+    its first vector. Returns the matrix (rows in file order of first
+    occurrence) and the sorted list of vocabulary items not found in the
+    file. A file that holds none of the vocabulary is an InputError,
+    unless ``allow_none``, which returns a matrix of no rows.
     """
     wanted = {_nfc(w) for w in vocabulary}
     ids: list[str] = []
@@ -348,15 +361,15 @@ def load_semantic_embeddings(
                 )
             if keep:
                 try:
-                    vec = np.asarray([float(v) for v in cells[1:]], dtype=np.float64)
+                    rows.append(np.fromiter(map(float, cells[1:]), np.float64,
+                                            count=n_values))
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: non-numeric vector value") from None
                 seen.add(token)
                 ids.append(token)
-                rows.append(vec)
-    if not ids:
+    if not ids and not allow_none:
         raise InputError(f"{path}: no vocabulary items matched")
-    vectors = np.vstack(rows)
+    vectors = np.vstack(rows) if rows else np.empty((0, dim or 0))
     finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
         token = ids[int(np.argmin(finite))]

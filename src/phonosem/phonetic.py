@@ -1,9 +1,10 @@
 """Phonetic embeddings and pairwise similarity matrices.
 
 IPA strings are tokenized into segments by greedy longest match against
-the feature table, mean-pooled into one vector per item, and the
-resulting matrix is cleaned (zero-variance dimensions dropped) and
-dataset-normalized. Cosine similarity is used for both modalities.
+the feature table, mean-pooled into one vector per item (all items in
+one batch), and the resulting matrix is cleaned (zero-variance
+dimensions dropped) and dataset-normalized. Cosine similarity is used
+for both modalities.
 
 All operations here are pure; similarity construction uses a fixed
 summation order so results do not depend on parallelism.
@@ -33,7 +34,8 @@ class EmptyTokenizationError(AnalysisError):
 def tokenize_ipa(
     transcription: str, table: SegmentFeatureTable
 ) -> tuple[list[str], str]:
-    """Greedy longest-match segmentation of an IPA string.
+    """Greedy longest-match segmentation of an IPA string, by the table's
+    ``segment_pattern``.
 
     Returns ``(segments, dropped)`` where ``dropped`` collects characters
     that matched no table key (stress and length marks, typically).
@@ -41,20 +43,10 @@ def tokenize_ipa(
     """
     if not transcription:
         raise InputError("empty transcription")
-    max_len = max((len(s) for s in table.vectors), default=0)
     segments: list[str] = []
     dropped: list[str] = []
-    i = 0
-    while i < len(transcription):
-        for width in range(min(max_len, len(transcription) - i), 0, -1):
-            cand = transcription[i:i + width]
-            if cand in table:
-                segments.append(cand)
-                i += width
-                break
-        else:
-            dropped.append(transcription[i])
-            i += 1
+    for match in table.segment_pattern.findall(transcription):
+        (segments if match in table else dropped).append(match)
     if not segments:
         raise EmptyTokenizationError(
             f"no segment of {transcription!r} matched the feature table"
@@ -62,17 +54,6 @@ def tokenize_ipa(
     if dropped:
         log.debug("tokenize %r: dropped unknown chars %r", transcription, dropped)
     return segments, "".join(dropped)
-
-
-def mean_pool(segments: Sequence[str], table: SegmentFeatureTable) -> np.ndarray:
-    """Component-wise arithmetic mean of the segments' feature vectors."""
-    if not segments:
-        raise InputError("cannot pool an empty segment list")
-    try:
-        stack = np.vstack([table[s] for s in segments])
-    except KeyError as exc:
-        raise InputError(f"unknown segment {exc.args[0]!r}") from None
-    return stack.mean(axis=0)
 
 
 def standardize(
@@ -101,27 +82,39 @@ def standardize(
 
 def _tokenize_and_pool(
     items: Sequence[tuple[str, str]], table: SegmentFeatureTable
-) -> tuple[list[str], list[np.ndarray], list[str]]:
-    """Mean-pooled feature vectors of (item id, IPA) pairs.
+) -> tuple[list[str], np.ndarray, list[str]]:
+    """Mean-pooled feature vectors of (item id, IPA) pairs, as one batch.
+
+    Each transcription is tokenized as by :func:`tokenize_ipa` into one
+    flat array of segment indices, and each row is the sum of its
+    segments' feature vectors over their count. Features are ternary, so
+    every partial sum is an exact integer and a row equals the mean of
+    its segments' vectors bit for bit, in any summation order.
 
     Returns ``(ids, rows, skipped)``; items whose transcription is empty
     or matches nothing in the table are left out and listed in
     ``skipped``.
     """
+    find = table.segment_pattern.findall
+    index = {segment: j for j, segment in enumerate(table.vectors)}
     ids: list[str] = []
-    rows: list[np.ndarray] = []
     skipped: list[str] = []
+    flat: list[int] = []
+    counts: list[int] = []
     for item_id, ipa in items:
-        if not ipa:
+        segments = [j for j in map(index.get, find(ipa)) if j is not None]
+        if segments:
+            ids.append(item_id)
+            flat += segments
+            counts.append(len(segments))
+        else:
             skipped.append(item_id)
-            continue
-        try:
-            segments, _ = tokenize_ipa(ipa, table)
-        except EmptyTokenizationError:
-            skipped.append(item_id)
-            continue
-        ids.append(item_id)
-        rows.append(mean_pool(segments, table))
+    if not ids:
+        return ids, np.empty((0, table.n_features)), skipped
+    features = np.vstack(list(table.vectors.values()))
+    n_segments = np.asarray(counts)
+    starts = np.cumsum(n_segments) - n_segments
+    rows = np.add.reduceat(features[flat], starts, axis=0) / n_segments[:, None]
     return ids, rows, skipped
 
 
@@ -138,7 +131,7 @@ def build_phonetic_embeddings(
     ids, rows, skipped = _tokenize_and_pool(items, table)
     if not ids:
         raise AnalysisError("no item produced a phonetic embedding")
-    vectors, kept, _, _ = standardize(np.vstack(rows))
+    vectors, kept, _, _ = standardize(rows)
     names = [table.feature_names[i] for i in kept]
     if skipped:
         log.info("phonetic embeddings: skipped %d untokenizable items", len(skipped))

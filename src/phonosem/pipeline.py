@@ -25,8 +25,8 @@ from . import __version__
 from .corpus import (EmbeddingMatrix, Lexicon, MorphemeSet, _open_input,
                      load_feature_table, load_lexicon, load_scale_configs,
                      load_semantic_embeddings)
-from .cca import (CcaModel, build_pole_report, canonical_rank_correlations,
-                  fit_cca, pole_candidates)
+from .cca import (CcaModel, PoleCandidates, build_pole_report,
+                  canonical_rank_correlations, fit_cca, pole_candidates)
 from .errors import AnalysisError, InputError
 from .phonetic import build_phonetic_embeddings
 from .segmentation import (PERPLEXITY_THRESHOLD, dedupe_into_morpheme_set,
@@ -102,8 +102,6 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
         obj = read_json(path)
-        if not isinstance(obj, dict):
-            raise InputError(f"{path}: top level must be a JSON object")
         missing = [k for k in ("languages", "feature_table", "inputs")
                    if k not in obj]
         if missing:
@@ -126,14 +124,18 @@ def _reject_unknown(what: str, obj: dict, known) -> None:
         raise InputError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
-def read_json(path: str | Path):
-    """A JSON file a command reads: the configuration or a payload. A
-    file that is missing, unreadable or not JSON is an InputError naming it."""
+def read_json(path: str | Path) -> dict:
+    """A JSON object a command reads: the configuration or a payload. A
+    file that is missing, unreadable, not JSON or not a JSON object is an
+    InputError naming it."""
     try:
         with _open_input(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: top level must be a JSON object")
+    return obj
 
 
 def derive_seed(master: int, analysis: str, language: str) -> int:
@@ -202,6 +204,18 @@ def load_vocabulary(config: RunConfig,
     vocab, _ = load_semantic_embeddings(config.inputs[language]["vectors"],
                                         lexicon.words())
     return lexicon, vocab
+
+
+def load_pole_candidates(config: RunConfig, language: str) -> PoleCandidates:
+    """The semantic pole candidates: the lexicon words above
+    ``zipf_cutoff`` that have a vector. Only their rows of the vectors
+    file are parsed; when none has one, there are no candidates."""
+    lexicon = load_lexicon(config.inputs[language]["lexicon"], language)
+    cutoff = config.params["zipf_cutoff"]
+    vocab, _ = load_semantic_embeddings(
+        config.inputs[language]["vectors"],
+        [lx.word for lx in lexicon if lx.zipf > cutoff], allow_none=True)
+    return pole_candidates(vocab)
 
 
 def load_language_spaces(config: RunConfig, language: str):
@@ -440,8 +454,7 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
         significant = [c for c, rec in enumerate(cca_records) if rec["p"] < 0.05]
         reports = []
         if significant:
-            lexicon, vocab = load_vocabulary(config, lang)
-            candidates = pole_candidates(vocab, lexicon, p["zipf_cutoff"])
+            candidates = load_pole_candidates(config, lang)
             reports = [build_pole_report(
                 model, c, phon, feature_names, candidates, k=p["k"],
                 percentile=p["percentile"], threshold=p["threshold"]).to_record()

@@ -174,7 +174,7 @@ def pool_candidates(
         words=EmbeddingMatrix(
             ids=tuple(words),
             vectors=vocabulary.vectors[[emb_index[w] for w in words]]),
-        phonetic=np.vstack(rows) if rows else np.empty((0, table.n_features)),
+        phonetic=rows,
         dropped_no_embedding=sum(1 for lx in lexicon if lx.word not in emb_index),
         dropped_no_phonetics=len(no_phon),
     )

@@ -8,7 +8,7 @@ import pytest
 from phonosem.cca import (build_pole_report, canonical_rank_correlations,
                           extract_phonetic_pole, fit_cca, pole_candidates,
                           semantic_pole_neighbors, structure_loadings)
-from phonosem.corpus import EmbeddingMatrix, Lexeme, Lexicon
+from phonosem.corpus import EmbeddingMatrix
 from phonosem.errors import AnalysisError
 
 
@@ -183,36 +183,35 @@ class TestSemanticPoleNeighbors:
         model = fit_cca(x, y, n_components=2)
         words = tuple(f"w{i}" for i in range(n_words))
         vocab = EmbeddingMatrix(words, rng.normal(size=(n_words, dim)))
-        lexicon = Lexicon("en", tuple(
-            Lexeme(w, w, 5.0, "") for w in words))
-        return model, vocab, lexicon
+        return model, vocab
 
     def test_exact_direction_ranked_first(self):
         rng = np.random.default_rng(46)
-        model, vocab, lexicon = self.make_fixture(rng)
+        model, vocab = self.make_fixture(rng)
         direction = model.weights_semantic[:, 0] / model.scale_semantic
         vectors = vocab.vectors.copy()
         vectors[7] = direction / np.linalg.norm(direction)
         vocab = EmbeddingMatrix(vocab.ids, vectors)
         neighbors, short = semantic_pole_neighbors(
-            model, 0, "+", pole_candidates(vocab, lexicon, 4.5))
+            model, 0, "+", pole_candidates(vocab))
         assert not short
         assert neighbors[0][0] == "w7"
         assert neighbors[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_zipf_cutoff_empties_candidates(self):
+        # no word above the cutoff had a vector, so none was loaded
         rng = np.random.default_rng(47)
-        model, vocab, lexicon = self.make_fixture(rng)
+        model, vocab = self.make_fixture(rng)
         neighbors, short = semantic_pole_neighbors(
-            model, 0, "+", pole_candidates(vocab, lexicon, 10.0))
+            model, 0, "+", pole_candidates(vocab.subset([])))
         assert neighbors == []
         assert short
 
     def test_matches_brute_force_ranking(self):
         rng = np.random.default_rng(48)
-        model, vocab, lexicon = self.make_fixture(rng)
+        model, vocab = self.make_fixture(rng)
         neighbors, _ = semantic_pole_neighbors(
-            model, 1, "-", pole_candidates(vocab, lexicon, 4.5), k=5)
+            model, 1, "-", pole_candidates(vocab), k=5)
         direction = -model.weights_semantic[:, 1] / model.scale_semantic
         direction = direction / np.linalg.norm(direction)
         sims = {}
@@ -223,13 +222,12 @@ class TestSemanticPoleNeighbors:
 
     def test_tied_similarities_break_by_word(self):
         rng = np.random.default_rng(50)
-        model, vocab, lexicon = self.make_fixture(rng)
+        model, vocab = self.make_fixture(rng)
         words = ("z", "b", "é", "ab", "a", "w3", "w1", "w2")
         base = rng.normal(size=(2, 4))
         vocab = EmbeddingMatrix(words, np.repeat(base, 4, axis=0))
-        lexicon = Lexicon("en", tuple(Lexeme(w, w, 5.0, "") for w in words))
         neighbors, _ = semantic_pole_neighbors(
-            model, 0, "+", pole_candidates(vocab, lexicon, 4.5), k=6)
+            model, 0, "+", pole_candidates(vocab), k=6)
         assert len({s for _, s in neighbors}) == 2
         direction = model.weights_semantic[:, 0] / model.scale_semantic
         cosine = base @ direction / np.linalg.norm(base, axis=1)
@@ -240,8 +238,8 @@ class TestSemanticPoleNeighbors:
 
     def test_sign_flip_swaps_poles(self):
         rng = np.random.default_rng(49)
-        model, vocab, lexicon = self.make_fixture(rng)
-        candidates = pole_candidates(vocab, lexicon, 4.5)
+        model, vocab = self.make_fixture(rng)
+        candidates = pole_candidates(vocab)
         pos, _ = semantic_pole_neighbors(model, 0, "+", candidates, k=5)
         neg, _ = semantic_pole_neighbors(model, 0, "-", candidates, k=5)
         flipped = model.__class__(**{
@@ -263,10 +261,9 @@ class TestPoleReport:
         model = fit_cca(x, y, n_components=2)
         words = tuple(f"w{i}" for i in range(30))
         vocab = EmbeddingMatrix(words, rng.normal(size=(30, 5)))
-        lexicon = Lexicon("en", tuple(Lexeme(w, w, 5.0, "") for w in words))
         xs = (x - model.mean_phonetic) / model.scale_phonetic
         report = build_pole_report(model, 0, xs, ["f0", "f1", "f2", "f3"],
-                                   pole_candidates(vocab, lexicon, 4.5), k=5)
+                                   pole_candidates(vocab), k=5)
         assert report.component == 1
         assert len(report.semantic_pos) == 5
         assert len(report.semantic_neg) == 5

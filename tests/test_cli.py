@@ -12,6 +12,8 @@ import pytest
 from click.testing import CliRunner
 
 import phonosem
+from phonosem import pipeline
+from phonosem.cca import PoleCandidates, build_pole_report
 from phonosem.cli import main
 from phonosem.corpus import load_lexicon
 from phonosem.pipeline import PARAMS
@@ -119,6 +121,13 @@ def test_missing_input_file_is_exit_one(tmp_path, command, role):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert f"input error: {paths[role]}: " in result.output
+
+
+@pytest.mark.parametrize("command", ["ingest", "analyze-global", "interpret"])
+def test_missing_config_is_exit_one(tmp_path, command):
+    result = invoke(command, "--config", tmp_path / "nonexistent.json")
+    assert result.exit_code == 1
+    assert "nonexistent.json' does not exist" in result.output
 
 
 class TestIngest:
@@ -290,7 +299,7 @@ class TestSegmentAndVerify:
     def test_segment_takes_no_seed(self, workspace):
         _, config_path, _ = workspace
         result = invoke("segment", "--config", config_path, "--seed", 1)
-        assert result.exit_code == 2
+        assert result.exit_code == 1
         assert "No such option" in result.output and "--seed" in result.output
 
     @pytest.mark.parametrize("n", [0, -1])
@@ -544,6 +553,96 @@ class TestAnalyze:
         poles = json.loads((tmp_path / "out" / "syn" / "poles.json").read_text("utf-8"))
         assert poles["components"] == []
 
+    def test_interpret_parses_only_the_pole_candidates(self, tmp_path,
+                                                        monkeypatch):
+        path, paths = language_config(
+            tmp_path, {"shuffles": 40, "null_points": 40, "n_components": 2})
+        lexicon = load_lexicon(paths["lexicon"], "syn")
+        cutoff = lexicon.lexemes[len(lexicon) // 2].zipf
+        top = lexicon.lexemes[0].word
+        with paths["vectors"].open("a", encoding="utf-8") as fh:
+            fh.write("zz_not_in_lexicon" + " 9.0" * 8 + "\n")
+            fh.write(top + " -9.0" * 8 + "\n")  # a duplicate; the first wins
+        cfg = json.loads(path.read_text("utf-8"))
+        cfg["params"]["zipf_cutoff"] = cutoff  # one word sits at the cutoff
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+
+        requested = []
+        load = pipeline.load_semantic_embeddings
+
+        def spy(vectors_path, vocabulary, **kwargs):
+            requested.append(list(vocabulary))
+            return load(vectors_path, requested[-1], **kwargs)
+        monkeypatch.setattr("phonosem.pipeline.load_semantic_embeddings", spy)
+        result = invoke("interpret", "--config", path)
+        assert result.exit_code == 0, result.output
+        assert requested == [[lx.word for lx in lexicon if lx.zipf > cutoff]]
+        assert lexicon.lexemes[len(lexicon) // 2].word not in requested[0]
+
+        # the poles over the whole vocabulary's vectors filtered by the
+        # cutoff, as interpret built them when it parsed every lexicon word
+        vocab, _ = load(paths["vectors"], lexicon.words())
+        zipf = {lx.word: lx.zipf for lx in lexicon}
+        keep = [i for i, w in enumerate(vocab.ids) if zipf[w] > cutoff]
+        candidates = PoleCandidates(
+            ids=np.array([vocab.ids[i] for i in keep], dtype=str),
+            vectors=vocab.vectors[keep],
+            norms=np.linalg.norm(vocab.vectors[keep], axis=1))
+        config = pipeline.RunConfig.from_file(path)
+        lang_dir = tmp_path / "out" / "syn"
+        payload = json.loads((lang_dir / "global.json").read_text("utf-8"))
+        model, phon, names = pipeline._load_cca_artifacts(
+            lang_dir, payload["config_hash"],
+            pipeline._language_inputs(config, "syn"))
+        p = config.params
+        components = [build_pole_report(
+            model, c, phon, names, candidates, k=p["k"],
+            percentile=p["percentile"], threshold=p["threshold"]).to_record()
+            for c, rec in enumerate(payload["results"]["cca"]) if rec["p"] < 0.05]
+        assert components
+        expected = {"language": "syn", "config_hash": config.config_hash(),
+                    "components": components, "notes": []}
+        assert (lang_dir / "poles.json").read_text("utf-8") == json.dumps(
+            expected, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+    def test_interpret_without_a_candidate_vector_has_empty_semantic_poles(
+            self, tmp_path, caplog):
+        path, paths = language_config(
+            tmp_path, {"shuffles": 40, "null_points": 40, "n_components": 2,
+                       "zipf_cutoff": 8.0})
+        # the one word above the cutoff has no vector
+        with paths["lexicon"].open("a", encoding="utf-8") as fh:
+            fh.write("zz_frequent\tzz_frequent\t9.0\tpata\n")
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+        result = invoke("interpret", "--config", path)
+        assert result.exit_code == 0, result.output
+        poles = json.loads((tmp_path / "out" / "syn" / "poles.json").read_text("utf-8"))
+        assert poles["components"]
+        for component in poles["components"]:
+            assert component["semantic_pos"] == component["semantic_neg"] == []
+        assert "no candidates above the zipf cutoff" in caplog.text
+
+    def test_nan_in_a_row_below_the_cutoff_fails_only_a_command_that_reads_it(
+            self, tmp_path):
+        path, paths = scaled_language_config(
+            tmp_path, {**SMALL_RUN, "shuffles": 40, "null_points": 40})
+        with paths["lexicon"].open("a", encoding="utf-8") as fh:
+            fh.write("zz_rare\tzz_rare\t1.0\tpata\n")
+        with paths["vectors"].open("a", encoding="utf-8") as fh:
+            fh.write("zz_rare" + " nan" * 8 + "\n")
+        for command in ("analyze-global", "interpret"):
+            result = invoke(command, "--config", path)
+            assert result.exit_code == 0, result.output
+        poles = json.loads((tmp_path / "out" / "syn" / "poles.json").read_text("utf-8"))
+        assert poles["components"]
+        result = invoke("analyze-subspace", "--config", path)
+        assert result.exit_code == 1
+        assert (f"input error: {paths['vectors']}: non-finite vector value "
+                "for 'zz_rare'") in result.output
+
     def test_interpret_before_global_is_exit_one(self, workspace, tmp_path):
         _, _, config = workspace
         cfg = {**config, "output_dir": str(tmp_path / "empty")}
@@ -620,6 +719,25 @@ class TestReport:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert f"input error: {path}: not valid JSON" in result.output
+
+    @pytest.mark.parametrize("command,payload", [
+        ("interpret", "syn/global.json"), ("report", "syn/global.json"),
+        ("report", "subspace.json"), ("report", "syn/poles.json")])
+    @pytest.mark.parametrize("text", ["[]", '"global"', "3"])
+    def test_payload_that_is_not_an_object_is_exit_one(
+            self, workspace, tmp_path, command, payload, text):
+        _, _, config = workspace
+        out = tmp_path / "out"
+        path = out / payload
+        path.parent.mkdir(parents=True)
+        path.write_text(text, encoding="utf-8")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**config, "output_dir": str(out)}),
+                            encoding="utf-8")
+        result = invoke(command, "--config", cfg_path)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"input error: {path}: top level must be a JSON object" in result.output
 
     def test_rerender_from_json(self, workspace):
         ws, config_path, _ = workspace

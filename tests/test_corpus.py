@@ -192,6 +192,32 @@ class TestSemanticEmbeddings:
         with pytest.raises(InputError, match="no vocabulary"):
             load_semantic_embeddings(path, {"q"})
 
+    def test_non_numeric_value_in_a_row_read_names_line(self, tmp_path):
+        path = tmp_path / "v.vec"
+        self.write_vec(path, [("x", [1.0, 2.0]), ("y", [3.0, "abc"])],
+                       header="2 2")
+        with pytest.raises(ParseError,
+                           match=r"v\.vec:3: non-numeric vector value"):
+            load_semantic_embeddings(path, {"x", "y"})
+
+    @pytest.mark.parametrize("value", ["abc", "nan"])
+    def test_bad_value_in_a_row_not_read_is_no_error(self, tmp_path, value):
+        path = tmp_path / "v.vec"
+        self.write_vec(path, [("x", [1.0, 2.0]), ("y", [3.0, value]),
+                              ("z", [5.0, 6.0])])
+        matrix, missing = load_semantic_embeddings(path, {"x", "z"})
+        assert matrix.ids == ("x", "z")
+        assert np.array_equal(matrix.vectors, [[1.0, 2.0], [5.0, 6.0]])
+        assert missing == []
+
+    def test_nothing_matched_is_no_rows_when_allowed(self, tmp_path):
+        path = tmp_path / "v.vec"
+        self.write_vec(path, [("x", [1.0, 2.0])])
+        matrix, missing = load_semantic_embeddings(path, {"q"}, allow_none=True)
+        assert matrix.ids == ()
+        assert matrix.vectors.shape == (0, 2)
+        assert missing == ["q"]
+
     @pytest.mark.parametrize("eol", [" \n", " \r\n"])
     def test_trailing_whitespace_ignored(self, tmp_path, eol):
         # fastText .vec files end every line in a space

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from phonosem.corpus import EmbeddingMatrix, SegmentFeatureTable
 from phonosem.errors import AnalysisError, InputError
 from phonosem.phonetic import (EmptyTokenizationError, SimilarityMatrix,
-                               build_phonetic_embeddings,
-                               cosine_similarity_matrix, mean_pool,
-                               standardize, tokenize_ipa)
+                               _tokenize_and_pool, build_phonetic_embeddings,
+                               cosine_similarity_matrix, standardize,
+                               tokenize_ipa)
 
 
 @pytest.fixture
@@ -50,31 +50,124 @@ class TestTokenize:
         assert "".join(segments) == "patil"
 
 
+def pooled(ipa, table):
+    """The batch pooler's row for one transcription."""
+    ids, rows, _ = _tokenize_and_pool([("w", ipa)], table)
+    assert ids == ["w"]
+    return rows[0]
+
+
 class TestMeanPool:
     def test_single_segment_identity(self, affricate_table):
-        assert np.array_equal(mean_pool(["t"], affricate_table),
-                              affricate_table["t"])
+        assert np.array_equal(pooled("t", affricate_table), affricate_table["t"])
 
     def test_symmetric_pair_cancels(self):
         table = SegmentFeatureTable(("f1", "f2", "f3"), {
             "x": np.array([1.0, 0.0, -1.0]), "y": np.array([-1.0, 0.0, 1.0])})
-        assert np.array_equal(mean_pool(["x", "y"], table), [0.0, 0.0, 0.0])
+        assert np.array_equal(pooled("xy", table), [0.0, 0.0, 0.0])
 
     def test_matches_sum_then_divide_oracle(self, feature_table):
         segs = ["p", "n", "u"]
         expected = sum(feature_table[s] for s in segs) / len(segs)
-        assert np.allclose(mean_pool(segs, feature_table), expected, atol=1e-15)
+        assert np.array_equal(pooled("pnu", feature_table), expected)
 
     def test_unknown_segment(self, affricate_table):
-        with pytest.raises(InputError, match="unknown"):
-            mean_pool(["zz"], affricate_table)
+        ids, rows, skipped = _tokenize_and_pool([("w", "zz")], affricate_table)
+        assert (ids, rows.shape, skipped) == ([], (0, 2), ["w"])
 
     @given(st.permutations(["p", "t", "m", "a", "u"]))
     @settings(max_examples=30, deadline=None)
     def test_order_invariant(self, order):
         table = _module_table()
-        base = mean_pool(["p", "t", "m", "a", "u"], table)
-        assert np.allclose(mean_pool(order, table), base, atol=1e-15)
+        base = pooled("ptmau", table)
+        assert np.array_equal(pooled("".join(order), table), base)
+
+
+def oracle_tokenize(ipa, table):
+    """Greedy longest match, one position at a time: at each position
+    the longest table key there, else the character is dropped."""
+    max_len = max((len(s) for s in table.vectors), default=0)
+    segments, i = [], 0
+    while i < len(ipa):
+        for width in range(min(max_len, len(ipa) - i), 0, -1):
+            if ipa[i:i + width] in table:
+                segments.append(ipa[i:i + width])
+                i += width
+                break
+        else:
+            i += 1
+    return segments
+
+
+def oracle_pool(items, table):
+    """Per-item tokenize, then the mean of the segments' vectors."""
+    ids, rows, skipped = [], [], []
+    for item_id, ipa in items:
+        segments = oracle_tokenize(ipa, table)
+        if segments:
+            ids.append(item_id)
+            rows.append(np.vstack([table[s] for s in segments]).mean(axis=0))
+        else:
+            skipped.append(item_id)
+    return ids, rows, skipped
+
+
+# single characters that are special in a regular expression
+REGEX_SPECIALS = list(".*+?^$|\\()[]{}")
+
+
+def random_table_and_items(rng):
+    """A random ternary table whose keys overlap (t, tʃ, ʃ) and hold
+    regex-special characters, and items of 1 to 40 segments mixed with
+    unknown characters, plus an empty and an all-unknown transcription."""
+    alphabet = ["t", "ʃ", "a", "ː", "s", "\n"] + REGEX_SPECIALS
+    keys = {"t", "tʃ", "ʃ"}
+    for _ in range(int(rng.integers(0, 12))):
+        width = int(rng.integers(1, 4))
+        keys.add("".join(rng.choice(alphabet, size=width)))
+    n_features = int(rng.integers(1, 9))
+    table = SegmentFeatureTable(
+        tuple(f"f{i}" for i in range(n_features)),
+        {key: rng.integers(-1, 2, size=n_features).astype(np.float64)
+         for key in sorted(keys)})
+    unknown = [c for c in ["x", "ˈ", "-", *alphabet] if c not in table]
+    tokens = sorted(keys) + unknown
+    items = [("empty", ""), ("unknown", "".join(rng.choice(unknown, size=3)))]
+    for i in range(30):
+        n = int(rng.integers(1, 41))
+        items.append((f"w{i}", "".join(rng.choice(tokens, size=n))))
+    return table, items
+
+
+class TestBatchPooling:
+    def test_equals_per_word_oracle_on_random_tables(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(60):
+            table, items = random_table_and_items(rng)
+            ids, rows, skipped = _tokenize_and_pool(items, table)
+            want_ids, want_rows, want_skipped = oracle_pool(items, table)
+            assert ids == want_ids
+            assert skipped == want_skipped
+            assert "empty" in skipped and "unknown" in skipped
+            assert rows.shape == (len(ids), table.n_features)
+            for row, want in zip(rows, want_rows):
+                assert row.tobytes() == want.tobytes()
+
+    def test_tokenizer_equals_the_oracle_on_random_tables(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(60):
+            table, items = random_table_and_items(rng)
+            for _, ipa in items:
+                want = oracle_tokenize(ipa, table)
+                if want:
+                    assert tokenize_ipa(ipa, table)[0] == want
+                elif ipa:
+                    with pytest.raises(EmptyTokenizationError):
+                        tokenize_ipa(ipa, table)
+
+    def test_no_items_give_no_rows(self, affricate_table):
+        ids, rows, skipped = _tokenize_and_pool([], affricate_table)
+        assert (ids, rows.shape, skipped) == ([], (0, 2), [])
 
 
 def _module_table():
