@@ -64,8 +64,8 @@ def _inv_sqrt(cov: np.ndarray, ridge: float) -> np.ndarray:
 
 
 def _whitened_blocks(
-    X: EmbeddingMatrix | np.ndarray,
-    Y: EmbeddingMatrix | np.ndarray,
+    X: np.ndarray,
+    Y: np.ndarray,
     n_components: int,
     ridge: float,
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
@@ -76,8 +76,8 @@ def _whitened_blocks(
     A row permutation of Y leaves its mean, scale and W unchanged, so a
     permuted refit needs only the cross-covariance anew.
     """
-    xs = X.vectors if isinstance(X, EmbeddingMatrix) else np.asarray(X, dtype=np.float64)
-    ys = Y.vectors if isinstance(Y, EmbeddingMatrix) else np.asarray(Y, dtype=np.float64)
+    xs = np.asarray(X, dtype=np.float64)
+    ys = np.asarray(Y, dtype=np.float64)
     n = xs.shape[0]
     if ys.shape[0] != n:
         raise AnalysisError("X and Y row counts differ")
@@ -96,8 +96,8 @@ def _whitened_blocks(
 
 
 def fit_cca(
-    X: EmbeddingMatrix | np.ndarray,
-    Y: EmbeddingMatrix | np.ndarray,
+    X: np.ndarray,
+    Y: np.ndarray,
     n_components: int = 5,
     ridge: float = DEFAULT_RIDGE,
 ) -> CcaModel:
@@ -175,8 +175,8 @@ def _rank_correlations(scores_x: np.ndarray, scores_y: np.ndarray) -> np.ndarray
 
 def canonical_rank_correlations(
     model: CcaModel,
-    X: EmbeddingMatrix | np.ndarray,
-    Y: EmbeddingMatrix | np.ndarray,
+    X: np.ndarray,
+    Y: np.ndarray,
     n_shuffles: int = 1000,
     null_points: int = 500,
     seed: int = 0,
@@ -274,15 +274,15 @@ def semantic_pole_neighbors(
     sign: str,
     candidates: PoleCandidates,
     k: int = 10,
-) -> tuple[list[tuple[str, float]], bool]:
+) -> list[tuple[str, float]]:
     """Nearest candidate words to one semantic pole direction.
 
     The pole direction is the signed semantic weight vector mapped back
     to raw embedding coordinates (weights divided by the per-dimension
     standardization scale, so that raw-space projections reproduce the
     variate up to a constant). The candidates are the words above the
-    zipf cutoff (see ``pole_candidates``). Returns (neighbors, short_flag);
-    short_flag is set when fewer than k candidates exist.
+    zipf cutoff (see ``pole_candidates``). Fewer than k candidates give
+    fewer neighbours, with a warning.
     """
     if sign not in ("+", "-"):
         raise AnalysisError(f"sign must be '+' or '-', got {sign!r}")
@@ -298,15 +298,14 @@ def semantic_pole_neighbors(
 
     if not candidates.ids.size:
         log.warning("semantic pole: no candidates above the zipf cutoff")
-        return [], True
+        return []
     ok = candidates.norms > 0.0
     sims = np.full(candidates.ids.size, -np.inf)
     sims[ok] = (candidates.vectors[ok] @ direction) / candidates.norms[ok]
     top = np.lexsort((candidates.ids, -sims))[:k]
-    short = len(top) < k
-    if short:
+    if len(top) < k:
         log.warning("semantic pole: only %d candidates for k=%d", len(top), k)
-    return [(str(candidates.ids[j]), float(sims[j])) for j in top], short
+    return [(str(candidates.ids[j]), float(sims[j])) for j in top]
 
 
 @dataclass(frozen=True)
@@ -334,7 +333,7 @@ class PoleReport:
 def build_pole_report(
     model: CcaModel,
     component: int,
-    phonetic_matrix: EmbeddingMatrix | np.ndarray,
+    phonetic_matrix: np.ndarray,
     feature_names: Sequence[str],
     candidates: PoleCandidates,
     k: int = 10,
@@ -342,11 +341,10 @@ def build_pole_report(
     threshold: float = 0.05,
 ) -> PoleReport:
     """Assemble the interpretation table row for one canonical variate."""
-    xs = (phonetic_matrix.vectors if isinstance(phonetic_matrix, EmbeddingMatrix)
-          else np.asarray(phonetic_matrix))
-    loadings = structure_loadings(xs, model.scores_phonetic[:, component])
-    pos, _ = semantic_pole_neighbors(model, component, "+", candidates, k=k)
-    neg, _ = semantic_pole_neighbors(model, component, "-", candidates, k=k)
+    loadings = structure_loadings(phonetic_matrix,
+                                  model.scores_phonetic[:, component])
+    pos = semantic_pole_neighbors(model, component, "+", candidates, k=k)
+    neg = semantic_pole_neighbors(model, component, "-", candidates, k=k)
     return PoleReport(
         component=component + 1,
         phonetic_pos=tuple(extract_phonetic_pole(loadings, feature_names, "+",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from .corpus import load_feature_table, load_lexicon, load_scale_configs, top_n
+from .corpus import load_feature_table, load_lexicon, load_scale_configs
 from .errors import AnalysisError, InputError, ProviderError
 from .phonetic import cosine_similarity_matrix
 from .pipeline import (RunConfig, analysed_morphemes, load_language_spaces,
@@ -121,9 +121,9 @@ def segment(config_path, provider_url, provider_model, replay_path):
     else:
         raise InputError("provide --replay or --provider-url")
     for lang in config.languages:
-        lexicon = top_n(load_lexicon(config.inputs[lang]["lexicon"], lang),
-                        config.params["top_words"])
-        words = [(lx.word, lx.lemma, lx.ipa) for lx in lexicon if lx.transcribable]
+        lexemes = load_lexicon(config.inputs[lang]["lexicon"], lang).lexemes
+        words = [(lx.word, lx.lemma, lx.ipa)
+                 for lx in lexemes[:config.params["top_words"]] if lx.transcribable]
         segs = segment_words(words, lang, provider,
                              config.inputs[lang]["segmentations"],
                              perplexity_threshold=config.params["perplexity_threshold"])
@@ -223,23 +223,36 @@ def report(config_path):
         path = out / lang / "global.json"
         if path.exists():
             payloads.append(read_json(path))
+            with _renderable(path):
+                render_global_grid(payloads[-1:])
     if payloads:
         (out / "global.md").write_text(render_global_grid(payloads),
                                        encoding="utf-8")
         click.echo(f"rendered {out / 'global.md'}")
     sub = out / "subspace.json"
     if sub.exists():
-        payload = read_json(sub)
-        (out / "subspace.md").write_text(render_subspace_grid(payload),
-                                         encoding="utf-8")
+        with _renderable(sub):
+            text = render_subspace_grid(read_json(sub))
+        (out / "subspace.md").write_text(text, encoding="utf-8")
         click.echo(f"rendered {out / 'subspace.md'}")
     for lang in config.languages:
         poles = out / lang / "poles.json"
         if poles.exists():
-            payload = read_json(poles)
-            (out / lang / "poles.md").write_text(render_pole_tables(payload),
-                                                 encoding="utf-8")
+            with _renderable(poles):
+                text = render_pole_tables(read_json(poles))
+            (out / lang / "poles.md").write_text(text, encoding="utf-8")
             click.echo(f"rendered {out / lang / 'poles.md'}")
+
+
+@contextlib.contextmanager
+def _renderable(path: Path):
+    """A payload at ``path`` that lacks a key its renderer reads, or holds
+    a value of the wrong type there, is an InputError naming the file."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"{path}: not a payload this version renders "
+                         f"({type(exc).__name__}: {exc})") from None
 
 
 if __name__ == "__main__":

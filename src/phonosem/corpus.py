@@ -24,7 +24,7 @@ import math
 import re
 import unicodedata
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -249,14 +249,6 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
         fh.write("\t".join(LEXICON_HEADER) + "\n")
         for lx in lexicon:
             fh.write(f"{lx.word}\t{lx.lemma}\t{lx.zipf!r}\t{lx.ipa}\n")
-
-
-def top_n(lexicon: Lexicon, n: int) -> Lexicon:
-    """First min(n, |lexicon|) lexemes; lexicon order already encodes the
-    descending-zipf, lexicographic-tie ordering."""
-    if n < 0:
-        raise InputError(f"n must be >= 0, got {n}")
-    return Lexicon(language=lexicon.language, lexemes=lexicon.lexemes[:n])
 
 
 # ---------------------------------------------------------------------------

@@ -27,35 +27,6 @@ log = logging.getLogger(__name__)
 ZERO_VARIANCE_TOL = 1e-12
 
 
-class EmptyTokenizationError(AnalysisError):
-    """No segment of the transcription matched the feature table."""
-
-
-def tokenize_ipa(
-    transcription: str, table: SegmentFeatureTable
-) -> tuple[list[str], str]:
-    """Greedy longest-match segmentation of an IPA string, by the table's
-    ``segment_pattern``.
-
-    Returns ``(segments, dropped)`` where ``dropped`` collects characters
-    that matched no table key (stress and length marks, typically).
-    Raises :class:`EmptyTokenizationError` if nothing matched at all.
-    """
-    if not transcription:
-        raise InputError("empty transcription")
-    segments: list[str] = []
-    dropped: list[str] = []
-    for match in table.segment_pattern.findall(transcription):
-        (segments if match in table else dropped).append(match)
-    if not segments:
-        raise EmptyTokenizationError(
-            f"no segment of {transcription!r} matched the feature table"
-        )
-    if dropped:
-        log.debug("tokenize %r: dropped unknown chars %r", transcription, dropped)
-    return segments, "".join(dropped)
-
-
 def standardize(
     vectors: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -85,11 +56,15 @@ def _tokenize_and_pool(
 ) -> tuple[list[str], np.ndarray, list[str]]:
     """Mean-pooled feature vectors of (item id, IPA) pairs, as one batch.
 
-    Each transcription is tokenized as by :func:`tokenize_ipa` into one
-    flat array of segment indices, and each row is the sum of its
-    segments' feature vectors over their count. Features are ternary, so
-    every partial sum is an exact integer and a row equals the mean of
-    its segments' vectors bit for bit, in any summation order.
+    Each transcription is split by the table's ``segment_pattern``, a
+    greedy longest match over the table's segments: at each position the
+    longest segment that starts there is taken, else one character.
+    Characters no segment matches (stress and length marks, typically)
+    are dropped. The segments of all items form one flat array of
+    indices, and each row is the sum of its segments' feature vectors
+    over their count. Features are ternary, so every partial sum is an
+    exact integer and a row equals the mean of its segments' vectors bit
+    for bit, in any summation order.
 
     Returns ``(ids, rows, skipped)``; items whose transcription is empty
     or matches nothing in the table are left out and listed in

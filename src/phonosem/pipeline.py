@@ -25,7 +25,7 @@ from . import __version__
 from .corpus import (EmbeddingMatrix, Lexicon, MorphemeSet, _open_input,
                      load_feature_table, load_lexicon, load_scale_configs,
                      load_semantic_embeddings)
-from .cca import (CcaModel, PoleCandidates, build_pole_report,
+from .cca import (DEFAULT_RIDGE, CcaModel, PoleCandidates, build_pole_report,
                   canonical_rank_correlations, fit_cca, pole_candidates)
 from .errors import AnalysisError, InputError
 from .phonetic import build_phonetic_embeddings
@@ -51,7 +51,7 @@ PARAMS = {
     "zipf_cutoff": (4.5, None, None),
     "top_words": (5000, 0, None),
     "subspace_pool": (10000, 1, None),
-    "cca_ridge": (1e-8, 0.0, None),
+    "cca_ridge": (DEFAULT_RIDGE, 0.0, None),
     # must be True; kept since every payload's params and config_hash hold it
     "cca_refit": (True, None, None),
     "perplexity_threshold": (PERPLEXITY_THRESHOLD, 1.0, None),
@@ -60,6 +60,7 @@ PARAMS = {
 DEFAULT_PARAMS = {name: default for name, (default, _, _) in PARAMS.items()}
 
 ANALYSES = ("rsa", "mi", "knn", "cca", "subspace")
+INPUT_ROLES = ("lexicon", "vectors", "segmentations")
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,9 @@ class RunConfig:
     def __post_init__(self):
         _reject_unknown("params", self.params, DEFAULT_PARAMS)
         _reject_unknown("analyses", self.analyses, ANALYSES)
+        for name, on in self.analyses.items():
+            if type(on) is not bool:
+                raise InputError(f"analyses.{name}={on!r}: expected true or false")
         merged = dict(DEFAULT_PARAMS)
         merged.update(self.params)
         object.__setattr__(self, "params", merged)
@@ -95,9 +99,15 @@ class RunConfig:
             raise InputError("null_points exceeds shuffles")
         if merged["subspace_null_points"] > merged["subspace_shuffles"]:
             raise InputError("subspace_null_points exceeds subspace_shuffles")
+        if not isinstance(self.inputs, dict):
+            raise InputError(f"inputs: expected a JSON object, got {self.inputs!r}")
         for lang in self.languages:
             if lang not in self.inputs:
                 raise InputError(f"no inputs configured for language {lang!r}")
+            _reject_unknown(f"inputs.{lang}", self.inputs[lang], INPUT_ROLES)
+            missing = [r for r in INPUT_ROLES if r not in self.inputs[lang]]
+            if missing:
+                raise InputError(f"inputs.{lang}: missing role(s): {', '.join(missing)}")
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
@@ -119,6 +129,8 @@ class RunConfig:
 
 
 def _reject_unknown(what: str, obj: dict, known) -> None:
+    if not isinstance(obj, dict):
+        raise InputError(f"{what}: expected a JSON object, got {obj!r}")
     unknown = sorted(set(obj) - set(known))
     if unknown:
         raise InputError(f"unknown {what} key(s): {', '.join(unknown)}")
@@ -267,10 +279,10 @@ def run_global(config: RunConfig) -> dict[str, Path]:
         results = _similarity_results(config, lang, phon, sem)
         if config.analyses.get("cca", True):
             n_components = min(p["n_components"], phon.n_dims, sem.n_dims)
-            model = fit_cca(phon, sem, n_components=n_components,
-                            ridge=p["cca_ridge"])
+            model = fit_cca(phon.vectors, sem.vectors,
+                            n_components=n_components, ridge=p["cca_ridge"])
             cv_results = canonical_rank_correlations(
-                model, X=phon, Y=sem, n_shuffles=p["shuffles"],
+                model, X=phon.vectors, Y=sem.vectors, n_shuffles=p["shuffles"],
                 null_points=p["null_points"],
                 seed=derive_seed(config.seed, "cca", lang))
             results["cca"] = [r.to_record() for r in cv_results]
@@ -355,7 +367,7 @@ def _save_cca_artifacts(lang_dir: Path, model: CcaModel, phon: EmbeddingMatrix,
 
 def _load_cca_artifacts(lang_dir: Path, config_hash: str,
                         inputs: dict[str, str]):
-    """The fitted model, phonetic matrix and feature names saved by the
+    """The fitted model, phonetic vectors and feature names saved by the
     ``analyze-global`` run whose payload carries ``config_hash``, from
     the input files ``inputs`` (role -> path) hold now."""
     path = lang_dir / "cca_model.npz"
@@ -376,9 +388,7 @@ def _load_cca_artifacts(lang_dir: Path, config_hash: str,
                     "with; run analyze-global again")
         model = CcaModel(**{f.name: z[f.name][()]
                             for f in dataclasses.fields(CcaModel)})
-        phon = EmbeddingMatrix(ids=tuple(z["phonetic_ids"].tolist()),
-                               vectors=z["phonetic_vectors"])
-        return model, phon, z["feature_names"].tolist()
+        return model, z["phonetic_vectors"], z["feature_names"].tolist()
 
 
 def run_subspace(config: RunConfig) -> dict[str, Path]:
@@ -448,7 +458,7 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
         cca_records = payload.get("results", {}).get("cca")
         if cca_records is None:
             raise InputError(f"{lang}: no CCA results to interpret")
-        model, phon, feature_names = _load_cca_artifacts(
+        model, phon_vectors, feature_names = _load_cca_artifacts(
             lang_dir, payload["config_hash"], _language_inputs(config, lang))
 
         significant = [c for c, rec in enumerate(cca_records) if rec["p"] < 0.05]
@@ -456,7 +466,7 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
         if significant:
             candidates = load_pole_candidates(config, lang)
             reports = [build_pole_report(
-                model, c, phon, feature_names, candidates, k=p["k"],
+                model, c, phon_vectors, feature_names, candidates, k=p["k"],
                 percentile=p["percentile"], threshold=p["threshold"]).to_record()
                 for c in significant]
         else:

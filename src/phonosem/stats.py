@@ -238,19 +238,6 @@ def _mean_overlap(na: np.ndarray, nb: np.ndarray, k: int) -> float:
     return float(np.mean(shared / k))
 
 
-def _check_k(n: int, k: int) -> None:
-    if n <= k:
-        raise AnalysisError(f"kNN overlap needs more than k={k} items, got {n}")
-
-
-def knn_overlap_value(sim_a: SimilarityMatrix, sim_b: SimilarityMatrix, k: int = 10) -> float:
-    """Mean proportion of shared k-nearest neighbors across items."""
-    _check_same_items(sim_a, sim_b)
-    _check_k(sim_a.n_items, k)
-    return _mean_overlap(_top_k(sim_a.values, k)[0],
-                         _top_k(sim_b.values, k)[0], k)
-
-
 # ---------------------------------------------------------------------------
 # Pair gathers
 
@@ -418,7 +405,9 @@ def prepare(
     if analyses & {"rsa", "mi"}:
         pairs = sim.pair_vector()
     if "knn" in analyses:
-        _check_k(len(ids), k)
+        if len(ids) <= k:
+            raise AnalysisError(
+                f"kNN overlap needs more than k={k} items, got {len(ids)}")
         neighbours, ties = _top_k(sim.values, k)
     del sim
     bin_index = doubled_ranks = None

@@ -78,19 +78,19 @@ def perpendicular_distance(points: np.ndarray, line: CentroidLine) -> np.ndarray
 
 def select_words(
     vocabulary: EmbeddingMatrix, line: CentroidLine, n: int = 10000
-) -> tuple[list[str], bool]:
-    """The n words nearest the line by perpendicular distance.
+) -> np.ndarray:
+    """The rows of the n words nearest the line by perpendicular
+    distance, nearest first.
 
     Ties break by ascending word order; if the vocabulary is smaller
-    than n, all words are returned with the short flag set.
+    than n, every row is returned, with a warning.
     """
     dist = perpendicular_distance(vocabulary.vectors, line)
     order = np.lexsort((np.array(vocabulary.ids), dist))
-    short = vocabulary.n_items < n
-    if short:
+    if vocabulary.n_items < n:
         log.warning("select_words: vocabulary %d smaller than n=%d",
                     vocabulary.n_items, n)
-    return [vocabulary.ids[i] for i in order[:n]], short
+    return order[:n]
 
 
 @dataclass(frozen=True)
@@ -215,9 +215,7 @@ def scale_alignment(
             f"scale {scale.name!r} ({language}): fewer than 3 usable words"
         )
 
-    selected, _ = select_words(candidates.words, sem_line, n=n_words)
-    cand_index = {w: j for j, w in enumerate(candidates.words.ids)}
-    rows = [cand_index[w] for w in selected]
+    rows = select_words(candidates.words, sem_line, n=n_words)
     phon_std, kept, mean, std = standardize(candidates.phonetic[rows])
 
     pos_seg = _segment_vectors(scale.phonetic_pos, table, scale.name)[:, kept]
@@ -234,7 +232,7 @@ def scale_alignment(
     def stat(perm: np.ndarray) -> float:
         return _rho(centered_sem, centered_phon[perm])
 
-    p, null = permutation_test(stat, rho, len(selected), n_shuffles,
+    p, null = permutation_test(stat, rho, rows.size, n_shuffles,
                                null_points, seed, "two-sided")
     alignment = _summarize(f"scale:{scale.name}", rho, null, p, n_shuffles,
                            seed, "two-sided")
@@ -243,11 +241,11 @@ def scale_alignment(
         language=language,
         rho=rho,
         p_value=p,
-        n_words=len(selected),
+        n_words=rows.size,
         n_dropped_no_embedding=candidates.dropped_no_embedding,
         n_dropped_no_phonetics=candidates.dropped_no_phonetics,
         semantic_coords=sem_coords,
         phonetic_coords=phon_coords,
-        words=tuple(selected),
+        words=tuple(candidates.words.ids[i] for i in rows),
         alignment=alignment,
     )

@@ -24,7 +24,7 @@ from phonosem.pipeline import RunConfig, load_language_spaces, run_global
 from phonosem.segmentation import (LANGUAGE_NAMES, error_rate_ci,
                                    load_example_set, parse_response,
                                    render_pairs)
-from phonosem.stats import (knn_overlap, knn_overlap_value, mi_alignment,
+from phonosem.stats import (knn_overlap, mi_alignment,
                             mutual_information_value, permutation_test, rsa,
                             spearman_rho)
 from phonosem.subspace import (build_line, perpendicular_distance,
@@ -144,10 +144,11 @@ def test_03_knn_overlap_oracle_equivalence(capsys):
             EmbeddingMatrix(ids, rng.normal(size=(30, 6))))
         b = cosine_similarity_matrix(
             EmbeddingMatrix(ids, rng.normal(size=(30, 6))))
-        got = knn_overlap_value(a, b, k=4)
+        got = knn_overlap(a, b, k=4, n_shuffles=1, null_points=1).value
         ok = ok and got == pytest.approx(oracle_knn(a.values, b.values, 4),
                                          abs=1e-12)
-        ok = ok and knn_overlap_value(a, a, k=4) == 1.0
+        ok = ok and knn_overlap(a, a, k=4, n_shuffles=1,
+                                null_points=1).value == 1.0
     # two 4-cliques in space A; negating off-diagonal similarities makes
     # every neighborhood disjoint from its counterpart
     ids8 = tuple(f"i{j}" for j in range(8))
@@ -158,7 +159,8 @@ def test_03_knn_overlap_oracle_equivalence(capsys):
     vb = -va + 2.0 * np.eye(8)
     sim_a = SimilarityMatrix(ids=ids8, values=va)
     sim_b = SimilarityMatrix(ids=ids8, values=vb)
-    ok = ok and knn_overlap_value(sim_a, sim_b, k=3) == 0.0
+    ok = ok and knn_overlap(sim_a, sim_b, k=3, n_shuffles=1,
+                            null_points=1).value == 0.0
     _report(capsys, 3, "kNN overlap matches exhaustive oracle", ok)
 
 
@@ -247,8 +249,9 @@ def test_06_planted_signal_pipeline(capsys, tmp_path):
                                    planted=False)
         cfg = _planted_config(p2, d / "out", seed=s)
         phon, sem, *_ = load_language_spaces(cfg, "syn")
-        model = fit_cca(phon, sem, n_components=3)
-        results = canonical_rank_correlations(model, X=phon, Y=sem,
+        model = fit_cca(phon.vectors, sem.vectors, n_components=3)
+        results = canonical_rank_correlations(model, X=phon.vectors,
+                                              Y=sem.vectors,
                                               n_shuffles=199, null_points=199,
                                               seed=s)
         if results[0].p_value >= 0.05:

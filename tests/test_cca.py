@@ -192,25 +192,25 @@ class TestSemanticPoleNeighbors:
         vectors = vocab.vectors.copy()
         vectors[7] = direction / np.linalg.norm(direction)
         vocab = EmbeddingMatrix(vocab.ids, vectors)
-        neighbors, short = semantic_pole_neighbors(
+        neighbors = semantic_pole_neighbors(
             model, 0, "+", pole_candidates(vocab))
-        assert not short
+        assert len(neighbors) == 10
         assert neighbors[0][0] == "w7"
         assert neighbors[0][1] == pytest.approx(1.0, abs=1e-12)
 
-    def test_zipf_cutoff_empties_candidates(self):
+    def test_zipf_cutoff_empties_candidates(self, caplog):
         # no word above the cutoff had a vector, so none was loaded
         rng = np.random.default_rng(47)
         model, vocab = self.make_fixture(rng)
-        neighbors, short = semantic_pole_neighbors(
+        neighbors = semantic_pole_neighbors(
             model, 0, "+", pole_candidates(vocab.subset([])))
         assert neighbors == []
-        assert short
+        assert "no candidates above the zipf cutoff" in caplog.text
 
     def test_matches_brute_force_ranking(self):
         rng = np.random.default_rng(48)
         model, vocab = self.make_fixture(rng)
-        neighbors, _ = semantic_pole_neighbors(
+        neighbors = semantic_pole_neighbors(
             model, 1, "-", pole_candidates(vocab), k=5)
         direction = -model.weights_semantic[:, 1] / model.scale_semantic
         direction = direction / np.linalg.norm(direction)
@@ -226,7 +226,7 @@ class TestSemanticPoleNeighbors:
         words = ("z", "b", "é", "ab", "a", "w3", "w1", "w2")
         base = rng.normal(size=(2, 4))
         vocab = EmbeddingMatrix(words, np.repeat(base, 4, axis=0))
-        neighbors, _ = semantic_pole_neighbors(
+        neighbors = semantic_pole_neighbors(
             model, 0, "+", pole_candidates(vocab), k=6)
         assert len({s for _, s in neighbors}) == 2
         direction = model.weights_semantic[:, 0] / model.scale_semantic
@@ -240,15 +240,15 @@ class TestSemanticPoleNeighbors:
         rng = np.random.default_rng(49)
         model, vocab = self.make_fixture(rng)
         candidates = pole_candidates(vocab)
-        pos, _ = semantic_pole_neighbors(model, 0, "+", candidates, k=5)
-        neg, _ = semantic_pole_neighbors(model, 0, "-", candidates, k=5)
+        pos = semantic_pole_neighbors(model, 0, "+", candidates, k=5)
+        neg = semantic_pole_neighbors(model, 0, "-", candidates, k=5)
         flipped = model.__class__(**{
             **{f.name: getattr(model, f.name)
                for f in model.__dataclass_fields__.values()},
             "weights_semantic": -model.weights_semantic,
         })
-        pos_f, _ = semantic_pole_neighbors(flipped, 0, "+", candidates, k=5)
-        neg_f, _ = semantic_pole_neighbors(flipped, 0, "-", candidates, k=5)
+        pos_f = semantic_pole_neighbors(flipped, 0, "+", candidates, k=5)
+        neg_f = semantic_pole_neighbors(flipped, 0, "-", candidates, k=5)
         assert pos_f == neg
         assert neg_f == pos
 

@@ -149,9 +149,11 @@ class TestIngest:
     @pytest.mark.parametrize("entry", [
         {"params": {"k": "10"}}, {"params": {"k": True}},
         {"params": {"shuffles": 2.5}}, {"params": {"scatter": "no"}},
-        {"seed": "x"}, {"seed": 1.7}, {"seed": True}],
+        {"seed": "x"}, {"seed": 1.7}, {"seed": True},
+        {"analyses": {"rsa": "false"}}, {"analyses": ["rsa"]}, {"inputs": "syn"}],
         ids=["k-str", "k-bool", "shuffles-float", "scatter-str",
-             "seed-str", "seed-float", "seed-bool"])
+             "seed-str", "seed-float", "seed-bool", "analyses-str",
+             "analyses-list", "inputs-str"])
     def test_value_of_the_wrong_type_is_exit_one(self, workspace, tmp_path,
                                                  entry):
         _, _, config = workspace
@@ -163,6 +165,38 @@ class TestIngest:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "expected" in result.output
+
+    @pytest.mark.parametrize("name,value", [
+        ("top_words", -1), ("percentile", 100.5)], ids=["top_words", "percentile"])
+    def test_param_outside_its_bounds_is_exit_one(self, workspace, tmp_path,
+                                                  name, value):
+        _, _, config = workspace
+        broken = {**config, "params": {**config["params"], name: value}}
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        result = invoke("ingest", "--config", path)
+        assert result.exit_code == 1
+        assert (f"input error: parameter {name}={value} outside documented "
+                "bounds") in result.output
+
+    @pytest.mark.parametrize("roles,message", [
+        ({"vector": "x.vec"}, "unknown inputs.syn key(s): vector"),
+        ({}, "inputs.syn: missing role(s): vectors"),
+        ("x.vec", "inputs.syn: expected a JSON object")],
+        ids=["misspelt", "missing", "not-an-object"])
+    def test_input_roles_other_than_the_three_are_exit_one(
+            self, workspace, tmp_path, roles, message):
+        _, _, config = workspace
+        inputs = {k: v for k, v in config["inputs"]["syn"].items()
+                  if k != "vectors"}
+        syn = {**inputs, **roles} if isinstance(roles, dict) else roles
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps({**config, "inputs": {"syn": syn}}),
+                        encoding="utf-8")
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"input error: {message}" in result.output
 
     def test_int_is_accepted_for_a_float_param(self, workspace, tmp_path):
         _, _, config = workspace
@@ -260,12 +294,14 @@ class TestSegmentAndVerify:
         assert f"input error: {replay}:2: " in result.output
         assert message in result.output
 
-    def test_response_without_logprobs_is_exit_three_and_not_cached(
-            self, tmp_path):
-        words = [("run", "rʌn", 5.0), ("sit", "sɪt", 4.0), ("hop", "hɒp", 3.0)]
+    WORDS = [("run", "rʌn", 5.0), ("sit", "sɪt", 4.0), ("hop", "hɒp", 3.0)]
+
+    def three_word_config(self, tmp_path, params=None):
+        """A config over a three-word lexicon, with its cache path."""
         lexicon = tmp_path / "lexicon.tsv"
         lexicon.write_text("word\tlemma\tzipf\tipa\n" + "".join(
-            f"{w}\t{w}\t{z}\t{ipa}\n" for w, ipa, z in words), encoding="utf-8")
+            f"{w}\t{w}\t{z}\t{ipa}\n" for w, ipa, z in self.WORDS),
+            encoding="utf-8")
         cache = tmp_path / "cache.jsonl"
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
@@ -273,24 +309,41 @@ class TestSegmentAndVerify:
             "inputs": {"en": {"lexicon": str(lexicon),
                               "vectors": str(tmp_path / "en.vec"),
                               "segmentations": str(cache)}},
-            "output_dir": str(tmp_path / "results")}), encoding="utf-8")
+            "output_dir": str(tmp_path / "results"),
+            "params": params or {}}), encoding="utf-8")
+        return path, cache
 
-        def replay(name, with_logprobs):
-            replay = tmp_path / name
-            replay.write_text("".join(json.dumps({
-                "user": f"input: {w},{ipa}", "text": f"({w},{ipa})",
-                **({"logprobs": [-0.1]} if with_logprobs(w) else {})},
-                ensure_ascii=False) + "\n" for w, ipa, _ in words),
-                encoding="utf-8")
-            return replay
+    def replay(self, path, with_logprobs=lambda w: True):
+        """Recorded responses for every lexicon word."""
+        path.write_text("".join(json.dumps({
+            "user": f"input: {w},{ipa}", "text": f"({w},{ipa})",
+            **({"logprobs": [-0.1]} if with_logprobs(w) else {})},
+            ensure_ascii=False) + "\n" for w, ipa, _ in self.WORDS),
+            encoding="utf-8")
+        return path
 
-        bad = replay("bad.jsonl", lambda w: w == "run")
+    @pytest.mark.parametrize("top_words,sent", [
+        (0, []), (2, ["run", "sit"]), (10, ["run", "sit", "hop"])],
+        ids=["zero", "two", "more-than-the-lexicon"])
+    def test_segment_sends_the_first_top_words_lexemes(self, tmp_path,
+                                                       top_words, sent):
+        path, cache = self.three_word_config(tmp_path, {"top_words": top_words})
+        replay = self.replay(tmp_path / "replay.jsonl")
+        result = invoke("segment", "--config", path, "--replay", replay)
+        assert result.exit_code == 0, result.output
+        assert f"en: {len(sent)} segmentations kept" in result.output
+        assert [seg.word for seg in read_segmentation_cache(cache)] == sent
+
+    def test_response_without_logprobs_is_exit_three_and_not_cached(
+            self, tmp_path):
+        path, cache = self.three_word_config(tmp_path)
+        bad = self.replay(tmp_path / "bad.jsonl", lambda w: w == "run")
         result = invoke("segment", "--config", path, "--replay", bad)
         assert result.exit_code == 3
         assert ("provider error: response for 'sit' lacks log-probabilities"
                 in result.output)
         assert [seg.word for seg in read_segmentation_cache(cache)] == ["run"]
-        good = replay("good.jsonl", lambda w: True)
+        good = self.replay(tmp_path / "good.jsonl")
         result = invoke("segment", "--config", path, "--replay", good)
         assert result.exit_code == 0, result.output
         assert [seg.word for seg in read_segmentation_cache(cache)] == [
@@ -738,6 +791,25 @@ class TestReport:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert f"input error: {path}: top level must be a JSON object" in result.output
+
+    @pytest.mark.parametrize("payload,key", [
+        ("syn/global.json", "results"), ("subspace.json", "cells"),
+        ("syn/poles.json", "language")])
+    def test_payload_without_the_keys_it_renders_is_exit_one(
+            self, workspace, tmp_path, payload, key):
+        _, _, config = workspace
+        out = tmp_path / "out"
+        path = out / payload
+        path.parent.mkdir(parents=True)
+        path.write_text("{}", encoding="utf-8")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**config, "output_dir": str(out)}),
+                            encoding="utf-8")
+        result = invoke("report", "--config", cfg_path)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"input error: {path}: " in result.output
+        assert f"KeyError: '{key}'" in result.output
 
     def test_rerender_from_json(self, workspace):
         ws, config_path, _ = workspace

@@ -6,11 +6,11 @@ import unicodedata
 import numpy as np
 import pytest
 
-from phonosem.corpus import (EmbeddingMatrix, Lexeme, Lexicon, Morpheme,
+from phonosem.corpus import (EmbeddingMatrix, Morpheme,
                              MorphemeSet, ScaleConfig, load_feature_table,
                              load_lexicon, load_scale_configs,
                              load_semantic_embeddings, save_feature_table,
-                             save_lexicon, save_semantic_embeddings, top_n)
+                             save_lexicon, save_semantic_embeddings)
 from phonosem.errors import InputError, ParseError
 
 
@@ -77,29 +77,11 @@ class TestLoadLexicon:
 
 
 class TestTopNAndZipf:
-    lex = Lexicon("en", (Lexeme("a", "a", 5.0, "a"), Lexeme("b", "b", 4.6, "b"),
-                         Lexeme("c", "c", 4.5, "c")))
-
-    def test_top_n_exceeds_size(self):
-        assert len(top_n(self.lex, 5)) == 3
-
-    def test_top_n_zero(self):
-        assert len(top_n(self.lex, 0)) == 0
-
-    def test_top_n_negative_rejected(self):
-        with pytest.raises(InputError):
-            top_n(self.lex, -1)
-
     def test_tie_break_lexicographic(self, tmp_path):
         path = tmp_path / "lex.tsv"
-        write_lexicon(path, [("b", "b", 4.0, "b"), ("a", "a", 4.0, "a")])
-        lex = load_lexicon(path, "en")
-        assert top_n(lex, 1).words() == ["a"]
-
-    def test_prefix_property(self):
-        for n in range(4):
-            for m in range(n, 4):
-                assert top_n(self.lex, m).lexemes[:n] == top_n(self.lex, n).lexemes
+        write_lexicon(path, [("b", "b", 4.0, "b"), ("a", "a", 4.0, "a"),
+                             ("c", "c", 4.5, "c")])
+        assert load_lexicon(path, "en").words() == ["c", "a", "b"]
 
 
 class TestFeatureTable:

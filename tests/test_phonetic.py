@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phonosem.corpus import EmbeddingMatrix, SegmentFeatureTable
-from phonosem.errors import AnalysisError, InputError
-from phonosem.phonetic import (EmptyTokenizationError, SimilarityMatrix,
-                               _tokenize_and_pool, build_phonetic_embeddings,
-                               cosine_similarity_matrix, standardize,
-                               tokenize_ipa)
+from phonosem.errors import AnalysisError
+from phonosem.phonetic import (SimilarityMatrix, _tokenize_and_pool,
+                               build_phonetic_embeddings,
+                               cosine_similarity_matrix, standardize)
 
 
 @pytest.fixture
@@ -22,39 +21,44 @@ def affricate_table():
     )
 
 
-class TestTokenize:
-    def test_longest_match_wins(self, affricate_table):
-        segments, dropped = tokenize_ipa("tʃa", affricate_table)
-        assert segments == ["tʃ", "a"]
-        assert dropped == ""
-
-    def test_single_segment(self, affricate_table):
-        assert tokenize_ipa("a", affricate_table)[0] == ["a"]
-
-    def test_nothing_matched(self, affricate_table):
-        with pytest.raises(EmptyTokenizationError):
-            tokenize_ipa("xq", affricate_table)
-
-    def test_empty_rejected(self, affricate_table):
-        with pytest.raises(InputError):
-            tokenize_ipa("", affricate_table)
-
-    def test_unknowns_dropped_and_reported(self, affricate_table):
-        segments, dropped = tokenize_ipa("ˈtʃaː", affricate_table)
-        assert segments == ["tʃ", "a"]
-        assert dropped == "ˈː"
-
-    def test_round_trip_minus_unknowns(self, feature_table):
-        segments, dropped = tokenize_ipa("paˈtil", feature_table)
-        assert "".join(segments) + dropped == "patil" + "ˈ"
-        assert "".join(segments) == "patil"
-
-
 def pooled(ipa, table):
     """The batch pooler's row for one transcription."""
     ids, rows, _ = _tokenize_and_pool([("w", ipa)], table)
     assert ids == ["w"]
     return rows[0]
+
+
+def mean_of(table, segments):
+    return np.vstack([table[s] for s in segments]).mean(axis=0)
+
+
+class TestTokenize:
+    def test_longest_match_wins(self, affricate_table):
+        row = pooled("tʃa", affricate_table)
+        assert np.array_equal(row, mean_of(affricate_table, ["tʃ", "a"]))
+        assert not np.array_equal(row, mean_of(affricate_table, ["t", "a"]))
+
+    def test_single_segment(self, affricate_table):
+        assert np.array_equal(pooled("a", affricate_table), affricate_table["a"])
+
+    def test_nothing_matched(self, affricate_table):
+        ids, _, skipped = _tokenize_and_pool([("w", "xq")], affricate_table)
+        assert (ids, skipped) == ([], ["w"])
+
+    def test_empty_rejected(self, affricate_table):
+        ids, _, skipped = _tokenize_and_pool([("w", "")], affricate_table)
+        assert (ids, skipped) == ([], ["w"])
+
+    def test_unknowns_dropped_and_reported(self, affricate_table):
+        ids, rows, skipped = _tokenize_and_pool(
+            [("w", "ˈtʃaː"), ("v", "ˈː")], affricate_table)
+        assert (ids, skipped) == (["w"], ["v"])
+        assert np.array_equal(rows[0], mean_of(affricate_table, ["tʃ", "a"]))
+
+    def test_round_trip_minus_unknowns(self, feature_table):
+        row = pooled("paˈtil", feature_table)
+        assert np.array_equal(row, pooled("patil", feature_table))
+        assert np.array_equal(row, mean_of(feature_table, "patil"))
 
 
 class TestMeanPool:
@@ -154,16 +158,23 @@ class TestBatchPooling:
                 assert row.tobytes() == want.tobytes()
 
     def test_tokenizer_equals_the_oracle_on_random_tables(self):
+        # one-hot features: a row is the share of each segment, so equal
+        # rows mean equal segment counts
         rng = np.random.default_rng(20261019)
         for _ in range(60):
             table, items = random_table_and_items(rng)
-            for _, ipa in items:
+            keys = list(table.vectors)
+            one_hot = SegmentFeatureTable(
+                tuple(keys), dict(zip(keys, np.eye(len(keys)))))
+            ids, rows, skipped = _tokenize_and_pool(items, one_hot)
+            for item_id, ipa in items:
                 want = oracle_tokenize(ipa, table)
                 if want:
-                    assert tokenize_ipa(ipa, table)[0] == want
-                elif ipa:
-                    with pytest.raises(EmptyTokenizationError):
-                        tokenize_ipa(ipa, table)
+                    counts = np.array([want.count(key) for key in keys])
+                    row = rows[ids.index(item_id)]
+                    assert np.array_equal(row, counts / len(want))
+                else:
+                    assert item_id in skipped
 
     def test_no_items_give_no_rows(self, affricate_table):
         ids, rows, skipped = _tokenize_and_pool([], affricate_table)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from phonosem.errors import AnalysisError
 from phonosem.phonetic import SimilarityMatrix, cosine_similarity_matrix
 from phonosem.corpus import EmbeddingMatrix
-from phonosem.stats import (knn_overlap, knn_overlap_value, mi_alignment,
+from phonosem.stats import (knn_overlap, mi_alignment,
                             mutual_information_value, permutation_pvalue,
                             permutation_test, rsa, shuffle_rng, spearman_rho,
                             stars)
@@ -183,7 +183,8 @@ class TestKnnOverlap:
     def test_identical_spaces(self):
         rng = np.random.default_rng(16)
         sim = random_similarity(rng, 15)
-        assert knn_overlap_value(sim, sim, k=5) == 1.0
+        assert knn_overlap(sim, sim, k=5, n_shuffles=1,
+                           null_points=1).value == 1.0
 
     def test_disjoint_blocks(self):
         # A: two 4-cliques; B = negated off-diagonal similarities, so each
@@ -199,13 +200,14 @@ class TestKnnOverlap:
         ids = tuple(f"i{j}" for j in range(n))
         sim_a = SimilarityMatrix(ids, a)
         sim_b = SimilarityMatrix(ids, b)
-        assert knn_overlap_value(sim_a, sim_b, k=k) == 0.0
+        assert knn_overlap(sim_a, sim_b, k=k, n_shuffles=1,
+                           null_points=1).value == 0.0
 
     def test_k_too_large(self):
         rng = np.random.default_rng(17)
         sim = random_similarity(rng, 5)
         with pytest.raises(AnalysisError):
-            knn_overlap_value(sim, sim, k=5)
+            knn_overlap(sim, sim, k=5, n_shuffles=1, null_points=1)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(18)
@@ -215,16 +217,18 @@ class TestKnnOverlap:
             na = oracle_neighbors(sim_a, 6)
             nb = oracle_neighbors(sim_b, 6)
             expected = np.mean([len(x & y) / 6 for x, y in zip(na, nb)])
-            assert knn_overlap_value(sim_a, sim_b, k=6) == pytest.approx(
-                expected, abs=1e-15)
+            got = knn_overlap(sim_a, sim_b, k=6, n_shuffles=1,
+                              null_points=1).value
+            assert got == pytest.approx(expected, abs=1e-15)
 
     def test_rank_invariance(self):
         rng = np.random.default_rng(19)
         sim_a = random_similarity(rng, 12)
         sim_b = random_similarity(rng, 12)
-        base = knn_overlap_value(sim_a, sim_b, k=4)
+        base = knn_overlap(sim_a, sim_b, k=4, n_shuffles=1, null_points=1)
         warped = SimilarityMatrix(sim_a.ids, np.tanh(2.0 * sim_a.values))
-        assert knn_overlap_value(warped, sim_b, k=4) == base
+        assert knn_overlap(warped, sim_b, k=4, n_shuffles=1,
+                           null_points=1).value == base.value
 
 
 # ---------------------------------------------------------------------------

@@ -87,14 +87,18 @@ class TestPerpendicularDistance:
         assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
 
+def selected(vocab, line, n):
+    """The words of the rows ``select_words`` picks."""
+    return [vocab.ids[i] for i in select_words(vocab, line, n=n)]
+
+
 class TestSelectWords:
-    def test_small_vocabulary_flagged(self):
+    def test_small_vocabulary_flagged(self, caplog):
         rng = np.random.default_rng(62)
         vocab = EmbeddingMatrix(tuple("abcde"), rng.normal(size=(5, 3)))
         line = build_line(rng.normal(size=(1, 3)), rng.normal(size=(1, 3)))
-        words, short = select_words(vocab, line, n=10_000)
-        assert sorted(words) == list("abcde")
-        assert short
+        assert sorted(selected(vocab, line, n=10_000)) == list("abcde")
+        assert "vocabulary 5 smaller than n=10000" in caplog.text
 
     def test_on_line_word_always_selected(self):
         rng = np.random.default_rng(63)
@@ -102,16 +106,15 @@ class TestSelectWords:
         vectors = rng.normal(size=(10, 3)) + 5.0
         vectors[4] = [0.25, 0.0, 0.0]  # exactly on the line
         vocab = EmbeddingMatrix(tuple(f"w{i}" for i in range(10)), vectors)
-        words, _ = select_words(vocab, line, n=1)
-        assert words == ["w4"]
+        assert selected(vocab, line, n=1) == ["w4"]
 
-    def test_matches_full_sort_oracle(self):
+    def test_matches_full_sort_oracle(self, caplog):
         rng = np.random.default_rng(64)
         vocab = EmbeddingMatrix(tuple(f"w{i:03d}" for i in range(100)),
                                 rng.normal(size=(100, 4)))
         line = build_line(rng.normal(size=(2, 4)), rng.normal(size=(2, 4)))
-        words, short = select_words(vocab, line, n=30)
-        assert not short
+        words = selected(vocab, line, n=30)
+        assert "smaller than n" not in caplog.text
         dist = perpendicular_distance(vocab.vectors, line)
         expected = [w for _, w in sorted(zip(dist, vocab.ids))][:30]
         assert words == expected
@@ -126,7 +129,7 @@ class TestSelectWords:
         line = build_line([(1.0, 0.0, 0.0)], [(0.0, 0.0, 0.0)])
         dist = perpendicular_distance(vectors, line)
         assert np.unique(dist).size < 10
-        words, _ = select_words(EmbeddingMatrix(ids, vectors), line, n=25)
+        words = selected(EmbeddingMatrix(ids, vectors), line, n=25)
         assert words == [w for _, w in sorted(zip(dist, ids))][:25]
 
     def test_input_order_invariance(self):
@@ -134,9 +137,9 @@ class TestSelectWords:
         ids = tuple(f"w{i}" for i in range(40))
         vectors = rng.normal(size=(40, 3))
         line = build_line(rng.normal(size=(1, 3)), rng.normal(size=(1, 3)))
-        base, _ = select_words(EmbeddingMatrix(ids, vectors), line, n=10)
+        base = selected(EmbeddingMatrix(ids, vectors), line, n=10)
         perm = rng.permutation(40)
-        shuffled, _ = select_words(
+        shuffled = selected(
             EmbeddingMatrix(tuple(ids[i] for i in perm), vectors[perm]),
             line, n=10)
         assert base == shuffled
