@@ -31,15 +31,11 @@ DEFAULT_RIDGE = 1e-8
 @dataclass(frozen=True)
 class CcaModel:
     n_components: int
-    weights_phonetic: np.ndarray   # (dx, k), act on standardized columns
-    weights_semantic: np.ndarray   # (dy, k)
+    weights_semantic: np.ndarray   # (dy, k), act on standardized columns
     scores_phonetic: np.ndarray    # (n, k)
     scores_semantic: np.ndarray    # (n, k)
     canonical_pearson: np.ndarray  # (k,)
-    mean_phonetic: np.ndarray
-    scale_phonetic: np.ndarray
-    mean_semantic: np.ndarray
-    scale_semantic: np.ndarray
+    scale_semantic: np.ndarray     # (dy,)
     ridge: float
 
     @property
@@ -47,12 +43,12 @@ class CcaModel:
         return self.scores_phonetic.shape[0]
 
 
-def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
     if np.any(scale <= 0.0):
         raise AnalysisError("constant column; CCA requires varying inputs")
-    return (x - mean) / scale, mean, scale
+    return (x - mean) / scale, scale
 
 
 def _inv_sqrt(cov: np.ndarray, ridge: float) -> np.ndarray:
@@ -70,10 +66,10 @@ def _whitened_blocks(
     ridge: float,
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Check a pair of per-item blocks and return, for X and then Y, the
-    standardized block, its column mean and scale, and its whitening
-    matrix W = (C + ridge*I)^-1/2 of the within-block covariance C.
+    standardized block, its column scale, and its whitening matrix
+    W = (C + ridge*I)^-1/2 of the within-block covariance C.
 
-    A row permutation of Y leaves its mean, scale and W unchanged, so a
+    A row permutation of Y leaves its scale and W unchanged, so a
     permuted refit needs only the cross-covariance anew.
     """
     xs = np.asarray(X, dtype=np.float64)
@@ -90,8 +86,8 @@ def _whitened_blocks(
         raise AnalysisError("need more items than the larger dimensionality")
 
     def whiten(block: np.ndarray) -> tuple[np.ndarray, ...]:
-        z, mean, scale = _standardize(block)
-        return z, mean, scale, _inv_sqrt(z.T @ z / n, ridge)
+        z, scale = _standardize(block)
+        return z, scale, _inv_sqrt(z.T @ z / n, ridge)
     return whiten(xs), whiten(ys)
 
 
@@ -106,7 +102,7 @@ def fit_cca(
     X holds the phonetic space, Y the semantic space; rows must be the
     same items in the same order.
     """
-    (xs, mx, sx, wx_white), (ys, my, sy, wy_white) = _whitened_blocks(
+    (xs, _, wx_white), (ys, sy, wy_white) = _whitened_blocks(
         X, Y, n_components, ridge)
     n = xs.shape[0]
     cxy = xs.T @ ys / n
@@ -121,7 +117,6 @@ def fit_cca(
     for c in range(n_components):
         loadings = structure_loadings(xs, scores_x[:, c])
         if loadings[np.argmax(np.abs(loadings))] < 0:
-            wx[:, c] *= -1
             wy[:, c] *= -1
             scores_x[:, c] *= -1
             scores_y[:, c] *= -1
@@ -134,14 +129,10 @@ def fit_cca(
 
     return CcaModel(
         n_components=n_components,
-        weights_phonetic=wx,
         weights_semantic=wy,
         scores_phonetic=scores_x,
         scores_semantic=scores_y,
         canonical_pearson=pearson,
-        mean_phonetic=mx,
-        scale_phonetic=sx,
-        mean_semantic=my,
         scale_semantic=sy,
         ridge=ridge,
     )
@@ -192,7 +183,7 @@ def canonical_rank_correlations(
     """
     k = model.n_components
     observed = _rank_correlations(model.scores_phonetic, model.scores_semantic)
-    (xs, _, _, wx), (ys, _, _, wy) = _whitened_blocks(X, Y, k, model.ridge)
+    (xs, _, wx), (ys, _, wy) = _whitened_blocks(X, Y, k, model.ridge)
     n = xs.shape[0]
     xw = xs @ wx
     items = np.arange(n)

@@ -7,8 +7,6 @@ option, a missing ``--config`` file), 2 analysis error, 3 provider error.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
-import functools
 import logging
 import sys
 from pathlib import Path
@@ -19,61 +17,53 @@ from .corpus import load_feature_table, load_lexicon, load_scale_configs
 from .errors import AnalysisError, InputError, ProviderError
 from .phonetic import cosine_similarity_matrix
 from .pipeline import (RunConfig, analysed_morphemes, load_language_spaces,
-                       load_vocabulary, read_json, render_global_grid,
-                       render_pole_tables, render_subspace_grid, run_global,
-                       run_interpret, run_subspace)
+                       load_vocabulary, payload_fields, read_json,
+                       render_global_grid, render_pole_tables,
+                       render_subspace_grid, run_global, run_interpret,
+                       run_subspace)
 from .segmentation import (HttpProvider, ReplayProvider, sample_for_verification,
                            dedupe_into_morpheme_set, segment_words,
                            write_verification_sheet)
 
 log = logging.getLogger(__name__)
 
-
-def _exit_codes(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except InputError as exc:
-            click.echo(f"input error: {exc}", err=True)
-            sys.exit(1)
-        except ProviderError as exc:
-            click.echo(f"provider error: {exc}", err=True)
-            sys.exit(3)
-        except AnalysisError as exc:
-            click.echo(f"analysis error: {exc}", err=True)
-            sys.exit(2)
-    return wrapper
-
-
 config_option = click.option("--config", "config_path", required=True,
                              type=click.Path(exists=True, dir_okay=False),
                              help="Run configuration JSON.")
-seed_option = click.option("--seed", type=int, default=None,
-                           help="Override the master seed.")
 
 
 class _Commands(click.Group):
-    """The command group. click exits 2 on a usage error, which here is
-    the analysis-error code, so a usage error exits 1 instead."""
+    """The command group, which gives every error its exit code."""
 
     def make_context(self, *args, **kwargs):
-        with _usage_error_exits_one():
+        with _exit_code():
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
         # a command's own options are parsed inside the group's invoke
-        with _usage_error_exits_one():
+        with _exit_code():
             return super().invoke(ctx)
 
 
 @contextlib.contextmanager
-def _usage_error_exits_one():
+def _exit_code():
+    """Exit with the code of the error raised. click exits 2 on a usage
+    error, which here is the analysis-error code, so a usage error exits
+    1 instead."""
     try:
         yield
     except click.UsageError as exc:
         exc.exit_code = 1
         raise
+    except InputError as exc:
+        click.echo(f"input error: {exc}", err=True)
+        sys.exit(1)
+    except ProviderError as exc:
+        click.echo(f"provider error: {exc}", err=True)
+        sys.exit(3)
+    except AnalysisError as exc:
+        click.echo(f"analysis error: {exc}", err=True)
+        sys.exit(2)
 
 
 @click.group(cls=_Commands)
@@ -86,7 +76,6 @@ def main(verbose):
 
 @main.command()
 @config_option
-@_exit_codes
 def ingest(config_path):
     """Validate all configured inputs and print a summary."""
     config = RunConfig.from_file(config_path)
@@ -109,7 +98,6 @@ def ingest(config_path):
 @click.option("--replay", "replay_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="Replay recorded responses from this JSONL file.")
-@_exit_codes
 def segment(config_path, provider_url, provider_model, replay_path):
     """Segment the top-frequency words of each language via the provider."""
     config = RunConfig.from_file(config_path)
@@ -134,12 +122,10 @@ def segment(config_path, provider_url, provider_model, replay_path):
 
 @main.command()
 @config_option
-@seed_option
 @click.option("-n", "sample_n", type=int, default=150, show_default=True)
-@_exit_codes
-def verify(config_path, seed, sample_n):
+def verify(config_path, sample_n):
     """Draw the native-speaker verification sample per language."""
-    config = RunConfig.from_file(config_path, seed=seed)
+    config = RunConfig.from_file(config_path)
     for lang in config.languages:
         mset = analysed_morphemes(config, lang)
         sample, short = sample_for_verification(mset, n=sample_n, seed=config.seed)
@@ -152,7 +138,6 @@ def verify(config_path, seed, sample_n):
 
 @main.command()
 @config_option
-@_exit_codes
 def embed(config_path):
     """Build and export similarity matrices for inspection."""
     config = RunConfig.from_file(config_path)
@@ -168,52 +153,33 @@ def embed(config_path):
 
 @main.command("analyze-global")
 @config_option
-@seed_option
-@click.option("--shuffles", type=int, default=None)
-@_exit_codes
-def analyze_global(config_path, seed, shuffles):
+def analyze_global(config_path):
     """Run the global alignment suite (RSA, MI, kNN, CCA)."""
-    config = RunConfig.from_file(config_path, seed=seed)
-    if shuffles is not None:
-        config = dataclasses.replace(config, params={
-            **config.params, "shuffles": shuffles,
-            "null_points": min(config.params["null_points"], shuffles)})
-    written = run_global(config)
+    written = run_global(RunConfig.from_file(config_path))
     for key, path in written.items():
         click.echo(f"{key}: {path}")
 
 
 @main.command("analyze-subspace")
 @config_option
-@seed_option
-@click.option("--scatter/--no-scatter", default=None,
-              help="Also write per-word projection TSVs.")
-@_exit_codes
-def analyze_subspace(config_path, seed, scatter):
+def analyze_subspace(config_path):
     """Run the hypothesized-scale subspace analyses."""
-    config = RunConfig.from_file(config_path, seed=seed)
-    if scatter is not None:
-        config = dataclasses.replace(
-            config, params={**config.params, "scatter": scatter})
-    written = run_subspace(config)
+    written = run_subspace(RunConfig.from_file(config_path))
     for key, path in written.items():
         click.echo(f"{key}: {path}")
 
 
 @main.command()
 @config_option
-@_exit_codes
 def interpret(config_path):
     """Emit pole reports for significant canonical variates."""
-    config = RunConfig.from_file(config_path)
-    written = run_interpret(config)
+    written = run_interpret(RunConfig.from_file(config_path))
     for key, path in written.items():
         click.echo(f"{key}: {path}")
 
 
 @main.command()
 @config_option
-@_exit_codes
 def report(config_path):
     """Re-render markdown reports from existing JSON payloads."""
     config = RunConfig.from_file(config_path)
@@ -223,7 +189,7 @@ def report(config_path):
         path = out / lang / "global.json"
         if path.exists():
             payloads.append(read_json(path))
-            with _renderable(path):
+            with payload_fields(path):
                 render_global_grid(payloads[-1:])
     if payloads:
         (out / "global.md").write_text(render_global_grid(payloads),
@@ -231,28 +197,17 @@ def report(config_path):
         click.echo(f"rendered {out / 'global.md'}")
     sub = out / "subspace.json"
     if sub.exists():
-        with _renderable(sub):
+        with payload_fields(sub):
             text = render_subspace_grid(read_json(sub))
         (out / "subspace.md").write_text(text, encoding="utf-8")
         click.echo(f"rendered {out / 'subspace.md'}")
     for lang in config.languages:
         poles = out / lang / "poles.json"
         if poles.exists():
-            with _renderable(poles):
+            with payload_fields(poles):
                 text = render_pole_tables(read_json(poles))
             (out / lang / "poles.md").write_text(text, encoding="utf-8")
             click.echo(f"rendered {out / lang / 'poles.md'}")
-
-
-@contextlib.contextmanager
-def _renderable(path: Path):
-    """A payload at ``path`` that lacks a key its renderer reads, or holds
-    a value of the wrong type there, is an InputError naming the file."""
-    try:
-        yield
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
-        raise InputError(f"{path}: not a payload this version renders "
-                         f"({type(exc).__name__}: {exc})") from None
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ results; wall-clock metadata lives only in the run manifest.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -110,13 +111,12 @@ class RunConfig:
                 raise InputError(f"inputs.{lang}: missing role(s): {', '.join(missing)}")
 
     @classmethod
-    def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
+    def from_file(cls, path: str | Path) -> "RunConfig":
         obj = read_json(path)
         missing = [k for k in ("languages", "feature_table", "inputs")
                    if k not in obj]
         if missing:
             raise InputError(f"{path}: missing required key(s): {', '.join(missing)}")
-        obj.update({k: v for k, v in overrides.items() if v is not None})
         _reject_unknown("config", obj, [f.name for f in dataclasses.fields(cls)])
         return cls(**{**obj, "languages": tuple(obj["languages"])})
 
@@ -148,6 +148,18 @@ def read_json(path: str | Path) -> dict:
     if not isinstance(obj, dict):
         raise InputError(f"{path}: top level must be a JSON object")
     return obj
+
+
+@contextlib.contextmanager
+def payload_fields(path: str | Path):
+    """A payload at ``path`` that lacks a key a command reads from it, or
+    holds a value of the wrong type there, is an InputError naming the
+    file."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"{path}: not a payload this version reads "
+                         f"({type(exc).__name__}: {exc})") from None
 
 
 def derive_seed(master: int, analysis: str, language: str) -> int:
@@ -234,25 +246,26 @@ def load_language_spaces(config: RunConfig, language: str):
     """Aligned phonetic and semantic embedding matrices over morphemes.
 
     A morpheme is kept when its form has a vector and neither of its two
-    rows has zero norm, since cosine similarity is undefined there.
+    rows has zero norm, since cosine similarity is undefined there. The
+    phonetic space is pooled and standardized over the morphemes whose
+    form has a non-zero vector; a zero-norm phonetic row then sits at the
+    column means, so dropping it leaves no column constant.
     """
     table = load_feature_table(config.feature_table)
     mset = analysed_morphemes(config, language)
     if not mset:
         raise InputError(f"{language}: empty morpheme set")
 
-    phon_matrix, feature_names, skipped = build_phonetic_embeddings(
-        [(f"{m.form}|{m.transcription}", m.transcription) for m in mset], table)
     sem_by_form, _ = load_semantic_embeddings(
         config.inputs[language]["vectors"], {m.form for m in mset})
-    form_index = {w: i for i, w in enumerate(sem_by_form.ids)}
+    sem_norm = np.linalg.norm(sem_by_form.vectors, axis=1)
+    form_index = {w: i for i, w in enumerate(sem_by_form.ids) if sem_norm[i] > 0.0}
+    phon_matrix, feature_names, skipped = build_phonetic_embeddings(
+        [(f"{m.form}|{m.transcription}", m.transcription) for m in mset
+         if m.form in form_index], table)
 
     forms = [item_id.split("|", 1)[0] for item_id in phon_matrix.ids]
-    phon_norm = np.linalg.norm(phon_matrix.vectors, axis=1)
-    sem_norm = np.linalg.norm(sem_by_form.vectors, axis=1)
-    keep = [i for i, form in enumerate(forms)
-            if form in form_index and phon_norm[i] > 0.0
-            and sem_norm[form_index[form]] > 0.0]
+    keep = np.flatnonzero(np.linalg.norm(phon_matrix.vectors, axis=1) > 0.0)
     if len(keep) < 3:
         raise AnalysisError(f"{language}: fewer than 3 morphemes in both spaces")
     phon = phon_matrix.subset(keep)
@@ -455,13 +468,16 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
         if not global_path.exists():
             raise InputError(f"{global_path}: run analyze-global first")
         payload = read_json(global_path)
-        cca_records = payload.get("results", {}).get("cca")
-        if cca_records is None:
-            raise InputError(f"{lang}: no CCA results to interpret")
+        with payload_fields(global_path):
+            cca_records = payload.get("results", {}).get("cca")
+            if cca_records is None:
+                raise InputError(f"{lang}: no CCA results to interpret")
+            config_hash = payload["config_hash"]
+            significant = [c for c, rec in enumerate(cca_records)
+                           if rec["p"] < 0.05]
         model, phon_vectors, feature_names = _load_cca_artifacts(
-            lang_dir, payload["config_hash"], _language_inputs(config, lang))
+            lang_dir, config_hash, _language_inputs(config, lang))
 
-        significant = [c for c, rec in enumerate(cca_records) if rec["p"] < 0.05]
         reports = []
         if significant:
             candidates = load_pole_candidates(config, lang)
@@ -544,5 +560,6 @@ def render_pole_tables(payload: dict) -> str:
         phon_pos = ", ".join(x["item"] for x in rec["phonetic_pos"])
         phon_neg = ", ".join(x["item"] for x in rec["phonetic_neg"])
         lines.append(f"| {rec['component']} | {sem_pos} | {phon_pos} | "
-                     f"{sem_neg} | {phon_neg} |  |  |")
+                     f"{sem_neg} | {phon_neg} | {rec['interpretation_semantic']} "
+                     f"| {rec['interpretation_phonetic']} |")
     return "\n".join(lines) + "\n"

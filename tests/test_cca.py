@@ -51,7 +51,7 @@ class TestFitCca:
         rng = np.random.default_rng(34)
         x, y = random_pair(rng)
         model = fit_cca(x, y, n_components=3)
-        xs = (x - model.mean_phonetic) / model.scale_phonetic
+        xs = (x - x.mean(axis=0)) / x.std(axis=0)
         for c in range(3):
             loadings = structure_loadings(xs, model.scores_phonetic[:, c])
             assert loadings[np.argmax(np.abs(loadings))] > 0
@@ -261,7 +261,7 @@ class TestPoleReport:
         model = fit_cca(x, y, n_components=2)
         words = tuple(f"w{i}" for i in range(30))
         vocab = EmbeddingMatrix(words, rng.normal(size=(30, 5)))
-        xs = (x - model.mean_phonetic) / model.scale_phonetic
+        xs = (x - x.mean(axis=0)) / x.std(axis=0)
         report = build_pole_report(model, 0, xs, ["f0", "f1", "f2", "f3"],
                                    pole_candidates(vocab), k=5)
         assert report.component == 1

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from phonosem.cli import main
 from phonosem.corpus import load_lexicon
 from phonosem.pipeline import PARAMS
 from phonosem.segmentation import read_segmentation_cache
-from phonosem.synth import make_planted_language
+from phonosem.synth import FEATURES, SEGMENTS, make_planted_language
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +350,17 @@ class TestSegmentAndVerify:
         assert [seg.word for seg in read_segmentation_cache(cache)] == [
             "run", "sit", "hop"]
 
+    @pytest.mark.parametrize("command,option", [
+        ("verify", "--seed"), ("analyze-global", "--seed"),
+        ("analyze-global", "--shuffles"), ("analyze-subspace", "--seed"),
+        ("analyze-subspace", "--scatter"), ("analyze-subspace", "--no-scatter")])
+    def test_config_value_is_no_option(self, workspace, command, option):
+        _, config_path, _ = workspace
+        args = [] if option.endswith("scatter") else [1]
+        result = invoke(command, "--config", config_path, option, *args)
+        assert result.exit_code == 1
+        assert "No such option" in result.output and option in result.output
+
     def test_segment_takes_no_seed(self, workspace):
         _, config_path, _ = workspace
         result = invoke("segment", "--config", config_path, "--seed", 1)
@@ -475,9 +487,12 @@ class TestAnalyze:
         assert cca_only == full
 
     def test_subspace_writes_grid(self, workspace):
-        ws, config_path, _ = workspace
-        result = invoke("analyze-subspace", "--config", config_path,
-                        "--scatter")
+        ws, _, config = workspace
+        path = ws / "scatter.json"
+        path.write_text(json.dumps(
+            {**config, "params": {**config["params"], "scatter": True}}),
+            encoding="utf-8")
+        result = invoke("analyze-subspace", "--config", path)
         assert result.exit_code == 0, result.output
         out = ws / "results"
         payload = json.loads((out / "subspace.json").read_text("utf-8"))
@@ -550,13 +565,36 @@ class TestAnalyze:
         assert result.exit_code == 1
         assert "with no config hash" in result.output
 
+    @pytest.mark.parametrize("break_payload,error", [
+        (lambda g: g.pop("config_hash"), "KeyError: 'config_hash'"),
+        (lambda g: g["results"]["cca"][0].pop("p"), "KeyError: 'p'"),
+        (lambda g: g["results"].update(cca=3), "TypeError"),
+        (lambda g: g.update(results=[]), "AttributeError")],
+        ids=["no-config-hash", "cca-without-p", "cca-not-a-list",
+             "results-a-list"])
+    def test_interpret_of_a_malformed_global_payload_is_exit_one(
+            self, workspace, tmp_path, break_payload, error):
+        path, lang_dir = self.copied_results(workspace, tmp_path)
+        global_path = lang_dir / "global.json"
+        payload = json.loads(global_path.read_text("utf-8"))
+        break_payload(payload)
+        global_path.write_text(json.dumps(payload), encoding="utf-8")
+        result = invoke("interpret", "--config", path)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"input error: {global_path}: " in result.output
+        assert error in result.output
+
     def test_interpret_after_global_with_other_shuffles(self, workspace, tmp_path):
         _, _, config = workspace
+        cfg = {**config, "output_dir": str(tmp_path / "out")}
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**config, "output_dir": str(tmp_path / "out")}),
-                        encoding="utf-8")
-        result = invoke("analyze-global", "--config", path, "--shuffles", 20)
+        path.write_text(json.dumps({**cfg, "params": {
+            **config["params"], "shuffles": 20, "null_points": 20}}),
+            encoding="utf-8")
+        result = invoke("analyze-global", "--config", path)
         assert result.exit_code == 0, result.output
+        path.write_text(json.dumps(cfg), encoding="utf-8")
         result = invoke("interpret", "--config", path)
         assert result.exit_code == 0, result.output
 
@@ -731,6 +769,25 @@ class TestAnalyze:
         assert len(ids) == 59
         assert not any(item.startswith(zeroed + "|") for item in ids)
 
+    def test_phonetic_space_is_standardized_over_the_analysed_morphemes(
+            self, tmp_path):
+        path, paths = language_config(
+            tmp_path, {"shuffles": 5, "null_points": 5, "n_components": 2})
+        # no word left with a vector holds a labial segment
+        labial = {s for s, v in SEGMENTS.items() if v[FEATURES.index("labial")] > 0}
+        dropped = {lx.word for lx in load_lexicon(paths["lexicon"], "syn")
+                   if labial & set(lx.ipa)}
+        lines = paths["vectors"].read_text("utf-8").splitlines()
+        paths["vectors"].write_text("".join(
+            line + "\n" for line in lines
+            if line.split(" ", 1)[0] not in dropped), encoding="utf-8")
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+        with np.load(tmp_path / "out" / "syn" / "cca_model.npz") as z:
+            names, vectors = z["feature_names"].tolist(), z["phonetic_vectors"]
+        assert "labial" not in names
+        assert np.allclose(vectors.std(axis=0), 1.0, rtol=0.0, atol=1e-9)
+
     def test_too_few_morphemes_is_exit_two(self, workspace, tmp_path):
         _, _, config = workspace
         lexicon = load_lexicon(config["inputs"]["syn"]["lexicon"], "syn")
@@ -811,6 +868,17 @@ class TestReport:
         assert f"input error: {path}: " in result.output
         assert f"KeyError: '{key}'" in result.output
 
+    def test_report_renders_the_typed_interpretations(self, workspace, tmp_path):
+        path, lang_dir = TestAnalyze.copied_results(workspace, tmp_path)
+        poles_path = lang_dir / "poles.json"
+        poles = json.loads(poles_path.read_text("utf-8"))
+        poles["components"][0].update(interpretation_semantic="size",
+                                      interpretation_phonetic="sonority")
+        poles_path.write_text(json.dumps(poles), encoding="utf-8")
+        assert invoke("report", "--config", path).exit_code == 0
+        row = (lang_dir / "poles.md").read_text("utf-8").splitlines()[4]
+        assert row.startswith("| 1 | ") and row.endswith(" | size | sonority |")
+
     def test_rerender_from_json(self, workspace):
         ws, config_path, _ = workspace
         out = ws / "results"
@@ -852,3 +920,20 @@ def test_readme_parameter_table_lists_every_param():
         documented, kind = json.loads(rows[key][0]), rows[key][1]
         assert (documented, type(documented)) == (default, type(default)), key
         assert kind == type(default).__name__, key
+
+
+def test_readme_options_are_options_of_their_command():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    options = {name: {o for p in command.params for o in (*p.opts, *p.secondary_opts)}
+               for name, command in main.commands.items()}
+    anywhere = set().union(*options.values(),
+                           *((*p.opts, *p.secondary_opts) for p in main.params))
+    # "phonosem <command> ..." up to the end of its line or code span, and
+    # every code span that shows an option, named after its command or not
+    shown = re.findall(r"phonosem ([a-z-]+)([^`\n]*)", readme)
+    shown += [(span.split()[0], span)
+              for span in re.findall(r"`([^`\n]*--[^`\n]*)`", readme)]
+    assert len(shown) > 8
+    for command, text in shown:
+        for option in re.findall(r"--[a-z][a-z-]*", text):
+            assert option in options.get(command, anywhere), (command, option)
