@@ -128,11 +128,11 @@ def verify(config_path, sample_n):
     config = RunConfig.from_file(config_path)
     for lang in config.languages:
         mset = analysed_morphemes(config, lang)
-        sample, short = sample_for_verification(mset, n=sample_n, seed=config.seed)
+        sample = sample_for_verification(mset, n=sample_n, seed=config.seed)
         path = Path(config.output_dir) / lang / "verification.tsv"
         path.parent.mkdir(parents=True, exist_ok=True)
         write_verification_sheet(sample, path)
-        note = " (fewer morphemes than requested)" if short else ""
+        note = " (fewer morphemes than requested)" if len(sample) < sample_n else ""
         click.echo(f"{lang}: wrote {len(sample)} rows to {path}{note}")
 
 

@@ -77,6 +77,17 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        langs = self.languages
+        if (not isinstance(langs, (list, tuple)) or not langs
+                or not all(isinstance(lang, str) for lang in langs)
+                or len(set(langs)) < len(langs)):
+            raise InputError(f"languages={langs!r}: expected a non-empty list "
+                             "of distinct strings")
+        object.__setattr__(self, "languages", tuple(langs))
+        for key in ("feature_table", "output_dir", "scales"):
+            value = getattr(self, key)
+            if not isinstance(value, str) and not (key == "scales" and value is None):
+                raise InputError(f"{key}={value!r}: expected a string")
         _reject_unknown("params", self.params, DEFAULT_PARAMS)
         _reject_unknown("analyses", self.analyses, ANALYSES)
         for name, on in self.analyses.items():
@@ -109,6 +120,9 @@ class RunConfig:
             missing = [r for r in INPUT_ROLES if r not in self.inputs[lang]]
             if missing:
                 raise InputError(f"inputs.{lang}: missing role(s): {', '.join(missing)}")
+            for role, path in self.inputs[lang].items():
+                if not isinstance(path, str):
+                    raise InputError(f"inputs.{lang}.{role}={path!r}: expected a string")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -118,7 +132,7 @@ class RunConfig:
         if missing:
             raise InputError(f"{path}: missing required key(s): {', '.join(missing)}")
         _reject_unknown("config", obj, [f.name for f in dataclasses.fields(cls)])
-        return cls(**{**obj, "languages": tuple(obj["languages"])})
+        return cls(**obj)
 
     def to_obj(self) -> dict:
         return {**dataclasses.asdict(self), "languages": list(self.languages)}

@@ -10,6 +10,7 @@ provider boundary.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -54,32 +55,29 @@ def load_example_set(language: str) -> list[dict]:
     return json.loads(text)
 
 
-def load_system_template() -> str:
-    return resources.files("phonosem.data.prompts").joinpath(
+@functools.lru_cache(maxsize=None)
+def _system_prompt(language: str) -> str:
+    """A language's system prompt: the shipped template around its
+    few-shot examples, built once per language."""
+    if language not in LANGUAGE_NAMES:
+        raise InputError(f"unsupported language {language!r}")
+    examples = "\n\n".join(f"input: {ex['input']}\n{ex['output']}"
+                           for ex in load_example_set(language))
+    template = resources.files("phonosem.data.prompts").joinpath(
         "system.txt").read_text("utf-8")
-
-
-def render_examples(examples: Sequence[Mapping[str, str]]) -> str:
-    blocks = []
-    for ex in examples:
-        blocks.append(f"input: {ex['input']}\n{ex['output']}")
-    return "\n\n".join(blocks)
+    return template.format(lang=LANGUAGE_NAMES[language], examples=examples)
 
 
 def build_prompt(language: str, batch: Sequence[tuple[str, str]]) -> tuple[str, str]:
-    """Assemble the (system, user) texts for one batch of (lemma, ipa).
+    """The (system, user) texts of one request: the language's system
+    prompt and an ``input: <lemma>,<ipa>`` line per (lemma, ipa).
 
     Raises on an unknown language or an empty batch.
     """
     if not batch:
         raise InputError("empty segmentation batch")
-    if language not in LANGUAGE_NAMES:
-        raise InputError(f"unsupported language {language!r}")
-    examples = load_example_set(language)
-    system = load_system_template().format(
-        lang=LANGUAGE_NAMES[language], examples=render_examples(examples))
     user = "\n".join(f"input: {lemma},{ipa}" for lemma, ipa in batch)
-    return system, user
+    return _system_prompt(language), user
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +127,27 @@ def render_pairs(pairs: Sequence[tuple[str, str]]) -> str:
 
 @dataclass(frozen=True)
 class ProviderResponse:
+    """A response text and its per-token log-probabilities, empty where
+    the provider sent none. A text that is not a string, or a
+    log-probability that is not a finite number, is a ValueError."""
+
     text: str
-    logprobs: tuple[float, ...] | None = None
+    logprobs: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise ValueError(f"text {self.text!r} is not a string")
+        for logprob in self.logprobs:
+            _finite_number(logprob, "log-probability")
+
+    @classmethod
+    def from_body(cls, body: Mapping) -> "ProviderResponse":
+        """The response in a ``{"text", "logprobs"?}`` JSON object; a
+        ``null`` logprobs is none."""
+        logprobs = body.get("logprobs")
+        if logprobs is not None and not isinstance(logprobs, list):
+            raise ValueError(f"logprobs {logprobs!r} is not a list")
+        return cls(text=body["text"], logprobs=tuple(logprobs or ()))
 
 
 class SegmentationProvider(Protocol):
@@ -181,15 +198,19 @@ class HttpProvider:
             raise ProviderError(
                 f"provider call failed after {HTTP_ATTEMPTS} attempts: {last_exc}"
             )
-        if "text" not in body:
-            raise ProviderError("provider response lacks 'text'")
-        logprobs = tuple(body["logprobs"]) if body.get("logprobs") else None
+        if not isinstance(body, dict):
+            raise ProviderError("provider response is not a JSON object "
+                                f"({type(body).__name__})")
+        try:
+            response = ProviderResponse.from_body(body)
+        except (KeyError, ValueError) as exc:
+            raise ProviderError(f"provider response: {_record_error(exc)}") from None
         if self.audit_path is not None:
             self.audit_path.parent.mkdir(parents=True, exist_ok=True)
             with self.audit_path.open("a", encoding="utf-8") as fh:
                 fh.write(json.dumps({"request": payload, "response": body},
                                     ensure_ascii=False) + "\n")
-        return ProviderResponse(text=body["text"], logprobs=logprobs)
+        return response
 
 
 class ReplayProvider:
@@ -197,7 +218,8 @@ class ReplayProvider:
 
     Records: ``{"user": ..., "text": ..., "logprobs": [...]}``. The
     default in tests, so the pipeline runs offline. A line that is not
-    such a record is a ParseError naming the file and line.
+    such a record, or holds a response ProviderResponse refuses, is a
+    ParseError naming the file and line.
     """
 
     def __init__(self, path: str | Path):
@@ -210,9 +232,7 @@ class ReplayProvider:
                     continue
                 try:
                     rec = json.loads(line)
-                    lp = tuple(rec["logprobs"]) if rec.get("logprobs") else None
-                    self._by_user[rec["user"]] = ProviderResponse(
-                        text=rec["text"], logprobs=lp)
+                    self._by_user[rec["user"]] = ProviderResponse.from_body(rec)
                 except (ValueError, KeyError, TypeError, AttributeError) as exc:
                     raise ParseError(f"{path}:{lineno}: {_record_error(exc)}") from None
 
@@ -231,7 +251,7 @@ class Segmentation:
     word: str
     ipa: str
     pairs: tuple[tuple[str, str], ...]
-    perplexity: float | None
+    perplexity: float
     provider: str = ""
     timestamp: float = 0.0
 
@@ -251,22 +271,24 @@ class Segmentation:
             word=_nfc(rec["word"]),
             ipa=_nfc(rec["ipa"]),
             pairs=tuple((_nfc(m), _nfc(t)) for m, t in rec["pairs"]),
-            perplexity=_perplexity(rec.get("perplexity")),
+            perplexity=_finite_number(rec["perplexity"], "perplexity"),
             provider=rec.get("provider", ""),
             timestamp=rec.get("timestamp", 0.0),
         )
 
 
-def _perplexity(value) -> float | None:
-    """A record's perplexity: a number, or None where it has none."""
-    if value is not None and (isinstance(value, bool)
-                              or not isinstance(value, (int, float))):
-        raise ValueError(f"perplexity {value!r} is not a number")
+def _finite_number(value, what: str) -> float:
+    """``value`` if it is a finite number; a ValueError naming ``what``
+    otherwise (a JSON ``true`` is no number)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} {value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} {value!r} is not finite")
     return value
 
 
 def _record_error(exc: Exception) -> str:
-    """What is wrong with a JSONL record, from the error reading it."""
+    """What is wrong with a JSON record, from the error reading it."""
     return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
@@ -284,8 +306,6 @@ def perplexity_filter(
     """Partition responses; strictly-above-threshold perplexity drops."""
     kept, dropped = [], []
     for seg in segmentations:
-        if seg.perplexity is None:
-            raise InputError(f"segmentation of {seg.word!r} lacks a perplexity")
         (dropped if seg.perplexity > threshold else kept).append(seg)
     if dropped:
         log.info("perplexity filter dropped %d responses: %s", len(dropped),
@@ -321,7 +341,7 @@ def dedupe_into_morpheme_set(
 
 def sample_for_verification(
     mset: MorphemeSet, n: int = 150, seed: int = 0
-) -> tuple[list[Morpheme], bool]:
+) -> list[Morpheme]:
     """Uniform sample without replacement, deterministic under seed."""
     if n < 1:
         raise InputError(f"verification sample size n={n}: must be at least 1")
@@ -330,11 +350,10 @@ def sample_for_verification(
     rng = np.random.default_rng(seed)
     size = min(n, len(mset))
     idx = rng.choice(len(mset), size=size, replace=False)
-    short = size < n
-    if short:
+    if size < n:
         log.warning("verification sample: only %d morphemes available for n=%d",
                     size, n)
-    return [mset.morphemes[i] for i in idx], short
+    return [mset.morphemes[i] for i in idx]
 
 
 def write_verification_sheet(sample: Sequence[Morpheme], path: str | Path) -> None:
@@ -422,7 +441,7 @@ def read_segmentation_cache(path: str | Path) -> list[Segmentation]:
             try:
                 segs.append(Segmentation.from_record(json.loads(line.decode("utf-8"))))
             # UnicodeDecodeError and json.JSONDecodeError are ValueErrors
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 if line.endswith(b"\n"):
                     raise ParseError(f"{path}:{lineno}: {_record_error(exc)}") from None
                 log.warning("%s:%d: dropped a partial last line (%s)",

@@ -167,6 +167,43 @@ class TestIngest:
         assert isinstance(result.exception, SystemExit)
         assert "expected" in result.output
 
+    @pytest.mark.parametrize("entry,message", [
+        ({"languages": 3}, "languages=3: expected a non-empty list of distinct strings"),
+        ({"languages": "syn"}, "languages='syn': expected a non-empty list"),
+        ({"languages": []}, "languages=[]: expected a non-empty list"),
+        ({"languages": ["syn", "syn"]}, "languages=['syn', 'syn']: expected"),
+        ({"languages": [["syn"]]}, "languages=[['syn']]: expected"),
+        ({"feature_table": 7}, "feature_table=7: expected a string"),
+        ({"output_dir": ["out"]}, "output_dir=['out']: expected a string"),
+        ({"scales": 5}, "scales=5: expected a string"),
+        ({"inputs": {"syn": {"lexicon": 0, "vectors": "v", "segmentations": "s"}}},
+         "inputs.syn.lexicon=0: expected a string")],
+        ids=["languages-int", "languages-str", "languages-empty",
+             "languages-repeated", "languages-nested", "feature_table-int",
+             "output_dir-list", "scales-int", "input-path-int"])
+    def test_top_level_value_of_the_wrong_type_is_exit_one(
+            self, workspace, tmp_path, entry, message):
+        _, _, config = workspace
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps({**config, **entry}), encoding="utf-8")
+        result = invoke("ingest", "--config", path)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"input error: {message}" in result.output
+
+    def test_valid_config_keeps_its_hash(self, tmp_path):
+        langs = ("en", "fi")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "languages": list(langs), "feature_table": "features.tsv",
+            "inputs": {lang: {role: f"{lang}/{role}" for role in pipeline.INPUT_ROLES}
+                       for lang in langs},
+            "output_dir": "out", "scales": None, "seed": 3,
+            "params": {"shuffles": 30, "null_points": 30}}), encoding="utf-8")
+        config = pipeline.RunConfig.from_file(path)
+        assert config.languages == langs
+        assert config.config_hash() == "2453eea95fbc66f4"
+
     @pytest.mark.parametrize("name,value", [
         ("top_words", -1), ("percentile", 100.5)], ids=["top_words", "percentile"])
     def test_param_outside_its_bounds_is_exit_one(self, workspace, tmp_path,
@@ -281,7 +318,13 @@ class TestSegmentAndVerify:
     @pytest.mark.parametrize("line,message", [
         ('{"user": "b" "text": "c"}', "Expecting ',' delimiter"),
         ('{"user": "b", "logprobs": [-0.1]}', "missing key 'text'"),
-    ], ids=["missing-comma", "missing-text"])
+        ('{"user": "b", "text": 5}', "text 5 is not a string"),
+        ('{"user": "b", "text": "(b,b)", "logprobs": ["a", "b"]}',
+         "log-probability 'a' is not a number"),
+        ('{"user": "b", "text": "(b,b)", "logprobs": [-0.1, NaN]}',
+         "log-probability nan is not finite"),
+    ], ids=["missing-comma", "missing-text", "text-int", "logprobs-str",
+            "logprob-nan"])
     def test_malformed_replay_line_is_exit_one(self, workspace, tmp_path,
                                                line, message):
         _, _, config = workspace
@@ -412,7 +455,8 @@ class TestSegmentAndVerify:
         segs.write_text("".join(json.dumps({
             "word": w, "ipa": w, "pairs": [[w, w]], "perplexity": ppl,
             "provider": "replay", "timestamp": 0.0}) + "\n"
-            for w, ppl in [("kam", 1.1), ("plen", None)]), encoding="utf-8")
+            for w, ppl in [("kam", 1.1), ("plen", None)]).replace(
+                ', "perplexity": null', ""), encoding="utf-8")
         cfg = {**config,
                "inputs": {"syn": {**config["inputs"]["syn"],
                                   "segmentations": str(segs)}},
@@ -421,12 +465,12 @@ class TestSegmentAndVerify:
         path.write_text(json.dumps(cfg), encoding="utf-8")
         result = invoke("verify", "--config", path)
         assert result.exit_code == 1
-        assert "input error: segmentation of 'plen' lacks a perplexity" in result.output
+        assert f"input error: {segs}:2: missing key 'perplexity'" in result.output
 
 
     @pytest.mark.parametrize("command", ["verify", "analyze-global"])
-    @pytest.mark.parametrize("perplexity", ["1.1", True, [1.1]],
-                             ids=["string", "bool", "list"])
+    @pytest.mark.parametrize("perplexity", ["1.1", True, [1.1], None],
+                             ids=["string", "bool", "list", "null"])
     def test_cache_with_a_perplexity_that_is_not_a_number_is_exit_one(
             self, workspace, tmp_path, command, perplexity):
         _, _, config = workspace

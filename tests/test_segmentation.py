@@ -3,18 +3,22 @@ provider boundary."""
 
 import json
 import math
+import re
 import time
+from importlib import resources
 
 import numpy as np
 import pytest
 import requests
 from click.testing import CliRunner
 
+from phonosem import segmentation
 from phonosem.cli import main
 from phonosem.corpus import MorphemeSet
 from phonosem.errors import InputError, ParseError, ProviderError
-from phonosem.segmentation import (HttpProvider, ReplayProvider, Segmentation,
-                                   build_prompt, dedupe_into_morpheme_set,
+from phonosem.segmentation import (LANGUAGE_NAMES, HttpProvider, ProviderResponse,
+                                   ReplayProvider, Segmentation, build_prompt,
+                                   dedupe_into_morpheme_set,
                                    error_rate_ci,
                                    load_example_set, parse_response,
                                    perplexity_filter, read_segmentation_cache,
@@ -38,6 +42,15 @@ class TestBuildPrompt:
     def test_empty_batch(self):
         with pytest.raises(InputError, match="empty"):
             build_prompt("en", [])
+
+    @pytest.mark.parametrize("lang", sorted(LANGUAGE_NAMES))
+    def test_system_prompt_is_the_template_around_the_examples(self, lang):
+        template = resources.files("phonosem.data.prompts").joinpath(
+            "system.txt").read_text("utf-8")
+        expected = template.format(lang=LANGUAGE_NAMES[lang], examples="\n\n".join(
+            f"input: {ex['input']}\n{ex['output']}" for ex in load_example_set(lang)))
+        system, _ = build_prompt(lang, [("a", "a")])
+        assert system == expected
 
     def test_all_languages_have_examples(self):
         for lang in ("en", "es", "hi", "fi", "tr", "ta"):
@@ -115,11 +128,32 @@ class TestPerplexity:
             sorted(s.word for s in segs)
         assert not {s.word for s in kept} & {s.word for s in dropped}
 
-    def test_missing_perplexity_rejected(self):
-        seg = Segmentation(word="a", ipa="a", pairs=(("a", "a"),),
-                           perplexity=None)
-        with pytest.raises(InputError, match="perplexity"):
-            perplexity_filter([seg])
+    @staticmethod
+    def cache(path, **second):
+        """A cache whose second record is ``second`` over a complete one."""
+        record = {"word": "a", "ipa": "a", "pairs": [["a", "a"]],
+                  "perplexity": 1.0}
+        path.write_text(json.dumps(record) + "\n" + json.dumps(
+            {k: v for k, v in {**record, **second}.items() if v != "drop"})
+            + "\n", encoding="utf-8")
+        return path
+
+    def test_missing_perplexity_rejected(self, tmp_path):
+        cache = self.cache(tmp_path / "c.jsonl", perplexity="drop")
+        with pytest.raises(ParseError,
+                           match=re.escape(f"{cache}:2: missing key 'perplexity'")):
+            read_segmentation_cache(cache)
+
+    @pytest.mark.parametrize("value,message", [
+        (None, "perplexity None is not a number"),
+        (float("nan"), "perplexity nan is not finite"),
+        (float("inf"), "perplexity inf is not finite")],
+        ids=["null", "nan", "inf"])
+    def test_perplexity_that_is_no_finite_number_rejected(self, tmp_path,
+                                                         value, message):
+        cache = self.cache(tmp_path / "c.jsonl", perplexity=value)
+        with pytest.raises(ParseError, match=re.escape(f"{cache}:2: {message}")):
+            read_segmentation_cache(cache)
 
 
 class TestDedupe:
@@ -165,25 +199,26 @@ class TestVerificationSampling:
             Morpheme(f"m{i}", f"t{i}", frozenset({f"w{i}"}), "en")
             for i in range(n)))
 
-    def test_small_set_flagged(self):
-        sample, short = sample_for_verification(self.make_set(100), n=150, seed=0)
+    def test_small_set_flagged(self, caplog):
+        with caplog.at_level("WARNING", logger="phonosem.segmentation"):
+            sample = sample_for_verification(self.make_set(100), n=150, seed=0)
         assert len(sample) == 100
-        assert short
+        assert "only 100 morphemes available for n=150" in caplog.text
 
     def test_same_seed_identical(self):
         mset = self.make_set(300)
-        a, _ = sample_for_verification(mset, n=150, seed=9)
-        b, _ = sample_for_verification(mset, n=150, seed=9)
+        a = sample_for_verification(mset, n=150, seed=9)
+        b = sample_for_verification(mset, n=150, seed=9)
         assert a == b
 
     def test_different_seeds_differ(self):
         mset = self.make_set(2000)
-        a, _ = sample_for_verification(mset, n=150, seed=1)
-        b, _ = sample_for_verification(mset, n=150, seed=2)
+        a = sample_for_verification(mset, n=150, seed=1)
+        b = sample_for_verification(mset, n=150, seed=2)
         assert a != b
 
     def test_sheet_format(self, tmp_path):
-        sample, _ = sample_for_verification(self.make_set(5), n=3, seed=0)
+        sample = sample_for_verification(self.make_set(5), n=3, seed=0)
         path = tmp_path / "sheet.tsv"
         write_verification_sheet(sample, path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -226,6 +261,31 @@ class TestProviders:
         assert resp.text == "(run,rʌn)"
         assert resp.logprobs == (-0.1,)
 
+    @pytest.mark.parametrize("record,message", [
+        ({"text": 5, "logprobs": [-0.1]}, "text 5 is not a string"),
+        ({"text": "(a,a)", "logprobs": ["a", "b"]},
+         "log-probability 'a' is not a number"),
+        ({"text": "(a,a)", "logprobs": [True]}, "log-probability True is not a number"),
+        ({"text": "(a,a)", "logprobs": [-0.1, float("nan")]},
+         "log-probability nan is not finite"),
+        ({"text": "(a,a)", "logprobs": -0.1}, "logprobs -0.1 is not a list")],
+        ids=["text-int", "logprob-str", "logprob-bool", "logprob-nan",
+             "logprobs-number"])
+    def test_replay_record_with_a_malformed_response_raises(self, tmp_path,
+                                                            record, message):
+        path = tmp_path / "replay.jsonl"
+        self.write_replay(path, [{"user": "input: b,b", "text": "(b,b)"},
+                                 {"user": "input: a,a", **record}])
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: {message}")):
+            ReplayProvider(path)
+
+    def test_replay_response_without_logprobs_has_none(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        self.write_replay(path, [{"user": "a", "text": "(a,a)"},
+                                 {"user": "b", "text": "(b,b)", "logprobs": None}])
+        provider = ReplayProvider(path)
+        assert [provider.complete("sys", u).logprobs for u in "ab"] == [(), ()]
+
     def test_replay_missing_request(self, tmp_path):
         path = tmp_path / "replay.jsonl"
         self.write_replay(path, [])
@@ -251,6 +311,30 @@ class TestProviders:
         assert len(read_segmentation_cache(cache)) == 3
         again = segment_words(words, "en", _FailingProvider(), cache)
         assert [s.word for s in again] == ["run", "redo"]
+
+    def test_segment_words_reads_the_prompt_resources_once_per_language(
+            self, tmp_path, monkeypatch):
+        reads = []
+
+        class CountingResources:
+            @staticmethod
+            def files(package):
+                reads.append(package)
+                return resources.files(package)
+
+        monkeypatch.setattr(segmentation, "resources", CountingResources)
+        segmentation._system_prompt.cache_clear()
+        words = [(f"w{i}", f"w{i}", "pab") for i in range(5)]
+        replay = tmp_path / "replay.jsonl"
+        self.write_replay(replay, [
+            {"user": f"input: {lemma},{ipa}", "text": f"({lemma},{ipa})",
+             "logprobs": [-0.1]} for _, lemma, ipa in words])
+        for lang in ("en", "fi"):
+            segs = segment_words(words, lang, ReplayProvider(replay),
+                                 tmp_path / f"{lang}.jsonl")
+            assert len(segs) == 5
+        # the example set and the template, once for each language
+        assert len(reads) == 4
 
     def test_segment_words_line_count_mismatch(self, tmp_path):
         replay = tmp_path / "replay.jsonl"
@@ -338,6 +422,18 @@ class TestCacheResume:
             read_segmentation_cache(cache)
 
 
+    @pytest.mark.parametrize("record", [
+        [1], {"word": 5, "ipa": "a", "pairs": [], "perplexity": 1.0},
+        {"word": "a", "ipa": "a", "pairs": 5, "perplexity": 1.0}],
+        ids=["list", "word-int", "pairs-int"])
+    def test_record_of_the_wrong_shape_raises(self, tmp_path, record):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(self.line("run", "rʌn") + json.dumps(record) + "\n",
+                         encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"{cache}:2: ")):
+            read_segmentation_cache(cache)
+
+
 class _FakeResponse:
     def __init__(self, status, body=None):
         self.status_code = status
@@ -384,12 +480,27 @@ class TestHttpProvider:
         assert len(posts) == 3
         assert sleeps == [1.0, 2.0]
 
+    @pytest.mark.parametrize("body,message", [
+        (["(run,rʌn)"], "provider response is not a JSON object (list)"),
+        ("(run,rʌn)", "provider response is not a JSON object (str)"),
+        ({"logprobs": [-0.1]}, "provider response: missing key 'text'"),
+        ({"text": 5}, "provider response: text 5 is not a string"),
+        ({"text": "(run,rʌn)", "logprobs": [float("nan")]},
+         "provider response: log-probability nan is not finite")],
+        ids=["list", "string", "no-text", "text-int", "logprob-nan"])
+    def test_malformed_body_is_a_provider_error(self, monkeypatch, tmp_path,
+                                                body, message):
+        posts, _ = self.serve(monkeypatch, [_FakeResponse(200, body)])
+        with pytest.raises(ProviderError, match=re.escape(message)):
+            HttpProvider("http://localhost:1/seg", "m").complete("sys", "user")
+        assert len(posts) == 1
+
     def test_audit_log_in_a_new_directory(self, monkeypatch, tmp_path):
         self.serve(monkeypatch, [_FakeResponse(200, {"text": "(run,rʌn)"})])
         audit = tmp_path / "new" / "audit.jsonl"
         resp = HttpProvider("http://localhost:1/seg", "m",
                             audit_path=audit).complete("sys", "user")
-        assert resp.text == "(run,rʌn)"
+        assert resp == ProviderResponse(text="(run,rʌn)", logprobs=())
         assert json.loads(audit.read_text("utf-8"))["response"] == {
             "text": "(run,rʌn)"}
 
