@@ -80,7 +80,7 @@ def ingest(config_path):
     """Validate all configured inputs and print a summary."""
     config = RunConfig.from_file(config_path)
     table = load_feature_table(config.feature_table)
-    click.echo(f"feature table: {len(table.segments)} segments x "
+    click.echo(f"feature table: {len(table.vectors)} segments x "
                f"{table.n_features} features")
     for lang in config.languages:
         lexicon, vocab = load_vocabulary(config, lang)
@@ -109,13 +109,13 @@ def segment(config_path, provider_url, provider_model, replay_path):
     else:
         raise InputError("provide --replay or --provider-url")
     for lang in config.languages:
-        lexemes = load_lexicon(config.inputs[lang]["lexicon"], lang).lexemes
+        lexicon = load_lexicon(config.inputs[lang]["lexicon"])
         words = [(lx.word, lx.lemma, lx.ipa)
-                 for lx in lexemes[:config.params["top_words"]] if lx.transcribable]
+                 for lx in lexicon[:config.params["top_words"]] if lx.transcribable]
         segs = segment_words(words, lang, provider,
                              config.inputs[lang]["segmentations"],
                              perplexity_threshold=config.params["perplexity_threshold"])
-        mset = dedupe_into_morpheme_set(segs, lang)
+        mset = dedupe_into_morpheme_set(segs)
         click.echo(f"{lang}: {len(segs)} segmentations kept, "
                    f"{len(mset)} unique morphemes")
 

@@ -71,26 +71,10 @@ class Lexeme:
 
 
 @dataclass(frozen=True)
-class Lexicon:
-    language: str
-    lexemes: tuple[Lexeme, ...]
-
-    def __len__(self) -> int:
-        return len(self.lexemes)
-
-    def __iter__(self) -> Iterator[Lexeme]:
-        return iter(self.lexemes)
-
-    def words(self) -> list[str]:
-        return [lx.word for lx in self.lexemes]
-
-
-@dataclass(frozen=True)
 class Morpheme:
     form: str
     transcription: str
     sources: frozenset[str]
-    language: str
 
     def key(self) -> tuple[str, str]:
         return (self.form, self.transcription)
@@ -98,7 +82,6 @@ class Morpheme:
 
 @dataclass(frozen=True)
 class MorphemeSet:
-    language: str
     morphemes: tuple[Morpheme, ...]
 
     def __post_init__(self):
@@ -123,10 +106,6 @@ class SegmentFeatureTable:
 
     def __getitem__(self, segment: str) -> np.ndarray:
         return self.vectors[segment]
-
-    @property
-    def segments(self) -> list[str]:
-        return list(self.vectors)
 
     @property
     def n_features(self) -> int:
@@ -203,7 +182,7 @@ class ScaleConfig:
 # ---------------------------------------------------------------------------
 # Lexicon
 
-def load_lexicon(path: str | Path, language: str) -> Lexicon:
+def load_lexicon(path: str | Path) -> tuple[Lexeme, ...]:
     """Load a TSV lexicon, dedupe by word (highest zipf wins), sort by
     descending zipf with lexicographic tie-break."""
     best: dict[str, Lexeme] = {}
@@ -239,11 +218,10 @@ def load_lexicon(path: str | Path, language: str) -> Lexicon:
                 # the first-seen transcription
                 best[word] = lx if prev.ipa == lx.ipa else Lexeme(
                     word=word, lemma=lx.lemma, zipf=lx.zipf, ipa=prev.ipa)
-    ordered = sorted(best.values(), key=lambda lx: (-lx.zipf, lx.word))
-    return Lexicon(language=language, lexemes=tuple(ordered))
+    return tuple(sorted(best.values(), key=lambda lx: (-lx.zipf, lx.word)))
 
 
-def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
+def save_lexicon(lexicon: tuple[Lexeme, ...], path: str | Path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write("\t".join(LEXICON_HEADER) + "\n")

@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__
-from .corpus import (EmbeddingMatrix, Lexicon, MorphemeSet, _open_input,
+from .corpus import (EmbeddingMatrix, Lexeme, MorphemeSet, _open_input,
                      load_feature_table, load_lexicon, load_scale_configs,
                      load_semantic_embeddings)
 from .cca import (DEFAULT_RIDGE, CcaModel, PoleCandidates, build_pole_report,
@@ -231,16 +231,16 @@ def analysed_morphemes(config: RunConfig, language: str) -> MorphemeSet:
     perplexity filter, deduplicated into (form, transcription) pairs."""
     segs = read_segmentation_cache(config.inputs[language]["segmentations"])
     segs, _ = perplexity_filter(segs, config.params["perplexity_threshold"])
-    return dedupe_into_morpheme_set(segs, language)
+    return dedupe_into_morpheme_set(segs)
 
 
 def load_vocabulary(config: RunConfig,
-                    language: str) -> tuple[Lexicon, EmbeddingMatrix]:
+                    language: str) -> tuple[tuple[Lexeme, ...], EmbeddingMatrix]:
     """The lexicon and the vectors of every lexicon word found in the
     vectors file."""
-    lexicon = load_lexicon(config.inputs[language]["lexicon"], language)
+    lexicon = load_lexicon(config.inputs[language]["lexicon"])
     vocab, _ = load_semantic_embeddings(config.inputs[language]["vectors"],
-                                        lexicon.words())
+                                        [lx.word for lx in lexicon])
     return lexicon, vocab
 
 
@@ -248,7 +248,7 @@ def load_pole_candidates(config: RunConfig, language: str) -> PoleCandidates:
     """The semantic pole candidates: the lexicon words above
     ``zipf_cutoff`` that have a vector. Only their rows of the vectors
     file are parsed; when none has one, there are no candidates."""
-    lexicon = load_lexicon(config.inputs[language]["lexicon"], language)
+    lexicon = load_lexicon(config.inputs[language]["lexicon"])
     cutoff = config.params["zipf_cutoff"]
     vocab, _ = load_semantic_embeddings(
         config.inputs[language]["vectors"],
@@ -395,8 +395,8 @@ def _save_cca_artifacts(lang_dir: Path, model: CcaModel, phon: EmbeddingMatrix,
 def _load_cca_artifacts(lang_dir: Path, config_hash: str,
                         inputs: dict[str, str]):
     """The fitted model, phonetic vectors and feature names saved by the
-    ``analyze-global`` run whose payload carries ``config_hash``, from
-    the input files ``inputs`` (role -> path) hold now."""
+    ``analyze-global`` run of the config whose hash is ``config_hash``,
+    from the input files ``inputs`` (role -> path) hold now."""
     path = lang_dir / "cca_model.npz"
     if not path.exists():
         raise InputError(f"{path}: no fitted CCA artifacts; run analyze-global first")
@@ -405,7 +405,7 @@ def _load_cca_artifacts(lang_dir: Path, config_hash: str,
         if stamp != config_hash:
             raise InputError(
                 f"{path}: stamped {stamp or 'with no config hash'}, but "
-                f"global.json has {config_hash}; run analyze-global again")
+                f"this config's hash is {config_hash}; run analyze-global again")
         stamped = (json.loads(str(z["input_sha256"]))
                    if "input_sha256" in z.files else {})
         for role, input_path in inputs.items():
@@ -472,8 +472,10 @@ def run_subspace(config: RunConfig) -> dict[str, Path]:
 
 
 def run_interpret(config: RunConfig) -> dict[str, Path]:
-    """Pole reports for every significant canonical variate (p < 0.05)."""
+    """Pole reports for every significant canonical variate (p < 0.05),
+    from the ``analyze-global`` outputs of this very config."""
     p = config.params
+    config_hash = config.config_hash()
     out_dir = Path(config.output_dir)
     written: dict[str, Path] = {}
     for lang in config.languages:
@@ -483,10 +485,14 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
             raise InputError(f"{global_path}: run analyze-global first")
         payload = read_json(global_path)
         with payload_fields(global_path):
+            if payload["config_hash"] != config_hash:
+                raise InputError(
+                    f"{global_path}: written with config hash "
+                    f"{payload['config_hash']}, but this config's hash is "
+                    f"{config_hash}; run analyze-global again")
             cca_records = payload.get("results", {}).get("cca")
             if cca_records is None:
                 raise InputError(f"{lang}: no CCA results to interpret")
-            config_hash = payload["config_hash"]
             significant = [c for c, rec in enumerate(cca_records)
                            if rec["p"] < 0.05]
         model, phon_vectors, feature_names = _load_cca_artifacts(
@@ -503,7 +509,7 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
             log.info("%s: no significant components; empty pole report", lang)
         out = {
             "language": lang,
-            "config_hash": config.config_hash(),
+            "config_hash": config_hash,
             "components": reports,
             "notes": [] if reports else ["no significant canonical variates"],
         }

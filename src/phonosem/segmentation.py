@@ -14,8 +14,9 @@ import functools
 import json
 import logging
 import math
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
@@ -31,6 +32,8 @@ PERPLEXITY_THRESHOLD = 1.4
 # HttpProvider: attempts per request and seconds per attempt
 HTTP_ATTEMPTS = 3
 HTTP_TIMEOUT_S = 60.0
+# the largest x whose exp a float holds
+_MAX_EXP = math.log(sys.float_info.max)
 
 LANGUAGE_NAMES = {
     "en": "English",
@@ -129,7 +132,8 @@ def render_pairs(pairs: Sequence[tuple[str, str]]) -> str:
 class ProviderResponse:
     """A response text and its per-token log-probabilities, empty where
     the provider sent none. A text that is not a string, or a
-    log-probability that is not a finite number, is a ValueError."""
+    log-probability that is not a finite number at most 0, is a
+    ValueError."""
 
     text: str
     logprobs: tuple[float, ...] = ()
@@ -138,7 +142,8 @@ class ProviderResponse:
         if not isinstance(self.text, str):
             raise ValueError(f"text {self.text!r} is not a string")
         for logprob in self.logprobs:
-            _finite_number(logprob, "log-probability")
+            if _finite_number(logprob, "log-probability") > 0:
+                raise ValueError(f"log-probability {logprob!r} is above 0")
 
     @classmethod
     def from_body(cls, body: Mapping) -> "ProviderResponse":
@@ -292,11 +297,18 @@ def _record_error(exc: Exception) -> str:
     return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
-def response_perplexity(logprobs: Sequence[float]) -> float:
-    """exp of the negative mean per-token log-probability."""
+def response_perplexity(word: str, logprobs: Sequence[float]) -> float:
+    """exp of the negative mean per-token log-probability of the response
+    for ``word``. A response without log-probabilities, or one whose
+    perplexity overflows a float, is a ProviderError naming the word."""
     if not logprobs:
-        raise InputError("cannot compute perplexity without log-probabilities")
-    return math.exp(-sum(logprobs) / len(logprobs))
+        raise ProviderError(f"response for {word!r} lacks log-probabilities")
+    neg_mean = -sum(logprobs) / len(logprobs)
+    if neg_mean > _MAX_EXP:
+        raise ProviderError(f"response for {word!r} has a perplexity that "
+                            f"overflows a float (mean log-probability "
+                            f"{-neg_mean!r})")
+    return math.exp(neg_mean)
 
 
 def perplexity_filter(
@@ -313,9 +325,7 @@ def perplexity_filter(
     return kept, dropped
 
 
-def dedupe_into_morpheme_set(
-    segmentations: Iterable[Segmentation], language: str
-) -> MorphemeSet:
+def dedupe_into_morpheme_set(segmentations: Iterable[Segmentation]) -> MorphemeSet:
     """Unique (form, transcription) pairs with accumulated source words.
 
     Pairs with an empty transcription cannot become morphemes and are
@@ -332,11 +342,9 @@ def dedupe_into_morpheme_set(
             sources.setdefault((form, transcription), set()).add(seg.word)
     if n_skipped:
         log.warning("skipped %d pairs with empty transcriptions", n_skipped)
-    morphemes = tuple(
-        Morpheme(form=f, transcription=t, sources=frozenset(ws), language=language)
-        for (f, t), ws in sorted(sources.items())
-    )
-    return MorphemeSet(language=language, morphemes=morphemes)
+    return MorphemeSet(tuple(
+        Morpheme(form=f, transcription=t, sources=frozenset(ws))
+        for (f, t), ws in sorted(sources.items())))
 
 
 def sample_for_verification(
@@ -391,8 +399,8 @@ def segment_words(
 
     Results are appended to the line-delimited JSON cache as they
     arrive; words already cached are not re-requested. A response
-    without log-probabilities is a ProviderError, raised before its
-    word is cached.
+    without log-probabilities, or whose perplexity overflows a float, is
+    a ProviderError, raised before its word is cached.
     """
     cache_path = Path(cache_path)
     done: dict[str, Segmentation] = {}
@@ -408,8 +416,7 @@ def segment_words(
                 continue
             system, user = build_prompt(language, [(lemma, ipa)])
             resp = provider.complete(system, user)
-            if not resp.logprobs:
-                raise ProviderError(f"response for {word!r} lacks log-probabilities")
+            perplexity = response_perplexity(word, resp.logprobs)
             lines = [ln for ln in resp.text.splitlines() if ln.strip()]
             if len(lines) != 1:
                 raise ProviderError(
@@ -418,7 +425,7 @@ def segment_words(
                 )
             seg = Segmentation(
                 word=word, ipa=ipa, pairs=tuple(parse_response(lines[0])),
-                perplexity=response_perplexity(resp.logprobs),
+                perplexity=perplexity,
                 provider=provider.name, timestamp=time.time())
             fh.write(json.dumps(seg.to_record(), ensure_ascii=False) + "\n")
             out.append(seg)

@@ -147,23 +147,6 @@ def _rho(cx: np.ndarray, cy: np.ndarray) -> float:
     return min(1.0, max(-1.0, float(np.dot(cx, cy) / denom)))
 
 
-def mutual_information_value(
-    x: np.ndarray, y: np.ndarray, bins: int = 20
-) -> float:
-    """Plug-in mutual information in bits over equal-width bins.
-
-    Bins span each variable's observed [min, max]; the top bin is
-    right-closed. A constant variable occupies a single bin and yields
-    0 bits by convention.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise AnalysisError("mutual information needs two 1-D vectors of equal length")
-    codes = _bins(x, bins) * bins + _bins(y, bins)
-    return _mi_bits(np.bincount(codes, minlength=bins * bins), bins)
-
-
 def _bins(values: np.ndarray, bins: int) -> np.ndarray:
     """0-based bin of each finite value among ``bins`` equal-width bins
     over [min, max], edges drawn as ``np.histogram2d`` draws them; the
@@ -183,11 +166,14 @@ def _bins(values: np.ndarray, bins: int) -> np.ndarray:
 
 
 def _mi_bits(counts: np.ndarray, bins: int) -> float:
-    """Plug-in MI of a joint histogram given as flat bin counts."""
+    """Plug-in MI of a joint histogram given as flat bin counts; exactly 0
+    when a variable fills one bin, which only a constant one does."""
     joint = counts.reshape(bins, bins).astype(np.float64)
     pxy = joint / joint.sum()
     px = pxy.sum(axis=1)
     py = pxy.sum(axis=0)
+    if np.count_nonzero(px) == 1 or np.count_nonzero(py) == 1:
+        return 0.0
     nz = pxy > 0
     mi = float(np.sum(pxy[nz] * np.log2(pxy[nz] / np.outer(px, py)[nz])))
     return max(0.0, mi)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import EmbeddingMatrix, Lexicon, ScaleConfig, SegmentFeatureTable
+from .corpus import EmbeddingMatrix, Lexeme, ScaleConfig, SegmentFeatureTable
 from .errors import AnalysisError, InputError
 from .phonetic import _tokenize_and_pool, standardize
 from .stats import (AlignmentResult, _centered, _doubled_ranks, _rho,
@@ -164,7 +164,8 @@ class ScaleCandidates:
 
 
 def pool_candidates(
-    vocabulary: EmbeddingMatrix, lexicon: Lexicon, table: SegmentFeatureTable
+    vocabulary: EmbeddingMatrix, lexicon: tuple[Lexeme, ...],
+    table: SegmentFeatureTable
 ) -> ScaleCandidates:
     ipa = {lx.word: lx.ipa for lx in lexicon}
     emb_index = {w: i for i, w in enumerate(vocabulary.ids)}

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (EmbeddingMatrix, Lexicon, Lexeme, SegmentFeatureTable,
+from .corpus import (EmbeddingMatrix, Lexeme, SegmentFeatureTable,
                      save_feature_table, save_lexicon, save_semantic_embeddings)
 
 FEATURES = ("syllabic", "sonorant", "consonantal", "voice", "continuant", "labial")
@@ -89,10 +89,9 @@ def make_planted_language(
         signal = signal[rng.permutation(n_morphemes)]
     vectors[:, 0] = signal
 
-    lexicon = Lexicon(language="syn", lexemes=tuple(
+    lexicon = tuple(
         Lexeme(word=w, lemma=w, zipf=float(z), ipa=ipa)
-        for w, ipa, z in zip(words, ipas, rng.uniform(3.0, 7.0, n_morphemes))
-    ))
+        for w, ipa, z in zip(words, ipas, rng.uniform(3.0, 7.0, n_morphemes)))
 
     paths = {
         "lexicon": out_dir / "lexicon.tsv",

@@ -4,7 +4,7 @@ language directories reused across test modules."""
 import numpy as np
 import pytest
 
-from phonosem.corpus import Lexeme, Lexicon, SegmentFeatureTable
+from phonosem.corpus import Lexeme, SegmentFeatureTable
 from phonosem.synth import make_feature_table, make_planted_language
 
 
@@ -33,5 +33,4 @@ def small_language(feature_table):
         words.append(word)
         lexemes.append(Lexeme(word=word, lemma=word, zipf=5.0, ipa=ipa))
         vectors.append(rng.normal(size=6))
-    lexicon = Lexicon(language="en", lexemes=tuple(lexemes))
-    return words, lexicon, np.array(vectors)
+    return words, tuple(lexemes), np.array(vectors)

@@ -19,13 +19,12 @@ from phonosem.cca import canonical_rank_correlations, fit_cca
 from phonosem.cli import main
 from phonosem.corpus import (EmbeddingMatrix, ScaleConfig, load_lexicon,
                              load_scale_configs)
-from phonosem.phonetic import cosine_similarity_matrix
+from phonosem.phonetic import SimilarityMatrix, cosine_similarity_matrix
 from phonosem.pipeline import RunConfig, load_language_spaces, run_global
 from phonosem.segmentation import (LANGUAGE_NAMES, error_rate_ci,
                                    load_example_set, parse_response,
                                    render_pairs)
-from phonosem.stats import (knn_overlap, mi_alignment,
-                            mutual_information_value, permutation_test, rsa,
+from phonosem.stats import (knn_overlap, mi_alignment, permutation_test, rsa,
                             spearman_rho)
 from phonosem.subspace import (build_line, perpendicular_distance,
                                pool_candidates, project, scale_alignment)
@@ -79,6 +78,17 @@ def oracle_mi(x, y, bins=20):
     return mi
 
 
+def pair_similarity(pairs):
+    """The symmetric similarity matrix whose strict upper triangle, read
+    row by row, is ``pairs`` (of length n(n-1)/2)."""
+    n = int(round((1 + np.sqrt(1 + 8 * len(pairs))) / 2))
+    upper = np.triu_indices(n, k=1)
+    values = np.eye(n)
+    values[upper] = pairs
+    values.T[upper] = pairs
+    return SimilarityMatrix(ids=tuple(map(str, range(n))), values=values)
+
+
 def oracle_knn(values_a, values_b, k):
     n = len(values_a)
     total = 0.0
@@ -122,15 +132,21 @@ def test_01_spearman_oracle_equivalence(capsys):
 
 def test_02_mutual_information_oracle_equivalence(capsys):
     rng = np.random.default_rng(202)
+
+    def mi(x, y, bins=20):
+        return mi_alignment(pair_similarity(x), pair_similarity(y), bins=bins,
+                            n_shuffles=1, null_points=1).value
+
     worst = 0.0
     for _ in range(200):
-        n = int(rng.integers(40, 200))
-        x = rng.normal(size=n)
-        y = 0.5 * x + rng.normal(size=n)
-        worst = max(worst, abs(mutual_information_value(x, y) - oracle_mi(x, y)))
-    constant = mutual_information_value(np.full(40, 3.0), rng.normal(size=40))
-    two_bin = np.repeat([0.0, 1.0], 20)
-    identity = mutual_information_value(two_bin, two_bin, bins=2)
+        n_items = int(rng.integers(10, 21))  # 45 to 190 pairs
+        m = n_items * (n_items - 1) // 2
+        x = rng.normal(size=m)
+        y = 0.5 * x + rng.normal(size=m)
+        worst = max(worst, abs(mi(x, y) - oracle_mi(x, y)))
+    constant = mi(np.full(45, 3.0), rng.normal(size=45))
+    two_bin = np.repeat([0.0, 1.0], 60)
+    identity = mi(two_bin, two_bin, bins=2)
     _report(capsys, 2, "binned MI matches histogram oracle",
             worst < 1e-12 and constant == 0.0 and identity == 1.0)
 
@@ -155,7 +171,6 @@ def test_03_knn_overlap_oracle_equivalence(capsys):
     va = np.ones((8, 8)) * -1.0
     va[:4, :4] = 1.0
     va[4:, 4:] = 1.0
-    from phonosem.phonetic import SimilarityMatrix
     vb = -va + 2.0 * np.eye(8)
     sim_a = SimilarityMatrix(ids=ids8, values=va)
     sim_b = SimilarityMatrix(ids=ids8, values=vb)
@@ -363,7 +378,7 @@ def test_08_shipped_reference_data_fidelity(capsys):
 
 def test_09_byte_identical_reruns(capsys, tmp_path, planted_dir):
     _, paths = planted_dir
-    lexicon = load_lexicon(paths["lexicon"], "syn")
+    lexicon = load_lexicon(paths["lexicon"])
     words = [lx.word for lx in lexicon][:4]
     scales_path = tmp_path / "scales.json"
     scales_path.write_text(json.dumps({"scales": {"demo": {

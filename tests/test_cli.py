@@ -3,7 +3,6 @@
 import json
 import os
 import re
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +26,7 @@ def workspace(tmp_path_factory, planted_dir):
     """A config file wired to the planted language, with a custom scale."""
     _, paths = planted_dir
     ws = tmp_path_factory.mktemp("cli")
-    lexicon = load_lexicon(paths["lexicon"], "syn")
+    lexicon = load_lexicon(paths["lexicon"])
     words = [lx.word for lx in lexicon][:8]
     scales = {
         "scales": {
@@ -85,7 +84,7 @@ def scaled_language_config(tmp_path, params):
     """``language_config`` with a one-scale file over the language's own
     words; the scales file is returned among the paths."""
     path, paths = language_config(tmp_path, params)
-    words = load_lexicon(paths["lexicon"], "syn").words()
+    words = [lx.word for lx in load_lexicon(paths["lexicon"])]
     scales = tmp_path / "scales.json"
     scales.write_text(json.dumps({"scales": {"sonority_demo": {
         "phonetic": {"pos": ["m", "n", "l"], "neg": ["p", "t", "k"]},
@@ -323,8 +322,10 @@ class TestSegmentAndVerify:
          "log-probability 'a' is not a number"),
         ('{"user": "b", "text": "(b,b)", "logprobs": [-0.1, NaN]}',
          "log-probability nan is not finite"),
+        ('{"user": "b", "text": "(b,b)", "logprobs": [0.5]}',
+         "log-probability 0.5 is above 0"),
     ], ids=["missing-comma", "missing-text", "text-int", "logprobs-str",
-            "logprob-nan"])
+            "logprob-nan", "logprob-positive"])
     def test_malformed_replay_line_is_exit_one(self, workspace, tmp_path,
                                                line, message):
         _, _, config = workspace
@@ -357,11 +358,12 @@ class TestSegmentAndVerify:
             "params": params or {}}), encoding="utf-8")
         return path, cache
 
-    def replay(self, path, with_logprobs=lambda w: True):
-        """Recorded responses for every lexicon word."""
+    def replay(self, path, logprobs=lambda w: [-0.1]):
+        """Recorded responses for every lexicon word, with the
+        log-probabilities ``logprobs`` gives each word (none for None)."""
         path.write_text("".join(json.dumps({
             "user": f"input: {w},{ipa}", "text": f"({w},{ipa})",
-            **({"logprobs": [-0.1]} if with_logprobs(w) else {})},
+            **({"logprobs": logprobs(w)} if logprobs(w) else {})},
             ensure_ascii=False) + "\n" for w, ipa, _ in self.WORDS),
             encoding="utf-8")
         return path
@@ -381,7 +383,8 @@ class TestSegmentAndVerify:
     def test_response_without_logprobs_is_exit_three_and_not_cached(
             self, tmp_path):
         path, cache = self.three_word_config(tmp_path)
-        bad = self.replay(tmp_path / "bad.jsonl", lambda w: w == "run")
+        bad = self.replay(tmp_path / "bad.jsonl",
+                          lambda w: [-0.1] if w == "run" else None)
         result = invoke("segment", "--config", path, "--replay", bad)
         assert result.exit_code == 3
         assert ("provider error: response for 'sit' lacks log-probabilities"
@@ -392,6 +395,18 @@ class TestSegmentAndVerify:
         assert result.exit_code == 0, result.output
         assert [seg.word for seg in read_segmentation_cache(cache)] == [
             "run", "sit", "hop"]
+
+    def test_response_whose_perplexity_overflows_is_exit_three_and_not_cached(
+            self, tmp_path):
+        path, cache = self.three_word_config(tmp_path)
+        bad = self.replay(tmp_path / "bad.jsonl",
+                          lambda w: [-1000.0] if w == "sit" else [-0.1])
+        result = invoke("segment", "--config", path, "--replay", bad)
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert ("provider error: response for 'sit' has a perplexity that "
+                "overflows a float" in result.output)
+        assert [seg.word for seg in read_segmentation_cache(cache)] == ["run"]
 
     @pytest.mark.parametrize("command,option", [
         ("verify", "--seed"), ("analyze-global", "--seed"),
@@ -580,18 +595,20 @@ class TestAnalyze:
         assert int(arrays["n_components"]) == 3
 
     @staticmethod
-    def copied_results(workspace, tmp_path):
-        """A config whose output directory holds a copy of the
-        workspace's analyze-global results."""
-        ws, _, config = workspace
-        shutil.copytree(ws / "results", tmp_path / "out")
+    def global_results(workspace, tmp_path):
+        """The workspace's config with an output directory of its own,
+        which holds that config's analyze-global results (the output
+        directory is part of the config hash that interpret checks)."""
+        _, _, config = workspace
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**config, "output_dir": str(tmp_path / "out")}),
                         encoding="utf-8")
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
         return path, tmp_path / "out" / "syn"
 
     def test_interpret_rejects_a_model_from_another_run(self, workspace, tmp_path):
-        path, lang_dir = self.copied_results(workspace, tmp_path)
+        path, lang_dir = self.global_results(workspace, tmp_path)
         global_path = lang_dir / "global.json"
         payload = json.loads(global_path.read_text("utf-8"))
         payload["config_hash"] = "0" * 16
@@ -600,8 +617,22 @@ class TestAnalyze:
         assert result.exit_code == 1
         assert "run analyze-global again" in result.output
 
+    def test_interpret_rejects_a_model_stamped_by_another_config(
+            self, workspace, tmp_path):
+        path, lang_dir = self.global_results(workspace, tmp_path)
+        model_path = lang_dir / "cca_model.npz"
+        with np.load(model_path) as z:
+            arrays = {name: z[name] for name in z.files}
+        arrays["config_hash"] = np.array("0" * 16)
+        np.savez(model_path, **arrays)
+        result = invoke("interpret", "--config", path)
+        assert result.exit_code == 1
+        assert f"input error: {model_path}: stamped {'0' * 16}" in result.output
+        assert "run analyze-global again" in result.output
+        assert not (lang_dir / "poles.json").exists()
+
     def test_interpret_rejects_an_unstamped_model(self, workspace, tmp_path):
-        path, lang_dir = self.copied_results(workspace, tmp_path)
+        path, lang_dir = self.global_results(workspace, tmp_path)
         with np.load(lang_dir / "cca_model.npz") as z:
             arrays = {name: z[name] for name in z.files if name != "config_hash"}
         np.savez(lang_dir / "cca_model.npz", **arrays)
@@ -618,7 +649,7 @@ class TestAnalyze:
              "results-a-list"])
     def test_interpret_of_a_malformed_global_payload_is_exit_one(
             self, workspace, tmp_path, break_payload, error):
-        path, lang_dir = self.copied_results(workspace, tmp_path)
+        path, lang_dir = self.global_results(workspace, tmp_path)
         global_path = lang_dir / "global.json"
         payload = json.loads(global_path.read_text("utf-8"))
         break_payload(payload)
@@ -630,6 +661,8 @@ class TestAnalyze:
         assert error in result.output
 
     def test_interpret_after_global_with_other_shuffles(self, workspace, tmp_path):
+        # an output directory holds the outputs of one config: interpret
+        # refuses a global.json that an edited config file left behind
         _, _, config = workspace
         cfg = {**config, "output_dir": str(tmp_path / "out")}
         path = tmp_path / "cfg.json"
@@ -640,7 +673,11 @@ class TestAnalyze:
         assert result.exit_code == 0, result.output
         path.write_text(json.dumps(cfg), encoding="utf-8")
         result = invoke("interpret", "--config", path)
-        assert result.exit_code == 0, result.output
+        global_path = tmp_path / "out" / "syn" / "global.json"
+        assert result.exit_code == 1
+        assert f"input error: {global_path}: written with config hash" in result.output
+        assert "run analyze-global again" in result.output
+        assert not (tmp_path / "out" / "syn" / "poles.json").exists()
 
     def test_interpret_rejects_changed_vectors(self, tmp_path):
         path, paths = language_config(
@@ -692,9 +729,9 @@ class TestAnalyze:
                                                         monkeypatch):
         path, paths = language_config(
             tmp_path, {"shuffles": 40, "null_points": 40, "n_components": 2})
-        lexicon = load_lexicon(paths["lexicon"], "syn")
-        cutoff = lexicon.lexemes[len(lexicon) // 2].zipf
-        top = lexicon.lexemes[0].word
+        lexicon = load_lexicon(paths["lexicon"])
+        cutoff = lexicon[len(lexicon) // 2].zipf
+        top = lexicon[0].word
         with paths["vectors"].open("a", encoding="utf-8") as fh:
             fh.write("zz_not_in_lexicon" + " 9.0" * 8 + "\n")
             fh.write(top + " -9.0" * 8 + "\n")  # a duplicate; the first wins
@@ -714,11 +751,11 @@ class TestAnalyze:
         result = invoke("interpret", "--config", path)
         assert result.exit_code == 0, result.output
         assert requested == [[lx.word for lx in lexicon if lx.zipf > cutoff]]
-        assert lexicon.lexemes[len(lexicon) // 2].word not in requested[0]
+        assert lexicon[len(lexicon) // 2].word not in requested[0]
 
         # the poles over the whole vocabulary's vectors filtered by the
         # cutoff, as interpret built them when it parsed every lexicon word
-        vocab, _ = load(paths["vectors"], lexicon.words())
+        vocab, _ = load(paths["vectors"], [lx.word for lx in lexicon])
         zipf = {lx.word: lx.zipf for lx in lexicon}
         keep = [i for i, w in enumerate(vocab.ids) if zipf[w] > cutoff]
         candidates = PoleCandidates(
@@ -819,7 +856,7 @@ class TestAnalyze:
             tmp_path, {"shuffles": 5, "null_points": 5, "n_components": 2})
         # no word left with a vector holds a labial segment
         labial = {s for s, v in SEGMENTS.items() if v[FEATURES.index("labial")] > 0}
-        dropped = {lx.word for lx in load_lexicon(paths["lexicon"], "syn")
+        dropped = {lx.word for lx in load_lexicon(paths["lexicon"])
                    if labial & set(lx.ipa)}
         lines = paths["vectors"].read_text("utf-8").splitlines()
         paths["vectors"].write_text("".join(
@@ -834,10 +871,10 @@ class TestAnalyze:
 
     def test_too_few_morphemes_is_exit_two(self, workspace, tmp_path):
         _, _, config = workspace
-        lexicon = load_lexicon(config["inputs"]["syn"]["lexicon"], "syn")
+        lexicon = load_lexicon(config["inputs"]["syn"]["lexicon"])
         segs = tmp_path / "tiny.jsonl"
         with segs.open("w", encoding="utf-8") as fh:
-            for lx in lexicon.lexemes[:2]:
+            for lx in lexicon[:2]:
                 w, ipa = lx.word, lx.ipa
                 fh.write(json.dumps({
                     "word": w, "ipa": ipa, "pairs": [[w, ipa]],
@@ -913,7 +950,8 @@ class TestReport:
         assert f"KeyError: '{key}'" in result.output
 
     def test_report_renders_the_typed_interpretations(self, workspace, tmp_path):
-        path, lang_dir = TestAnalyze.copied_results(workspace, tmp_path)
+        path, lang_dir = TestAnalyze.global_results(workspace, tmp_path)
+        assert invoke("interpret", "--config", path).exit_code == 0
         poles_path = lang_dir / "poles.json"
         poles = json.loads(poles_path.read_text("utf-8"))
         poles["components"][0].update(interpretation_semantic="size",

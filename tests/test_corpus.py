@@ -25,55 +25,55 @@ class TestLoadLexicon:
         path = tmp_path / "lex.tsv"
         write_lexicon(path, [("a", "a", 5.1, "a"), ("b", "b", 4.0, "b"),
                              ("a", "a", 5.1, "a")])
-        lex = load_lexicon(path, "en")
+        lex = load_lexicon(path)
         assert [lx.word for lx in lex] == ["a", "b"]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "lex.tsv"
         write_lexicon(path, [])
-        assert len(load_lexicon(path, "en")) == 0
+        assert len(load_lexicon(path)) == 0
 
     def test_non_numeric_zipf_names_row(self, tmp_path):
         path = tmp_path / "lex.tsv"
         write_lexicon(path, [("a", "a", "high", "a")])
         with pytest.raises(ParseError, match=":2"):
-            load_lexicon(path, "en")
+            load_lexicon(path)
 
     def test_text_that_is_not_utf8_names_file(self, tmp_path):
         path = tmp_path / "lex.tsv"
         write_lexicon(path, [("a", "a", 5.1, "a")])
         path.write_bytes(path.read_bytes() + "caf\xe9\tcaf\xe9\t3.0\tkafe\n".encode("latin-1"))
         with pytest.raises(ParseError, match=r"lex\.tsv: not UTF-8 text"):
-            load_lexicon(path, "en")
+            load_lexicon(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("word\tzipf\na\t1\n", encoding="utf-8")
         with pytest.raises(ParseError):
-            load_lexicon(path, "en")
+            load_lexicon(path)
 
     def test_highest_zipf_wins_but_first_ipa_kept(self, tmp_path):
         path = tmp_path / "lex.tsv"
         write_lexicon(path, [("a", "x", 4.0, "ab"), ("a", "y", 6.0, "cd")])
-        lex = load_lexicon(path, "en")
+        lex = load_lexicon(path)
         assert len(lex) == 1
-        assert lex.lexemes[0].zipf == 6.0
-        assert lex.lexemes[0].ipa == "ab"
+        assert lex[0].zipf == 6.0
+        assert lex[0].ipa == "ab"
 
     def test_nfc_normalization(self, tmp_path):
         decomposed = unicodedata.normalize("NFD", "é")
         path = tmp_path / "lex.tsv"
         write_lexicon(path, [(decomposed, decomposed, 5.0, decomposed)])
-        lex = load_lexicon(path, "en")
-        assert lex.lexemes[0].word == "é"
+        lex = load_lexicon(path)
+        assert lex[0].word == "é"
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "lex.tsv"
         write_lexicon(path, [("a", "a", 5.25, "ab"), ("b", "b", 4.5, "")])
-        lex = load_lexicon(path, "en")
+        lex = load_lexicon(path)
         out = tmp_path / "out.tsv"
         save_lexicon(lex, out)
-        assert load_lexicon(out, "en") == lex
+        assert load_lexicon(out) == lex
 
 
 class TestTopNAndZipf:
@@ -81,7 +81,7 @@ class TestTopNAndZipf:
         path = tmp_path / "lex.tsv"
         write_lexicon(path, [("b", "b", 4.0, "b"), ("a", "a", 4.0, "a"),
                              ("c", "c", 4.5, "c")])
-        assert load_lexicon(path, "en").words() == ["c", "a", "b"]
+        assert [lx.word for lx in load_lexicon(path)] == ["c", "a", "b"]
 
 
 class TestFeatureTable:
@@ -91,7 +91,7 @@ class TestFeatureTable:
                         encoding="utf-8")
         table = load_feature_table(path)
         assert table.n_features == 3
-        assert table.segments == ["a", "b"]
+        assert list(table.vectors) == ["a", "b"]
         assert np.array_equal(table["a"], [1.0, 0.0, -1.0])
 
     def test_value_out_of_range_names_segment(self, tmp_path):
@@ -117,7 +117,7 @@ class TestFeatureTable:
         save_feature_table(feature_table, path)
         loaded = load_feature_table(path)
         assert loaded.feature_names == feature_table.feature_names
-        for seg in feature_table.segments:
+        for seg in feature_table.vectors:
             assert np.array_equal(loaded[seg], feature_table[seg])
 
 
@@ -231,9 +231,9 @@ class TestSemanticEmbeddings:
 
 class TestMorphemeSet:
     def test_duplicate_key_rejected(self):
-        m = Morpheme("con", "kən", frozenset({"w"}), "en")
+        m = Morpheme("con", "kən", frozenset({"w"}))
         with pytest.raises(InputError):
-            MorphemeSet("en", (m, m))
+            MorphemeSet((m, m))
 
 
 class TestScaleConfig:

@@ -98,11 +98,17 @@ class TestParseResponse:
 
 class TestPerplexity:
     def test_formula(self):
-        assert response_perplexity([-0.5, -1.5]) == pytest.approx(math.e)
+        assert response_perplexity("w", [-0.5, -1.5]) == pytest.approx(math.e)
 
     def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            response_perplexity([])
+        with pytest.raises(ProviderError, match="'w' lacks log-probabilities"):
+            response_perplexity("w", [])
+
+    def test_perplexity_that_overflows_a_float_rejected(self):
+        assert math.isfinite(response_perplexity("w", [-709.0]))
+        with pytest.raises(ProviderError, match="'w' has a perplexity that "
+                                                "overflows a float"):
+            response_perplexity("w", [-1000.0])
 
     def make(self, word, perplexity):
         return Segmentation(word=word, ipa="a", pairs=(("a", "a"),),
@@ -166,37 +172,37 @@ class TestDedupe:
             self.seg("connection", [("con", "kən"), ("nect", "nɛkt"), ("ion", "ʃən")]),
             self.seg("construction", [("con", "kən"), ("struct", "strʌkt"), ("ion", "ʃən")]),
         ]
-        mset = dedupe_into_morpheme_set(segs, "en")
+        mset = dedupe_into_morpheme_set(segs)
         assert len(mset) == 4
         by_key = {m.key(): m for m in mset}
         assert by_key[("con", "kən")].sources == {"connection", "construction"}
 
     def test_single_word(self):
         mset = dedupe_into_morpheme_set(
-            [self.seg("run", [("run", "rʌn")])], "en")
+            [self.seg("run", [("run", "rʌn")])])
         assert [(m.form, m.transcription) for m in mset] == [("run", "rʌn")]
 
     def test_same_form_distinct_transcription(self):
         mset = dedupe_into_morpheme_set(
-            [self.seg("a", [("re", "ri"), ("re", "rə")])], "en")
+            [self.seg("a", [("re", "ri"), ("re", "rə")])])
         assert len(mset) == 2
 
     def test_empty_transcription_skipped(self):
         mset = dedupe_into_morpheme_set(
-            [self.seg("a", [("x", ""), ("y", "j")])], "en")
+            [self.seg("a", [("x", ""), ("y", "j")])])
         assert len(mset) == 1
 
     def test_order_insensitive(self):
         segs = [self.seg("a", [("x", "x")]), self.seg("b", [("y", "y")])]
-        assert dedupe_into_morpheme_set(segs, "en") == \
-            dedupe_into_morpheme_set(segs[::-1], "en")
+        assert dedupe_into_morpheme_set(segs) == \
+            dedupe_into_morpheme_set(segs[::-1])
 
 
 class TestVerificationSampling:
     def make_set(self, n):
         from phonosem.corpus import Morpheme
-        return MorphemeSet("en", tuple(
-            Morpheme(f"m{i}", f"t{i}", frozenset({f"w{i}"}), "en")
+        return MorphemeSet(tuple(
+            Morpheme(f"m{i}", f"t{i}", frozenset({f"w{i}"}))
             for i in range(n)))
 
     def test_small_set_flagged(self, caplog):
@@ -268,9 +274,11 @@ class TestProviders:
         ({"text": "(a,a)", "logprobs": [True]}, "log-probability True is not a number"),
         ({"text": "(a,a)", "logprobs": [-0.1, float("nan")]},
          "log-probability nan is not finite"),
+        ({"text": "(a,a)", "logprobs": [-0.1, 0.5]},
+         "log-probability 0.5 is above 0"),
         ({"text": "(a,a)", "logprobs": -0.1}, "logprobs -0.1 is not a list")],
         ids=["text-int", "logprob-str", "logprob-bool", "logprob-nan",
-             "logprobs-number"])
+             "logprob-positive", "logprobs-number"])
     def test_replay_record_with_a_malformed_response_raises(self, tmp_path,
                                                             record, message):
         path = tmp_path / "replay.jsonl"
@@ -486,8 +494,11 @@ class TestHttpProvider:
         ({"logprobs": [-0.1]}, "provider response: missing key 'text'"),
         ({"text": 5}, "provider response: text 5 is not a string"),
         ({"text": "(run,rʌn)", "logprobs": [float("nan")]},
-         "provider response: log-probability nan is not finite")],
-        ids=["list", "string", "no-text", "text-int", "logprob-nan"])
+         "provider response: log-probability nan is not finite"),
+        ({"text": "(run,rʌn)", "logprobs": [-0.1, 0.5]},
+         "provider response: log-probability 0.5 is above 0")],
+        ids=["list", "string", "no-text", "text-int", "logprob-nan",
+             "logprob-positive"])
     def test_malformed_body_is_a_provider_error(self, monkeypatch, tmp_path,
                                                 body, message):
         posts, _ = self.serve(monkeypatch, [_FakeResponse(200, body)])

