@@ -16,9 +16,9 @@ import click
 from .corpus import load_feature_table, load_lexicon, load_scale_configs
 from .errors import AnalysisError, InputError, ProviderError
 from .phonetic import cosine_similarity_matrix
-from .pipeline import (RunConfig, analysed_morphemes, load_language_spaces,
-                       load_vocabulary, payload_fields, read_json,
-                       render_global_grid, render_pole_tables,
+from .pipeline import (RunConfig, _file_digest, analysed_morphemes,
+                       load_language_spaces, load_vocabulary, payload_fields,
+                       read_json, render_global_grid, render_pole_tables,
                        render_subspace_grid, run_global, run_interpret,
                        run_subspace)
 from .segmentation import (HttpProvider, ReplayProvider, sample_for_verification,
@@ -83,7 +83,8 @@ def ingest(config_path):
     click.echo(f"feature table: {len(table.vectors)} segments x "
                f"{table.n_features} features")
     for lang in config.languages:
-        lexicon, vocab = load_vocabulary(config, lang)
+        lexicon, vocab = load_vocabulary(
+            config, lang, _file_digest(config.inputs[lang]["vectors"]))
         click.echo(f"{lang}: {len(lexicon)} lexemes, {vocab.n_items} with "
                    f"embeddings ({len(lexicon) - vocab.n_items} missing), "
                    f"dim {vocab.n_dims}")
@@ -142,7 +143,8 @@ def embed(config_path):
     """Build and export similarity matrices for inspection."""
     config = RunConfig.from_file(config_path)
     for lang in config.languages:
-        phon, sem, _, _, _ = load_language_spaces(config, lang)
+        phon, sem, _, _, _ = load_language_spaces(
+            config, lang, _file_digest(config.inputs[lang]["vectors"]))
         out = Path(config.output_dir) / lang
         out.mkdir(parents=True, exist_ok=True)
         for name, matrix in (("phonetic", phon), ("semantic", sem)):

@@ -151,6 +151,14 @@ class EmbeddingMatrix:
 
 
 @dataclass(frozen=True)
+class VectorRows(EmbeddingMatrix):
+    """Rows read from a vectors file, with the number of the line each
+    was read from."""
+
+    lines: np.ndarray  # int64, one per row
+
+
+@dataclass(frozen=True)
 class ScaleConfig:
     """One hypothesized sound/meaning scale.
 
@@ -287,21 +295,22 @@ def save_feature_table(table: SegmentFeatureTable, path: str | Path) -> None:
 
 def load_semantic_embeddings(
     path: str | Path, vocabulary: Iterable[str], allow_none: bool = False
-) -> tuple[EmbeddingMatrix, list[str]]:
+) -> tuple[VectorRows, list[str]]:
     """Load vectors for the given vocabulary from a word2vec-style text file.
 
     Only the rows of vocabulary items are parsed; every other row is only
     checked for its dimension, so a bad value there is no error. Trailing
     whitespace on a line is ignored. A token listed more than once keeps
-    its first vector. Returns the matrix (rows in file order of first
-    occurrence) and the sorted list of vocabulary items not found in the
-    file. A file that holds none of the vocabulary is an InputError,
-    unless ``allow_none``, which returns a matrix of no rows.
+    its first vector. Returns the rows (in file order of first
+    occurrence, each with its line number) and the sorted list of
+    vocabulary items not found in the file. A file that holds none of the
+    vocabulary is an InputError, unless ``allow_none``, which returns a
+    matrix of no rows.
     """
     wanted = {_nfc(w) for w in vocabulary}
     ids: list[str] = []
-    seen: set[str] = set()
-    rows: list[np.ndarray] = []
+    lines: list[int] = []
+    vectors = np.empty((0, 0))  # then one row per wanted item, filled in order
     dim: int | None = None
     with _open_input(path) as fh:
         first = fh.readline()
@@ -319,35 +328,36 @@ def load_semantic_embeddings(
             if end < 0:
                 continue
             token = _nfc(line[:end])
-            keep = token in wanted and token not in seen
+            # a token leaves ``wanted`` once read, so a repeat is not kept
+            keep = token in wanted
             # only the kept lines are split; the others are counted
             cells = line.split(" ") if keep else None
             n_values = len(cells) - 1 if keep else line.count(" ")
             if dim is None:
                 dim = n_values
+                vectors = np.empty((len(wanted), dim))
             elif n_values != dim:
                 raise ParseError(
                     f"{path}:{lineno}: dimension {n_values} != {dim}"
                 )
             if keep:
                 try:
-                    rows.append(np.fromiter(map(float, cells[1:]), np.float64,
-                                            count=n_values))
+                    vectors[len(ids)] = list(map(float, cells[1:]))
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: non-numeric vector value") from None
-                seen.add(token)
+                wanted.remove(token)
                 ids.append(token)
+                lines.append(lineno)
     if not ids and not allow_none:
         raise InputError(f"{path}: no vocabulary items matched")
-    vectors = np.vstack(rows) if rows else np.empty((0, dim or 0))
+    # the rows of items not found were never filled
+    vectors.resize((len(ids), vectors.shape[1]), refcheck=False)
     finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
         token = ids[int(np.argmin(finite))]
         raise ParseError(f"{path}: non-finite vector value for {token!r}")
-    missing = sorted(wanted - seen)
-    if missing:
-        log.info("%s: %d vocabulary items missing", path, len(missing))
-    return EmbeddingMatrix(ids=tuple(ids), vectors=vectors), missing
+    return VectorRows(ids=tuple(ids), vectors=vectors,
+                      lines=np.asarray(lines, dtype=np.int64)), sorted(wanted)
 
 
 def save_semantic_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:

@@ -15,6 +15,8 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,9 +25,9 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__
-from .corpus import (EmbeddingMatrix, Lexeme, MorphemeSet, _open_input,
-                     load_feature_table, load_lexicon, load_scale_configs,
-                     load_semantic_embeddings)
+from .corpus import (EmbeddingMatrix, Lexeme, MorphemeSet, VectorRows, _nfc,
+                     _open_input, load_feature_table, load_lexicon,
+                     load_scale_configs, load_semantic_embeddings)
 from .cca import (DEFAULT_RIDGE, CcaModel, PoleCandidates, build_pole_report,
                   canonical_rank_correlations, fit_cca, pole_candidates)
 from .errors import AnalysisError, InputError
@@ -234,30 +236,32 @@ def analysed_morphemes(config: RunConfig, language: str) -> MorphemeSet:
     return dedupe_into_morpheme_set(segs)
 
 
-def load_vocabulary(config: RunConfig,
-                    language: str) -> tuple[tuple[Lexeme, ...], EmbeddingMatrix]:
+def load_vocabulary(config: RunConfig, language: str,
+                    digest: str) -> tuple[tuple[Lexeme, ...], EmbeddingMatrix]:
     """The lexicon and the vectors of every lexicon word found in the
-    vectors file."""
+    vectors file, whose SHA-256 is ``digest``."""
     lexicon = load_lexicon(config.inputs[language]["lexicon"])
-    vocab, _ = load_semantic_embeddings(config.inputs[language]["vectors"],
-                                        [lx.word for lx in lexicon])
+    vocab, _ = load_vectors(config, language, digest, [lx.word for lx in lexicon])
     return lexicon, vocab
 
 
-def load_pole_candidates(config: RunConfig, language: str) -> PoleCandidates:
+def load_pole_candidates(config: RunConfig, language: str,
+                         digest: str) -> PoleCandidates:
     """The semantic pole candidates: the lexicon words above
     ``zipf_cutoff`` that have a vector. Only their rows of the vectors
-    file are parsed; when none has one, there are no candidates."""
+    file, whose SHA-256 is ``digest``, are read; when none has one, there
+    are no candidates."""
     lexicon = load_lexicon(config.inputs[language]["lexicon"])
     cutoff = config.params["zipf_cutoff"]
-    vocab, _ = load_semantic_embeddings(
-        config.inputs[language]["vectors"],
+    vocab, _ = load_vectors(
+        config, language, digest,
         [lx.word for lx in lexicon if lx.zipf > cutoff], allow_none=True)
     return pole_candidates(vocab)
 
 
-def load_language_spaces(config: RunConfig, language: str):
-    """Aligned phonetic and semantic embedding matrices over morphemes.
+def load_language_spaces(config: RunConfig, language: str, digest: str):
+    """Aligned phonetic and semantic embedding matrices over morphemes,
+    from the vectors file whose SHA-256 is ``digest``.
 
     A morpheme is kept when its form has a vector and neither of its two
     rows has zero norm, since cosine similarity is undefined there. The
@@ -270,8 +274,8 @@ def load_language_spaces(config: RunConfig, language: str):
     if not mset:
         raise InputError(f"{language}: empty morpheme set")
 
-    sem_by_form, _ = load_semantic_embeddings(
-        config.inputs[language]["vectors"], {m.form for m in mset})
+    sem_by_form, _ = load_vectors(config, language, digest,
+                                  {m.form for m in mset})
     sem_norm = np.linalg.norm(sem_by_form.vectors, axis=1)
     form_index = {w: i for i, w in enumerate(sem_by_form.ids) if sem_norm[i] > 0.0}
     phon_matrix, feature_names, skipped = build_phonetic_embeddings(
@@ -290,6 +294,132 @@ def load_language_spaces(config: RunConfig, language: str):
 
 
 # ---------------------------------------------------------------------------
+# Store of parsed vector rows
+
+_NO_ROWS = VectorRows(ids=(), vectors=np.empty((0, 0)), lines=np.empty(0, np.int64))
+
+
+def load_vectors(config: RunConfig, language: str, digest: str,
+                 vocabulary: Iterable[str],
+                 allow_none: bool = False) -> tuple[VectorRows, list[str]]:
+    """``load_semantic_embeddings`` of the language's vectors file, whose
+    SHA-256 is ``digest``, read through the store of the rows parsed from
+    that file, ``<output_dir>/vectors/<digest>``; the rows come in file
+    order.
+
+    Items that an earlier read looked up, found in the file or not, come
+    from the store. Only the others are parsed from the text, in one
+    scan, and are added to the store once this read has succeeded. The
+    result is that of a parse of the whole vocabulary, errors included:
+    a stored row passed every check of the scan that parsed it, and that
+    scan checked the dimension of every line of the file.
+    """
+    path = config.inputs[language]["vectors"]
+    store_path = Path(config.output_dir) / "vectors" / digest
+    wanted = {_nfc(w) for w in vocabulary}
+    # a store whose rows do not fit the file is dropped, and every row parsed
+    for store in (_read_store(store_path, digest), None):
+        stored, absent = store or (_NO_ROWS, frozenset())
+        index = {token: i for i, token in enumerate(stored.ids)}
+        hits = np.array([index[w] for w in wanted if w in index], dtype=np.int64)
+        hits = hits[np.argsort(stored.lines[hits])]
+        rows = VectorRows(ids=tuple(stored.ids[i] for i in hits),
+                          vectors=stored.vectors[hits], lines=stored.lines[hits])
+        missing = wanted & absent
+        rest = wanted - absent - index.keys()
+        if not rest:
+            break
+        parsed, not_found = load_semantic_embeddings(path, rest, allow_none=True)
+        if not store or parsed.n_dims == stored.n_dims:
+            break
+        log.warning("%s: rows of dimension %d, but the file's is %d; store "
+                    "ignored", store_path, stored.n_dims, parsed.n_dims)
+    if rest:
+        rows = _merge_rows(rows, parsed)
+        missing |= set(not_found)
+    if not rows.n_items and not allow_none:
+        raise InputError(f"{path}: no vocabulary items matched")
+    if rest:
+        _write_store(store_path, digest, [stored, parsed], absent | missing)
+    log.info("%s: %d rows from the store, %d parsed from the text, %d missing; "
+             "text file %s", path, len(hits), rows.n_items - len(hits),
+             len(missing), "opened" if rest else "not opened")
+    return rows, sorted(missing)
+
+
+def _merge_rows(a: VectorRows, b: VectorRows) -> VectorRows:
+    """The rows of both, which hold no line in common, in line order."""
+    if not b.n_items:
+        return a
+    if not a.n_items:
+        return b
+    lines = np.concatenate([a.lines, b.lines])
+    order = np.argsort(lines)
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    vectors = np.empty((len(order), b.n_dims))
+    vectors[at[:a.n_items]] = a.vectors
+    vectors[at[a.n_items:]] = b.vectors
+    ids = a.ids + b.ids
+    return VectorRows(ids=tuple(ids[i] for i in order.tolist()), vectors=vectors,
+                      lines=lines[order])
+
+
+def _read_store(path: Path, digest: str) -> tuple[VectorRows, frozenset[str]] | None:
+    """The stored rows and the items recorded as absent from the vectors
+    file whose SHA-256 is ``digest``. A store that is missing, does not
+    load, or does not match that digest or its own row count and
+    dimension is none: it is never trusted, and the next read that
+    parses rows replaces it."""
+    try:
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline())
+            values = np.frombuffer(fh.read(), dtype="<f8")
+        tokens, lines, absent, dim = (header["tokens"], header["lines"],
+                                      header["absent"], header["dim"])
+        if not (header["digest"] == digest and type(dim) is int and dim >= 0
+                and isinstance(tokens, list) and isinstance(absent, list)
+                and isinstance(lines, list) and len(lines) == len(tokens)
+                and all(isinstance(t, str) for t in tokens + absent)
+                and all(type(n) is int and n > 0 for n in lines)):
+            raise ValueError("header does not match the rows or the file")
+        # a row count or dimension that does not fit the bytes fails here
+        return VectorRows(ids=tuple(tokens), vectors=values.reshape(len(tokens), dim),
+                          lines=np.array(lines, dtype=np.int64)), frozenset(absent)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, LookupError, TypeError, OverflowError) as exc:
+        log.warning("%s: store ignored (%s: %s)", path, type(exc).__name__, exc)
+        return None
+
+
+def _write_store(path: Path, digest: str, parts: list[VectorRows],
+                 absent: set[str]) -> None:
+    """Replace the store at ``path`` with the rows of ``parts`` and the
+    absent items: a JSON header line, then the rows as raw little-endian
+    float64. The file appears whole or not at all; a store that cannot be
+    written is skipped with a warning, since it only saves work."""
+    header = {"digest": digest, "dim": parts[-1].n_dims,
+              "tokens": [t for part in parts for t in part.ids],
+              "lines": [n for part in parts for n in part.lines.tolist()],
+              "absent": sorted(absent)}
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(json.dumps(header).encode("ascii") + b"\n")
+                for part in parts:
+                    fh.write(np.ascontiguousarray(part.vectors, dtype="<f8").data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        log.warning("%s: store not written (%s)", path, exc)
+
+
+# ---------------------------------------------------------------------------
 # Analysis runs
 
 def run_global(config: RunConfig) -> dict[str, Path]:
@@ -302,7 +432,8 @@ def run_global(config: RunConfig) -> dict[str, Path]:
     written: dict[str, Path] = {}
     grid_rows = []
     for lang in config.languages:
-        phon, sem, feature_names, n_total, skipped = load_language_spaces(config, lang)
+        phon, sem, feature_names, n_total, skipped = load_language_spaces(
+            config, lang, digests[config.inputs[lang]["vectors"]])
         results = _similarity_results(config, lang, phon, sem)
         if config.analyses.get("cca", True):
             n_components = min(p["n_components"], phon.n_dims, sem.n_dims)
@@ -396,7 +527,8 @@ def _load_cca_artifacts(lang_dir: Path, config_hash: str,
                         inputs: dict[str, str]):
     """The fitted model, phonetic vectors and feature names saved by the
     ``analyze-global`` run of the config whose hash is ``config_hash``,
-    from the input files ``inputs`` (role -> path) hold now."""
+    from the input files ``inputs`` (role -> path) hold now, and the
+    SHA-256 of each of those files by path."""
     path = lang_dir / "cca_model.npz"
     if not path.exists():
         raise InputError(f"{path}: no fitted CCA artifacts; run analyze-global first")
@@ -408,14 +540,15 @@ def _load_cca_artifacts(lang_dir: Path, config_hash: str,
                 f"this config's hash is {config_hash}; run analyze-global again")
         stamped = (json.loads(str(z["input_sha256"]))
                    if "input_sha256" in z.files else {})
+        digests = _input_digests(inputs.values())
         for role, input_path in inputs.items():
-            if _file_digest(input_path) != stamped.get(role):
+            if digests[input_path] != stamped.get(role):
                 raise InputError(
                     f"{input_path}: not the {role} file {path} is stamped "
                     "with; run analyze-global again")
         model = CcaModel(**{f.name: z[f.name][()]
                             for f in dataclasses.fields(CcaModel)})
-        return model, z["phonetic_vectors"], z["feature_names"].tolist()
+        return model, z["phonetic_vectors"], z["feature_names"].tolist(), digests
 
 
 def run_subspace(config: RunConfig) -> dict[str, Path]:
@@ -434,7 +567,8 @@ def run_subspace(config: RunConfig) -> dict[str, Path]:
     cells = []
     written: dict[str, Path] = {}
     for lang in config.languages:
-        lexicon, vocab = load_vocabulary(config, lang)
+        lexicon, vocab = load_vocabulary(config, lang,
+                                         digests[config.inputs[lang]["vectors"]])
         candidates = pool_candidates(vocab, lexicon, table)
         for scale in scales:
             result = scale_alignment(
@@ -495,12 +629,14 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
                 raise InputError(f"{lang}: no CCA results to interpret")
             significant = [c for c, rec in enumerate(cca_records)
                            if rec["p"] < 0.05]
-        model, phon_vectors, feature_names = _load_cca_artifacts(
-            lang_dir, config_hash, _language_inputs(config, lang))
+        inputs = _language_inputs(config, lang)
+        model, phon_vectors, feature_names, digests = _load_cca_artifacts(
+            lang_dir, config_hash, inputs)
 
         reports = []
         if significant:
-            candidates = load_pole_candidates(config, lang)
+            candidates = load_pole_candidates(config, lang,
+                                              digests[inputs["vectors"]])
             reports = [build_pole_report(
                 model, c, phon_vectors, feature_names, candidates, k=p["k"],
                 percentile=p["percentile"], threshold=p["threshold"]).to_record()

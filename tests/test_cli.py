@@ -1,10 +1,13 @@
 """Command-line workflow: exit codes, artifacts, and re-rendering."""
 
 import json
+import logging
 import os
 import re
+import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ import phonosem
 from phonosem import pipeline
 from phonosem.cca import PoleCandidates, build_pole_report
 from phonosem.cli import main
-from phonosem.corpus import load_lexicon
+from phonosem.corpus import load_lexicon, load_semantic_embeddings
 from phonosem.pipeline import PARAMS
 from phonosem.segmentation import read_segmentation_cache
 from phonosem.synth import FEATURES, SEGMENTS, make_planted_language
@@ -727,8 +730,8 @@ class TestAnalyze:
 
     def test_interpret_parses_only_the_pole_candidates(self, tmp_path,
                                                         monkeypatch):
-        path, paths = language_config(
-            tmp_path, {"shuffles": 40, "null_points": 40, "n_components": 2})
+        path, paths = scaled_language_config(
+            tmp_path, {**SMALL_RUN, "shuffles": 40, "null_points": 40})
         lexicon = load_lexicon(paths["lexicon"])
         cutoff = lexicon[len(lexicon) // 2].zipf
         top = lexicon[0].word
@@ -745,13 +748,24 @@ class TestAnalyze:
         load = pipeline.load_semantic_embeddings
 
         def spy(vectors_path, vocabulary, **kwargs):
-            requested.append(list(vocabulary))
+            requested.append(set(vocabulary))
             return load(vectors_path, requested[-1], **kwargs)
         monkeypatch.setattr("phonosem.pipeline.load_semantic_embeddings", spy)
+        # with no store, interpret parses exactly its candidates
+        shutil.rmtree(tmp_path / "out" / "vectors")
         result = invoke("interpret", "--config", path)
         assert result.exit_code == 0, result.output
-        assert requested == [[lx.word for lx in lexicon if lx.zipf > cutoff]]
+        assert requested == [{lx.word for lx in lexicon if lx.zipf > cutoff}]
         assert lexicon[len(lexicon) // 2].word not in requested[0]
+        poles = (tmp_path / "out" / "syn" / "poles.json").read_text("utf-8")
+        # after analyze-subspace has read every lexicon word, it parses none
+        result = invoke("analyze-subspace", "--config", path)
+        assert result.exit_code == 0, result.output
+        requested.clear()
+        result = invoke("interpret", "--config", path)
+        assert result.exit_code == 0, result.output
+        assert requested == []
+        assert (tmp_path / "out" / "syn" / "poles.json").read_text("utf-8") == poles
 
         # the poles over the whole vocabulary's vectors filtered by the
         # cutoff, as interpret built them when it parsed every lexicon word
@@ -765,7 +779,7 @@ class TestAnalyze:
         config = pipeline.RunConfig.from_file(path)
         lang_dir = tmp_path / "out" / "syn"
         payload = json.loads((lang_dir / "global.json").read_text("utf-8"))
-        model, phon, names = pipeline._load_cca_artifacts(
+        model, phon, names, _ = pipeline._load_cca_artifacts(
             lang_dir, payload["config_hash"],
             pipeline._language_inputs(config, "syn"))
         p = config.params
@@ -889,6 +903,226 @@ class TestAnalyze:
         result = invoke("analyze-global", "--config", path)
         assert result.exit_code == 2
         assert "analysis error" in result.output
+
+
+class TestVectorStore:
+    """The store of parsed vector rows under ``<output_dir>/vectors``."""
+
+    COMMANDS = (("analyze-global", "syn/global.json"),
+                ("analyze-subspace", "subspace.json"),
+                ("interpret", "syn/poles.json"))
+
+    @staticmethod
+    def store(tmp_path, paths):
+        return (tmp_path / "out" / "vectors"
+                / pipeline._file_digest(paths["vectors"]))
+
+    @staticmethod
+    def odd_language(tmp_path):
+        """A scaled language whose vectors file has a count header, lines
+        that end in a space, NFD tokens, repeated tokens and a token that
+        ends in NUL. The odd tokens are frequent lexicon words with no
+        morpheme, so analyze-global does not read them and
+        analyze-subspace does; one more such word has no vector."""
+        path, paths = scaled_language_config(
+            tmp_path, {**SMALL_RUN, "shuffles": 40, "null_points": 40})
+        extra = {"caf\u00e9": "kafe", "na\u00efve": "naiv", "zz\x00": "pata",
+                 "zz_absent": "tapa"}
+        with paths["lexicon"].open("a", encoding="utf-8") as fh:
+            for word, ipa in extra.items():
+                fh.write(f"{word}\t{word}\t6.5\t{ipa}\n")
+        lines = paths["vectors"].read_text("utf-8").splitlines()
+        assert re.fullmatch(r"\d+ 8", lines[0])
+        top = lines[1].split(" ", 1)[0]
+        # the odd rows sit between the rows of morpheme forms
+        lines[1:1] = ["zz\x00" + " 3e-5" * 8]
+        lines[5:5] = ["cafe\u0301" + " 0.25" * 8]
+        lines[-5:-5] = ["nai\u0308ve" + " -1.5" * 8]
+        lines += ["caf\u00e9" + " 9.0" * 8, top + " -9.0" * 8]
+        paths["vectors"].write_text("".join(line + " \n" for line in lines),
+                                    encoding="utf-8")
+        return path, paths
+
+    def test_reads_through_the_store_equal_a_fresh_parse(self, tmp_path,
+                                                          monkeypatch):
+        path, paths = self.odd_language(tmp_path)
+        out = tmp_path / "out"
+        payloads = {}
+        for command, payload in self.COMMANDS:
+            result = invoke(command, "--config", path)
+            assert result.exit_code == 0, result.output
+            payloads[payload] = (out / payload).read_bytes()
+
+        # the morpheme forms come from the store, the other words from the
+        # text, and then every word from the store
+        shutil.rmtree(out / "vectors")
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+        vocabulary = [lx.word for lx in load_lexicon(paths["lexicon"])]
+        fresh, fresh_missing = load_semantic_embeddings(paths["vectors"], vocabulary)
+        assert {"caf\u00e9", "na\u00efve", "zz\x00"} <= set(fresh.ids)
+        config = pipeline.RunConfig.from_file(path)
+        digest = pipeline._file_digest(paths["vectors"])
+        merged = pipeline.load_vectors(config, "syn", digest, vocabulary)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("text parsed for rows the store holds")
+        monkeypatch.setattr("phonosem.pipeline.load_semantic_embeddings", refuse)
+        stored = pipeline.load_vectors(config, "syn", digest, vocabulary)
+        monkeypatch.undo()
+        for rows, missing in (merged, stored):
+            assert rows.ids == fresh.ids
+            assert rows.vectors.tobytes() == fresh.vectors.tobytes()
+            assert missing == fresh_missing == ["zz_absent"]
+
+        for command, payload in self.COMMANDS:
+            shutil.rmtree(out / "vectors")
+            result = invoke(command, "--config", path)
+            assert result.exit_code == 0, result.output
+            assert (out / payload).read_bytes() == payloads[payload], command
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: b[:len(b) // 2],
+        lambda b: b[:40],
+        lambda b: b"",
+        lambda b: bytes(range(256)) * 4,
+        lambda b: b + b"\0" * 8,
+        lambda b: b.replace(b'"digest": "', b'"digest": "0', 1),
+        lambda b: b.replace(b'"dim": 8', b'"dim": 16', 1)],
+        ids=["truncated", "truncated-header", "empty", "garbage", "extra-bytes",
+             "other-digest", "other-dimension"])
+    def test_damaged_store_is_rewritten(self, tmp_path, damage):
+        path, paths = scaled_language_config(tmp_path, SMALL_RUN)
+        store = self.store(tmp_path, paths)
+        result = invoke("analyze-subspace", "--config", path)
+        assert result.exit_code == 0, result.output
+        good = store.read_bytes()
+        subspace = (tmp_path / "out" / "subspace.json").read_bytes()
+        assert damage(good) != good
+        store.write_bytes(damage(good))
+        result = invoke("analyze-subspace", "--config", path)
+        assert result.exit_code == 0, result.output
+        assert store.read_bytes() == good
+        assert (tmp_path / "out" / "subspace.json").read_bytes() == subspace
+
+    def test_rows_that_do_not_fit_the_file_are_not_read(self, tmp_path):
+        # the header's row count and dimension agree with the bytes, but
+        # the dimension is not the file's
+        path, paths = scaled_language_config(tmp_path, SMALL_RUN)
+        store = self.store(tmp_path, paths)
+        result = invoke("analyze-subspace", "--config", path)
+        assert result.exit_code == 0, result.output
+        good = store.read_bytes()
+        subspace = (tmp_path / "out" / "subspace.json").read_bytes()
+        header, rows = good.split(b"\n", 1)
+        obj = json.loads(header)
+        half = len(obj["tokens"]) // 2
+        obj.update(dim=16, tokens=obj["tokens"][:half], lines=obj["lines"][:half])
+        store.write_bytes(json.dumps(obj).encode() + b"\n" + rows[:half * 16 * 8])
+        result = invoke("analyze-subspace", "--config", path)
+        assert result.exit_code == 0, result.output
+        assert store.read_bytes() == good
+        assert (tmp_path / "out" / "subspace.json").read_bytes() == subspace
+
+    def test_changed_vectors_file_does_not_read_the_old_store(self, tmp_path):
+        path, paths = language_config(
+            tmp_path, {"shuffles": 10, "null_points": 10, "n_components": 2})
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+        old = self.store(tmp_path, paths)
+        # a store that would change every result if it were read
+        header, rows = old.read_bytes().split(b"\n", 1)
+        old.write_bytes(header + b"\n" + bytes(len(rows)))
+        data = bytearray(paths["vectors"].read_bytes())
+        i = next(j for j in range(data.index(b"\n") + 1, len(data))
+                 if chr(data[j]).isdigit())
+        data[i] = ord("1") if data[i] != ord("1") else ord("2")
+        paths["vectors"].write_bytes(bytes(data))
+        result = invoke("interpret", "--config", path)
+        assert result.exit_code == 1
+        assert f"{paths['vectors']}: not the vectors file" in result.output
+
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+        new = self.store(tmp_path, paths)
+        assert new != old and new.exists()
+        assert old.read_bytes() == header + b"\n" + bytes(len(rows))
+        shutil.copy(tmp_path / "out" / "syn" / "global.json", tmp_path / "kept.json")
+        shutil.rmtree(tmp_path / "out" / "vectors")
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+        assert ((tmp_path / "out" / "syn" / "global.json").read_bytes()
+                == (tmp_path / "kept.json").read_bytes())
+
+    @pytest.mark.parametrize("value,error", [
+        ("abc", "{path}:{line}: non-numeric vector value"),
+        ("nan", "{path}: non-finite vector value for 'zz_rare'")])
+    def test_bad_value_read_only_by_a_later_command_fails_that_command(
+            self, tmp_path, value, error):
+        path, paths = scaled_language_config(
+            tmp_path, {**SMALL_RUN, "shuffles": 40, "null_points": 40})
+        with paths["lexicon"].open("a", encoding="utf-8") as fh:
+            fh.write("zz_rare\tzz_rare\t1.0\tpata\n")
+        with paths["vectors"].open("a", encoding="utf-8") as fh:
+            fh.write("zz_rare" + " 1.0" * 7 + f" {value}\n")
+        line = len(paths["vectors"].read_text("utf-8").splitlines())
+        for command in ("analyze-global", "interpret"):
+            result = invoke(command, "--config", path)
+            assert result.exit_code == 0, result.output
+        store = self.store(tmp_path, paths)
+        stored = store.read_bytes()
+        for _ in range(2):
+            result = invoke("analyze-subspace", "--config", path)
+            assert result.exit_code == 1
+            assert ("input error: " + error.format(path=paths["vectors"], line=line)
+                    in result.output)
+            # a failed read adds nothing to the store
+            assert store.read_bytes() == stored
+
+    def test_each_command_hashes_each_input_once(self, tmp_path, monkeypatch):
+        path, paths = scaled_language_config(
+            tmp_path, {**SMALL_RUN, "shuffles": 40, "null_points": 40})
+        digest = pipeline._file_digest
+        hashed = Counter()
+
+        def counting(path):
+            hashed[Path(path)] += 1
+            return digest(path)
+        monkeypatch.setattr(pipeline, "_file_digest", counting)
+        read = {"analyze-global": ("feature_table", "lexicon", "vectors",
+                                   "segmentations"),
+                "analyze-subspace": ("feature_table", "lexicon", "vectors",
+                                     "scales"),
+                "interpret": ("feature_table", "lexicon", "vectors",
+                              "segmentations")}
+        for command, roles in read.items():
+            hashed.clear()
+            result = invoke(command, "--config", path)
+            assert result.exit_code == 0, result.output
+            assert hashed == Counter(paths[role] for role in roles), command
+        poles = json.loads((tmp_path / "out" / "syn" / "poles.json").read_text("utf-8"))
+        assert poles["components"]
+
+    def test_each_read_logs_where_its_rows_came_from(self, tmp_path, caplog):
+        path, paths = self.odd_language(tmp_path)
+        n_forms = len(read_segmentation_cache(paths["segmentations"]))
+        n_words = len(load_lexicon(paths["lexicon"]))
+        expected = {
+            "analyze-global": f"0 rows from the store, {n_forms} parsed from "
+                              "the text, 0 missing; text file opened",
+            "analyze-subspace": f"{n_forms} rows from the store, 3 parsed from "
+                                "the text, 1 missing; text file opened",
+            "interpret": "from the store, 0 parsed from the text, 1 missing; "
+                         "text file not opened"}
+        for command, message in expected.items():
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="phonosem.pipeline"):
+                result = invoke(command, "--config", path)
+            assert result.exit_code == 0, result.output
+            reads = [r.getMessage() for r in caplog.records
+                     if r.getMessage().startswith(f"{paths['vectors']}: ")]
+            assert len(reads) == 1 and message in reads[0], (command, reads)
+        assert n_words == n_forms + 4
 
 
 class TestReport:
