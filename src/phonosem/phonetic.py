@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -116,6 +116,37 @@ def build_phonetic_embeddings(
 # ---------------------------------------------------------------------------
 # Similarity matrices
 
+# Side of the tiles symmetric matrices are checked and mirrored in: a
+# float64 tile and its mirror image stay in cache together.
+_TILE = 128
+
+
+def _upper_tiles(n: int) -> Iterator[tuple[int, int, int, int]]:
+    """(i0, i1, j0, j1) of each tile ``[i0:i1, j0:j1]`` with j0 >= i0."""
+    for i0 in range(0, n, _TILE):
+        for j0 in range(i0, n, _TILE):
+            yield i0, min(n, i0 + _TILE), j0, min(n, j0 + _TILE)
+
+
+def _mirror_upper(values: np.ndarray) -> None:
+    """Copy a square matrix's strict upper triangle onto its lower one."""
+    for i0, i1, j0, j1 in _upper_tiles(len(values)):
+        if i0 == j0:
+            tile = values[i0:i1, i0:i1]
+            lower = np.tri(i1 - i0, k=-1, dtype=bool)
+            tile[lower] = tile.T[lower]
+        else:
+            values[j0:j1, i0:i1] = values[i0:i1, j0:j1].T
+
+
+def _upper_rows(n: int) -> Iterator[tuple[int, int, int]]:
+    """(i, start, stop) for each row i of an n x n matrix: its strict upper
+    triangle ``[i, i + 1:]`` is ``[start:stop]`` of the pair vector."""
+    for i in range(n - 1):
+        start = i * (2 * n - i - 1) // 2
+        yield i, start, start + n - 1 - i
+
+
 @dataclass(frozen=True)
 class SimilarityMatrix:
     ids: tuple[str, ...]
@@ -128,7 +159,9 @@ class SimilarityMatrix:
                 f"similarity shape {self.values.shape} does not match {n} ids"
             )
         # exact: the permutation nulls read each pair from one triangle
-        if not np.array_equal(self.values, self.values.T):
+        if not all(np.array_equal(self.values[i0:i1, j0:j1],
+                                  self.values[j0:j1, i0:i1].T)
+                   for i0, i1, j0, j1 in _upper_tiles(n)):
             raise AnalysisError("similarity matrix is not exactly symmetric")
 
     @property
@@ -138,7 +171,10 @@ class SimilarityMatrix:
     def pair_vector(self) -> np.ndarray:
         """Strict upper triangle in fixed (i < j) row-major order."""
         n = self.n_items
-        return self.values[np.triu(np.ones((n, n), dtype=bool), k=1)]
+        out = np.empty(n * (n - 1) // 2, dtype=self.values.dtype)
+        for i, start, stop in _upper_rows(n):
+            out[start:stop] = self.values[i, i + 1:]
+        return out
 
     # -- serialization ------------------------------------------------------
 
@@ -152,7 +188,8 @@ class SimilarityMatrix:
 
 def cosine_similarity_matrix(matrix: EmbeddingMatrix) -> SimilarityMatrix:
     """Pairwise cosine similarity; a zero-norm row is an AnalysisError,
-    since its cosine is undefined."""
+    since its cosine is undefined. Mirroring the upper triangle makes it
+    exactly symmetric on any BLAS; numpy's ``syrk`` product already is."""
     norms = np.linalg.norm(matrix.vectors, axis=1)
     if not norms.all():
         item = matrix.ids[int(np.argmin(norms))]
@@ -160,6 +197,6 @@ def cosine_similarity_matrix(matrix: EmbeddingMatrix) -> SimilarityMatrix:
     unit = matrix.vectors / norms[:, None]
     values = unit @ unit.T
     np.clip(values, -1.0, 1.0, out=values)
-    values = (values + values.T) / 2.0
+    _mirror_upper(values)
     np.fill_diagonal(values, 1.0)
     return SimilarityMatrix(ids=matrix.ids, values=values)

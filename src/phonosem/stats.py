@@ -20,7 +20,8 @@ symmetric item-by-item matrices, and each shuffle is a gather plus a
 reduction that gives the same bits as recomputing the statistic on the
 permuted matrix. This relies on the permuted similarity matrix being
 exactly symmetric, as :func:`~phonosem.phonetic.cosine_similarity_matrix`
-makes it: a permuted pair vector then holds the same multiset of values.
+makes it by mirroring its upper triangle: a permuted pair vector then
+holds the same multiset of values.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ import numpy as np
 
 from .corpus import EmbeddingMatrix
 from .errors import AnalysisError
-from .phonetic import SimilarityMatrix, cosine_similarity_matrix
+from .phonetic import (SimilarityMatrix, _mirror_upper, _upper_rows,
+                       cosine_similarity_matrix)
 
 log = logging.getLogger(__name__)
 
@@ -107,26 +109,35 @@ def spearman_rho(x: np.ndarray, y: np.ndarray) -> float:
     return _rho(_centered(_doubled_ranks(x)), _centered(_doubled_ranks(y)))
 
 
+def _sort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, x[order])``: the order that sorts ``x``, and ``x`` sorted."""
+    order = np.argsort(x)
+    return order, x[order]
+
+
 def _doubled_ranks(x: np.ndarray) -> np.ndarray:
     """Twice the 1-based midranks of finite values (``2 *
-    scipy.stats.rankdata``), as float64: a tie group of m values at
-    0-based sorted position s gets 2s + m + 1, an exact integer."""
-    order = np.argsort(x)
-    xs = x[order]
-    new = np.empty(x.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(xs[1:], xs[:-1], out=new[1:])
-    del xs
-    starts = np.flatnonzero(new)
-    del new
-    sizes = np.diff(starts, append=x.size)
-    doubled = starts * 2.0
-    del starts
-    doubled += sizes
-    doubled += 1.0
-    in_order = np.repeat(doubled, sizes)
-    del doubled, sizes
-    ranks = np.empty(x.size)
+    scipy.stats.rankdata``), as float64."""
+    order, xs = _sort(x)
+    return _tie_doubled_ranks(order, _tie_starts(xs))
+
+
+def _tie_starts(xs: np.ndarray) -> np.ndarray:
+    """The position of each tie group's first value in the sorted ``xs``."""
+    return np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+
+
+def _tie_doubled_ranks(order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """:func:`_doubled_ranks` of ``x`` from its sort order and tie groups:
+    a group of m values at 0-based sorted position s gets 2s + m + 1, an
+    exact integer, written over ``starts`` to hold one array less."""
+    sizes = np.diff(starts, append=order.size)
+    starts *= 2
+    starts += sizes
+    starts += 1
+    in_order = np.repeat(starts, sizes)
+    del sizes
+    ranks = np.empty(order.size)
     ranks[order] = in_order
     return ranks
 
@@ -147,21 +158,24 @@ def _rho(cx: np.ndarray, cy: np.ndarray) -> float:
     return min(1.0, max(-1.0, float(np.dot(cx, cy) / denom)))
 
 
-def _bins(values: np.ndarray, bins: int) -> np.ndarray:
-    """0-based bin of each finite value among ``bins`` equal-width bins
-    over [min, max], edges drawn as ``np.histogram2d`` draws them; the
-    top bin is right-closed, and a constant vector gets [v - 0.5, v + 0.5]."""
-    if not np.all(np.isfinite(values)):
+def _sorted_bins(order: np.ndarray, xs: np.ndarray, bins: int) -> np.ndarray:
+    """0-based bin of each finite value of ``x`` among ``bins`` equal-width
+    bins over [min, max], from its sort ``(order, xs)``; edges drawn as
+    ``np.histogram2d`` draws them, the top bin right-closed, and a
+    constant vector gets [v - 0.5, v + 0.5]."""
+    if xs.size and not (np.isfinite(xs[0]) and np.isfinite(xs[-1])):
         raise AnalysisError("mutual information needs finite values")
-    if values.size < bins:
-        raise AnalysisError(f"need at least bins={bins} samples, got {values.size}")
-    lo, hi = values.min(), values.max()
+    if xs.size < bins:
+        raise AnalysisError(f"need at least bins={bins} samples, got {xs.size}")
+    lo, hi = xs[0], xs[-1]
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     edges = np.linspace(lo, hi, bins + 1)
-    idx = np.searchsorted(edges, values, side="right")
-    idx[values == edges[-1]] -= 1
-    idx -= 1
+    # a value's bin is the number of inner edges at or below it
+    cuts = np.searchsorted(xs, edges[1:-1], side="left")
+    idx = np.empty(xs.size, dtype=np.min_scalar_type(bins - 1))
+    idx[order] = np.repeat(np.arange(bins, dtype=idx.dtype),
+                           np.diff(cuts, prepend=0, append=xs.size))
     return idx
 
 
@@ -197,12 +211,13 @@ def _top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, list]:
         rows = np.arange(i1 - i0)
         neg = -values[i0:i1]
         neg[rows, rows + i0] = np.inf  # self sorts last
-        part = np.argpartition(neg, (k - 1, k), axis=1)
+        part = np.argpartition(neg, k, axis=1)  # the (k+1)-th at k
         nb[i0:i1] = part[:, :k]
-        kth = np.take_along_axis(neg, part[:, k - 1:k + 1], axis=1)
-        for t in np.flatnonzero(kth[:, 0] == kth[:, 1]):
-            ties.append((i0 + int(t), np.flatnonzero(neg[t] < kth[t, 0]),
-                         np.flatnonzero(neg[t] == kth[t, 0])))
+        near = np.take_along_axis(neg, part[:, :k + 1], axis=1)
+        kth = near[:, :k].max(axis=1)
+        for t in np.flatnonzero(kth == near[:, k]):
+            ties.append((i0 + int(t), np.flatnonzero(neg[t] < kth[t]),
+                         np.flatnonzero(neg[t] == kth[t])))
     _break_ties(nb, ties, np.arange(n), k)
     return nb, ties
 
@@ -247,10 +262,10 @@ def _permuted_pairs(matrix: np.ndarray, perm: np.ndarray) -> Iterator[np.ndarray
 def _symmetric(pairs: np.ndarray, n: int) -> np.ndarray:
     """The symmetric n x n matrix with a zero diagonal whose pair vector
     is ``pairs``."""
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     out = np.zeros((n, n), dtype=pairs.dtype)
-    out[upper] = pairs
-    out.T[upper] = pairs
+    for i, start, stop in _upper_rows(n):
+        out[i, i + 1:] = pairs[start:stop]
+    _mirror_upper(out)
     return out
 
 
@@ -348,10 +363,11 @@ class PreparedSpace:
     :func:`prepare`; an item permutation leaves all of it unchanged.
 
     ``doubled_ranks`` (RSA) holds twice the midranks of the pair vector
-    (integers) in the smallest unsigned dtype that fits them;
-    ``bin_index`` (MI) holds each pair's bin among ``bins`` equal-width
-    bins; ``neighbours`` and ``ties`` (kNN) hold each row's top-``k``
-    items and the rows tied at the k-th, as :func:`_top_k` returns them.
+    (integers) and ``bin_index`` (MI) each pair's bin among ``bins``
+    equal-width bins, both from the pair vector's one sort and each in
+    the smallest unsigned dtype that fits it; ``neighbours`` and ``ties``
+    (kNN) hold each row's top-``k`` items and the rows tied at the k-th,
+    as :func:`_top_k` returns them.
     Content that no analysis in ``analyses`` reads is None.
     """
 
@@ -380,8 +396,8 @@ def prepare(
 
     An :class:`EmbeddingMatrix` gets its cosine similarity matrix built
     here, and that n x n float64 matrix is freed as soon as the kNN lists
-    and the one pair vector are taken from it: the doubled ranks and bin
-    indices are derived from the pair vector alone.
+    and the one pair vector are taken from it. The bin indices and the
+    doubled ranks are both read off the pair vector's one sort.
     """
     analyses = frozenset(analyses)
     sim = (cosine_similarity_matrix(space) if isinstance(space, EmbeddingMatrix)
@@ -397,12 +413,17 @@ def prepare(
         neighbours, ties = _top_k(sim.values, k)
     del sim
     bin_index = doubled_ranks = None
-    if "mi" in analyses:
-        bin_index = _bins(pairs, bins).astype(np.min_scalar_type(bins - 1))
-    if "rsa" in analyses:
-        ranks = _doubled_ranks(pairs)
+    if pairs is not None:
+        order, xs = _sort(pairs)
         del pairs
-        doubled_ranks = ranks.astype(np.min_scalar_type(2 * ranks.size))
+        if "mi" in analyses:
+            bin_index = _sorted_bins(order, xs, bins)
+        if "rsa" in analyses:
+            starts = _tie_starts(xs)
+            del xs
+            ranks = _tie_doubled_ranks(order, starts)
+            del order, starts
+            doubled_ranks = ranks.astype(np.min_scalar_type(2 * ranks.size))
     return PreparedSpace(ids=ids, analyses=analyses, bins=bins, k=k,
                          doubled_ranks=doubled_ranks, bin_index=bin_index,
                          neighbours=neighbours, ties=ties)

@@ -126,16 +126,16 @@ class ScaleResult:
 
 
 def _exemplar_vectors(
-    words: tuple[str, ...], vocabulary: EmbeddingMatrix, scale: str, language: str
+    words: tuple[str, ...], vocabulary: EmbeddingMatrix, rows: dict[str, int],
+    scale: str, language: str
 ) -> np.ndarray:
-    index = {w: i for i, w in enumerate(vocabulary.ids)}
-    missing = [w for w in words if w not in index]
+    missing = [w for w in words if w not in rows]
     if missing:
         raise InputError(
             f"scale {scale!r} ({language}): semantic exemplars missing from "
             f"embeddings: {', '.join(missing)}"
         )
-    return vocabulary.vectors[[index[w] for w in words]]
+    return vocabulary.vectors[[rows[w] for w in words]]
 
 
 def _segment_vectors(
@@ -155,10 +155,12 @@ class ScaleCandidates:
     """A language's candidate words for every scale: the words with an
     embedding, an IPA transcription and a non-empty tokenization, with
     their semantic vectors and mean-pooled phonetic feature vectors (rows
-    in word order)."""
+    in word order). ``vocabulary_rows`` maps every word of the vocabulary
+    they were pooled from to its row there."""
 
     words: EmbeddingMatrix
     phonetic: np.ndarray
+    vocabulary_rows: dict[str, int]
     dropped_no_embedding: int
     dropped_no_phonetics: int
 
@@ -176,6 +178,7 @@ def pool_candidates(
             ids=tuple(words),
             vectors=vocabulary.vectors[[emb_index[w] for w in words]]),
         phonetic=rows,
+        vocabulary_rows=emb_index,
         dropped_no_embedding=sum(1 for lx in lexicon if lx.word not in emb_index),
         dropped_no_phonetics=len(no_phon),
     )
@@ -206,9 +209,12 @@ def scale_alignment(
     if language not in scale.semantic_pos:
         raise InputError(f"scale {scale.name!r} has no exemplars for {language!r}")
 
+    index = candidates.vocabulary_rows
     sem_line = build_line(
-        _exemplar_vectors(scale.semantic_pos[language], vocabulary, scale.name, language),
-        _exemplar_vectors(scale.semantic_neg[language], vocabulary, scale.name, language),
+        _exemplar_vectors(scale.semantic_pos[language], vocabulary, index,
+                          scale.name, language),
+        _exemplar_vectors(scale.semantic_neg[language], vocabulary, index,
+                          scale.name, language),
     )
 
     if candidates.words.n_items < 3:

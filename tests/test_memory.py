@@ -4,16 +4,24 @@ The RSA, MI and kNN statistics compare two n x n similarity spaces. Each
 space is reduced to its prepared content (``stats.prepare``) and its
 float64 matrix freed before the other is built, so the traced peak stays
 well under the 41 bytes per n^2 cell that holding both matrices through
-all three statistics took.
+all three statistics took. The cosine build itself makes the matrix
+symmetric in place, where averaging it with its transpose held two more
+n x n temporaries.
 """
 
 import json
 import tracemalloc
 
+import numpy as np
+
+from phonosem.corpus import EmbeddingMatrix
+from phonosem.phonetic import cosine_similarity_matrix
 from phonosem.pipeline import RunConfig, run_global
 from phonosem.synth import make_planted_language
 
 MAX_BYTES_PER_CELL = 30
+# The n x n float64 result plus the unit vectors and one tile's temporaries.
+MAX_COSINE_MATRICES = 1.5
 
 
 def test_global_suite_peak_per_cell(tmp_path):
@@ -39,3 +47,16 @@ def test_global_suite_peak_per_cell(tmp_path):
     n = payload["n_morphemes"]
     assert set(payload["results"]) == {"rsa", "mi", "knn", "cca"}
     assert peak / n ** 2 <= MAX_BYTES_PER_CELL
+
+
+def test_cosine_build_peak():
+    n = 800
+    vectors = np.random.default_rng(11).normal(size=(n, 50))
+    matrix = EmbeddingMatrix(tuple(f"w{i}" for i in range(n)), vectors)
+    tracemalloc.start()
+    try:
+        cosine_similarity_matrix(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= MAX_COSINE_MATRICES * 8 * n ** 2

@@ -18,10 +18,10 @@ from scipy.stats import rankdata
 from phonosem.cca import canonical_rank_correlations, fit_cca
 from phonosem.corpus import EmbeddingMatrix, ScaleConfig
 from phonosem.errors import AnalysisError
-from phonosem.phonetic import SimilarityMatrix, cosine_similarity_matrix
-from phonosem.stats import (_doubled_ranks, _summarize, knn_overlap,
-                            mi_alignment, permutation_test, prepare, rsa,
-                            shuffle_rng, spearman_rho)
+from phonosem.phonetic import _TILE, SimilarityMatrix, cosine_similarity_matrix
+from phonosem.stats import (_doubled_ranks, _summarize, _symmetric,
+                            knn_overlap, mi_alignment, permutation_test,
+                            prepare, rsa, shuffle_rng, spearman_rho)
 from phonosem.subspace import pool_candidates, scale_alignment
 
 
@@ -38,6 +38,19 @@ def oracle_rho_of_ranks(rx, ry):
 def oracle_spearman(x, y):
     rho = oracle_rho_of_ranks(rankdata(x), rankdata(y))
     return float(min(1.0, max(-1.0, rho)))
+
+
+def oracle_bins(values, bins):
+    """Each value's 0-based bin among ``bins`` equal-width bins over
+    [min, max], by a search of the edges ``np.histogram2d`` draws; the
+    top bin is right-closed, a constant vector gets [v - 0.5, v + 0.5]."""
+    lo, hi = values.min(), values.max()
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    edges = np.linspace(lo, hi, bins + 1)
+    idx = np.searchsorted(edges, values, side="right")
+    idx[values == edges[-1]] -= 1
+    return idx - 1
 
 
 def oracle_mi(x, y, bins):
@@ -229,7 +242,7 @@ def test_prepare_for_knn_alone_ranks_and_bins_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("pair content computed for kNN alone")
 
-    monkeypatch.setattr("phonosem.stats._doubled_ranks", refuse)
+    monkeypatch.setattr("phonosem.stats._sort", refuse)
     monkeypatch.setattr(SimilarityMatrix, "pair_vector", refuse)
     space = prepare(sim, ("knn",), k=6)
     assert space.doubled_ranks is None and space.bin_index is None
@@ -251,6 +264,71 @@ def test_doubled_ranks_equal_twice_scipy():
         for values in (rng.normal(size=n), rng.integers(0, 4, size=n) * 0.5,
                        np.zeros(n), np.array([0.0, -0.0] * n)):
             assert np.array_equal(_doubled_ranks(values), 2 * rankdata(values))
+
+
+def from_pairs(pairs):
+    """The similarity matrix with a unit diagonal whose pair vector is
+    ``pairs``."""
+    n = int(round((1 + np.sqrt(1 + 8 * len(pairs))) / 2))
+    values = np.eye(n)
+    values[np.triu_indices(n, k=1)] = pairs
+    values.T[np.triu_indices(n, k=1)] = pairs
+    return SimilarityMatrix(tuple(f"i{j}" for j in range(n)), values)
+
+
+BIN_CASES = {
+    # with bins=4 the inner edges are 0.25, 0.5 and 0.75
+    "inner edge": ([0.0, 0.25, 0.5, 0.1, 0.75, 0.6, 1.0, 0.3, 0.2, 0.9], 4),
+    "top edge": ([1.0, 0.2, 1.0, 0.0, 0.5, 1.0, 0.4, 1.0, 0.7, 0.3], 4),
+    # 0.0 and -0.0 tie, on an inner edge and at the minimum
+    "signed zeros": ([0.0, -0.0, -1.0, 1.0, -0.0, 0.0, 0.5, -0.5, 0.0, -0.0], 2),
+    "zero minimum": ([-0.0, 0.0, 0.5, 1.0, 0.0, -0.0, 0.25, 0.75, 0.0, 0.1], 4),
+    "constant": ([0.3] * 10, 4),
+    "constant zeros": ([0.0, -0.0] * 5, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BIN_CASES))
+def test_prepared_bins_equal_edge_search(case):
+    pairs, bins = BIN_CASES[case]
+    pairs = np.array(pairs)
+    space = prepare(from_pairs(pairs), ("mi",), bins=bins)
+    assert space.bin_index.dtype == np.min_scalar_type(bins - 1)
+    assert np.array_equal(space.bin_index, oracle_bins(pairs, bins))
+
+
+@pytest.mark.parametrize("case,bins", [("grid", 4), ("tied", 20), ("random", 300)])
+def test_prepared_bins_equal_edge_search_on_fixtures(case, bins):
+    sim, _ = PAIRS[case]()
+    space = prepare(sim, ("rsa", "mi"), bins=bins)
+    assert np.array_equal(space.bin_index, oracle_bins(sim.pair_vector(), bins))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_mi_needs_finite_pairs(bad):
+    pairs = np.linspace(0.0, 1.0, 10)
+    pairs[4] = bad
+    with pytest.raises(AnalysisError, match="mutual information needs finite"):
+        prepare(from_pairs(pairs), ("rsa", "mi"), bins=4)
+
+
+def test_mi_needs_as_many_pairs_as_bins():
+    sim = from_pairs(np.linspace(0.0, 1.0, 6))
+    with pytest.raises(AnalysisError, match="need at least bins=7 samples, got 6"):
+        prepare(sim, ("mi",), bins=7)
+    assert prepare(sim, ("mi",), bins=6).bin_index.tolist() == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("n", [1, 2, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3])
+def test_symmetric_equals_mask_spread(n):
+    pairs = np.random.default_rng(n).integers(1, 2 ** 20, size=n * (n - 1) // 2)
+    for dtype in (np.uint32, np.uint8):
+        upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+        expected = np.zeros((n, n), dtype=dtype)
+        expected[upper] = pairs.astype(dtype)
+        expected.T[upper] = pairs.astype(dtype)
+        got = _symmetric(pairs.astype(dtype), n)
+        assert got.dtype == dtype and np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("case", ["random", "tied"])

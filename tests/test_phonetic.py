@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from phonosem.corpus import EmbeddingMatrix, SegmentFeatureTable
 from phonosem.errors import AnalysisError
-from phonosem.phonetic import (SimilarityMatrix, _tokenize_and_pool,
+from phonosem.phonetic import (_TILE, SimilarityMatrix, _tokenize_and_pool,
                                build_phonetic_embeddings,
                                cosine_similarity_matrix, standardize)
 
@@ -294,3 +294,59 @@ class TestCosineSimilarity:
         values = np.array([[1.0, 0.5], [0.5 + 1e-15, 1.0]])
         with pytest.raises(AnalysisError, match="exactly symmetric"):
             SimilarityMatrix(("a", "b"), values)
+
+
+# Sizes around the tile edges of the tiled triangle code.
+TILED_SIZES = (1, 2, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3)
+
+
+def ids_of(n):
+    return tuple(f"i{j}" for j in range(n))
+
+
+def averaged_cosine(vectors):
+    """The cosine matrix as a transpose average built it."""
+    unit = vectors / np.linalg.norm(vectors, axis=1)[:, None]
+    values = unit @ unit.T
+    np.clip(values, -1.0, 1.0, out=values)
+    values = (values + values.T) / 2.0
+    np.fill_diagonal(values, 1.0)
+    return values
+
+
+class TestTiledTriangles:
+    @pytest.mark.parametrize("d", [1, 6, 300])
+    @pytest.mark.parametrize("n", TILED_SIZES)
+    def test_cosine_equals_transpose_average(self, n, d):
+        vectors = np.random.default_rng(n * 1000 + d).normal(size=(n, d))
+        sim = cosine_similarity_matrix(EmbeddingMatrix(ids_of(n), vectors))
+        assert np.array_equal(sim.values, averaged_cosine(vectors))
+
+    @pytest.mark.parametrize("d", [1, 6, 300])
+    @pytest.mark.parametrize("n", TILED_SIZES)
+    def test_pair_vector_equals_mask_gather(self, n, d):
+        vectors = np.random.default_rng(n * 1000 + d + 1).normal(size=(n, d))
+        sim = cosine_similarity_matrix(EmbeddingMatrix(ids_of(n), vectors))
+        upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+        assert np.array_equal(sim.pair_vector(), sim.values[upper])
+
+    @pytest.mark.parametrize("i,j", [
+        (_TILE - 1, 2 * _TILE + 2),       # last off-diagonal tile
+        (2 * _TILE + 2, _TILE - 1),       # its mirror image
+        (0, 1), (2 * _TILE + 1, 2 * _TILE + 2)])  # first and last diagonal tiles
+    def test_one_ulp_asymmetry_in_any_tile_rejected(self, i, j):
+        n = 2 * _TILE + 3
+        values = averaged_cosine(np.random.default_rng(7).normal(size=(n, 4)))
+        values[i, j] = np.nextafter(values[i, j], np.inf)
+        with pytest.raises(AnalysisError, match="exactly symmetric"):
+            SimilarityMatrix(ids_of(n), values)
+
+    @pytest.mark.parametrize("i,j", [
+        (0, 0), (2 * _TILE + 2, 2 * _TILE + 2), (3, _TILE + 5),
+        (_TILE - 1, 2 * _TILE + 2)])
+    def test_nan_anywhere_rejected(self, i, j):
+        n = 2 * _TILE + 3
+        values = averaged_cosine(np.random.default_rng(8).normal(size=(n, 4)))
+        values[i, j] = values[j, i] = np.nan
+        with pytest.raises(AnalysisError, match="exactly symmetric"):
+            SimilarityMatrix(ids_of(n), values)
