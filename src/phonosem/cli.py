@@ -16,7 +16,7 @@ import click
 from .corpus import load_feature_table, load_lexicon, load_scale_configs
 from .errors import AnalysisError, InputError, ProviderError
 from .phonetic import cosine_similarity_matrix
-from .pipeline import (RunConfig, _file_digest, analysed_morphemes,
+from .pipeline import (RunConfig, analysed_morphemes, input_digests,
                        load_language_spaces, load_vocabulary, payload_fields,
                        read_json, render_global_grid, render_pole_tables,
                        render_subspace_grid, run_global, run_interpret,
@@ -27,9 +27,10 @@ from .segmentation import (HttpProvider, ReplayProvider, sample_for_verification
 
 log = logging.getLogger(__name__)
 
-config_option = click.option("--config", "config_path", required=True,
-                             type=click.Path(exists=True, dir_okay=False),
-                             help="Run configuration JSON.")
+config_option = click.option(
+    "--config", "config", required=True, type=click.Path(exists=True, dir_okay=False),
+    callback=lambda ctx, param, path: RunConfig.from_file(path),
+    help="Run configuration JSON.")
 
 
 class _Commands(click.Group):
@@ -76,15 +77,14 @@ def main(verbose):
 
 @main.command()
 @config_option
-def ingest(config_path):
+def ingest(config):
     """Validate all configured inputs and print a summary."""
-    config = RunConfig.from_file(config_path)
     table = load_feature_table(config.feature_table)
     click.echo(f"feature table: {len(table.vectors)} segments x "
                f"{table.n_features} features")
+    digests = input_digests(config, ("vectors",))
     for lang in config.languages:
-        lexicon, vocab = load_vocabulary(
-            config, lang, _file_digest(config.inputs[lang]["vectors"]))
+        lexicon, vocab = load_vocabulary(config, lang, digests)
         click.echo(f"{lang}: {len(lexicon)} lexemes, {vocab.n_items} with "
                    f"embeddings ({len(lexicon) - vocab.n_items} missing), "
                    f"dim {vocab.n_dims}")
@@ -99,9 +99,8 @@ def ingest(config_path):
 @click.option("--replay", "replay_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="Replay recorded responses from this JSONL file.")
-def segment(config_path, provider_url, provider_model, replay_path):
+def segment(config, provider_url, provider_model, replay_path):
     """Segment the top-frequency words of each language via the provider."""
-    config = RunConfig.from_file(config_path)
     if replay_path:
         provider = ReplayProvider(replay_path)
     elif provider_url:
@@ -124,9 +123,8 @@ def segment(config_path, provider_url, provider_model, replay_path):
 @main.command()
 @config_option
 @click.option("-n", "sample_n", type=int, default=150, show_default=True)
-def verify(config_path, sample_n):
+def verify(config, sample_n):
     """Draw the native-speaker verification sample per language."""
-    config = RunConfig.from_file(config_path)
     for lang in config.languages:
         mset = analysed_morphemes(config, lang)
         sample = sample_for_verification(mset, n=sample_n, seed=config.seed)
@@ -139,12 +137,12 @@ def verify(config_path, sample_n):
 
 @main.command()
 @config_option
-def embed(config_path):
+def embed(config):
     """Build and export similarity matrices for inspection."""
-    config = RunConfig.from_file(config_path)
+    table = load_feature_table(config.feature_table)
+    digests = input_digests(config, ("vectors",))
     for lang in config.languages:
-        phon, sem, _, _, _ = load_language_spaces(
-            config, lang, _file_digest(config.inputs[lang]["vectors"]))
+        phon, sem, _, _, _ = load_language_spaces(config, lang, table, digests)
         out = Path(config.output_dir) / lang
         out.mkdir(parents=True, exist_ok=True)
         for name, matrix in (("phonetic", phon), ("semantic", sem)):
@@ -155,36 +153,32 @@ def embed(config_path):
 
 @main.command("analyze-global")
 @config_option
-def analyze_global(config_path):
+def analyze_global(config):
     """Run the global alignment suite (RSA, MI, kNN, CCA)."""
-    written = run_global(RunConfig.from_file(config_path))
-    for key, path in written.items():
+    for key, path in run_global(config).items():
         click.echo(f"{key}: {path}")
 
 
 @main.command("analyze-subspace")
 @config_option
-def analyze_subspace(config_path):
+def analyze_subspace(config):
     """Run the hypothesized-scale subspace analyses."""
-    written = run_subspace(RunConfig.from_file(config_path))
-    for key, path in written.items():
+    for key, path in run_subspace(config).items():
         click.echo(f"{key}: {path}")
 
 
 @main.command()
 @config_option
-def interpret(config_path):
+def interpret(config):
     """Emit pole reports for significant canonical variates."""
-    written = run_interpret(RunConfig.from_file(config_path))
-    for key, path in written.items():
+    for key, path in run_interpret(config).items():
         click.echo(f"{key}: {path}")
 
 
 @main.command()
 @config_option
-def report(config_path):
+def report(config):
     """Re-render markdown reports from existing JSON payloads."""
-    config = RunConfig.from_file(config_path)
     out = Path(config.output_dir)
     payloads = []
     for lang in config.languages:

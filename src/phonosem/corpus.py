@@ -294,7 +294,7 @@ def save_feature_table(table: SegmentFeatureTable, path: str | Path) -> None:
 # Semantic vectors
 
 def load_semantic_embeddings(
-    path: str | Path, vocabulary: Iterable[str], allow_none: bool = False
+    path: str | Path, vocabulary: Iterable[str]
 ) -> tuple[VectorRows, list[str]]:
     """Load vectors for the given vocabulary from a word2vec-style text file.
 
@@ -303,9 +303,8 @@ def load_semantic_embeddings(
     whitespace on a line is ignored. A token listed more than once keeps
     its first vector. Returns the rows (in file order of first
     occurrence, each with its line number) and the sorted list of
-    vocabulary items not found in the file. A file that holds none of the
-    vocabulary is an InputError, unless ``allow_none``, which returns a
-    matrix of no rows.
+    vocabulary items not found in the file; a file that holds none of the
+    vocabulary gives no rows.
     """
     wanted = {_nfc(w) for w in vocabulary}
     ids: list[str] = []
@@ -348,8 +347,6 @@ def load_semantic_embeddings(
                 wanted.remove(token)
                 ids.append(token)
                 lines.append(lineno)
-    if not ids and not allow_none:
-        raise InputError(f"{path}: no vocabulary items matched")
     # the rows of items not found were never filled
     vectors.resize((len(ids), vectors.shape[1]), refcheck=False)
     finite = np.isfinite(vectors).all(axis=1)

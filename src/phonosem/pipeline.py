@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -25,9 +26,9 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__
-from .corpus import (EmbeddingMatrix, Lexeme, MorphemeSet, VectorRows, _nfc,
-                     _open_input, load_feature_table, load_lexicon,
-                     load_scale_configs, load_semantic_embeddings)
+from .corpus import (EmbeddingMatrix, Lexeme, MorphemeSet, SegmentFeatureTable,
+                     VectorRows, _nfc, _open_input, load_feature_table,
+                     load_lexicon, load_scale_configs, load_semantic_embeddings)
 from .cca import (DEFAULT_RIDGE, CcaModel, PoleCandidates, build_pole_report,
                   canonical_rank_correlations, fit_cca, pole_candidates)
 from .errors import AnalysisError, InputError
@@ -204,9 +205,13 @@ def _language_inputs(config: RunConfig, language: str) -> dict[str, str]:
     return {"feature_table": config.feature_table, **config.inputs[language]}
 
 
-def _input_digests(paths: Iterable[str]) -> dict[str, str]:
-    """Path -> SHA-256 of each input file, each file read once."""
-    return {path: _file_digest(path) for path in dict.fromkeys(paths)}
+def input_digests(config: RunConfig, roles: tuple[str, ...],
+                  *files: str | None) -> dict[str, str]:
+    """Path -> SHA-256 of ``files`` (None skipped) and of each language's
+    input files of ``roles``, each file read once: the loaders' map."""
+    paths = [*files, *(config.inputs[lang][role] for lang in config.languages
+                       for role in roles)]
+    return {path: _file_digest(path) for path in dict.fromkeys(filter(None, paths))}
 
 
 def write_manifest(config: RunConfig, written: dict, digests: dict) -> Path:
@@ -236,32 +241,32 @@ def analysed_morphemes(config: RunConfig, language: str) -> MorphemeSet:
     return dedupe_into_morpheme_set(segs)
 
 
-def load_vocabulary(config: RunConfig, language: str,
-                    digest: str) -> tuple[tuple[Lexeme, ...], EmbeddingMatrix]:
+def load_vocabulary(config: RunConfig, language: str, digests: dict[str, str]
+                    ) -> tuple[tuple[Lexeme, ...], EmbeddingMatrix]:
     """The lexicon and the vectors of every lexicon word found in the
-    vectors file, whose SHA-256 is ``digest``."""
+    vectors file; ``digests`` is the map of ``input_digests``."""
     lexicon = load_lexicon(config.inputs[language]["lexicon"])
-    vocab, _ = load_vectors(config, language, digest, [lx.word for lx in lexicon])
+    vocab, _ = load_vectors(config, language, digests, [lx.word for lx in lexicon])
     return lexicon, vocab
 
 
 def load_pole_candidates(config: RunConfig, language: str,
-                         digest: str) -> PoleCandidates:
+                         digests: dict[str, str]) -> PoleCandidates:
     """The semantic pole candidates: the lexicon words above
     ``zipf_cutoff`` that have a vector. Only their rows of the vectors
-    file, whose SHA-256 is ``digest``, are read; when none has one, there
-    are no candidates."""
+    file are read; when none has one, there are no candidates."""
     lexicon = load_lexicon(config.inputs[language]["lexicon"])
     cutoff = config.params["zipf_cutoff"]
     vocab, _ = load_vectors(
-        config, language, digest,
+        config, language, digests,
         [lx.word for lx in lexicon if lx.zipf > cutoff], allow_none=True)
     return pole_candidates(vocab)
 
 
-def load_language_spaces(config: RunConfig, language: str, digest: str):
-    """Aligned phonetic and semantic embedding matrices over morphemes,
-    from the vectors file whose SHA-256 is ``digest``.
+def load_language_spaces(config: RunConfig, language: str,
+                         table: SegmentFeatureTable, digests: dict[str, str]):
+    """Aligned phonetic and semantic embedding matrices over morphemes;
+    ``digests`` is the map of ``input_digests``.
 
     A morpheme is kept when its form has a vector and neither of its two
     rows has zero norm, since cosine similarity is undefined there. The
@@ -269,12 +274,11 @@ def load_language_spaces(config: RunConfig, language: str, digest: str):
     form has a non-zero vector; a zero-norm phonetic row then sits at the
     column means, so dropping it leaves no column constant.
     """
-    table = load_feature_table(config.feature_table)
     mset = analysed_morphemes(config, language)
     if not mset:
         raise InputError(f"{language}: empty morpheme set")
 
-    sem_by_form, _ = load_vectors(config, language, digest,
+    sem_by_form, _ = load_vectors(config, language, digests,
                                   {m.form for m in mset})
     sem_norm = np.linalg.norm(sem_by_form.vectors, axis=1)
     form_index = {w: i for i, w in enumerate(sem_by_form.ids) if sem_norm[i] > 0.0}
@@ -297,60 +301,72 @@ def load_language_spaces(config: RunConfig, language: str, digest: str):
 # Store of parsed vector rows
 
 _NO_ROWS = VectorRows(ids=(), vectors=np.empty((0, 0)), lines=np.empty(0, np.int64))
+# a store is named by its file's SHA-256; a write in progress, or one a
+# killed run left, by that name with a dot before it and a suffix after
+_STORE_NAME = re.compile(r"([0-9a-f]{64})|\.[0-9a-f]{64}\..+")
 
 
-def load_vectors(config: RunConfig, language: str, digest: str,
+def load_vectors(config: RunConfig, language: str, digests: dict[str, str],
                  vocabulary: Iterable[str],
                  allow_none: bool = False) -> tuple[VectorRows, list[str]]:
-    """``load_semantic_embeddings`` of the language's vectors file, whose
-    SHA-256 is ``digest``, read through the store of the rows parsed from
-    that file, ``<output_dir>/vectors/<digest>``; the rows come in file
-    order.
+    """``load_semantic_embeddings`` of the language's vectors file, read
+    through the store of the rows parsed from that file,
+    ``<output_dir>/vectors/<sha256>``; ``digests`` maps every configured
+    vectors file to its SHA-256. The rows come in file order.
 
     Items that an earlier read looked up, found in the file or not, come
     from the store. Only the others are parsed from the text, in one
-    scan, and are added to the store once this read has succeeded. The
-    result is that of a parse of the whole vocabulary, errors included:
-    a stored row passed every check of the scan that parsed it, and that
-    scan checked the dimension of every line of the file.
+    scan, and join the store's rows, in line order, once this read has
+    succeeded. The result is that of a parse of the whole vocabulary,
+    errors included: a stored row passed every check of the scan that
+    parsed it, and that scan checked the dimension of every line of the
+    file. No row found is an InputError, unless ``allow_none``. Each read
+    deletes the stores of files no configured language reads, and the
+    temporary files of killed writes.
     """
     path = config.inputs[language]["vectors"]
+    digest = digests[path]
     store_path = Path(config.output_dir) / "vectors" / digest
+    _prune_stores(store_path.parent, {digests[config.inputs[lang]["vectors"]]
+                                      for lang in config.languages})
     wanted = {_nfc(w) for w in vocabulary}
-    # a store whose rows do not fit the file is dropped, and every row parsed
-    for store in (_read_store(store_path, digest), None):
-        stored, absent = store or (_NO_ROWS, frozenset())
-        index = {token: i for i, token in enumerate(stored.ids)}
-        hits = np.array([index[w] for w in wanted if w in index], dtype=np.int64)
-        hits = hits[np.argsort(stored.lines[hits])]
-        rows = VectorRows(ids=tuple(stored.ids[i] for i in hits),
-                          vectors=stored.vectors[hits], lines=stored.lines[hits])
-        missing = wanted & absent
-        rest = wanted - absent - index.keys()
-        if not rest:
-            break
-        parsed, not_found = load_semantic_embeddings(path, rest, allow_none=True)
-        if not store or parsed.n_dims == stored.n_dims:
-            break
-        log.warning("%s: rows of dimension %d, but the file's is %d; store "
-                    "ignored", store_path, stored.n_dims, parsed.n_dims)
+    store = _read_store(store_path, digest)
+    stored, absent = store or (_NO_ROWS, frozenset())
+    rest = wanted - absent - set(stored.ids)
+    n_parsed = 0
     if rest:
-        rows = _merge_rows(rows, parsed)
-        missing |= set(not_found)
+        parsed, not_found = load_semantic_embeddings(path, rest)
+        if store and parsed.n_dims != stored.n_dims:
+            # the store's rows do not fit the file: every row is parsed
+            log.warning("%s: rows of dimension %d, but the file's is %d; store "
+                        "ignored", store_path, stored.n_dims, parsed.n_dims)
+            stored, absent, rest = _NO_ROWS, frozenset(), wanted
+            parsed, not_found = load_semantic_embeddings(path, rest)
+        n_parsed = parsed.n_items
+        absent |= set(not_found)
+        stored = _merge_rows(stored, parsed)
+        del parsed  # freed before the gather below
+    # the wanted rows in line order; a store that an older version wrote
+    # need not hold its rows in line order
+    hits = np.flatnonzero([token in wanted for token in stored.ids])
+    hits = hits[np.argsort(stored.lines[hits])]
+    rows = stored
+    if not np.array_equal(hits, np.arange(stored.n_items)):
+        rows = VectorRows(ids=tuple(stored.ids[i] for i in hits.tolist()),
+                          vectors=stored.vectors[hits], lines=stored.lines[hits])
     if not rows.n_items and not allow_none:
         raise InputError(f"{path}: no vocabulary items matched")
+    missing = sorted(wanted & absent)
     if rest:
-        _write_store(store_path, digest, [stored, parsed], absent | missing)
+        _write_store(store_path, digest, stored, absent)
     log.info("%s: %d rows from the store, %d parsed from the text, %d missing; "
-             "text file %s", path, len(hits), rows.n_items - len(hits),
+             "text file %s", path, rows.n_items - n_parsed, n_parsed,
              len(missing), "opened" if rest else "not opened")
-    return rows, sorted(missing)
+    return rows, missing
 
 
 def _merge_rows(a: VectorRows, b: VectorRows) -> VectorRows:
     """The rows of both, which hold no line in common, in line order."""
-    if not b.n_items:
-        return a
     if not a.n_items:
         return b
     lines = np.concatenate([a.lines, b.lines])
@@ -363,6 +379,15 @@ def _merge_rows(a: VectorRows, b: VectorRows) -> VectorRows:
     ids = a.ids + b.ids
     return VectorRows(ids=tuple(ids[i] for i in order.tolist()), vectors=vectors,
                       lines=lines[order])
+
+
+def _prune_stores(directory: Path, keep: set[str]) -> None:
+    """Delete the stores under ``directory`` whose digest is not in
+    ``keep``, and every temporary file a store write left."""
+    for path in directory.glob("*"):
+        match = _STORE_NAME.fullmatch(path.name)
+        if match and match[1] not in keep:
+            path.unlink(missing_ok=True)
 
 
 def _read_store(path: Path, digest: str) -> tuple[VectorRows, frozenset[str]] | None:
@@ -393,24 +418,21 @@ def _read_store(path: Path, digest: str) -> tuple[VectorRows, frozenset[str]] | 
         return None
 
 
-def _write_store(path: Path, digest: str, parts: list[VectorRows],
-                 absent: set[str]) -> None:
-    """Replace the store at ``path`` with the rows of ``parts`` and the
-    absent items: a JSON header line, then the rows as raw little-endian
-    float64. The file appears whole or not at all; a store that cannot be
-    written is skipped with a warning, since it only saves work."""
-    header = {"digest": digest, "dim": parts[-1].n_dims,
-              "tokens": [t for part in parts for t in part.ids],
-              "lines": [n for part in parts for n in part.lines.tolist()],
-              "absent": sorted(absent)}
+def _write_store(path: Path, digest: str, rows: VectorRows,
+                 absent: frozenset[str]) -> None:
+    """Replace the store at ``path`` with ``rows`` and the absent items: a
+    JSON header line, then the rows as raw little-endian float64. The file
+    appears whole or not at all; a store that cannot be written is
+    skipped with a warning, since it only saves work."""
+    header = {"digest": digest, "dim": rows.n_dims, "tokens": list(rows.ids),
+              "lines": rows.lines.tolist(), "absent": sorted(absent)}
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(json.dumps(header).encode("ascii") + b"\n")
-                for part in parts:
-                    fh.write(np.ascontiguousarray(part.vectors, dtype="<f8").data)
+                fh.write(np.ascontiguousarray(rows.vectors, dtype="<f8").data)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -426,14 +448,14 @@ def run_global(config: RunConfig) -> dict[str, Path]:
     """Per-language global alignment grid (RSA, MI, kNN, CCA CV1-CV5),
     and the run manifest."""
     p = config.params
-    digests = _input_digests(path for lang in config.languages
-                             for path in _language_inputs(config, lang).values())
+    digests = input_digests(config, INPUT_ROLES, config.feature_table)
+    table = load_feature_table(config.feature_table)
     out_dir = Path(config.output_dir)
     written: dict[str, Path] = {}
     grid_rows = []
     for lang in config.languages:
         phon, sem, feature_names, n_total, skipped = load_language_spaces(
-            config, lang, digests[config.inputs[lang]["vectors"]])
+            config, lang, table, digests)
         results = _similarity_results(config, lang, phon, sem)
         if config.analyses.get("cca", True):
             n_components = min(p["n_components"], phon.n_dims, sem.n_dims)
@@ -468,7 +490,6 @@ def run_global(config: RunConfig) -> dict[str, Path]:
         grid_rows.append(payload)
 
     md_path = out_dir / "global.md"
-    md_path.parent.mkdir(parents=True, exist_ok=True)
     md_path.write_text(render_global_grid(grid_rows), encoding="utf-8")
     written["global:grid"] = md_path
     write_manifest(config, written, digests)
@@ -524,11 +545,11 @@ def _save_cca_artifacts(lang_dir: Path, model: CcaModel, phon: EmbeddingMatrix,
 
 
 def _load_cca_artifacts(lang_dir: Path, config_hash: str,
-                        inputs: dict[str, str]):
+                        inputs: dict[str, str], digests: dict[str, str]):
     """The fitted model, phonetic vectors and feature names saved by the
     ``analyze-global`` run of the config whose hash is ``config_hash``,
-    from the input files ``inputs`` (role -> path) hold now, and the
-    SHA-256 of each of those files by path."""
+    from the input files ``inputs`` (role -> path) whose SHA-256 by path
+    ``digests`` holds."""
     path = lang_dir / "cca_model.npz"
     if not path.exists():
         raise InputError(f"{path}: no fitted CCA artifacts; run analyze-global first")
@@ -540,7 +561,6 @@ def _load_cca_artifacts(lang_dir: Path, config_hash: str,
                 f"this config's hash is {config_hash}; run analyze-global again")
         stamped = (json.loads(str(z["input_sha256"]))
                    if "input_sha256" in z.files else {})
-        digests = _input_digests(inputs.values())
         for role, input_path in inputs.items():
             if digests[input_path] != stamped.get(role):
                 raise InputError(
@@ -548,7 +568,7 @@ def _load_cca_artifacts(lang_dir: Path, config_hash: str,
                     "with; run analyze-global again")
         model = CcaModel(**{f.name: z[f.name][()]
                             for f in dataclasses.fields(CcaModel)})
-        return model, z["phonetic_vectors"], z["feature_names"].tolist(), digests
+        return model, z["phonetic_vectors"], z["feature_names"].tolist()
 
 
 def run_subspace(config: RunConfig) -> dict[str, Path]:
@@ -557,18 +577,15 @@ def run_subspace(config: RunConfig) -> dict[str, Path]:
         raise InputError("analyses.subspace is false; analyze-subspace has "
                          "nothing to run")
     p = config.params
-    digests = _input_digests(filter(None, [
-        config.feature_table, config.scales,
-        *(config.inputs[lang][role] for lang in config.languages
-          for role in ("lexicon", "vectors"))]))
+    digests = input_digests(config, ("lexicon", "vectors"),
+                            config.feature_table, config.scales)
     out_dir = Path(config.output_dir)
     table = load_feature_table(config.feature_table)
     scales = load_scale_configs(config.scales)
     cells = []
     written: dict[str, Path] = {}
     for lang in config.languages:
-        lexicon, vocab = load_vocabulary(config, lang,
-                                         digests[config.inputs[lang]["vectors"]])
+        lexicon, vocab = load_vocabulary(config, lang, digests)
         candidates = pool_candidates(vocab, lexicon, table)
         for scale in scales:
             result = scale_alignment(
@@ -610,6 +627,7 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
     from the ``analyze-global`` outputs of this very config."""
     p = config.params
     config_hash = config.config_hash()
+    digests = input_digests(config, INPUT_ROLES, config.feature_table)
     out_dir = Path(config.output_dir)
     written: dict[str, Path] = {}
     for lang in config.languages:
@@ -629,14 +647,12 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
                 raise InputError(f"{lang}: no CCA results to interpret")
             significant = [c for c, rec in enumerate(cca_records)
                            if rec["p"] < 0.05]
-        inputs = _language_inputs(config, lang)
-        model, phon_vectors, feature_names, digests = _load_cca_artifacts(
-            lang_dir, config_hash, inputs)
+        model, phon_vectors, feature_names = _load_cca_artifacts(
+            lang_dir, config_hash, _language_inputs(config, lang), digests)
 
         reports = []
         if significant:
-            candidates = load_pole_candidates(config, lang,
-                                              digests[inputs["vectors"]])
+            candidates = load_pole_candidates(config, lang, digests)
             reports = [build_pole_report(
                 model, c, phon_vectors, feature_names, candidates, k=p["k"],
                 percentile=p["percentile"], threshold=p["threshold"]).to_record()
@@ -661,6 +677,15 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
 # ---------------------------------------------------------------------------
 # Markdown rendering (derived from the JSON payloads, never recomputed)
 
+_SIGNIFICANCE = "Significance: * p < 0.05, ** p < 0.01, *** p < 0.001."
+
+
+def _table(header: list[str], rows: Iterable[list[str]]) -> list[str]:
+    """The lines of a markdown table."""
+    return ["| " + " | ".join(header) + " |", "|" + "---|" * len(header),
+            *("| " + " | ".join(row) + " |" for row in rows)]
+
+
 def _fmt_stat(rec: dict) -> str:
     return f"{rec['value']:.3f}{rec['stars']}"
 
@@ -669,53 +694,40 @@ def render_global_grid(payloads: list[dict]) -> str:
     n_cv = max((len(p["results"].get("cca", [])) for p in payloads), default=0)
     header = ["Language", "n morphemes", "RSA (rho)", "MI (bits)", "kNN overlap"]
     header += [f"CCA CV{i + 1} (rho)" for i in range(n_cv)]
-    lines = ["| " + " | ".join(header) + " |",
-             "|" + "---|" * len(header)]
+    rows = []
     for p in payloads:
         r = p["results"]
         row = [p["language"], str(p["n_morphemes"])]
         for key in ("rsa", "mi", "knn"):
             row.append(_fmt_stat(r[key]) if key in r else "-")
         cca = r.get("cca", [])
-        row += [_fmt_stat(c) for c in cca] + ["-"] * (n_cv - len(cca))
-        lines.append("| " + " | ".join(row) + " |")
-    lines.append("")
-    lines.append("Significance: * p < 0.05, ** p < 0.01, *** p < 0.001.")
-    return "\n".join(lines) + "\n"
+        rows.append(row + [_fmt_stat(c) for c in cca] + ["-"] * (n_cv - len(cca)))
+    return "\n".join(_table(header, rows) + ["", _SIGNIFICANCE]) + "\n"
 
 
 def render_subspace_grid(payload: dict) -> str:
     scales = sorted({c["scale"] for c in payload["cells"]})
     langs = sorted({c["language"] for c in payload["cells"]})
     by_key = {(c["language"], c["scale"]): c for c in payload["cells"]}
-    lines = ["| Language | " + " | ".join(scales) + " |",
-             "|" + "---|" * (len(scales) + 1)]
-    for lang in langs:
-        row = [lang]
-        for scale in scales:
-            c = by_key.get((lang, scale))
-            row.append(f"{c['rho']:.3f}{c['stars']}" if c else "-")
-        lines.append("| " + " | ".join(row) + " |")
-    lines.append("")
-    lines.append("Significance: * p < 0.05, ** p < 0.01, *** p < 0.001.")
-    return "\n".join(lines) + "\n"
+    rows = [[lang] + [f"{c['rho']:.3f}{c['stars']}" if c else "-"
+                      for c in (by_key.get((lang, scale)) for scale in scales)]
+            for lang in langs]
+    return "\n".join(_table(["Language", *scales], rows)
+                     + ["", _SIGNIFICANCE]) + "\n"
 
 
 def render_pole_tables(payload: dict) -> str:
     lines = [f"# Canonical variate poles: {payload['language']}", ""]
     if not payload["components"]:
-        lines.append("No significant canonical variates.")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines + ["No significant canonical variates."]) + "\n"
     header = ["CV", "Semantic Pole (+)", "Phonetic Pole (+)",
               "Semantic Pole (-)", "Phonetic Pole (-)",
               "Semantic Interpretation", "Phonetic Interpretation"]
-    lines += ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    for rec in payload["components"]:
-        sem_pos = ", ".join(x["item"] for x in rec["semantic_pos"])
-        sem_neg = ", ".join(x["item"] for x in rec["semantic_neg"])
-        phon_pos = ", ".join(x["item"] for x in rec["phonetic_pos"])
-        phon_neg = ", ".join(x["item"] for x in rec["phonetic_neg"])
-        lines.append(f"| {rec['component']} | {sem_pos} | {phon_pos} | "
-                     f"{sem_neg} | {phon_neg} | {rec['interpretation_semantic']} "
-                     f"| {rec['interpretation_phonetic']} |")
-    return "\n".join(lines) + "\n"
+
+    def items(rec, key):
+        return ", ".join(x["item"] for x in rec[key])
+    rows = [[str(rec["component"]), items(rec, "semantic_pos"), items(rec, "phonetic_pos"),
+             items(rec, "semantic_neg"), items(rec, "phonetic_neg"),
+             str(rec["interpretation_semantic"]), str(rec["interpretation_phonetic"])]
+            for rec in payload["components"]]
+    return "\n".join(lines + _table(header, rows)) + "\n"

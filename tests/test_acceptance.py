@@ -17,10 +17,10 @@ from scipy.stats import kstest
 
 from phonosem.cca import canonical_rank_correlations, fit_cca
 from phonosem.cli import main
-from phonosem.corpus import (EmbeddingMatrix, ScaleConfig, load_lexicon,
-                             load_scale_configs)
+from phonosem.corpus import (EmbeddingMatrix, ScaleConfig, load_feature_table,
+                             load_lexicon, load_scale_configs)
 from phonosem.phonetic import SimilarityMatrix, cosine_similarity_matrix
-from phonosem.pipeline import (RunConfig, _file_digest, load_language_spaces,
+from phonosem.pipeline import (RunConfig, input_digests, load_language_spaces,
                                run_global)
 from phonosem.segmentation import (LANGUAGE_NAMES, error_rate_ci,
                                    load_example_set, parse_response,
@@ -264,8 +264,9 @@ def test_06_planted_signal_pipeline(capsys, tmp_path):
         p2 = make_planted_language(d, n_morphemes=400, seed=1000 + s,
                                    planted=False)
         cfg = _planted_config(p2, d / "out", seed=s)
-        phon, sem, *_ = load_language_spaces(cfg, "syn",
-                                             _file_digest(p2["vectors"]))
+        phon, sem, *_ = load_language_spaces(
+            cfg, "syn", load_feature_table(cfg.feature_table),
+            input_digests(cfg, ("vectors",)))
         model = fit_cca(phon.vectors, sem.vectors, n_components=3)
         results = canonical_rank_correlations(model, X=phon.vectors,
                                               Y=sem.vectors,

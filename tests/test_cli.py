@@ -19,6 +19,7 @@ from phonosem import pipeline
 from phonosem.cca import PoleCandidates, build_pole_report
 from phonosem.cli import main
 from phonosem.corpus import load_lexicon, load_semantic_embeddings
+from phonosem.errors import InputError
 from phonosem.pipeline import PARAMS
 from phonosem.segmentation import read_segmentation_cache
 from phonosem.synth import FEATURES, SEGMENTS, make_planted_language
@@ -140,6 +141,15 @@ class TestIngest:
         assert result.exit_code == 0
         assert "syn: 400 lexemes" in result.output
         assert "sonority_demo" in result.output
+
+    def test_vectors_file_without_a_lexicon_word_is_exit_one(self, tmp_path):
+        path, paths = language_config(tmp_path, SMALL_RUN)
+        paths["vectors"].write_text("zz_none 1.0 2.0\nzz_nil 3.0 4.0\n",
+                                    encoding="utf-8")
+        result = invoke("ingest", "--config", path)
+        assert result.exit_code == 1
+        assert (f"input error: {paths['vectors']}: no vocabulary items matched"
+                in result.output)
 
     def test_bad_params_exit_one(self, workspace, tmp_path):
         _, _, config = workspace
@@ -779,9 +789,10 @@ class TestAnalyze:
         config = pipeline.RunConfig.from_file(path)
         lang_dir = tmp_path / "out" / "syn"
         payload = json.loads((lang_dir / "global.json").read_text("utf-8"))
-        model, phon, names, _ = pipeline._load_cca_artifacts(
+        model, phon, names = pipeline._load_cca_artifacts(
             lang_dir, payload["config_hash"],
-            pipeline._language_inputs(config, "syn"))
+            pipeline._language_inputs(config, "syn"),
+            pipeline.input_digests(config, pipeline.INPUT_ROLES, config.feature_table))
         p = config.params
         components = [build_pole_report(
             model, c, phon, names, candidates, k=p["k"],
@@ -962,13 +973,13 @@ class TestVectorStore:
         fresh, fresh_missing = load_semantic_embeddings(paths["vectors"], vocabulary)
         assert {"caf\u00e9", "na\u00efve", "zz\x00"} <= set(fresh.ids)
         config = pipeline.RunConfig.from_file(path)
-        digest = pipeline._file_digest(paths["vectors"])
-        merged = pipeline.load_vectors(config, "syn", digest, vocabulary)
+        digests = pipeline.input_digests(config, ("vectors",))
+        merged = pipeline.load_vectors(config, "syn", digests, vocabulary)
 
         def refuse(*args, **kwargs):
             raise AssertionError("text parsed for rows the store holds")
         monkeypatch.setattr("phonosem.pipeline.load_semantic_embeddings", refuse)
-        stored = pipeline.load_vectors(config, "syn", digest, vocabulary)
+        stored = pipeline.load_vectors(config, "syn", digests, vocabulary)
         monkeypatch.undo()
         for rows, missing in (merged, stored):
             assert rows.ids == fresh.ids
@@ -1046,13 +1057,130 @@ class TestVectorStore:
         assert result.exit_code == 0, result.output
         new = self.store(tmp_path, paths)
         assert new != old and new.exists()
-        assert old.read_bytes() == header + b"\n" + bytes(len(rows))
+        # the store of a file the config no longer names is deleted
+        assert not old.exists()
         shutil.copy(tmp_path / "out" / "syn" / "global.json", tmp_path / "kept.json")
         shutil.rmtree(tmp_path / "out" / "vectors")
         result = invoke("analyze-global", "--config", path)
         assert result.exit_code == 0, result.output
         assert ((tmp_path / "out" / "syn" / "global.json").read_bytes()
                 == (tmp_path / "kept.json").read_bytes())
+
+    def test_stale_stores_and_temporaries_are_pruned(self, tmp_path):
+        path, paths = scaled_language_config(tmp_path, SMALL_RUN)
+        store = self.store(tmp_path, paths)
+        result = invoke("analyze-subspace", "--config", path)
+        assert result.exit_code == 0, result.output
+        good = store.read_bytes()
+        subspace = (tmp_path / "out" / "subspace.json").read_bytes()
+        stale = store.parent / ("0" * 64)  # the store of another file
+        stale.write_bytes(good)
+        # what writes killed between mkstemp and os.replace leave
+        temporaries = [store.parent / f".{store.name}.k1ll3d",
+                       store.parent / f".{'0' * 64}.x_y"]
+        other = [store.parent / "notes.txt", store.parent / ("0" * 63)]
+        for extra in temporaries + other:
+            extra.write_bytes(good[:100])
+        result = invoke("analyze-subspace", "--config", path)
+        assert result.exit_code == 0, result.output
+        assert not stale.exists()
+        assert not any(t.exists() for t in temporaries)
+        assert all(o.exists() for o in other)  # not named as a store is
+        assert store.read_bytes() == good
+        assert (tmp_path / "out" / "subspace.json").read_bytes() == subspace
+
+    def test_every_configured_language_keeps_its_store(self, tmp_path):
+        path, paths = language_config(tmp_path, SMALL_RUN)
+        cfg = json.loads(path.read_text("utf-8"))
+        alt = tmp_path / "alt.vec"  # the same rows under another digest
+        alt.write_bytes(paths["vectors"].read_bytes() + b"zz_alt" + b" 1.0" * 8 + b"\n")
+        cfg["languages"] = ["syn", "alt"]
+        cfg["inputs"]["alt"] = {**cfg["inputs"]["syn"], "vectors": str(alt)}
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+        stores = sorted(p.name for p in (tmp_path / "out" / "vectors").iterdir())
+        config = pipeline.RunConfig.from_file(path)
+        assert stores == sorted(pipeline.input_digests(config, ("vectors",)).values())
+
+    def test_store_written_out_of_line_order_reads_in_file_order(
+            self, tmp_path, monkeypatch):
+        # an older version wrote the store's earlier rows first and then
+        # the newly parsed ones, so its rows need not be in line order
+        path, paths = self.odd_language(tmp_path)
+        out = tmp_path / "out"
+        for command in ("analyze-global", "analyze-subspace", "interpret"):
+            result = invoke(command, "--config", path)
+            assert result.exit_code == 0, result.output
+        payloads = {name: (out / name).read_bytes()
+                    for name in ("subspace.json", "syn/poles.json")}
+        store = self.store(tmp_path, paths)
+        shutil.rmtree(out / "vectors")
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+        header, earlier = store.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        vocabulary = [lx.word for lx in load_lexicon(paths["lexicon"])]
+        fresh, fresh_missing = load_semantic_embeddings(paths["vectors"], vocabulary)
+        parsed, _ = load_semantic_embeddings(
+            paths["vectors"], set(fresh.ids) - set(header["tokens"]))
+        # so the layout below is out of line order
+        assert min(parsed.lines) < max(header["lines"])
+        header.update(tokens=header["tokens"] + list(parsed.ids),
+                      lines=header["lines"] + parsed.lines.tolist(),
+                      absent=fresh_missing)
+        store.write_bytes(json.dumps(header).encode() + b"\n" + earlier
+                          + parsed.vectors.astype("<f8").tobytes())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("text parsed for rows the store holds")
+        monkeypatch.setattr("phonosem.pipeline.load_semantic_embeddings", refuse)
+        config = pipeline.RunConfig.from_file(path)
+        digests = pipeline.input_digests(config, ("vectors",))
+        rows, missing = pipeline.load_vectors(config, "syn", digests, vocabulary)
+        assert rows.ids == fresh.ids
+        assert rows.vectors.tobytes() == fresh.vectors.tobytes()
+        assert missing == fresh_missing == ["zz_absent"]
+        for command in ("analyze-subspace", "interpret"):
+            result = invoke(command, "--config", path)
+            assert result.exit_code == 0, result.output
+        for name, payload in payloads.items():
+            assert (out / name).read_bytes() == payload, name
+
+        # a read that scans the text, even one that finds nothing, writes
+        # the store back in line order
+        monkeypatch.undo()
+        pipeline.load_vectors(config, "syn", digests, ["zz_unseen"], allow_none=True)
+        header = json.loads(store.read_bytes().split(b"\n", 1)[0])
+        assert header["lines"] == sorted(header["lines"])
+        assert sorted(header["tokens"]) == sorted(fresh.ids)
+        assert header["absent"] == ["zz_absent", "zz_unseen"]
+
+    def test_nothing_matched_names_the_file(self, tmp_path, monkeypatch):
+        path, paths = language_config(tmp_path, SMALL_RUN)
+        config = pipeline.RunConfig.from_file(path)
+        digests = pipeline.input_digests(config, ("vectors",))
+        store = self.store(tmp_path, paths)
+        error = f"{re.escape(str(paths['vectors']))}: no vocabulary items matched"
+        # after a scan of the text, which adds nothing to the store
+        with pytest.raises(InputError, match=error):
+            pipeline.load_vectors(config, "syn", digests, ["zz_q", "zz_r"])
+        assert not store.exists()
+        rows, missing = pipeline.load_vectors(config, "syn", digests,
+                                              ["zz_q", "zz_r"], allow_none=True)
+        assert rows.ids == () and rows.n_items == 0
+        assert missing == ["zz_q", "zz_r"]
+        assert store.exists()
+
+        # on a read of the store alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("text parsed for items the store holds")
+        monkeypatch.setattr("phonosem.pipeline.load_semantic_embeddings", refuse)
+        with pytest.raises(InputError, match=error):
+            pipeline.load_vectors(config, "syn", digests, ["zz_q"])
+        rows, missing = pipeline.load_vectors(config, "syn", digests, ["zz_q"],
+                                              allow_none=True)
+        assert rows.n_items == 0 and missing == ["zz_q"]
 
     @pytest.mark.parametrize("value,error", [
         ("abc", "{path}:{line}: non-numeric vector value"),
@@ -1194,6 +1322,63 @@ class TestReport:
         assert invoke("report", "--config", path).exit_code == 0
         row = (lang_dir / "poles.md").read_text("utf-8").splitlines()[4]
         assert row.startswith("| 1 | ") and row.endswith(" | size | sonority |")
+
+    def test_markdown_bytes(self):
+        stat = lambda value, stars: {"value": value, "stars": stars}  # noqa: E731
+        assert pipeline.render_global_grid([
+            {"language": "en", "n_morphemes": 412,
+             "results": {"rsa": stat(0.1234, "**"), "knn": stat(0.0101, ""),
+                         "cca": [stat(0.8765, "***"), stat(0.2, "")]}},
+            {"language": "fi", "n_morphemes": 37,
+             "results": {"mi": stat(0.05, "*"), "cca": [stat(-0.0004, "")]}},
+            {"language": "tr", "n_morphemes": 3, "results": {}}]) == (
+            "| Language | n morphemes | RSA (rho) | MI (bits) | kNN overlap "
+            "| CCA CV1 (rho) | CCA CV2 (rho) |\n"
+            "|---|---|---|---|---|---|---|\n"
+            "| en | 412 | 0.123** | - | 0.010 | 0.876*** | 0.200 |\n"
+            "| fi | 37 | - | 0.050* | - | -0.000 | - |\n"
+            "| tr | 3 | - | - | - | - | - |\n"
+            "\n"
+            "Significance: * p < 0.05, ** p < 0.01, *** p < 0.001.\n")
+        assert pipeline.render_global_grid([]) == (
+            "| Language | n morphemes | RSA (rho) | MI (bits) | kNN overlap |\n"
+            "|---|---|---|---|---|\n"
+            "\n"
+            "Significance: * p < 0.05, ** p < 0.01, *** p < 0.001.\n")
+        assert pipeline.render_subspace_grid({"cells": [
+            {"language": "fi", "scale": "voicing", "rho": -0.0625, "stars": ""},
+            {"language": "en", "scale": "sonority", "rho": 0.31, "stars": "***"},
+            {"language": "en", "scale": "voicing", "rho": 0.0004999, "stars": "*"},
+        ]}) == (
+            "| Language | sonority | voicing |\n"
+            "|---|---|---|\n"
+            "| en | 0.310*** | 0.000* |\n"
+            "| fi | - | -0.062 |\n"
+            "\n"
+            "Significance: * p < 0.05, ** p < 0.01, *** p < 0.001.\n")
+
+        def items(*names):
+            return [{"item": name, "score": 0.0} for name in names]
+        assert pipeline.render_pole_tables({"language": "en", "components": [
+            {"component": 1, "semantic_pos": items("big", "large"),
+             "semantic_neg": items("small"), "phonetic_pos": items("a"),
+             "phonetic_neg": items("i", "e"), "interpretation_semantic": "size",
+             "interpretation_phonetic": "openness"},
+            {"component": 3, "semantic_pos": [], "semantic_neg": items("x"),
+             "phonetic_pos": items("m"), "phonetic_neg": [],
+             "interpretation_semantic": "", "interpretation_phonetic": ""}]}) == (
+            "# Canonical variate poles: en\n"
+            "\n"
+            "| CV | Semantic Pole (+) | Phonetic Pole (+) | Semantic Pole (-) "
+            "| Phonetic Pole (-) | Semantic Interpretation "
+            "| Phonetic Interpretation |\n"
+            "|---|---|---|---|---|---|---|\n"
+            "| 1 | big, large | a | small | i, e | size | openness |\n"
+            "| 3 |  | m | x |  |  |  |\n")
+        assert pipeline.render_pole_tables({"language": "fi", "components": []}) == (
+            "# Canonical variate poles: fi\n"
+            "\n"
+            "No significant canonical variates.\n")
 
     def test_rerender_from_json(self, workspace):
         ws, config_path, _ = workspace

@@ -168,12 +168,6 @@ class TestSemanticEmbeddings:
         with pytest.raises(ParseError, match=r"v\.vec: non-finite vector value for 'y'"):
             load_semantic_embeddings(path, {"x", "y"})
 
-    def test_nothing_matched(self, tmp_path):
-        path = tmp_path / "v.vec"
-        self.write_vec(path, [("x", [1.0])])
-        with pytest.raises(InputError, match="no vocabulary"):
-            load_semantic_embeddings(path, {"q"})
-
     def test_non_numeric_value_in_a_row_read_names_line(self, tmp_path):
         path = tmp_path / "v.vec"
         self.write_vec(path, [("x", [1.0, 2.0]), ("y", [3.0, "abc"])],
@@ -192,13 +186,15 @@ class TestSemanticEmbeddings:
         assert np.array_equal(matrix.vectors, [[1.0, 2.0], [5.0, 6.0]])
         assert missing == []
 
-    def test_nothing_matched_is_no_rows_when_allowed(self, tmp_path):
+    def test_nothing_matched_is_no_rows(self, tmp_path):
+        # the error for a read that matched nothing is pipeline.load_vectors's
         path = tmp_path / "v.vec"
         self.write_vec(path, [("x", [1.0, 2.0])])
-        matrix, missing = load_semantic_embeddings(path, {"q"}, allow_none=True)
+        matrix, missing = load_semantic_embeddings(path, {"q", "r"})
         assert matrix.ids == ()
         assert matrix.vectors.shape == (0, 2)
-        assert missing == ["q"]
+        assert matrix.lines.shape == (0,)
+        assert missing == ["q", "r"]
 
     @pytest.mark.parametrize("eol", [" \n", " \r\n"])
     def test_trailing_whitespace_ignored(self, tmp_path, eol):
