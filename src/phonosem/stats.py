@@ -41,9 +41,10 @@ from .phonetic import (SimilarityMatrix, _mirror_upper, _upper_rows,
 log = logging.getLogger(__name__)
 
 NULL_QUANTILES = (0.025, 0.25, 0.5, 0.75, 0.975)
-# Matrix elements one row block of a pair gather covers: small enough that
-# each block's temporaries reuse freed heap memory; blocks of a few MB are
-# mapped afresh each time, and their page faults cost more than the gather.
+# Elements one row block of a pair gather, or one chunk of the key sort,
+# covers: small enough that each block's temporaries reuse freed heap
+# memory; blocks of a few MB are mapped afresh each time, and their page
+# faults cost more than the work.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -110,14 +111,92 @@ def spearman_rho(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _sort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, x[order])``: the order that sorts ``x``, and ``x`` sorted."""
-    order = np.argsort(x)
-    return order, x[order]
+    """``(order, x[order])`` of a float64 vector: an order that sorts
+    ``x``, and ``x`` sorted, with NaNs at the ends.
+
+    One in-place sort of 64-bit words. Each word is the value's
+    order-preserving key (every bit of a negative value flipped, the
+    sign bit of any other set) with its low b bits replaced by the
+    item's index, b bits being enough for any index. Distinct values
+    that share the rest of their key come out in index order; only the
+    key runs holding such a pair are re-sorted by value
+    (:func:`_sort_runs`). Exact ties, and -0.0 beside +0.0, may come out
+    in any order, which neither the tie groups nor the bins read. Keys
+    and the sorted copy are built a chunk at a time, so besides ``x`` the
+    sort holds two arrays of its length: the words, which become the
+    order, and the sorted copy.
+    """
+    n = x.size
+    bits = max(n - 1, 0).bit_length()
+    low = (1 << bits) - 1
+    words = np.empty(n, dtype=np.uint64)
+    signed, keys = x.view(np.int64), words.view(np.int64)
+    for c0, c1 in _chunks(n):
+        key = keys[c0:c1]
+        np.right_shift(signed[c0:c1], 63, out=key)  # all ones if negative
+        key |= -1 << 63
+        key ^= signed[c0:c1]
+        key &= ~low
+        key |= np.arange(c0, c1)
+    words.sort()
+    xs = np.empty(n)
+    items = np.empty(min(n, _BLOCK_ELEMENTS), dtype=np.int64)
+    for c0, c1 in _chunks(n):
+        np.bitwise_and(keys[c0:c1], low, out=items[:c1 - c0])
+        # every index is in range; "clip" writes to out without a buffer
+        x.take(items[:c1 - c0], out=xs[c0:c1], mode="clip")
+    _sort_runs(words, xs, bits)
+    keys &= low
+    return keys, xs
+
+
+def _chunks(n: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) ranges of ``_BLOCK_ELEMENTS`` items covering n."""
+    for c0 in range(0, n, _BLOCK_ELEMENTS):
+        yield c0, min(n, c0 + _BLOCK_ELEMENTS)
+
+
+def _sort_runs(words: np.ndarray, xs: np.ndarray, bits: int) -> None:
+    """Finish :func:`_sort`: re-sort by value, one chunk of ``xs`` at a
+    time, every key run (words whose bits above the low ``bits`` agree)
+    that holds a descent of ``xs``, and move ``words`` along.
+
+    Words of different runs are in value order, so a descent lies inside
+    one run, and the runs a chunk touches, taken together, sort as one
+    array. Sorting runs by value keeps the bits above ``bits`` in order,
+    so a binary search of the words still finds each run's edges. A run
+    longer than a chunk is re-sorted with temporaries of its own length.
+    """
+    shift = np.uint64(bits)
+    low = np.uint64((1 << bits) - 1)
+    start, last = 0, xs.size - 1
+    while start < last:
+        stop = min(start + _BLOCK_ELEMENTS, last)
+        down = np.flatnonzero(xs[start + 1:stop + 1] < xs[start:stop])
+        if down.size:
+            runs = words[start + down] >> shift << shift
+            runs = runs[_tie_starts(runs)]
+            # search all runs' edges within the first and last runs' span,
+            # which is cache-sized unless a run is longer than a chunk
+            w0 = int(np.searchsorted(words, runs[0], side="left"))
+            span = words[w0:np.searchsorted(words, runs[-1] | low, side="right")]
+            lo = np.searchsorted(span, runs, side="left") + w0
+            hi = np.searchsorted(span, runs | low, side="right") + w0
+            # the positions of those runs, one after another
+            sizes = hi - lo
+            before = np.cumsum(sizes) - sizes
+            at = np.arange(sizes.sum()) + np.repeat(lo - before, sizes)
+            by_value = np.argsort(xs[at])
+            xs[at] = xs[at][by_value]
+            words[at] = words[at][by_value]
+            stop = max(stop, int(hi[-1]))
+        start = stop
 
 
 def _doubled_ranks(x: np.ndarray) -> np.ndarray:
     """Twice the 1-based midranks of finite values (``2 *
-    scipy.stats.rankdata``), as float64."""
+    scipy.stats.rankdata``), in the smallest unsigned dtype that holds
+    2n."""
     order, xs = _sort(x)
     return _tie_doubled_ranks(order, _tie_starts(xs))
 
@@ -130,15 +209,18 @@ def _tie_starts(xs: np.ndarray) -> np.ndarray:
 def _tie_doubled_ranks(order: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """:func:`_doubled_ranks` of ``x`` from its sort order and tie groups:
     a group of m values at 0-based sorted position s gets 2s + m + 1, an
-    exact integer, written over ``starts`` to hold one array less."""
-    sizes = np.diff(starts, append=order.size)
+    exact integer, written over ``starts`` to hold one array less and
+    spread in the rank dtype; without ties that is 2s + 2."""
+    n = order.size
+    ranks = np.empty(n, dtype=np.min_scalar_type(2 * n))
+    if starts.size == n:
+        ranks[order] = np.arange(2, 2 * n + 1, 2, dtype=ranks.dtype)
+        return ranks
+    sizes = np.diff(starts, append=n)
     starts *= 2
     starts += sizes
     starts += 1
-    in_order = np.repeat(starts, sizes)
-    del sizes
-    ranks = np.empty(order.size)
-    ranks[order] = in_order
+    ranks[order] = np.repeat(starts.astype(ranks.dtype), sizes)
     return ranks
 
 
@@ -421,9 +503,7 @@ def prepare(
         if "rsa" in analyses:
             starts = _tie_starts(xs)
             del xs
-            ranks = _tie_doubled_ranks(order, starts)
-            del order, starts
-            doubled_ranks = ranks.astype(np.min_scalar_type(2 * ranks.size))
+            doubled_ranks = _tie_doubled_ranks(order, starts)
     return PreparedSpace(ids=ids, analyses=analyses, bins=bins, k=k,
                          doubled_ranks=doubled_ranks, bin_index=bin_index,
                          neighbours=neighbours, ties=ties)

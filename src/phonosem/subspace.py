@@ -26,6 +26,9 @@ from .stats import (AlignmentResult, _centered, _doubled_ranks, _rho,
 
 log = logging.getLogger(__name__)
 
+# Rows of candidate words one block of perpendicular_distance covers.
+_DISTANCE_ROWS = 256
+
 
 @dataclass(frozen=True)
 class CentroidLine:
@@ -69,9 +72,26 @@ def _midpoint_coord(points: np.ndarray, line: CentroidLine) -> np.ndarray:
 
 
 def perpendicular_distance(points: np.ndarray, line: CentroidLine) -> np.ndarray:
-    """Euclidean distance from the point(s) to the line."""
+    """Euclidean distance from the point(s) to the line.
+
+    The feet and their distances are taken ``_DISTANCE_ROWS`` rows at a
+    time, so a stack of points holds one block of temporaries; the line
+    coordinates stay one product over all rows, which a blocked product
+    could round differently.
+    """
     pts = np.asarray(points, dtype=np.float64)
     u = _midpoint_coord(pts, line)
+    if pts.ndim == 1:
+        return _distance_to_foot(pts, u, line)
+    dist = np.empty(pts.shape[0])
+    for r0 in range(0, pts.shape[0], _DISTANCE_ROWS):
+        r1 = r0 + _DISTANCE_ROWS
+        dist[r0:r1] = _distance_to_foot(pts[r0:r1], u[r0:r1], line)
+    return dist
+
+
+def _distance_to_foot(pts: np.ndarray, u: np.ndarray,
+                      line: CentroidLine) -> np.ndarray:
     foot = line.midpoint + np.multiply.outer(u, line.direction)
     return np.linalg.norm(pts - foot, axis=-1)
 

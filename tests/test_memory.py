@@ -17,11 +17,16 @@ import numpy as np
 from phonosem.corpus import EmbeddingMatrix
 from phonosem.phonetic import cosine_similarity_matrix
 from phonosem.pipeline import RunConfig, run_global
+from phonosem.stats import prepare
 from phonosem.synth import make_planted_language
 
 MAX_BYTES_PER_CELL = 30
 # The n x n float64 result plus the unit vectors and one tile's temporaries.
 MAX_COSINE_MATRICES = 1.5
+# The pair vector, the sort words that become the order and the sorted
+# copy, each 8 bytes per pair, plus one chunk's temporaries: a fourth
+# pair-length 8-byte array would pass 4.
+MAX_PREPARE_PAIR_ARRAYS = 3.5
 
 
 def test_global_suite_peak_per_cell(tmp_path):
@@ -60,3 +65,18 @@ def test_cosine_build_peak():
     finally:
         tracemalloc.stop()
     assert peak <= MAX_COSINE_MATRICES * 8 * n ** 2
+
+
+def test_prepare_peak_in_pair_arrays():
+    n = 800
+    vectors = np.random.default_rng(12).normal(size=(n, 50))
+    sim = cosine_similarity_matrix(
+        EmbeddingMatrix(tuple(f"w{i}" for i in range(n)), vectors))
+    tracemalloc.start()
+    try:
+        space = prepare(sim, ("rsa", "mi"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.doubled_ranks is not None and space.bin_index is not None
+    assert peak <= MAX_PREPARE_PAIR_ARRAYS * 8 * n * (n - 1) // 2

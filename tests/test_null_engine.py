@@ -15,13 +15,16 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+from phonosem import stats
 from phonosem.cca import canonical_rank_correlations, fit_cca
 from phonosem.corpus import EmbeddingMatrix, ScaleConfig
 from phonosem.errors import AnalysisError
 from phonosem.phonetic import _TILE, SimilarityMatrix, cosine_similarity_matrix
-from phonosem.stats import (_doubled_ranks, _summarize, _symmetric,
-                            knn_overlap, mi_alignment, permutation_test,
-                            prepare, rsa, shuffle_rng, spearman_rho)
+from phonosem.stats import (_BLOCK_ELEMENTS, _doubled_ranks, _sort,
+                            _sorted_bins, _summarize, _symmetric,
+                            _tie_doubled_ranks, _tie_starts, knn_overlap,
+                            mi_alignment, permutation_test, prepare, rsa,
+                            shuffle_rng, spearman_rho)
 from phonosem.subspace import pool_candidates, scale_alignment
 
 
@@ -338,6 +341,96 @@ def test_space_prepared_for_rsa_holds_doubled_pair_ranks(case):
     space = prepare(sim, ("rsa",))
     assert space.doubled_ranks.dtype == np.min_scalar_type(2 * pairs.size)
     assert np.array_equal(space.doubled_ranks, 2 * rankdata(pairs))
+
+
+# ---------------------------------------------------------------------------
+# The key sort
+
+def reversed_ulps(x, at):
+    """``x`` with each pair (i, i + 1), i in ``at``, made two values one
+    ulp apart, the larger first: they share a sort key, whose low bits
+    then put them in index order, against their value order."""
+    x = x.copy()
+    x[at + 1] = x[at]
+    x[at] = np.nextafter(x[at], np.inf)
+    return x
+
+
+def sort_cases():
+    rng = np.random.default_rng(418)
+    chunk = _BLOCK_ELEMENTS
+    runs = np.repeat(rng.normal(size=300), 3)
+    runs[0::3] = np.nextafter(np.nextafter(runs[0::3], 9.0), 9.0)
+    runs[1::3] = np.nextafter(runs[1::3], 9.0)
+    long_run = np.full(chunk + 100, 0.7)
+    long_run[5] = np.nextafter(0.7, 1.0)
+    cases = {
+        "random": rng.normal(size=1000),
+        "heavy ties": rng.integers(0, 7, size=5000) * 0.25,
+        "signed zeros": rng.choice([-0.0, 0.0, -1.0, 1.0], size=999),
+        "constant": np.full(777, 0.3),
+        "infinities": np.concatenate((rng.normal(size=500),
+                                      [np.inf, -np.inf, np.inf, -np.inf])),
+        "one ulp apart, reversed": runs,
+        "one ulp apart in random runs": reversed_ulps(
+            rng.normal(size=4000), rng.choice(np.arange(0, 4000, 2), 500,
+                                              replace=False)),
+        "run longer than a chunk": long_run,
+    }
+    for n in (1, 2, 3, chunk - 1, chunk, chunk + 1):
+        # sorted input, so a pair at chunk - 1 straddles the fix-up's
+        # first chunk edge
+        at = {i for i in (0, chunk - 1, n - 2) if 0 <= i <= n - 2}
+        at = np.array(sorted(i for i in at if i - 1 not in at), dtype=np.intp)
+        cases[f"n={n}"] = reversed_ulps(np.sort(rng.normal(size=n)), at)
+    return cases
+
+
+SORT_CASES = sort_cases()
+
+
+@pytest.fixture
+def descents(monkeypatch):
+    """Whether each ``_sort`` call met a descent its fix-up had to mend."""
+    seen = []
+    fix_up = stats._sort_runs
+
+    def spy(words, xs, bits):
+        seen.append(bool(np.any(xs[1:] < xs[:-1])))
+        fix_up(words, xs, bits)
+
+    monkeypatch.setattr(stats, "_sort_runs", spy)
+    return seen
+
+
+@pytest.mark.parametrize("case", list(SORT_CASES))
+def test_sort_equals_argsort_oracle(case, descents):
+    x = SORT_CASES[case]
+    order, xs = _sort(x)
+    expected_order = np.argsort(x, kind="stable")
+    expected = x[expected_order]
+    assert np.array_equal(x[order], xs)
+    assert np.array_equal(xs, expected)
+    assert np.array_equal(np.sort(order), np.arange(x.size))
+    ranks = _tie_doubled_ranks(order, _tie_starts(xs))
+    assert ranks.dtype == np.min_scalar_type(2 * x.size)
+    assert np.array_equal(
+        ranks, _tie_doubled_ranks(expected_order, _tie_starts(expected)))
+    if np.all(np.isfinite(x)):
+        bins = min(7, x.size)
+        assert np.array_equal(_sorted_bins(order, xs, bins),
+                              _sorted_bins(expected_order, expected, bins))
+    if case not in ("random", "heavy ties", "signed zeros", "constant",
+                    "infinities", "n=1"):
+        assert descents == [True]  # the fixture reaches the fix-up
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_mi_needs_finite_values_with_a_nan_of_either_sign(sign):
+    x = np.random.default_rng(419).normal(size=50)
+    x[17] = np.copysign(np.nan, sign)
+    with pytest.raises(AnalysisError, match="mutual information needs finite"):
+        _sorted_bins(*_sort(x), 7)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,21 @@ class TestPerpendicularDistance:
         assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
 
+    @pytest.mark.parametrize("rows", [1, subspace._DISTANCE_ROWS - 1,
+                                      subspace._DISTANCE_ROWS,
+                                      subspace._DISTANCE_ROWS + 1,
+                                      2 * subspace._DISTANCE_ROWS + 3])
+    def test_row_blocks_equal_the_one_shot_formula(self, rows):
+        rng = np.random.default_rng(rows)
+        line = build_line(rng.normal(size=(3, 20)), rng.normal(size=(2, 20)))
+        pts = rng.normal(size=(rows, 20))
+        d2 = np.dot(line.direction, line.direction)
+        u = (pts - line.midpoint) @ line.direction / d2
+        foot = line.midpoint + np.multiply.outer(u, line.direction)
+        expected = np.linalg.norm(pts - foot, axis=-1)
+        assert np.array_equal(perpendicular_distance(pts, line), expected)
+
+
 def selected(vocab, line, n):
     """The words of the rows ``select_words`` picks."""
     return [vocab.ids[i] for i in select_words(vocab, line, n=n)]
