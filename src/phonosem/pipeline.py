@@ -19,6 +19,7 @@ import os
 import re
 import tempfile
 import time
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -35,7 +36,7 @@ from .errors import AnalysisError, InputError
 from .phonetic import build_phonetic_embeddings
 from .segmentation import (PERPLEXITY_THRESHOLD, dedupe_into_morpheme_set,
                            perplexity_filter, read_segmentation_cache)
-from .stats import knn_overlap, mi_alignment, prepare, rsa, stars
+from .stats import knn_overlap, mi_alignment, prepare, rsa
 from .subspace import pool_candidates, scale_alignment
 
 log = logging.getLogger(__name__)
@@ -110,10 +111,9 @@ class RunConfig:
         if merged["cca_refit"] is not True:
             raise InputError("cca_refit=false, the scores-only CCA null, was "
                              "removed; every CCA null refits the CCA")
-        if merged["null_points"] > merged["shuffles"]:
-            raise InputError("null_points exceeds shuffles")
-        if merged["subspace_null_points"] > merged["subspace_shuffles"]:
-            raise InputError("subspace_null_points exceeds subspace_shuffles")
+        for prefix in ("", "subspace_"):
+            if merged[f"{prefix}null_points"] > merged[f"{prefix}shuffles"]:
+                raise InputError(f"{prefix}null_points exceeds {prefix}shuffles")
         if not isinstance(self.inputs, dict):
             raise InputError(f"inputs: expected a JSON object, got {self.inputs!r}")
         for lang in self.languages:
@@ -183,6 +183,16 @@ def derive_seed(master: int, analysis: str, language: str) -> int:
     """Deterministic per-(analysis, language) substream seed."""
     digest = hashlib.sha256(f"{master}:{analysis}:{language}".encode()).digest()
     return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
+
+
+def _null(config: RunConfig, analysis: str, language: str,
+          prefix: str = "") -> dict:
+    """The permutation-null keywords of one analysis of one language: the
+    ``<prefix>shuffles`` and ``<prefix>null_points`` parameters and the
+    seed derived for (analysis, language)."""
+    return {"n_shuffles": config.params[f"{prefix}shuffles"],
+            "null_points": config.params[f"{prefix}null_points"],
+            "seed": derive_seed(config.seed, analysis, language)}
 
 
 def _dump_json(obj, path: Path) -> None:
@@ -282,19 +292,23 @@ def load_language_spaces(config: RunConfig, language: str,
                                   {m.form for m in mset})
     sem_norm = np.linalg.norm(sem_by_form.vectors, axis=1)
     form_index = {w: i for i, w in enumerate(sem_by_form.ids) if sem_norm[i] > 0.0}
-    phon_matrix, feature_names, skipped = build_phonetic_embeddings(
-        [(f"{m.form}|{m.transcription}", m.transcription) for m in mset
-         if m.form in form_index], table)
+    morphemes = [m for m in mset if m.form in form_index]
+    # pooled under their positions, since a form or a transcription may
+    # hold "|": an id names its morpheme, but cannot be split back into one
+    pooled, feature_names, skipped = build_phonetic_embeddings(
+        [(str(i), m.transcription) for i, m in enumerate(morphemes)], table)
+    item_id = "{0.form}|{0.transcription}".format
 
-    forms = [item_id.split("|", 1)[0] for item_id in phon_matrix.ids]
-    keep = np.flatnonzero(np.linalg.norm(phon_matrix.vectors, axis=1) > 0.0)
+    keep = np.flatnonzero(np.linalg.norm(pooled.vectors, axis=1) > 0.0)
     if len(keep) < 3:
         raise AnalysisError(f"{language}: fewer than 3 morphemes in both spaces")
-    phon = phon_matrix.subset(keep)
+    kept = [morphemes[int(pooled.ids[i])] for i in keep]
+    ids = tuple(map(item_id, kept))
+    phon = EmbeddingMatrix(ids=ids, vectors=pooled.vectors[keep])
     sem = EmbeddingMatrix(
-        ids=phon.ids,
-        vectors=sem_by_form.vectors[[form_index[forms[i]] for i in keep]])
-    return phon, sem, feature_names, len(mset), skipped
+        ids=ids, vectors=sem_by_form.vectors[[form_index[m.form] for m in kept]])
+    return (phon, sem, feature_names, len(mset),
+            [item_id(morphemes[int(i)]) for i in skipped])
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +322,7 @@ _STORE_NAME = re.compile(r"([0-9a-f]{64})|\.[0-9a-f]{64}\..+")
 
 def load_vectors(config: RunConfig, language: str, digests: dict[str, str],
                  vocabulary: Iterable[str],
-                 allow_none: bool = False) -> tuple[VectorRows, list[str]]:
+                 allow_none: bool = False) -> tuple[EmbeddingMatrix, list[str]]:
     """``load_semantic_embeddings`` of the language's vectors file, read
     through the store of the rows parsed from that file,
     ``<output_dir>/vectors/<sha256>``; ``digests`` maps every configured
@@ -346,14 +360,9 @@ def load_vectors(config: RunConfig, language: str, digests: dict[str, str],
         absent |= set(not_found)
         stored = _merge_rows(stored, parsed)
         del parsed  # freed before the gather below
-    # the wanted rows in line order; a store that an older version wrote
-    # need not hold its rows in line order
-    hits = np.flatnonzero([token in wanted for token in stored.ids])
-    hits = hits[np.argsort(stored.lines[hits])]
-    rows = stored
-    if not np.array_equal(hits, np.arange(stored.n_items)):
-        rows = VectorRows(ids=tuple(stored.ids[i] for i in hits.tolist()),
-                          vectors=stored.vectors[hits], lines=stored.lines[hits])
+    # the wanted rows, in the line order the store holds them in
+    hits = [i for i, token in enumerate(stored.ids) if token in wanted]
+    rows = stored if len(hits) == stored.n_items else stored.subset(hits)
     if not rows.n_items and not allow_none:
         raise InputError(f"{path}: no vocabulary items matched")
     missing = sorted(wanted & absent)
@@ -391,11 +400,12 @@ def _prune_stores(directory: Path, keep: set[str]) -> None:
 
 
 def _read_store(path: Path, digest: str) -> tuple[VectorRows, frozenset[str]] | None:
-    """The stored rows and the items recorded as absent from the vectors
-    file whose SHA-256 is ``digest``. A store that is missing, does not
-    load, or does not match that digest or its own row count and
-    dimension is none: it is never trusted, and the next read that
-    parses rows replaces it."""
+    """The stored rows, in line order, and the items recorded as absent
+    from the vectors file whose SHA-256 is ``digest``. A store that is
+    missing, does not load, does not match that digest or its own row
+    count and dimension, or whose line numbers do not strictly increase
+    is none: it is never trusted, and the next read that parses rows
+    replaces it."""
     try:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
@@ -408,9 +418,12 @@ def _read_store(path: Path, digest: str) -> tuple[VectorRows, frozenset[str]] | 
                 and all(isinstance(t, str) for t in tokens + absent)
                 and all(type(n) is int and n > 0 for n in lines)):
             raise ValueError("header does not match the rows or the file")
+        lines = np.array(lines, dtype=np.int64)
+        if not np.all(lines[1:] > lines[:-1]):
+            raise ValueError("rows out of line order")
         # a row count or dimension that does not fit the bytes fails here
         return VectorRows(ids=tuple(tokens), vectors=values.reshape(len(tokens), dim),
-                          lines=np.array(lines, dtype=np.int64)), frozenset(absent)
+                          lines=lines), frozenset(absent)
     except FileNotFoundError:
         return None
     except (OSError, ValueError, LookupError, TypeError, OverflowError) as exc:
@@ -462,9 +475,7 @@ def run_global(config: RunConfig) -> dict[str, Path]:
             model = fit_cca(phon.vectors, sem.vectors,
                             n_components=n_components, ridge=p["cca_ridge"])
             cv_results = canonical_rank_correlations(
-                model, X=phon.vectors, Y=sem.vectors, n_shuffles=p["shuffles"],
-                null_points=p["null_points"],
-                seed=derive_seed(config.seed, "cca", lang))
+                model, X=phon.vectors, Y=sem.vectors, **_null(config, "cca", lang))
             results["cca"] = [r.to_record() for r in cv_results]
             _save_cca_artifacts(
                 out_dir / lang, model, phon, feature_names, config.config_hash(),
@@ -508,23 +519,12 @@ def _similarity_results(config: RunConfig, lang: str, phon: EmbeddingMatrix,
         return {}
     space_phon = prepare(phon, on, bins=p["bins"], k=p["k"])
     space_sem = prepare(sem, on, bins=p["bins"], k=p["k"])
-    results: dict[str, object] = {}
-    if "rsa" in on:
-        results["rsa"] = rsa(
-            space_phon, space_sem, n_shuffles=p["shuffles"],
-            null_points=p["null_points"],
-            seed=derive_seed(config.seed, "rsa", lang)).to_record()
-    if "mi" in on:
-        results["mi"] = mi_alignment(
-            space_phon, space_sem, bins=p["bins"], n_shuffles=p["shuffles"],
-            null_points=p["null_points"],
-            seed=derive_seed(config.seed, "mi", lang)).to_record()
-    if "knn" in on:
-        results["knn"] = knn_overlap(
-            space_phon, space_sem, k=p["k"], n_shuffles=p["shuffles"],
-            null_points=p["null_points"],
-            seed=derive_seed(config.seed, "knn", lang)).to_record()
-    return results
+    # each statistic with the parameter its space was prepared with
+    tests = {"rsa": (rsa, {}), "mi": (mi_alignment, {"bins": p["bins"]}),
+             "knn": (knn_overlap, {"k": p["k"]})}
+    return {a: test(space_phon, space_sem, **param,
+                    **_null(config, a, lang)).to_record()
+            for a, (test, param) in tests.items() if a in on}
 
 
 def _save_cca_artifacts(lang_dir: Path, model: CcaModel, phon: EmbeddingMatrix,
@@ -553,22 +553,27 @@ def _load_cca_artifacts(lang_dir: Path, config_hash: str,
     path = lang_dir / "cca_model.npz"
     if not path.exists():
         raise InputError(f"{path}: no fitted CCA artifacts; run analyze-global first")
-    with np.load(path) as z:
-        stamp = str(z["config_hash"]) if "config_hash" in z.files else None
-        if stamp != config_hash:
+    try:
+        # np.savez writes in place, so a killed run can leave a cut file;
+        # np.load leaves a file it opened open when the archive is cut
+        with open(path, "rb") as fh, np.load(fh) as archive:
+            z = {name: archive[name] for name in archive.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise InputError(f"{path}: does not load ({type(exc).__name__}: {exc}); "
+                         "run analyze-global again") from None
+    stamp = str(z["config_hash"]) if "config_hash" in z else None
+    if stamp != config_hash:
+        raise InputError(
+            f"{path}: stamped {stamp or 'with no config hash'}, but "
+            f"this config's hash is {config_hash}; run analyze-global again")
+    stamped = json.loads(str(z["input_sha256"])) if "input_sha256" in z else {}
+    for role, input_path in inputs.items():
+        if digests[input_path] != stamped.get(role):
             raise InputError(
-                f"{path}: stamped {stamp or 'with no config hash'}, but "
-                f"this config's hash is {config_hash}; run analyze-global again")
-        stamped = (json.loads(str(z["input_sha256"]))
-                   if "input_sha256" in z.files else {})
-        for role, input_path in inputs.items():
-            if digests[input_path] != stamped.get(role):
-                raise InputError(
-                    f"{input_path}: not the {role} file {path} is stamped "
-                    "with; run analyze-global again")
-        model = CcaModel(**{f.name: z[f.name][()]
-                            for f in dataclasses.fields(CcaModel)})
-        return model, z["phonetic_vectors"], z["feature_names"].tolist()
+                f"{input_path}: not the {role} file {path} is stamped "
+                "with; run analyze-global again")
+    model = CcaModel(**{f.name: z[f.name][()] for f in dataclasses.fields(CcaModel)})
+    return model, z["phonetic_vectors"], z["feature_names"].tolist()
 
 
 def run_subspace(config: RunConfig) -> dict[str, Path]:
@@ -589,11 +594,8 @@ def run_subspace(config: RunConfig) -> dict[str, Path]:
         candidates = pool_candidates(vocab, lexicon, table)
         for scale in scales:
             result = scale_alignment(
-                scale, lang, vocab, table, candidates,
-                n_words=p["subspace_pool"],
-                n_shuffles=p["subspace_shuffles"],
-                null_points=p["subspace_null_points"],
-                seed=derive_seed(config.seed, f"subspace:{scale.name}", lang))
+                scale, lang, vocab, table, candidates, n_words=p["subspace_pool"],
+                **_null(config, f"subspace:{scale.name}", lang, "subspace_"))
             cells.append(result.to_record())
             if p.get("scatter"):
                 scatter = out_dir / "scatter" / f"{lang}_{scale.name}.tsv"

@@ -15,8 +15,9 @@ Whatever a permutation leaves unchanged is computed once per space by
 each row's top-k neighbours (kNN); the scale test ranks both coordinate
 vectors once. Ranks are doubled integers (:func:`_doubled_ranks`) and
 every rho, observed or null, goes through :func:`_rho`. The statistics
-then read only that prepared content: B's ranks and bins are spread into
-symmetric item-by-item matrices, and each shuffle is a gather plus a
+then read only that prepared content: each observed value is reduced
+from it as prepared, B's ranks and bins are spread into symmetric
+item-by-item matrices, and each shuffle is a gather plus a
 reduction that gives the same bits as recomputing the statistic on the
 permuted matrix. This relies on the permuted similarity matrix being
 exactly symmetric, as :func:`~phonosem.phonetic.cosine_similarity_matrix`
@@ -41,10 +42,10 @@ from .phonetic import (SimilarityMatrix, _mirror_upper, _upper_rows,
 log = logging.getLogger(__name__)
 
 NULL_QUANTILES = (0.025, 0.25, 0.5, 0.75, 0.975)
-# Elements one row block of a pair gather, or one chunk of the key sort,
-# covers: small enough that each block's temporaries reuse freed heap
-# memory; blocks of a few MB are mapped afresh each time, and their page
-# faults cost more than the work.
+# Elements one block of any blocked loop covers (see _row_blocks): small
+# enough that each block's temporaries reuse freed heap memory; blocks of
+# a few MB are mapped afresh each time, and their page faults cost more
+# than the work.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -131,7 +132,7 @@ def _sort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     low = (1 << bits) - 1
     words = np.empty(n, dtype=np.uint64)
     signed, keys = x.view(np.int64), words.view(np.int64)
-    for c0, c1 in _chunks(n):
+    for c0, c1 in _row_blocks(n, 1):
         key = keys[c0:c1]
         np.right_shift(signed[c0:c1], 63, out=key)  # all ones if negative
         key |= -1 << 63
@@ -141,7 +142,7 @@ def _sort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     words.sort()
     xs = np.empty(n)
     items = np.empty(min(n, _BLOCK_ELEMENTS), dtype=np.int64)
-    for c0, c1 in _chunks(n):
+    for c0, c1 in _row_blocks(n, 1):
         np.bitwise_and(keys[c0:c1], low, out=items[:c1 - c0])
         # every index is in range; "clip" writes to out without a buffer
         x.take(items[:c1 - c0], out=xs[c0:c1], mode="clip")
@@ -150,10 +151,12 @@ def _sort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys, xs
 
 
-def _chunks(n: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) ranges of ``_BLOCK_ELEMENTS`` items covering n."""
-    for c0 in range(0, n, _BLOCK_ELEMENTS):
-        yield c0, min(n, c0 + _BLOCK_ELEMENTS)
+def _row_blocks(rows: int, width: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) ranges covering ``rows`` rows of ``width`` elements,
+    each about ``_BLOCK_ELEMENTS`` elements (at least one row)."""
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    for r0 in range(0, rows, step):
+        yield r0, min(rows, r0 + step)
 
 
 def _sort_runs(words: np.ndarray, xs: np.ndarray, bits: int) -> None:
@@ -289,7 +292,7 @@ def _top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, list]:
     n = values.shape[0]
     nb = np.empty((n, k), dtype=np.intp)
     ties = []
-    for i0, i1 in _row_blocks(n):
+    for i0, i1 in _row_blocks(n, n):
         rows = np.arange(i1 - i0)
         neg = -values[i0:i1]
         neg[rows, rows + i0] = np.inf  # self sorts last
@@ -324,19 +327,11 @@ def _mean_overlap(na: np.ndarray, nb: np.ndarray, k: int) -> float:
 # ---------------------------------------------------------------------------
 # Pair gathers
 
-def _row_blocks(n: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) row ranges covering about ``_BLOCK_ELEMENTS``
-    elements of an n x n matrix each."""
-    step = max(1, _BLOCK_ELEMENTS // max(n, 1))
-    for i0 in range(0, n, step):
-        yield i0, min(n, i0 + step)
-
-
 def _permuted_pairs(matrix: np.ndarray, perm: np.ndarray) -> Iterator[np.ndarray]:
     """The pair vector of ``matrix[perm][:, perm]`` (strict upper
     triangle, row-major), one row block at a time."""
     n = perm.size
-    for i0, i1 in _row_blocks(n):
+    for i0, i1 in _row_blocks(n, n):
         block = matrix.take(perm[i0:i1], axis=0).take(perm[i0 + 1:], axis=1)
         yield block[np.arange(n - i0 - 1) >= np.arange(i1 - i0)[:, None]]
 
@@ -575,8 +570,9 @@ def mi_alignment(
     """Binned MI between the two pair vectors with an item-identity null.
 
     Bin edges depend only on each pair vector's value set, so every
-    pair's bin is prepared once (B's spread into a symmetric matrix); a
-    shuffle counts the gathered joint bins.
+    pair's bin is prepared once (B's spread into a symmetric matrix); the
+    observed MI counts the prepared joint bins, and a shuffle counts the
+    gathered ones.
     """
     _check_same_items(sim_a, sim_b)
     a = _prepared(sim_a, "mi", bins=bins)
@@ -585,6 +581,7 @@ def mi_alignment(
     cells = bins * bins
     codes_a = a.bin_index.astype(np.min_scalar_type(cells - 1))
     codes_a *= bins
+    observed = _mi_bits(np.bincount(codes_a + b.bin_index, minlength=cells), bins)
     bins_b = _symmetric(b.bin_index, n)
 
     def stat(perm: np.ndarray) -> float:
@@ -596,7 +593,6 @@ def mi_alignment(
             start += pairs.size
         return _mi_bits(counts, bins)
 
-    observed = stat(np.arange(n))
     p, null = permutation_test(stat, observed, n, n_shuffles, null_points,
                                seed, "greater")
     return _summarize("mutual_information", observed, null, p, n_shuffles,

@@ -22,12 +22,9 @@ from .corpus import EmbeddingMatrix, Lexeme, ScaleConfig, SegmentFeatureTable
 from .errors import AnalysisError, InputError
 from .phonetic import _tokenize_and_pool, standardize
 from .stats import (AlignmentResult, _centered, _doubled_ranks, _rho,
-                    _summarize, permutation_test, stars)
+                    _row_blocks, _summarize, permutation_test, stars)
 
 log = logging.getLogger(__name__)
-
-# Rows of candidate words one block of perpendicular_distance covers.
-_DISTANCE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -72,28 +69,21 @@ def _midpoint_coord(points: np.ndarray, line: CentroidLine) -> np.ndarray:
 
 
 def perpendicular_distance(points: np.ndarray, line: CentroidLine) -> np.ndarray:
-    """Euclidean distance from the point(s) to the line.
+    """Euclidean distance from each point of a stack (one point is a
+    stack of one) to the line.
 
-    The feet and their distances are taken ``_DISTANCE_ROWS`` rows at a
-    time, so a stack of points holds one block of temporaries; the line
-    coordinates stay one product over all rows, which a blocked product
-    could round differently.
+    The feet and their distances are taken one row block at a time
+    (:func:`~phonosem.stats._row_blocks`), so the stack holds one block
+    of temporaries; the line coordinates stay one product over all rows,
+    which a blocked product could round differently.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     u = _midpoint_coord(pts, line)
-    if pts.ndim == 1:
-        return _distance_to_foot(pts, u, line)
     dist = np.empty(pts.shape[0])
-    for r0 in range(0, pts.shape[0], _DISTANCE_ROWS):
-        r1 = r0 + _DISTANCE_ROWS
-        dist[r0:r1] = _distance_to_foot(pts[r0:r1], u[r0:r1], line)
+    for r0, r1 in _row_blocks(*pts.shape):
+        foot = line.midpoint + np.multiply.outer(u[r0:r1], line.direction)
+        dist[r0:r1] = np.linalg.norm(pts[r0:r1] - foot, axis=-1)
     return dist
-
-
-def _distance_to_foot(pts: np.ndarray, u: np.ndarray,
-                      line: CentroidLine) -> np.ndarray:
-    foot = line.midpoint + np.multiply.outer(u, line.direction)
-    return np.linalg.norm(pts - foot, axis=-1)
 
 
 def select_words(
@@ -145,29 +135,14 @@ class ScaleResult:
         }
 
 
-def _exemplar_vectors(
-    words: tuple[str, ...], vocabulary: EmbeddingMatrix, rows: dict[str, int],
-    scale: str, language: str
-) -> np.ndarray:
-    missing = [w for w in words if w not in rows]
+def _exemplars(items: tuple[str, ...], source, missing_from: str) -> list:
+    """``source[item]`` of each exemplar; exemplars missing from
+    ``source`` are an InputError naming every one after
+    ``missing_from``."""
+    missing = [x for x in items if x not in source]
     if missing:
-        raise InputError(
-            f"scale {scale!r} ({language}): semantic exemplars missing from "
-            f"embeddings: {', '.join(missing)}"
-        )
-    return vocabulary.vectors[[rows[w] for w in words]]
-
-
-def _segment_vectors(
-    segments: tuple[str, ...], table: SegmentFeatureTable, scale: str
-) -> np.ndarray:
-    missing = [s for s in segments if s not in table]
-    if missing:
-        raise InputError(
-            f"scale {scale!r}: phonetic exemplar segments missing from "
-            f"feature table: {', '.join(missing)}"
-        )
-    return np.vstack([table[s] for s in segments])
+        raise InputError(f"{missing_from}: {', '.join(missing)}")
+    return [source[x] for x in items]
 
 
 @dataclass(frozen=True)
@@ -230,11 +205,11 @@ def scale_alignment(
         raise InputError(f"scale {scale.name!r} has no exemplars for {language!r}")
 
     index = candidates.vocabulary_rows
+    no_vector = (f"scale {scale.name!r} ({language}): semantic exemplars "
+                 "missing from embeddings")
     sem_line = build_line(
-        _exemplar_vectors(scale.semantic_pos[language], vocabulary, index,
-                          scale.name, language),
-        _exemplar_vectors(scale.semantic_neg[language], vocabulary, index,
-                          scale.name, language),
+        vocabulary.vectors[_exemplars(scale.semantic_pos[language], index, no_vector)],
+        vocabulary.vectors[_exemplars(scale.semantic_neg[language], index, no_vector)],
     )
 
     if candidates.words.n_items < 3:
@@ -245,8 +220,10 @@ def scale_alignment(
     rows = select_words(candidates.words, sem_line, n=n_words)
     phon_std, kept, mean, std = standardize(candidates.phonetic[rows])
 
-    pos_seg = _segment_vectors(scale.phonetic_pos, table, scale.name)[:, kept]
-    neg_seg = _segment_vectors(scale.phonetic_neg, table, scale.name)[:, kept]
+    no_segment = (f"scale {scale.name!r}: phonetic exemplar segments missing "
+                  "from feature table")
+    pos_seg = np.vstack(_exemplars(scale.phonetic_pos, table, no_segment))[:, kept]
+    neg_seg = np.vstack(_exemplars(scale.phonetic_neg, table, no_segment))[:, kept]
     phon_line = build_line((pos_seg - mean) / std, (neg_seg - mean) / std)
 
     sem_coords = project(candidates.words.vectors[rows], sem_line)

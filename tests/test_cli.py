@@ -1,5 +1,6 @@
 """Command-line workflow: exit codes, artifacts, and re-rendering."""
 
+import ast
 import json
 import logging
 import os
@@ -18,7 +19,8 @@ import phonosem
 from phonosem import pipeline
 from phonosem.cca import PoleCandidates, build_pole_report
 from phonosem.cli import main
-from phonosem.corpus import load_lexicon, load_semantic_embeddings
+from phonosem.corpus import (load_feature_table, load_lexicon,
+                             load_semantic_embeddings)
 from phonosem.errors import InputError
 from phonosem.pipeline import PARAMS
 from phonosem.segmentation import read_segmentation_cache
@@ -265,6 +267,19 @@ class TestIngest:
         result = invoke("analyze-global", "--config", path)
         assert result.exit_code == 1
         assert "cca_refit=false, the scores-only CCA null, was removed" in result.output
+
+    @pytest.mark.parametrize("prefix", ["", "subspace_"], ids=["global", "subspace"])
+    def test_null_points_above_shuffles_is_exit_one(self, workspace, tmp_path,
+                                                    prefix):
+        _, _, config = workspace
+        broken = {**config, "params": {**config["params"], f"{prefix}shuffles": 9,
+                                       f"{prefix}null_points": 10}}
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        result = invoke("ingest", "--config", path)
+        assert result.exit_code == 1
+        assert (f"input error: {prefix}null_points exceeds {prefix}shuffles"
+                in result.output)
 
     @pytest.mark.parametrize("section,key", [
         ("params", "shufles"), ("analyses", "rsaa"), (None, "sead")])
@@ -653,6 +668,20 @@ class TestAnalyze:
         assert result.exit_code == 1
         assert "with no config hash" in result.output
 
+    @pytest.mark.parametrize("cut", [lambda b: b"", lambda b: b[:len(b) // 2]],
+                             ids=["empty", "truncated"])
+    def test_interpret_of_a_cut_model_is_exit_one(self, workspace, tmp_path, cut):
+        # np.savez writes in place, so a killed analyze-global can leave these
+        path, lang_dir = self.global_results(workspace, tmp_path)
+        model_path = lang_dir / "cca_model.npz"
+        model_path.write_bytes(cut(model_path.read_bytes()))
+        result = invoke("interpret", "--config", path)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert re.search(rf"input error: {re.escape(str(model_path))}: .+; "
+                         "run analyze-global again", result.output)
+        assert not (lang_dir / "poles.json").exists()
+
     @pytest.mark.parametrize("break_payload,error", [
         (lambda g: g.pop("config_hash"), "KeyError: 'config_hash'"),
         (lambda g: g["results"]["cca"][0].pop("p"), "KeyError: 'p'"),
@@ -916,6 +945,33 @@ class TestAnalyze:
         assert "analysis error" in result.output
 
 
+@pytest.mark.parametrize("forms", [{"pa": "pa", "pa|x": "pak"}, {"q|x": "ta"}],
+                         ids=["prefix-is-a-form", "prefix-is-no-form"])
+def test_each_morpheme_gets_its_own_forms_vector(tmp_path, forms):
+    # a morpheme's id is "form|transcription", and a form may hold "|"
+    path, paths = language_config(tmp_path, SMALL_RUN)
+    with paths["segmentations"].open("a", encoding="utf-8") as fh:
+        for form, ipa in forms.items():
+            fh.write(json.dumps({"word": form, "ipa": ipa, "pairs": [[form, ipa]],
+                                 "perplexity": 1.0}) + "\n")
+    with paths["vectors"].open("a", encoding="utf-8") as fh:
+        for i, form in enumerate(forms):
+            fh.write(form + f" {i + 1.5} -0.5" * 4 + "\n")
+    config = pipeline.RunConfig.from_file(path)
+    phon, sem, *_ = pipeline.load_language_spaces(
+        config, "syn", load_feature_table(config.feature_table),
+        pipeline.input_digests(config, ("vectors",)))
+    mset = pipeline.analysed_morphemes(config, "syn")
+    form_of = {f"{m.form}|{m.transcription}": m.form for m in mset}
+    assert len(form_of) == len(mset)  # no id is ambiguous here
+    vectors, _ = load_semantic_embeddings(paths["vectors"], {m.form for m in mset})
+    by_form = dict(zip(vectors.ids, vectors.vectors))
+    assert {f"{form}|{ipa}" for form, ipa in forms.items()} <= set(phon.ids)
+    assert sem.ids == phon.ids
+    for item_id, row in zip(sem.ids, sem.vectors):
+        assert np.array_equal(row, by_form[form_of[item_id]]), item_id
+
+
 class TestVectorStore:
     """The store of parsed vector rows under ``<output_dir>/vectors``."""
 
@@ -1103,10 +1159,10 @@ class TestVectorStore:
         config = pipeline.RunConfig.from_file(path)
         assert stores == sorted(pipeline.input_digests(config, ("vectors",)).values())
 
-    def test_store_written_out_of_line_order_reads_in_file_order(
-            self, tmp_path, monkeypatch):
-        # an older version wrote the store's earlier rows first and then
-        # the newly parsed ones, so its rows need not be in line order
+    def test_store_out_of_line_order_is_ignored_and_rewritten(self, tmp_path,
+                                                              caplog):
+        # every version writes a store's rows in line order, so rows that
+        # are not in line order are damage
         path, paths = self.odd_language(tmp_path)
         out = tmp_path / "out"
         for command in ("analyze-global", "analyze-subspace", "interpret"):
@@ -1115,46 +1171,34 @@ class TestVectorStore:
         payloads = {name: (out / name).read_bytes()
                     for name in ("subspace.json", "syn/poles.json")}
         store = self.store(tmp_path, paths)
-        shutil.rmtree(out / "vectors")
-        result = invoke("analyze-global", "--config", path)
-        assert result.exit_code == 0, result.output
-        header, earlier = store.read_bytes().split(b"\n", 1)
+        header, body = store.read_bytes().split(b"\n", 1)
         header = json.loads(header)
+        width = 8 * header["dim"]
+        rows = [body[i:i + width] for i in range(0, len(body), width)]
+        assert len(rows) == len(header["tokens"]) > 2
+        header.update(tokens=header["tokens"][::-1], lines=header["lines"][::-1])
+        store.write_bytes(json.dumps(header).encode() + b"\n" + b"".join(rows[::-1]))
+
+        caplog.clear()
+        result = invoke("analyze-subspace", "--config", path)
+        assert result.exit_code == 0, result.output
+        assert (f"{store}: store ignored (ValueError: rows out of line order)"
+                in caplog.text)
         vocabulary = [lx.word for lx in load_lexicon(paths["lexicon"])]
         fresh, fresh_missing = load_semantic_embeddings(paths["vectors"], vocabulary)
-        parsed, _ = load_semantic_embeddings(
-            paths["vectors"], set(fresh.ids) - set(header["tokens"]))
-        # so the layout below is out of line order
-        assert min(parsed.lines) < max(header["lines"])
-        header.update(tokens=header["tokens"] + list(parsed.ids),
-                      lines=header["lines"] + parsed.lines.tolist(),
-                      absent=fresh_missing)
-        store.write_bytes(json.dumps(header).encode() + b"\n" + earlier
-                          + parsed.vectors.astype("<f8").tobytes())
+        header, body = store.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        assert header["tokens"] == list(fresh.ids)
+        assert header["lines"] == fresh.lines.tolist()
+        assert header["absent"] == fresh_missing == ["zz_absent"]
+        assert body == fresh.vectors.astype("<f8").tobytes()
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("text parsed for rows the store holds")
-        monkeypatch.setattr("phonosem.pipeline.load_semantic_embeddings", refuse)
-        config = pipeline.RunConfig.from_file(path)
-        digests = pipeline.input_digests(config, ("vectors",))
-        rows, missing = pipeline.load_vectors(config, "syn", digests, vocabulary)
-        assert rows.ids == fresh.ids
-        assert rows.vectors.tobytes() == fresh.vectors.tobytes()
-        assert missing == fresh_missing == ["zz_absent"]
-        for command in ("analyze-subspace", "interpret"):
-            result = invoke(command, "--config", path)
-            assert result.exit_code == 0, result.output
+        caplog.clear()
+        result = invoke("interpret", "--config", path)
+        assert result.exit_code == 0, result.output
+        assert "store ignored" not in caplog.text
         for name, payload in payloads.items():
             assert (out / name).read_bytes() == payload, name
-
-        # a read that scans the text, even one that finds nothing, writes
-        # the store back in line order
-        monkeypatch.undo()
-        pipeline.load_vectors(config, "syn", digests, ["zz_unseen"], allow_none=True)
-        header = json.loads(store.read_bytes().split(b"\n", 1)[0])
-        assert header["lines"] == sorted(header["lines"])
-        assert sorted(header["tokens"]) == sorted(fresh.ids)
-        assert header["absent"] == ["zz_absent", "zz_unseen"]
 
     def test_nothing_matched_names_the_file(self, tmp_path, monkeypatch):
         path, paths = language_config(tmp_path, SMALL_RUN)
@@ -1408,6 +1452,18 @@ def test_runtime_imports_no_test_only_package(tmp_path):
     assert run.stdout.splitlines()[-1] == "[]"
     poles = json.loads((tmp_path / "out" / "syn" / "poles.json").read_text("utf-8"))
     assert poles["components"]
+
+
+def test_every_imported_name_is_used():
+    for path in sorted(Path(phonosem.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not imported - used, (path.name, sorted(imported - used))
 
 
 def test_readme_parameter_table_lists_every_param():

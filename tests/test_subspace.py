@@ -1,6 +1,7 @@
 """Centroid lines, projections, word selection, and scale alignment."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from phonosem import pipeline, subspace
 from phonosem.corpus import EmbeddingMatrix, Lexeme, ScaleConfig, load_lexicon
 from phonosem.errors import AnalysisError, InputError
+from phonosem.stats import _BLOCK_ELEMENTS, _row_blocks
 from phonosem.subspace import (CentroidLine, build_line,
                                perpendicular_distance, pool_candidates,
                                project, scale_alignment, select_words)
@@ -85,15 +87,17 @@ class TestPerpendicularDistance:
         rhs = np.sum((pts - line.origin) ** 2, axis=1)
         assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
+    # points of DIMS dimensions, so one row block covers BLOCK rows
+    DIMS = 256
+    BLOCK = _BLOCK_ELEMENTS // DIMS
 
-    @pytest.mark.parametrize("rows", [1, subspace._DISTANCE_ROWS - 1,
-                                      subspace._DISTANCE_ROWS,
-                                      subspace._DISTANCE_ROWS + 1,
-                                      2 * subspace._DISTANCE_ROWS + 3])
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
     def test_row_blocks_equal_the_one_shot_formula(self, rows):
+        assert len(list(_row_blocks(rows, self.DIMS))) == -(-rows // self.BLOCK)
         rng = np.random.default_rng(rows)
-        line = build_line(rng.normal(size=(3, 20)), rng.normal(size=(2, 20)))
-        pts = rng.normal(size=(rows, 20))
+        line = build_line(rng.normal(size=(3, self.DIMS)),
+                          rng.normal(size=(2, self.DIMS)))
+        pts = rng.normal(size=(rows, self.DIMS))
         d2 = np.dot(line.direction, line.direction)
         u = (pts - line.midpoint) @ line.direction / d2
         foot = line.midpoint + np.multiply.outer(u, line.direction)
@@ -246,12 +250,21 @@ class TestScaleAlignment:
 
     def test_missing_exemplar_named(self, small_language, feature_table):
         words, lexicon, vectors = small_language
-        scale = ScaleConfig("demo", ("p",), ("t",),
-                            {"en": ("nosuchword",)}, {"en": (words[0],)})
         vocab = EmbeddingMatrix(tuple(words), vectors)
-        with pytest.raises(InputError, match="nosuchword"):
-            scale_alignment(scale, "en", vocab, feature_table,
-                            pool_candidates(vocab, lexicon, feature_table))
+        candidates = pool_candidates(vocab, lexicon, feature_table)
+        scale = ScaleConfig("demo", ("p",), ("t",),
+                            {"en": ("nosuchword", words[1], "nosuchword2")},
+                            {"en": (words[0],)})
+        with pytest.raises(InputError, match=re.escape(
+                "scale 'demo' (en): semantic exemplars missing from embeddings: "
+                "nosuchword, nosuchword2")):
+            scale_alignment(scale, "en", vocab, feature_table, candidates)
+        scale = ScaleConfig("demo", ("p", "q0", "q1"), ("t",),
+                            {"en": (words[1],)}, {"en": (words[0],)})
+        with pytest.raises(InputError, match=re.escape(
+                "scale 'demo': phonetic exemplar segments missing from feature "
+                "table: q0, q1")):
+            scale_alignment(scale, "en", vocab, feature_table, candidates)
 
     def test_missing_language(self, small_language, feature_table):
         words, lexicon, vectors = small_language
