@@ -207,43 +207,10 @@ def canonical_rank_correlations(
 # ---------------------------------------------------------------------------
 # Pole extraction
 
-def extract_phonetic_pole(
-    loadings: np.ndarray,
-    feature_names: Sequence[str],
-    sign: str,
-    percentile: float = 75.0,
-    threshold: float = 0.05,
-) -> list[tuple[str, float]]:
-    """Features in the top quartile of one loading sign.
-
-    For sign "+": among strictly positive loadings, keep those at or
-    above the given percentile of the positive subset (linear
-    interpolation) and at or above the absolute threshold. Sign "-" is
-    symmetric on magnitudes of the negative loadings. Sorted by |loading|
-    descending, ties by feature name.
-    """
-    loadings = np.asarray(loadings, dtype=np.float64)
-    if sign not in ("+", "-"):
-        raise AnalysisError(f"sign must be '+' or '-', got {sign!r}")
-    if sign == "+":
-        idx = np.flatnonzero(loadings > 0)
-        mags = loadings[idx]
-    else:
-        idx = np.flatnonzero(loadings < 0)
-        mags = -loadings[idx]
-    if idx.size == 0:
-        return []
-    cut = np.percentile(mags, percentile)  # linear interpolation
-    kept = [(feature_names[i], float(loadings[i]))
-            for i, m in zip(idx, mags) if m >= cut and m >= threshold]
-    kept.sort(key=lambda t: (-abs(t[1]), t[0]))
-    return kept
-
-
 @dataclass(frozen=True)
 class PoleCandidates:
     """The candidate words of the semantic poles, in vocabulary order,
-    with their vectors and the vectors' norms."""
+    with their vectors and the vectors' norms, none of them zero."""
 
     ids: np.ndarray
     vectors: np.ndarray
@@ -251,74 +218,69 @@ class PoleCandidates:
 
 
 def pole_candidates(vocabulary: EmbeddingMatrix) -> PoleCandidates:
-    """Every word of ``vocabulary`` as a pole candidate. The caller picks
-    the words: ``interpret`` loads the vectors of the lexicon words above
-    ``zipf_cutoff`` alone (``pipeline.load_pole_candidates``)."""
-    return PoleCandidates(
-        ids=np.array(vocabulary.ids, dtype=str), vectors=vocabulary.vectors,
-        norms=np.linalg.norm(vocabulary.vectors, axis=1))
+    """Every word of ``vocabulary`` whose vector has a non-zero norm, as a
+    pole candidate; a zero vector has no cosine with any direction. The
+    caller picks the words: ``interpret`` loads the vectors of the
+    lexicon words above ``zipf_cutoff`` alone
+    (``pipeline.load_pole_candidates``)."""
+    norms = np.linalg.norm(vocabulary.vectors, axis=1)
+    keep = norms > 0.0
+    return PoleCandidates(ids=np.array(vocabulary.ids, dtype=str)[keep],
+                          vectors=vocabulary.vectors[keep], norms=norms[keep])
 
 
-def semantic_pole_neighbors(
-    model: CcaModel,
-    component: int,
-    sign: str,
-    candidates: PoleCandidates,
-    k: int = 10,
-) -> list[tuple[str, float]]:
-    """Nearest candidate words to one semantic pole direction.
+def _phonetic_poles(loadings: np.ndarray, feature_names: Sequence[str],
+                    percentile: float, threshold: float) -> tuple[list, list]:
+    """The features of the + pole and of the - pole, as records.
 
-    The pole direction is the signed semantic weight vector mapped back
-    to raw embedding coordinates (weights divided by the per-dimension
-    standardization scale, so that raw-space projections reproduce the
-    variate up to a constant). The candidates are the words above the
-    zipf cutoff (see ``pole_candidates``). Fewer than k candidates give
-    fewer neighbours, with a warning.
+    For the + pole: among strictly positive loadings, keep those at or
+    above the given percentile of the positive subset (linear
+    interpolation) and at or above the absolute threshold. The - pole is
+    the + pole of the negated loadings. Each lists signed loadings,
+    sorted by |loading| descending, ties by feature name.
     """
-    if sign not in ("+", "-"):
-        raise AnalysisError(f"sign must be '+' or '-', got {sign!r}")
-    if not 0 <= component < model.n_components:
-        raise AnalysisError(f"component {component} out of range")
+    def pole(signed: np.ndarray) -> list[dict]:
+        idx = np.flatnonzero(signed > 0)
+        if idx.size == 0:
+            return []
+        mags = signed[idx]
+        cut = np.percentile(mags, percentile)  # linear interpolation
+        kept = sorted(((feature_names[i], float(loadings[i])) for i, m
+                       in zip(idx, mags) if m >= cut and m >= threshold),
+                      key=lambda t: (-abs(t[1]), t[0]))
+        return [{"item": name, "value": value} for name, value in kept]
+    return pole(loadings), pole(-loadings)
+
+
+def _semantic_poles(model: CcaModel, component: int, candidates: PoleCandidates,
+                    k: int) -> tuple[list, list]:
+    """The k candidate words nearest in cosine to the + and to the -
+    semantic pole direction, ties by word, as records.
+
+    The + direction is the semantic weight vector mapped back to raw
+    embedding coordinates (weights divided by the per-dimension
+    standardization scale, so that raw-space projections reproduce the
+    variate up to a constant); the - direction is its negation. Fewer
+    than k candidates give fewer neighbours, with a warning.
+    """
     direction = model.weights_semantic[:, component] / model.scale_semantic
-    if sign == "-":
-        direction = -direction
     norm = np.linalg.norm(direction)
     if norm == 0.0:
         raise AnalysisError("zero pole direction")
-    direction = direction / norm
-
-    if not candidates.ids.size:
+    n = candidates.ids.size
+    if not n:
         log.warning("semantic pole: no candidates above the zipf cutoff")
-        return []
-    ok = candidates.norms > 0.0
-    sims = np.full(candidates.ids.size, -np.inf)
-    sims[ok] = (candidates.vectors[ok] @ direction) / candidates.norms[ok]
-    top = np.lexsort((candidates.ids, -sims))[:k]
-    if len(top) < k:
-        log.warning("semantic pole: only %d candidates for k=%d", len(top), k)
-    return [(str(candidates.ids[j]), float(sims[j])) for j in top]
+        return [], []
+    if n < k:
+        log.warning("semantic pole: only %d candidates for k=%d", n, k)
+    dots = candidates.vectors @ (direction / norm)
 
-
-@dataclass(frozen=True)
-class PoleReport:
-    component: int  # 1-based, matching report tables
-    phonetic_pos: tuple[tuple[str, float], ...]
-    phonetic_neg: tuple[tuple[str, float], ...]
-    semantic_pos: tuple[tuple[str, float], ...]
-    semantic_neg: tuple[tuple[str, float], ...]
-
-    def to_record(self) -> dict:
-        def fmt(items):
-            return [{"item": name, "value": val} for name, val in items]
-        return {
-            "component": self.component,
-            "phonetic_pos": fmt(self.phonetic_pos),
-            "phonetic_neg": fmt(self.phonetic_neg),
-            "semantic_pos": fmt(self.semantic_pos),
-            "semantic_neg": fmt(self.semantic_neg),
-            "interpretation_semantic": "",
-            "interpretation_phonetic": "",
-        }
+    def pole(cosines: np.ndarray) -> list[dict]:
+        return [{"item": str(candidates.ids[j]), "value": float(cosines[j])}
+                for j in np.lexsort((candidates.ids, -cosines))[:k]]
+    # 0.0 - dots, as the product with the negated direction gives, where
+    # -dots would turn the +0.0 cosine of an orthogonal candidate to -0.0
+    return pole(dots / candidates.norms), pole((0.0 - dots) / candidates.norms)
 
 
 def build_pole_report(
@@ -330,18 +292,22 @@ def build_pole_report(
     k: int = 10,
     percentile: float = 75.0,
     threshold: float = 0.05,
-) -> PoleReport:
-    """Assemble the interpretation table row for one canonical variate."""
+) -> dict:
+    """The ``poles.json`` record of one canonical variate (``component``
+    is 0-based, the record's 1-based, matching report tables)."""
+    if not 0 <= component < model.n_components:
+        raise AnalysisError(f"component {component} out of range")
     loadings = structure_loadings(phonetic_matrix,
                                   model.scores_phonetic[:, component])
-    pos = semantic_pole_neighbors(model, component, "+", candidates, k=k)
-    neg = semantic_pole_neighbors(model, component, "-", candidates, k=k)
-    return PoleReport(
-        component=component + 1,
-        phonetic_pos=tuple(extract_phonetic_pole(loadings, feature_names, "+",
-                                                 percentile, threshold)),
-        phonetic_neg=tuple(extract_phonetic_pole(loadings, feature_names, "-",
-                                                 percentile, threshold)),
-        semantic_pos=tuple(pos),
-        semantic_neg=tuple(neg),
-    )
+    phonetic_pos, phonetic_neg = _phonetic_poles(loadings, feature_names,
+                                                 percentile, threshold)
+    semantic_pos, semantic_neg = _semantic_poles(model, component, candidates, k)
+    return {
+        "component": component + 1,
+        "phonetic_pos": phonetic_pos,
+        "phonetic_neg": phonetic_neg,
+        "semantic_pos": semantic_pos,
+        "semantic_neg": semantic_neg,
+        "interpretation_semantic": "",
+        "interpretation_phonetic": "",
+    }

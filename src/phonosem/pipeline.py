@@ -23,13 +23,15 @@ import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
+from urllib.parse import quote
 
 import numpy as np
 
 from . import __version__
-from .corpus import (EmbeddingMatrix, Lexeme, MorphemeSet, SegmentFeatureTable,
-                     VectorRows, _nfc, _open_input, load_feature_table,
-                     load_lexicon, load_scale_configs, load_semantic_embeddings)
+from .corpus import (EmbeddingMatrix, Lexeme, Morpheme, MorphemeSet,
+                     SegmentFeatureTable, VectorRows, _nfc, _open_input,
+                     load_feature_table, load_lexicon, load_scale_configs,
+                     load_semantic_embeddings)
 from .cca import (DEFAULT_RIDGE, CcaModel, PoleCandidates, build_pole_report,
                   canonical_rank_correlations, fit_cca, pole_candidates)
 from .errors import AnalysisError, InputError
@@ -273,6 +275,21 @@ def load_pole_candidates(config: RunConfig, language: str,
     return pole_candidates(vocab)
 
 
+# percent-encoded in a morpheme id: "%", the "|" that joins its two
+# sides, and every character str.splitlines splits on
+_ID_ESCAPED = re.compile("[%|\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _morpheme_id(morpheme: Morpheme) -> str:
+    """The id of a morpheme: its form and transcription joined by "|",
+    with "%", "|" and line breaks in each percent-encoded (UTF-8). No two
+    morphemes share one, ``str.splitlines`` never splits one, and
+    ``[urllib.parse.unquote(s) for s in id.split("|")]`` gives back
+    [form, transcription]."""
+    return "|".join(_ID_ESCAPED.sub(lambda c: quote(c[0]), side)
+                    for side in (morpheme.form, morpheme.transcription))
+
+
 def load_language_spaces(config: RunConfig, language: str,
                          table: SegmentFeatureTable, digests: dict[str, str]):
     """Aligned phonetic and semantic embedding matrices over morphemes;
@@ -293,22 +310,19 @@ def load_language_spaces(config: RunConfig, language: str,
     sem_norm = np.linalg.norm(sem_by_form.vectors, axis=1)
     form_index = {w: i for i, w in enumerate(sem_by_form.ids) if sem_norm[i] > 0.0}
     morphemes = [m for m in mset if m.form in form_index]
-    # pooled under their positions, since a form or a transcription may
-    # hold "|": an id names its morpheme, but cannot be split back into one
     pooled, feature_names, skipped = build_phonetic_embeddings(
         [(str(i), m.transcription) for i, m in enumerate(morphemes)], table)
-    item_id = "{0.form}|{0.transcription}".format
 
     keep = np.flatnonzero(np.linalg.norm(pooled.vectors, axis=1) > 0.0)
     if len(keep) < 3:
         raise AnalysisError(f"{language}: fewer than 3 morphemes in both spaces")
     kept = [morphemes[int(pooled.ids[i])] for i in keep]
-    ids = tuple(map(item_id, kept))
+    ids = tuple(map(_morpheme_id, kept))
     phon = EmbeddingMatrix(ids=ids, vectors=pooled.vectors[keep])
     sem = EmbeddingMatrix(
         ids=ids, vectors=sem_by_form.vectors[[form_index[m.form] for m in kept]])
     return (phon, sem, feature_names, len(mset),
-            [item_id(morphemes[int(i)]) for i in skipped])
+            [_morpheme_id(morphemes[int(i)]) for i in skipped])
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +491,6 @@ def run_global(config: RunConfig) -> dict[str, Path]:
             cv_results = canonical_rank_correlations(
                 model, X=phon.vectors, Y=sem.vectors, **_null(config, "cca", lang))
             results["cca"] = [r.to_record() for r in cv_results]
-            _save_cca_artifacts(
-                out_dir / lang, model, phon, feature_names, config.config_hash(),
-                {role: digests[path]
-                 for role, path in _language_inputs(config, lang).items()})
 
         payload = {
             "language": lang,
@@ -496,7 +506,14 @@ def run_global(config: RunConfig) -> dict[str, Path]:
             ],
         }
         path = out_dir / lang / "global.json"
+        # global.json first: a run killed before the model is written
+        # leaves the model of an earlier run, whose stamps interpret checks
         _dump_json(payload, path)
+        if "cca" in results:
+            _save_cca_artifacts(
+                out_dir / lang, model, phon, feature_names, config.config_hash(),
+                {role: digests[input_path]
+                 for role, input_path in _language_inputs(config, lang).items()})
         written[f"global:{lang}"] = path
         grid_rows.append(payload)
 
@@ -657,7 +674,7 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
             candidates = load_pole_candidates(config, lang, digests)
             reports = [build_pole_report(
                 model, c, phon_vectors, feature_names, candidates, k=p["k"],
-                percentile=p["percentile"], threshold=p["threshold"]).to_record()
+                percentile=p["percentile"], threshold=p["threshold"])
                 for c in significant]
         else:
             log.info("%s: no significant components; empty pole report", lang)

@@ -121,10 +121,6 @@ def parse_response(text: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def render_pairs(pairs: Sequence[tuple[str, str]]) -> str:
-    return ",".join(f"({m},{t})" for m, t in pairs)
-
-
 # ---------------------------------------------------------------------------
 # Provider boundary
 
@@ -405,7 +401,7 @@ def segment_words(
     cache_path = Path(cache_path)
     done: dict[str, Segmentation] = {}
     if cache_path.exists():
-        _cut_partial_line(cache_path)
+        _end_last_line(cache_path)
         done = {seg.word: seg for seg in read_segmentation_cache(cache_path)}
     out: list[Segmentation] = []
     cache_path.parent.mkdir(parents=True, exist_ok=True)
@@ -446,9 +442,8 @@ def read_segmentation_cache(path: str | Path) -> list[Segmentation]:
             if not line.strip():
                 continue
             try:
-                segs.append(Segmentation.from_record(json.loads(line.decode("utf-8"))))
-            # UnicodeDecodeError and json.JSONDecodeError are ValueErrors
-            except (ValueError, KeyError, TypeError) as exc:
+                segs.append(_cache_record(line))
+            except _NOT_A_RECORD as exc:
                 if line.endswith(b"\n"):
                     raise ParseError(f"{path}:{lineno}: {_record_error(exc)}") from None
                 log.warning("%s:%d: dropped a partial last line (%s)",
@@ -456,13 +451,29 @@ def read_segmentation_cache(path: str | Path) -> list[Segmentation]:
     return segs
 
 
-def _cut_partial_line(path: Path) -> None:
-    """Cut off what follows the cache's last newline, where a killed run
-    leaves a partial record, so that appended records start on a line
-    of their own."""
+# what a cache line that holds no record raises; UnicodeDecodeError and
+# json.JSONDecodeError are ValueErrors
+_NOT_A_RECORD = (ValueError, KeyError, TypeError)
+
+
+def _cache_record(line: bytes) -> Segmentation:
+    return Segmentation.from_record(json.loads(line.decode("utf-8")))
+
+
+def _end_last_line(path: Path) -> None:
+    """End the cache with a newline, so that appended records start on a
+    line of their own. A last line without one that holds a record, which
+    ``read_segmentation_cache`` keeps, gets one; any other, the partial
+    record a killed run leaves, is cut off."""
     with path.open("rb+") as fh:
         data = fh.read()
         end = data.rfind(b"\n") + 1
-        if end < len(data):
+        if end == len(data):
+            return
+        try:
+            _cache_record(data[end:])
+        except _NOT_A_RECORD:
             log.warning("%s: cut off a partial last line", path)
             fh.truncate(end)
+        else:
+            fh.write(b"\n")

@@ -1,13 +1,16 @@
 """CCA fitting, canonical rank correlations, loadings, and poles."""
 
+import dataclasses
+import json
 import logging
 
 import numpy as np
 import pytest
 
-from phonosem.cca import (build_pole_report, canonical_rank_correlations,
-                          extract_phonetic_pole, fit_cca, pole_candidates,
-                          semantic_pole_neighbors, structure_loadings)
+from phonosem import cca
+from phonosem.cca import (CcaModel, _phonetic_poles, _semantic_poles,
+                          build_pole_report, canonical_rank_correlations,
+                          fit_cca, pole_candidates, structure_loadings)
 from phonosem.corpus import EmbeddingMatrix
 from phonosem.errors import AnalysisError
 
@@ -145,35 +148,43 @@ class TestStructureLoadings:
         assert loadings[2] == 0.0
 
 
+def pairs(pole):
+    """A pole's records as (item, value) pairs."""
+    return [(e["item"], e["value"]) for e in pole]
+
+
 class TestExtractPhoneticPole:
     names = ["a", "b", "c", "d"]
 
+    @staticmethod
+    def poles(loadings, names):
+        pos, neg = _phonetic_poles(np.asarray(loadings), names, 75.0, 0.05)
+        return pairs(pos), pairs(neg)
+
     def test_percentile_and_threshold(self):
-        loadings = np.array([0.9, 0.2, 0.04, -0.5])
-        kept = extract_phonetic_pole(loadings, self.names, "+")
-        assert kept == [("a", 0.9)]
+        pos, _ = self.poles([0.9, 0.2, 0.04, -0.5], self.names)
+        assert pos == [("a", 0.9)]
 
     def test_all_negative_sign_plus_empty(self):
-        assert extract_phonetic_pole(np.array([-0.3, -0.1]), ["a", "b"], "+") == []
+        assert self.poles([-0.3, -0.1], ["a", "b"])[0] == []
 
     def test_tie_kept_name_order(self):
-        kept = extract_phonetic_pole(np.array([-0.6, -0.6]), ["b", "a"], "-")
-        assert kept == [("a", -0.6), ("b", -0.6)]
+        _, neg = self.poles([-0.6, -0.6], ["b", "a"])
+        assert neg == [("a", -0.6), ("b", -0.6)]
 
     def test_negative_sign_symmetric(self):
-        loadings = np.array([0.9, -0.9, -0.2, -0.04])
-        kept = extract_phonetic_pole(loadings, self.names, "-")
-        assert kept == [("b", -0.9)]
+        _, neg = self.poles([0.9, -0.9, -0.2, -0.04], self.names)
+        assert neg == [("b", -0.9)]
 
     def test_feature_permutation_invariance(self):
         rng = np.random.default_rng(45)
         loadings = rng.uniform(-1, 1, size=8)
         names = [f"f{i}" for i in range(8)]
-        base = extract_phonetic_pole(loadings, names, "+")
         perm = rng.permutation(8)
-        permuted = extract_phonetic_pole(loadings[perm],
-                                         [names[i] for i in perm], "+")
-        assert sorted(base) == sorted(permuted)
+        base = self.poles(loadings, names)
+        permuted = self.poles(loadings[perm], [names[i] for i in perm])
+        for got, want in zip(permuted, base):
+            assert sorted(got) == sorted(want)
 
 
 class TestSemanticPoleNeighbors:
@@ -192,33 +203,30 @@ class TestSemanticPoleNeighbors:
         vectors = vocab.vectors.copy()
         vectors[7] = direction / np.linalg.norm(direction)
         vocab = EmbeddingMatrix(vocab.ids, vectors)
-        neighbors = semantic_pole_neighbors(
-            model, 0, "+", pole_candidates(vocab))
-        assert len(neighbors) == 10
-        assert neighbors[0][0] == "w7"
-        assert neighbors[0][1] == pytest.approx(1.0, abs=1e-12)
+        pos, _ = _semantic_poles(model, 0, pole_candidates(vocab), 10)
+        assert len(pos) == 10
+        assert pos[0]["item"] == "w7"
+        assert pos[0]["value"] == pytest.approx(1.0, abs=1e-12)
 
     def test_zipf_cutoff_empties_candidates(self, caplog):
         # no word above the cutoff had a vector, so none was loaded
         rng = np.random.default_rng(47)
         model, vocab = self.make_fixture(rng)
-        neighbors = semantic_pole_neighbors(
-            model, 0, "+", pole_candidates(vocab.subset([])))
-        assert neighbors == []
+        poles = _semantic_poles(model, 0, pole_candidates(vocab.subset([])), 10)
+        assert poles == ([], [])
         assert "no candidates above the zipf cutoff" in caplog.text
 
     def test_matches_brute_force_ranking(self):
         rng = np.random.default_rng(48)
         model, vocab = self.make_fixture(rng)
-        neighbors = semantic_pole_neighbors(
-            model, 1, "-", pole_candidates(vocab), k=5)
+        _, neg = _semantic_poles(model, 1, pole_candidates(vocab), 5)
         direction = -model.weights_semantic[:, 1] / model.scale_semantic
         direction = direction / np.linalg.norm(direction)
         sims = {}
         for w, vec in zip(vocab.ids, vocab.vectors):
             sims[w] = float(vec @ direction / np.linalg.norm(vec))
         expected = sorted(vocab.ids, key=lambda w: (-sims[w], w))[:5]
-        assert [w for w, _ in neighbors] == expected
+        assert [e["item"] for e in neg] == expected
 
     def test_tied_similarities_break_by_word(self):
         rng = np.random.default_rng(50)
@@ -226,31 +234,76 @@ class TestSemanticPoleNeighbors:
         words = ("z", "b", "é", "ab", "a", "w3", "w1", "w2")
         base = rng.normal(size=(2, 4))
         vocab = EmbeddingMatrix(words, np.repeat(base, 4, axis=0))
-        neighbors = semantic_pole_neighbors(
-            model, 0, "+", pole_candidates(vocab), k=6)
-        assert len({s for _, s in neighbors}) == 2
+        pos, _ = _semantic_poles(model, 0, pole_candidates(vocab), 6)
+        assert len({e["value"] for e in pos}) == 2
         direction = model.weights_semantic[:, 0] / model.scale_semantic
         cosine = base @ direction / np.linalg.norm(base, axis=1)
         groups = [sorted(words[:4]), sorted(words[4:])]
         if cosine[1] > cosine[0]:
             groups.reverse()
-        assert [w for w, _ in neighbors] == (groups[0] + groups[1])[:6]
+        assert [e["item"] for e in pos] == (groups[0] + groups[1])[:6]
 
     def test_sign_flip_swaps_poles(self):
         rng = np.random.default_rng(49)
         model, vocab = self.make_fixture(rng)
         candidates = pole_candidates(vocab)
-        pos = semantic_pole_neighbors(model, 0, "+", candidates, k=5)
-        neg = semantic_pole_neighbors(model, 0, "-", candidates, k=5)
-        flipped = model.__class__(**{
-            **{f.name: getattr(model, f.name)
-               for f in model.__dataclass_fields__.values()},
-            "weights_semantic": -model.weights_semantic,
-        })
-        pos_f = semantic_pole_neighbors(flipped, 0, "+", candidates, k=5)
-        neg_f = semantic_pole_neighbors(flipped, 0, "-", candidates, k=5)
-        assert pos_f == neg
-        assert neg_f == pos
+        pos, neg = _semantic_poles(model, 0, candidates, 5)
+        flipped = dataclasses.replace(
+            model, weights_semantic=-model.weights_semantic)
+        assert _semantic_poles(flipped, 0, candidates, 5) == (neg, pos)
+
+
+# A hand-built model over 3 semantic dimensions: variate 1 points along
+# the first axis, variate 2 along the diagonal of the first two
+POLE_MODEL = CcaModel(
+    n_components=2,
+    weights_semantic=np.array([[2.0, 1.0], [0.0, 1.0], [0.0, 0.0]]),
+    scores_phonetic=np.zeros((4, 2)), scores_semantic=np.zeros((4, 2)),
+    canonical_pearson=np.zeros(2), scale_semantic=np.ones(3), ridge=0.0)
+# fewer than k = 10 candidates, none of zero norm: "zeta" is orthogonal
+# to variate 1, "orth" to variate 2, and "tie_a" and "tie_b" tie
+POLE_WORDS = EmbeddingMatrix(
+    ("zeta", "orth", "tie_b", "tie_a", "neg", "pos"),
+    np.array([[0.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 2.0, 3.0],
+              [1.0, 2.0, 3.0], [-3.0, 1.0, 0.0], [4.0, 0.0, 1.0]]))
+POLE_CASES = [
+    # component, loadings of f00..f11, percentile, threshold. Variate 1:
+    # 0.5 and -0.5; -0.05 at the threshold; 0.1 and -0.03 at the
+    # percentile cut; a tie at 0.3; 0.0 and -0.0. Variate 2: no negative
+    # loading
+    (0, [0.5, 0.3, -0.5, 0.3, -0.05, 0.1, -0.04, 0.06, -0.03, 0.0, -0.02, -0.0],
+     25.0, 0.05),
+    (1, [0.7, 0.0, 0.2, -0.0, 0.0, 0.2, 0.01, 0.0, 0.0, 0.0, 0.0, 0.0],
+     75.0, 0.05),
+]
+# the records PoleReport.to_record() gave for these cases, before
+# build_pole_report returned them itself
+POLE_RECORDS = [
+    '{"component": 1, "interpretation_phonetic": "", "interpretation_semantic": '
+    '"", "phonetic_neg": [{"item": "f02", "value": -0.5}, {"item": "f04", '
+    '"value": -0.05}], "phonetic_pos": [{"item": "f00", "value": 0.5}, {"item": '
+    '"f01", "value": 0.3}, {"item": "f03", "value": 0.3}, {"item": "f05", '
+    '"value": 0.1}], "semantic_neg": [{"item": "neg", "value": '
+    '0.9486832980505138}, {"item": "zeta", "value": 0.0}, {"item": "tie_a", '
+    '"value": -0.2672612419124244}, {"item": "tie_b", "value": '
+    '-0.2672612419124244}, {"item": "orth", "value": -0.7071067811865475}, '
+    '{"item": "pos", "value": -0.9701425001453319}], "semantic_pos": [{"item": '
+    '"pos", "value": 0.9701425001453319}, {"item": "orth", "value": '
+    '0.7071067811865475}, {"item": "tie_a", "value": 0.2672612419124244}, '
+    '{"item": "tie_b", "value": 0.2672612419124244}, {"item": "zeta", "value": '
+    '0.0}, {"item": "neg", "value": -0.9486832980505138}]}',
+    '{"component": 2, "interpretation_phonetic": "", "interpretation_semantic": '
+    '"", "phonetic_neg": [], "phonetic_pos": [{"item": "f00", "value": 0.7}], '
+    '"semantic_neg": [{"item": "neg", "value": 0.44721359549995787}, {"item": '
+    '"orth", "value": 0.0}, {"item": "tie_a", "value": -0.5669467095138409}, '
+    '{"item": "tie_b", "value": -0.5669467095138409}, {"item": "pos", "value": '
+    '-0.6859943405700353}, {"item": "zeta", "value": -0.7071067811865475}], '
+    '"semantic_pos": [{"item": "zeta", "value": 0.7071067811865475}, {"item": '
+    '"pos", "value": 0.6859943405700353}, {"item": "tie_a", "value": '
+    '0.5669467095138409}, {"item": "tie_b", "value": 0.5669467095138409}, '
+    '{"item": "orth", "value": 0.0}, {"item": "neg", "value": '
+    '-0.44721359549995787}]}',
+]
 
 
 class TestPoleReport:
@@ -262,12 +315,32 @@ class TestPoleReport:
         words = tuple(f"w{i}" for i in range(30))
         vocab = EmbeddingMatrix(words, rng.normal(size=(30, 5)))
         xs = (x - x.mean(axis=0)) / x.std(axis=0)
-        report = build_pole_report(model, 0, xs, ["f0", "f1", "f2", "f3"],
-                                   pole_candidates(vocab), k=5)
-        assert report.component == 1
-        assert len(report.semantic_pos) == 5
-        assert len(report.semantic_neg) == 5
-        rec = report.to_record()
+        rec = build_pole_report(model, 0, xs, ["f0", "f1", "f2", "f3"],
+                                pole_candidates(vocab), k=5)
+        assert rec["component"] == 1
+        assert len(rec["semantic_pos"]) == 5
+        assert len(rec["semantic_neg"]) == 5
         assert rec["interpretation_semantic"] == ""
         assert rec["interpretation_phonetic"] == ""
         assert all(isinstance(e["item"], str) for e in rec["phonetic_pos"])
+
+    @pytest.mark.parametrize("case,expected", zip(POLE_CASES, POLE_RECORDS),
+                             ids=["cv1", "cv2"])
+    def test_record_pinned(self, monkeypatch, case, expected):
+        # the loadings are given, since structure_loadings cannot give a
+        # -0.0; sort_keys text tells -0.0 from 0.0
+        component, loadings, percentile, threshold = case
+        monkeypatch.setattr(cca, "structure_loadings",
+                            lambda x, s: np.array(loadings))
+        rec = build_pole_report(
+            POLE_MODEL, component, np.zeros((4, 12)),
+            [f"f{i:02d}" for i in range(12)], pole_candidates(POLE_WORDS),
+            k=10, percentile=percentile, threshold=threshold)
+        assert json.dumps(rec, sort_keys=True) == expected
+
+    @pytest.mark.parametrize("component", [-1, 2])
+    def test_component_out_of_range(self, component):
+        with pytest.raises(AnalysisError, match="out of range"):
+            build_pole_report(POLE_MODEL, component, np.zeros((4, 12)),
+                              [f"f{i:02d}" for i in range(12)],
+                              pole_candidates(POLE_WORDS))

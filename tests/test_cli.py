@@ -1,6 +1,7 @@
 """Command-line workflow: exit codes, artifacts, and re-rendering."""
 
 import ast
+import importlib
 import json
 import logging
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from urllib.parse import unquote
 
 import numpy as np
 import pytest
@@ -741,6 +743,37 @@ class TestAnalyze:
         assert stamp == {role: manifest["input_digests"][str(p)]
                          for role, p in paths.items()}
 
+    @pytest.mark.parametrize("killed_at", ["global.json", "cca_model.npz"])
+    def test_interpret_refuses_a_run_killed_between_its_writes(
+            self, tmp_path, monkeypatch, killed_at):
+        # a rerun after an input changed dies writing one of the two files:
+        # the model left beside global.json is stamped with the old input
+        path, paths = language_config(
+            tmp_path, {"shuffles": 10, "null_points": 10, "n_components": 2})
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+        with paths["vectors"].open("a", encoding="utf-8") as fh:
+            fh.write("zz_new" + " 1.0" * 8 + "\n")
+
+        class Killed(Exception):
+            pass
+
+        def kill(*args, **kwargs):
+            raise Killed
+        if killed_at == "global.json":
+            dump = pipeline._dump_json
+            monkeypatch.setattr(pipeline, "_dump_json", lambda obj, p: (
+                kill() if p.name == "global.json" else dump(obj, p)))
+        else:
+            monkeypatch.setattr(pipeline, "_save_cca_artifacts", kill)
+        result = invoke("analyze-global", "--config", path)
+        assert isinstance(result.exception, Killed)
+        monkeypatch.undo()
+        result = invoke("interpret", "--config", path)
+        assert result.exit_code == 1
+        assert f"{paths['vectors']}: not the vectors file" in result.output
+        assert not (tmp_path / "out" / "syn" / "poles.json").exists()
+
     def test_subspace_reads_and_hashes_no_segmentation_cache(self, tmp_path):
         path, paths = scaled_language_config(tmp_path, SMALL_RUN)
         paths["segmentations"].unlink()
@@ -825,7 +858,7 @@ class TestAnalyze:
         p = config.params
         components = [build_pole_report(
             model, c, phon, names, candidates, k=p["k"],
-            percentile=p["percentile"], threshold=p["threshold"]).to_record()
+            percentile=p["percentile"], threshold=p["threshold"])
             for c, rec in enumerate(payload["results"]["cca"]) if rec["p"] < 0.05]
         assert components
         expected = {"language": "syn", "config_hash": config.config_hash(),
@@ -850,6 +883,32 @@ class TestAnalyze:
         for component in poles["components"]:
             assert component["semantic_pos"] == component["semantic_neg"] == []
         assert "no candidates above the zipf cutoff" in caplog.text
+
+    def test_interpret_never_lists_a_zero_vector(self, tmp_path):
+        path, paths = language_config(
+            tmp_path, {"shuffles": 40, "null_points": 40, "n_components": 2,
+                       "zipf_cutoff": 8.0})
+        # the two words above the cutoff are fewer than k = 10, and one of
+        # them has a zero vector
+        with paths["lexicon"].open("a", encoding="utf-8") as fh:
+            fh.write("zz_zero\tzz_zero\t9.0\tpata\n")
+            fh.write("zz_one\tzz_one\t9.0\tpata\n")
+        with paths["vectors"].open("a", encoding="utf-8") as fh:
+            fh.write("zz_zero" + " 0.0" * 8 + "\n")
+            fh.write("zz_one" + " 1.0" * 8 + "\n")
+        for command in ("analyze-global", "interpret"):
+            result = invoke(command, "--config", path)
+            assert result.exit_code == 0, result.output
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+        poles = json.loads(
+            (tmp_path / "out" / "syn" / "poles.json").read_text("utf-8"),
+            parse_constant=refuse)
+        assert poles["components"]
+        for component in poles["components"]:
+            for key in ("semantic_pos", "semantic_neg"):
+                assert [e["item"] for e in component[key]] == ["zz_one"]
 
     def test_nan_in_a_row_below_the_cutoff_fails_only_a_command_that_reads_it(
             self, tmp_path):
@@ -902,7 +961,7 @@ class TestAnalyze:
         ids = np.load(lang_dir / "cca_model.npz",
                       allow_pickle=True)["phonetic_ids"].tolist()
         assert len(ids) == 59
-        assert not any(item.startswith(zeroed + "|") for item in ids)
+        assert zeroed not in {unquote(item.split("|")[0]) for item in ids}
 
     def test_phonetic_space_is_standardized_over_the_analysed_morphemes(
             self, tmp_path):
@@ -948,7 +1007,7 @@ class TestAnalyze:
 @pytest.mark.parametrize("forms", [{"pa": "pa", "pa|x": "pak"}, {"q|x": "ta"}],
                          ids=["prefix-is-a-form", "prefix-is-no-form"])
 def test_each_morpheme_gets_its_own_forms_vector(tmp_path, forms):
-    # a morpheme's id is "form|transcription", and a form may hold "|"
+    # a form may hold "|", which a morpheme's id escapes
     path, paths = language_config(tmp_path, SMALL_RUN)
     with paths["segmentations"].open("a", encoding="utf-8") as fh:
         for form, ipa in forms.items():
@@ -961,15 +1020,34 @@ def test_each_morpheme_gets_its_own_forms_vector(tmp_path, forms):
     phon, sem, *_ = pipeline.load_language_spaces(
         config, "syn", load_feature_table(config.feature_table),
         pipeline.input_digests(config, ("vectors",)))
-    mset = pipeline.analysed_morphemes(config, "syn")
-    form_of = {f"{m.form}|{m.transcription}": m.form for m in mset}
-    assert len(form_of) == len(mset)  # no id is ambiguous here
-    vectors, _ = load_semantic_embeddings(paths["vectors"], {m.form for m in mset})
+    decoded = [tuple(unquote(s) for s in item_id.split("|")) for item_id in phon.ids]
+    assert set(forms.items()) <= set(decoded)
+    vectors, _ = load_semantic_embeddings(paths["vectors"],
+                                          {form for form, _ in decoded})
     by_form = dict(zip(vectors.ids, vectors.vectors))
-    assert {f"{form}|{ipa}" for form, ipa in forms.items()} <= set(phon.ids)
     assert sem.ids == phon.ids
-    for item_id, row in zip(sem.ids, sem.vectors):
-        assert np.array_equal(row, by_form[form_of[item_id]]), item_id
+    for (form, _), row in zip(decoded, sem.vectors):
+        assert np.array_equal(row, by_form[form]), form
+
+
+def test_morpheme_ids_are_distinct_and_decode(tmp_path):
+    # joined by a bare "|", (pa|ta, ka) and (pa, ta|ka) would share an id
+    path, paths = language_config(tmp_path, SMALL_RUN)
+    morphemes = [("pa|ta", "ka"), ("pa", "ta|ka")]
+    with paths["segmentations"].open("a", encoding="utf-8") as fh:
+        for form, ipa in morphemes:
+            fh.write(json.dumps({"word": form, "ipa": ipa, "pairs": [[form, ipa]],
+                                 "perplexity": 1.0}) + "\n")
+    with paths["vectors"].open("a", encoding="utf-8") as fh:
+        for i, (form, _) in enumerate(morphemes):
+            fh.write(form + f" {i + 1.5} -0.5" * 4 + "\n")
+    result = invoke("analyze-global", "--config", path)
+    assert result.exit_code == 0, result.output
+    with np.load(tmp_path / "out" / "syn" / "cca_model.npz") as z:
+        ids = z["phonetic_ids"].tolist()
+    assert len(set(ids)) == len(ids)
+    decoded = {tuple(unquote(s) for s in item_id.split("|")) for item_id in ids}
+    assert set(morphemes) <= decoded
 
 
 class TestVectorStore:
@@ -1494,3 +1572,16 @@ def test_readme_options_are_options_of_their_command():
     for command, text in shown:
         for option in re.findall(r"--[a-z][a-z-]*", text):
             assert option in options.get(command, anywhere), (command, option)
+
+
+def test_readme_imports_exist():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    imports = [node for block in blocks for node in ast.walk(ast.parse(block))
+               if isinstance(node, ast.ImportFrom)
+               and node.module.split(".")[0] == "phonosem"]
+    assert len(imports) > 5
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), (node.module, alias.name)

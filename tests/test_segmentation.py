@@ -22,7 +22,7 @@ from phonosem.segmentation import (LANGUAGE_NAMES, HttpProvider, ProviderRespons
                                    error_rate_ci,
                                    load_example_set, parse_response,
                                    perplexity_filter, read_segmentation_cache,
-                                   render_pairs, response_perplexity,
+                                   response_perplexity,
                                    sample_for_verification, segment_words,
                                    write_verification_sheet)
 
@@ -93,7 +93,7 @@ class TestParseResponse:
 
     def test_round_trip(self):
         pairs = [("un", "ʌn"), ("happi", "hæpi"), ("ness", "nəs")]
-        assert parse_response(render_pairs(pairs)) == pairs
+        assert parse_response("(un,ʌn),(happi,hæpi),(ness,nəs)") == pairs
 
 
 class TestPerplexity:
@@ -416,6 +416,16 @@ class TestCacheResume:
         assert len(read_segmentation_cache(cache)) == 3
         segment_words(self.WORDS, "en", self.replay(tmp_path), cache)
         self.assert_each_word_once(cache)
+
+    def test_complete_last_line_without_newline_is_not_requested_again(
+            self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(self.line("run", "rʌn").rstrip("\n"), encoding="utf-8")
+        replay = tmp_path / "replay.jsonl"
+        replay.write_text("", encoding="utf-8")  # any request fails
+        segs = segment_words(self.WORDS[:1], "en", ReplayProvider(replay), cache)
+        assert [s.word for s in segs] == ["run"]
+        assert cache.read_text(encoding="utf-8") == self.line("run", "rʌn")
 
     @pytest.mark.parametrize("after", ["odd line", "odd line cut", ""])
     def test_malformed_complete_line_raises(self, tmp_path, after):
