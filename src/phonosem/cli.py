@@ -22,7 +22,7 @@ from .pipeline import (RunConfig, analysed_morphemes, input_digests,
                        render_subspace_grid, run_global, run_interpret,
                        run_subspace)
 from .segmentation import (HttpProvider, ReplayProvider, sample_for_verification,
-                           dedupe_into_morpheme_set, segment_words,
+                           dedupe_into_morpheme_set, read_verdicts, segment_words,
                            write_verification_sheet)
 
 log = logging.getLogger(__name__)
@@ -124,11 +124,18 @@ def segment(config, provider_url, provider_model, replay_path):
 @config_option
 @click.option("-n", "sample_n", type=int, default=150, show_default=True)
 def verify(config, sample_n):
-    """Draw the native-speaker verification sample per language."""
+    """Draw the native-speaker verification sample per language; a sheet
+    in which any row holds a verdict is kept as it is."""
     for lang in config.languages:
         mset = analysed_morphemes(config, lang)
         sample = sample_for_verification(mset, n=sample_n, seed=config.seed)
         path = Path(config.output_dir) / lang / "verification.tsv"
+        verdicts = read_verdicts(path) if path.exists() else []
+        filled = sum(map(bool, verdicts))
+        if filled:
+            click.echo(f"{lang}: kept {path}: {filled} of {len(verdicts)} rows "
+                       "hold a verdict")
+            continue
         path.parent.mkdir(parents=True, exist_ok=True)
         write_verification_sheet(sample, path)
         note = " (fewer morphemes than requested)" if len(sample) < sample_n else ""

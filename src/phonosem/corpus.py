@@ -27,8 +27,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,8 +59,7 @@ def _open_input(path: str | Path, mode: str = "r"):
             raise ParseError(f"{path}: not UTF-8 text") from None
 
 
-@dataclass(frozen=True)
-class Lexeme:
+class Lexeme(NamedTuple):
     word: str
     lemma: str
     zipf: float
@@ -193,40 +193,44 @@ class ScaleConfig:
 def load_lexicon(path: str | Path) -> tuple[Lexeme, ...]:
     """Load a TSV lexicon, dedupe by word (highest zipf wins), sort by
     descending zipf with lexicographic tie-break."""
-    best: dict[str, Lexeme] = {}
     with _open_input(path) as fh:
-        header = fh.readline()
-        if header and tuple(_nfc(header).rstrip("\n").split("\t")) != LEXICON_HEADER:
-            raise ParseError(f"{path}:1: expected header {'/'.join(LEXICON_HEADER)}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = _nfc(line).split("\t")
-            if len(parts) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
-            word, lemma, zipf_s, ipa = parts
-            if not word:
-                raise ParseError(f"{path}:{lineno}: empty word")
-            try:
-                zipf = float(zipf_s)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric zipf {zipf_s!r}") from None
-            if not math.isfinite(zipf):
-                raise ParseError(f"{path}:{lineno}: non-finite zipf for {word!r}")
-            lx = Lexeme(word=word, lemma=lemma, zipf=zipf, ipa=ipa)
-            prev = best.get(word)
-            if prev is not None and prev.ipa != lx.ipa:
-                log.warning("%s:%d: duplicate %r with differing IPA, first kept",
-                            path, lineno, word)
-            if prev is None:
-                best[word] = lx
-            elif lx.zipf > prev.zipf:
-                # highest zipf wins, but a conflicting IPA never displaces
-                # the first-seen transcription
-                best[word] = lx if prev.ipa == lx.ipa else Lexeme(
-                    word=word, lemma=lx.lemma, zipf=lx.zipf, ipa=prev.ipa)
-    return tuple(sorted(best.values(), key=lambda lx: (-lx.zipf, lx.word)))
+        text = fh.read()
+    # NFC of the whole text is NFC per line, as "\n" never composes or reorders;
+    # unlike str.splitlines, "\n" alone leaves "\f", "\x85", U+2028 in a line
+    header, *lines = _nfc(text).split("\n")
+    if text and tuple(header.split("\t")) != LEXICON_HEADER:
+        raise ParseError(f"{path}:1: expected header {'/'.join(LEXICON_HEADER)}")
+    best: dict[str, Lexeme] = {}
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ParseError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
+        word, lemma, zipf_s, ipa = parts
+        if not word:
+            raise ParseError(f"{path}:{lineno}: empty word")
+        try:
+            zipf = float(zipf_s)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric zipf {zipf_s!r}") from None
+        if not math.isfinite(zipf):
+            raise ParseError(f"{path}:{lineno}: non-finite zipf for {word!r}")
+        prev = best.get(word)
+        if prev is None:
+            best[word] = Lexeme(word, lemma, zipf, ipa)
+            continue
+        if prev.ipa != ipa:
+            log.warning("%s:%d: duplicate %r with differing IPA, first kept",
+                        path, lineno, word)
+        if zipf > prev.zipf:
+            # highest zipf wins, but a conflicting IPA never displaces
+            # the first-seen transcription
+            best[word] = Lexeme(word, lemma, zipf, prev.ipa)
+    # words are unique, so two stable sorts give (-zipf, word) order
+    lexicon = sorted(best.values(), key=itemgetter(0))
+    lexicon.sort(key=itemgetter(2), reverse=True)
+    return tuple(lexicon)
 
 
 def save_lexicon(lexicon: tuple[Lexeme, ...], path: str | Path) -> None:

@@ -358,7 +358,7 @@ def load_vectors(config: RunConfig, language: str, digests: dict[str, str],
     _prune_stores(store_path.parent, {digests[config.inputs[lang]["vectors"]]
                                       for lang in config.languages})
     wanted = {_nfc(w) for w in vocabulary}
-    store = _read_store(store_path, digest)
+    store = _read_store(store_path, digest, wanted)
     stored, absent = store or (_NO_ROWS, frozenset())
     rest = wanted - absent - set(stored.ids)
     n_parsed = 0
@@ -413,31 +413,54 @@ def _prune_stores(directory: Path, keep: set[str]) -> None:
             path.unlink(missing_ok=True)
 
 
-def _read_store(path: Path, digest: str) -> tuple[VectorRows, frozenset[str]] | None:
-    """The stored rows, in line order, and the items recorded as absent
-    from the vectors file whose SHA-256 is ``digest``. A store that is
-    missing, does not load, does not match that digest or its own row
-    count and dimension, or whose line numbers do not strictly increase
-    is none: it is never trusted, and the next read that parses rows
-    replaces it."""
+def _read_store(path: Path, digest: str, wanted: set[str]
+                ) -> tuple[VectorRows, frozenset[str]] | None:
+    """Rows of the store, in line order, and the items recorded as absent
+    from the vectors file whose SHA-256 is ``digest``: only the ``wanted``
+    rows, read by runs of consecutive rows, when it holds or records as
+    absent every wanted item, else every row, since the read that parses
+    the others rewrites it. A store that is missing, does not load, does
+    not match that digest or its own row count and dimension, or whose
+    line numbers do not strictly increase is none: it is never trusted,
+    and the next read that parses rows replaces it."""
     try:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
-            values = np.frombuffer(fh.read(), dtype="<f8")
-        tokens, lines, absent, dim = (header["tokens"], header["lines"],
-                                      header["absent"], header["dim"])
-        if not (header["digest"] == digest and type(dim) is int and dim >= 0
-                and isinstance(tokens, list) and isinstance(absent, list)
-                and isinstance(lines, list) and len(lines) == len(tokens)
-                and all(isinstance(t, str) for t in tokens + absent)
-                and all(type(n) is int and n > 0 for n in lines)):
-            raise ValueError("header does not match the rows or the file")
-        lines = np.array(lines, dtype=np.int64)
-        if not np.all(lines[1:] > lines[:-1]):
-            raise ValueError("rows out of line order")
-        # a row count or dimension that does not fit the bytes fails here
-        return VectorRows(ids=tuple(tokens), vectors=values.reshape(len(tokens), dim),
-                          lines=lines), frozenset(absent)
+            tokens, lines, absent, dim = (header["tokens"], header["lines"],
+                                          header["absent"], header["dim"])
+            if not (header["digest"] == digest and type(dim) is int and dim >= 0
+                    and isinstance(tokens, list) and isinstance(absent, list)
+                    and isinstance(lines, list) and len(lines) == len(tokens)
+                    and set(map(type, tokens)).union(map(type, absent)) <= {str}
+                    and set(map(type, lines)) <= {int} and min(lines, default=1) > 0):
+                raise ValueError("header does not match the rows or the file")
+            lines = np.array(lines, dtype=np.int64)
+            if not np.all(lines[1:] > lines[:-1]):
+                raise ValueError("rows out of line order")
+            start, width = fh.tell(), 8 * dim
+            if os.fstat(fh.fileno()).st_size - start != len(tokens) * width:
+                raise ValueError(f"{len(tokens)} rows of dimension {dim} do not "
+                                 "fit the bytes")
+            absent = frozenset(absent)
+            take = np.arange(len(tokens))
+            if not wanted.difference(absent).difference(tokens):
+                take = take[np.fromiter(map(wanted.__contains__, tokens), bool)]
+            vectors = np.empty((take.size, dim), dtype="<f8")
+            # the runs are take[cuts[i]:cuts[i + 1]]; the -2 ends cut both ends
+            cuts = np.flatnonzero(np.diff(take, prepend=-2, append=-2) != 1)
+            offsets = (start + take[cuts[:-1]] * width).tolist()
+            # unbuffered reads, each straight into the bytes of its rows
+            raw, rows = fh.raw, memoryview(vectors.reshape(-1).view(np.uint8))
+            cuts = (cuts * width).tolist()
+            for b0, b1, offset in zip(cuts, cuts[1:], offsets):
+                raw.seek(offset)
+                while b0 < b1:  # a read may return fewer bytes than asked
+                    n = raw.readinto(rows[b0:b1])
+                    if not n:
+                        raise ValueError("store cut short while read")
+                    b0 += n
+        return VectorRows(ids=tuple(map(tokens.__getitem__, take.tolist())),
+                          vectors=vectors, lines=lines[take]), absent
     except FileNotFoundError:
         return None
     except (OSError, ValueError, LookupError, TypeError, OverflowError) as exc:

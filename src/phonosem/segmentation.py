@@ -369,6 +369,19 @@ def write_verification_sheet(sample: Sequence[Morpheme], path: str | Path) -> No
             fh.write(f"{m.form}\t{m.transcription}\t{example}\t\n")
 
 
+def read_verdicts(path: str | Path) -> list[str]:
+    """The ``verdict`` cell of each row of a review sheet, stripped of
+    whitespace; blank for a row not yet reviewed. Text that is not UTF-8
+    is a ParseError naming the file."""
+    with _open_input(path) as fh:
+        rows = fh.read().split("\n")[1:]
+    verdicts = []
+    for row in filter(None, rows):
+        cells = row.split("\t")
+        verdicts.append(cells[3].strip() if len(cells) > 3 else "")
+    return verdicts
+
+
 def error_rate_ci(errors: int, n: int) -> tuple[float, float]:
     """Verification error rate with a 95% normal-approximation half-width."""
     if n <= 0:

@@ -73,17 +73,23 @@ def perpendicular_distance(points: np.ndarray, line: CentroidLine) -> np.ndarray
     stack of one) to the line.
 
     The feet and their distances are taken one row block at a time
-    (:func:`~phonosem.stats._row_blocks`), so the stack holds one block
-    of temporaries; the line coordinates stay one product over all rows,
-    which a blocked product could round differently.
+    (:func:`~phonosem.stats._row_blocks`) in one buffer, by the steps of
+    ``np.linalg.norm(points - feet, axis=-1)``; the line coordinates stay
+    one product over all rows, which a blocked product could round
+    differently.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     u = _midpoint_coord(pts, line)
     dist = np.empty(pts.shape[0])
+    buf = np.empty((next(_row_blocks(*pts.shape), (0, 0))[1], pts.shape[1]))
     for r0, r1 in _row_blocks(*pts.shape):
-        foot = line.midpoint + np.multiply.outer(u[r0:r1], line.direction)
-        dist[r0:r1] = np.linalg.norm(pts[r0:r1] - foot, axis=-1)
-    return dist
+        diff = buf[:r1 - r0]
+        np.multiply.outer(u[r0:r1], line.direction, out=diff)
+        diff += line.midpoint
+        np.subtract(pts[r0:r1], diff, out=diff)
+        diff *= diff
+        np.add.reduce(diff, axis=-1, out=dist[r0:r1])
+    return np.sqrt(dist, out=dist)
 
 
 def select_words(
@@ -96,7 +102,14 @@ def select_words(
     than n, every row is returned, with a warning.
     """
     dist = perpendicular_distance(vocabulary.vectors, line)
-    order = np.lexsort((np.array(vocabulary.ids), dist))
+    order = np.argsort(dist, kind="stable")
+    # sort by word each run of equal distances, order[r0:r1 + 1], left in row order
+    sorted_dist = dist[order]
+    tied = sorted_dist[1:] == sorted_dist[:-1]
+    edges = np.flatnonzero(np.diff(tied, prepend=False, append=False)).tolist()
+    for r0, r1 in zip(edges[::2], edges[1::2]):
+        order[r0:r1 + 1] = sorted(order[r0:r1 + 1].tolist(),
+                                  key=vocabulary.ids.__getitem__)
     if vocabulary.n_items < n:
         log.warning("select_words: vocabulary %d smaller than n=%d",
                     vocabulary.n_items, n)

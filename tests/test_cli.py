@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import io
 import json
 import logging
 import os
@@ -471,6 +472,43 @@ class TestSegmentAndVerify:
         sheet = ws / "results" / "syn" / "verification.tsv"
         assert sheet.exists()
         assert len(sheet.read_text(encoding="utf-8").splitlines()) == 21
+
+    def test_verify_keeps_a_sheet_that_holds_a_verdict(self, workspace):
+        ws, config_path, _ = workspace
+        result = invoke("verify", "--config", config_path, "-n", 20)
+        assert result.exit_code == 0, result.output
+        sheet = ws / "results" / "syn" / "verification.tsv"
+        blank = sheet.read_bytes()
+        rows = blank.decode("utf-8").split("\n")
+        assert all(row.endswith("\t") for row in rows[1:-1])
+        for i, verdict in enumerate(["ok", "wrong", "ok", " ok ", "?"], start=1):
+            rows[i] += verdict
+        rows[6] += "  "  # whitespace is no verdict
+        sheet.write_bytes("\r\n".join(rows).encode("utf-8"))
+        filled = sheet.read_bytes()
+        result = invoke("verify", "--config", config_path, "-n", 20)
+        assert result.exit_code == 0, result.output
+        assert f"syn: kept {sheet}: 5 of 20 rows hold a verdict" in result.output
+        assert sheet.read_bytes() == filled
+
+        # a sheet with no verdict is drawn again
+        sheet.write_bytes(b"morpheme\ttranscription\texample_source\tverdict\n"
+                          b"x\ty\tz\t \n")
+        result = invoke("verify", "--config", config_path, "-n", 20)
+        assert result.exit_code == 0, result.output
+        assert sheet.read_bytes() == blank
+
+    def test_verify_refuses_a_sheet_that_is_not_utf8(self, workspace):
+        ws, config_path, _ = workspace
+        sheet = ws / "results" / "syn" / "verification.tsv"
+        sheet.parent.mkdir(parents=True, exist_ok=True)
+        sheet.write_bytes(b"morpheme\ttranscription\texample_source\tverdict\n"
+                          b"caf\xe9\tkafe\tcaf\xe9\tok\n")
+        damaged = sheet.read_bytes()
+        result = invoke("verify", "--config", config_path, "-n", 20)
+        assert result.exit_code == 1
+        assert f"input error: {sheet}: not UTF-8 text" in result.output
+        assert sheet.read_bytes() == damaged
 
     def test_verify_samples_the_perplexity_filtered_set(self, workspace, tmp_path):
         _, _, config = workspace
@@ -1125,6 +1163,114 @@ class TestVectorStore:
             result = invoke(command, "--config", path)
             assert result.exit_code == 0, result.output
             assert (out / payload).read_bytes() == payloads[payload], command
+
+    @staticmethod
+    def filled_store(tmp_path):
+        """The odd language, with one more word that is no morpheme form
+        on the last line of the vectors file, after ``analyze-subspace``,
+        whose store then holds every lexicon word; with the store's
+        header, where its rows start, and which of its rows hold a form."""
+        path, paths = TestVectorStore.odd_language(tmp_path)
+        with paths["lexicon"].open("a", encoding="utf-8") as fh:
+            fh.write("zz_tail\tzz_tail\t6.5\tpata\n")
+        with paths["vectors"].open("a", encoding="utf-8") as fh:
+            fh.write("zz_tail" + " 0.5" * 8 + " \n")
+        result = invoke("analyze-subspace", "--config", path)
+        assert result.exit_code == 0, result.output
+        store = TestVectorStore.store(tmp_path, paths)
+        line = store.read_bytes().split(b"\n", 1)[0]
+        header = json.loads(line)
+        config = pipeline.RunConfig.from_file(path)
+        forms = {m.form for m in pipeline.analysed_morphemes(config, "syn")}
+        form_rows = [i for i, token in enumerate(header["tokens"]) if token in forms]
+        return path, paths, store, header, len(line) + 1, form_rows
+
+    @staticmethod
+    def open_store_with(monkeypatch, store, file_class):
+        """Have ``pipeline`` open the store through ``file_class``, an
+        ``io.FileIO`` subclass, under a buffered reader."""
+        def patched(file, mode="r", *args, **kwargs):
+            if Path(file) == store:
+                return io.BufferedReader(file_class(file, mode))
+            return open(file, mode, *args, **kwargs)
+        monkeypatch.setattr(pipeline, "open", patched, raising=False)
+
+    def test_warm_read_takes_only_the_wanted_rows(self, tmp_path, monkeypatch,
+                                                   caplog):
+        path, paths, store, header, start, form_rows = self.filled_store(tmp_path)
+        width = 8 * header["dim"]
+        # the forms' rows, with rows that are not forms among them
+        assert 0 < len(form_rows) < len(header["tokens"])
+        assert form_rows[-1] - form_rows[0] >= len(form_rows)
+        stored = store.read_bytes()
+        reads = []  # (offset into the rows, bytes read)
+
+        class CountingFile(io.FileIO):
+            at_rows = False
+
+            def seek(self, *args):
+                self.at_rows = True  # the header is read without a seek
+                return super().seek(*args)
+
+            def readinto(self, buffer):
+                offset = self.tell() - start
+                n = super().readinto(buffer)
+                if self.at_rows:
+                    reads.append((offset, n))
+                return n
+
+        self.open_store_with(monkeypatch, store, CountingFile)
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+        monkeypatch.undo()
+        assert all(offset % width == n % width == 0 for offset, n in reads)
+        rows_read = [row for offset, n in reads
+                     for row in range(offset // width, (offset + n) // width)]
+        assert rows_read == form_rows
+        assert store.read_bytes() == stored
+        kept = (tmp_path / "out" / "syn" / "global.json").read_bytes()
+
+        class TrickleFile(io.FileIO):
+            def readinto(self, buffer):  # 7 bytes at most, as a read may
+                return super().readinto(memoryview(buffer).cast("B")[:7])
+
+        self.open_store_with(monkeypatch, store, TrickleFile)
+        caplog.clear()
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+        monkeypatch.undo()
+        assert "store ignored" not in caplog.text
+        assert store.read_bytes() == stored
+        assert (tmp_path / "out" / "syn" / "global.json").read_bytes() == kept
+        shutil.rmtree(tmp_path / "out" / "vectors")
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "out" / "syn" / "global.json").read_bytes() == kept
+
+    def test_store_cut_short_after_the_wanted_rows_is_rewritten(self, tmp_path,
+                                                               caplog):
+        path, paths, store, header, start, form_rows = self.filled_store(tmp_path)
+        width = 8 * header["dim"]
+        assert form_rows[-1] < len(header["tokens"]) - 1
+        # every form row is whole; the row after the last is cut short
+        store.write_bytes(store.read_bytes()[:start + (form_rows[-1] + 1) * width + 8])
+        caplog.clear()
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+        assert f"{store}: store ignored (ValueError: " in caplog.text
+        config = pipeline.RunConfig.from_file(path)
+        forms = {m.form for m in pipeline.analysed_morphemes(config, "syn")}
+        fresh, fresh_missing = load_semantic_embeddings(paths["vectors"], forms)
+        line, body = store.read_bytes().split(b"\n", 1)
+        rewritten = json.loads(line)
+        assert rewritten["tokens"] == list(fresh.ids)
+        assert rewritten["absent"] == fresh_missing
+        assert body == fresh.vectors.astype("<f8").tobytes()
+        kept = (tmp_path / "out" / "syn" / "global.json").read_bytes()
+        shutil.rmtree(tmp_path / "out" / "vectors")
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "out" / "syn" / "global.json").read_bytes() == kept
 
     @pytest.mark.parametrize("damage", [
         lambda b: b[:len(b) // 2],

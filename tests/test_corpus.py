@@ -1,16 +1,19 @@
 """Loaders, data model invariants, and round-trips."""
 
 import json
+import logging
+import math
 import unicodedata
 
 import numpy as np
 import pytest
 
-from phonosem.corpus import (EmbeddingMatrix, Morpheme,
+from phonosem.corpus import (LEXICON_HEADER, EmbeddingMatrix, Lexeme, Morpheme,
                              MorphemeSet, ScaleConfig, load_feature_table,
                              load_lexicon, load_scale_configs,
                              load_semantic_embeddings, save_feature_table,
-                             save_lexicon, save_semantic_embeddings)
+                             save_lexicon, save_semantic_embeddings, _nfc,
+                             _open_input)
 from phonosem.errors import InputError, ParseError
 
 
@@ -74,6 +77,130 @@ class TestLoadLexicon:
         out = tmp_path / "out.tsv"
         save_lexicon(lex, out)
         assert load_lexicon(out) == lex
+
+
+def per_line_load_lexicon(path):
+    """The lexicon parse as one pass per text-mode line, NFC per line: the
+    reference that ``load_lexicon`` must equal."""
+    log = logging.getLogger("phonosem.corpus")
+    best = {}
+    with _open_input(path) as fh:
+        header = fh.readline()
+        if header and tuple(_nfc(header).rstrip("\n").split("\t")) != LEXICON_HEADER:
+            raise ParseError(f"{path}:1: expected header {'/'.join(LEXICON_HEADER)}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = _nfc(line).split("\t")
+            if len(parts) != 4:
+                raise ParseError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
+            word, lemma, zipf_s, ipa = parts
+            if not word:
+                raise ParseError(f"{path}:{lineno}: empty word")
+            try:
+                zipf = float(zipf_s)
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric zipf {zipf_s!r}") from None
+            if not math.isfinite(zipf):
+                raise ParseError(f"{path}:{lineno}: non-finite zipf for {word!r}")
+            lx = Lexeme(word=word, lemma=lemma, zipf=zipf, ipa=ipa)
+            prev = best.get(word)
+            if prev is not None and prev.ipa != lx.ipa:
+                log.warning("%s:%d: duplicate %r with differing IPA, first kept",
+                            path, lineno, word)
+            if prev is None:
+                best[word] = lx
+            elif lx.zipf > prev.zipf:
+                best[word] = lx if prev.ipa == lx.ipa else Lexeme(
+                    word=word, lemma=lx.lemma, zipf=lx.zipf, ipa=prev.ipa)
+    return tuple(sorted(best.values(), key=lambda lx: (-lx.zipf, lx.word)))
+
+
+HEADER = "word\tlemma\tzipf\tipa\n"
+# file texts, written as UTF-8 bytes with their line endings as given
+LEXICON_TEXTS = {
+    "decomposed": HEADER + "cafe\u0301\tcafe\u0301\t4.0\tkafe\u0301\n"
+                  "\u0301x\t\u0301x\t3.0\t\u0301a\n\u0308a\ta\t3.0\ta\u0301\u0323\n"
+                  "\u1100\t\u1100\t2.0\t\u1100\n\u1161\t\u1161\t2.0\t\u1161\n"
+                  "caf\u00e9\tcafe\t5.0\tkafe\u0301\n",
+    "crlf": HEADER.replace("\n", "\r\n") + "a\ta\t1.0\ta\r\nb\tb\t2.0\tb\r\n",
+    "cr": HEADER.replace("\n", "\r") + "a\ta\t1.0\ta\rb\tb\t2.0\tb\r",
+    "breaks-inside-fields": HEADER + "a\x0cb\ta\x0b\t1.0\tx\x85y\n"
+                            "c\u2028d\tc\u2029\t2.0\tz\x1c\x1d\x1e\n",
+    "break-inside-zipf": HEADER + "a\ta\t1.0\x85\ta\n",
+    "blank-lines-before-bad-row": HEADER + "a\ta\t1.0\ta\n\n\n\nb\tb\thigh\tb\n",
+    "blank-lines-before-short-row": HEADER + "\n\r\n\ra\ta\t1.0\n",
+    "no-final-newline": HEADER + "a\ta\t1.0\ta\nb\tb\t2.0\tb",
+    "empty": "",
+    "header-only": HEADER,
+    "header-without-newline": HEADER.rstrip("\n"),
+    "newline-only": "\n",
+    "bad-header": "word\tzipf\na\t1\n",
+    "duplicates": HEADER + "a\tx\t4.0\tab\nb\tb\t3.0\tbb\nc\tc\t3.0\tcc\n"
+                  "d\td\t2.0\tdd\na\ty\t6.0\tab\nb\ty\t5.0\tBB\nc\ty\t1.0\tCC\n"
+                  "d\ty\t1.0\tdd\na\tz\t6.0\tAB\nb\tz\t5.0\tbb\n",
+    "equal-zipf": HEADER + "z\tz\t4.0\tz\nb\tb\t4.0\tb\n\u00e9\te\t4.0\te\n"
+                  "a\ta\t4.0\ta\nZ\tZ\t4.0\tZ\nm\tm\t4.5\tm\nc\tc\t4\tc\n"
+                  "-0\t-0\t-0.0\t\n0\t0\t0.0\t\n",
+    "empty-word": HEADER + "a\ta\t1.0\ta\n\tb\t2.0\tb\n",
+    "non-finite": HEADER + "a\ta\tinf\ta\n",
+    "nan": HEADER + "a\ta\tnan\ta\n",
+    "five-columns": HEADER + "a\ta\t1.0\ta\textra\n",
+}
+
+
+class TestLoadLexiconOracle:
+    @staticmethod
+    def outcome(load, path, caplog):
+        caplog.clear()
+        try:
+            lexicon = load(path)
+        except ParseError as exc:
+            return f"ParseError: {exc}", caplog.messages
+        assert all(type(lx) is Lexeme for lx in lexicon)
+        return [(lx.word, lx.lemma, repr(lx.zipf), lx.ipa) for lx in lexicon], \
+            caplog.messages
+
+    @pytest.mark.parametrize("name", list(LEXICON_TEXTS))
+    def test_equals_the_per_line_parse(self, tmp_path, caplog, name):
+        path = tmp_path / "lex.tsv"
+        path.write_bytes(LEXICON_TEXTS[name].encode("utf-8"))
+        expected = self.outcome(per_line_load_lexicon, path, caplog)
+        assert self.outcome(load_lexicon, path, caplog) == expected
+
+    def test_fixtures_reach_each_rule(self, tmp_path, caplog):
+        outcomes = {}
+        for name, text in LEXICON_TEXTS.items():
+            path = tmp_path / f"{name}.tsv"
+            path.write_bytes(text.encode("utf-8"))
+            outcomes[name] = self.outcome(load_lexicon, path, caplog)
+        # float() strips the break as whitespace; a split there would not
+        assert outcomes["break-inside-zipf"][0] == [("a", "a", "1.0", "a")]
+        assert outcomes["blank-lines-before-bad-row"][0].endswith(
+            ":6: non-numeric zipf 'high'")
+        assert outcomes["blank-lines-before-short-row"][0].endswith(
+            ":5: expected 4 columns, got 3")
+        assert outcomes["newline-only"][0].endswith(":1: expected header word/lemma/zipf/ipa")
+        assert [w for w, *_ in outcomes["breaks-inside-fields"][0]] == [
+            "c\u2028d", "a\x0cb"]
+        assert [w for w, *_ in outcomes["equal-zipf"][0]] == [
+            "m", "Z", "a", "b", "c", "z", "\u00e9", "-0", "0"]
+        assert [w for w, *_ in outcomes["decomposed"][0]][:2] == ["caf\u00e9", "\u0301x"]
+        duplicates, warnings = outcomes["duplicates"]
+        assert duplicates == [("a", "y", "6.0", "ab"), ("b", "y", "5.0", "bb"),
+                              ("c", "c", "3.0", "cc"), ("d", "d", "2.0", "dd")]
+        assert [w.split(": ", 1)[1] for w in warnings] == [
+            f"duplicate {w!r} with differing IPA, first kept" for w in "bca"]
+
+    def test_lexeme_is_a_plain_tuple(self):
+        lx = Lexeme(word="a", lemma="b", zipf=1.5, ipa="")
+        assert lx == ("a", "b", 1.5, "") and hash(lx) == hash(("a", "b", 1.5, ""))
+        word, lemma, zipf, ipa = lx
+        assert (word, lemma, zipf, ipa) == ("a", "b", 1.5, "")
+        assert not lx.transcribable and Lexeme("a", "b", 1.5, "ab").transcribable
+        with pytest.raises(AttributeError):
+            lx.word = "c"
 
 
 class TestTopNAndZipf:

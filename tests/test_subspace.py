@@ -105,6 +105,49 @@ class TestPerpendicularDistance:
         assert np.array_equal(perpendicular_distance(pts, line), expected)
 
 
+@pytest.mark.parametrize("dims", [2, 100, 300])
+@pytest.mark.parametrize("extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+                         ids=["1", "step-1", "step", "step+1", "2step+3"])
+def test_blocked_distance_equals_the_norm_bit_for_bit(dims, extra):
+    step = _BLOCK_ELEMENTS // dims
+    rows = extra[0] * step + extra[1]
+    rng = np.random.default_rng([dims, rows])
+    line = build_line(rng.normal(size=(3, dims)), rng.normal(size=(2, dims)))
+    pts = rng.normal(size=(rows, dims)) * rng.uniform(0.1, 10.0, size=(rows, 1))
+    u = subspace._midpoint_coord(pts, line)
+    expected = np.linalg.norm(
+        pts - (line.midpoint + np.multiply.outer(u, line.direction)), axis=-1)
+    assert (perpendicular_distance(pts, line) == expected).all()
+
+
+def lexsort_rows(vocab, line, n):
+    """The rows ``select_words`` must return: a lexsort by distance, then
+    by word."""
+    dist = perpendicular_distance(vocab.vectors, line)
+    return np.lexsort((np.array(vocab.ids), dist))[:n]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_select_words_equals_the_lexsort(seed):
+    # few distinct vectors under many words, so distances tie exactly;
+    # the words mix ASCII and non-ASCII, in no sorted order
+    rng = np.random.default_rng(seed)
+    alphabet = list("abzAZ") + ["\u00e9", "\u00e4", "\u00f8", "\u0101",
+                                 "\u4e00", "\U0001f600", "e\u0301"]
+    words = sorted({"".join(rng.choice(alphabet, size=rng.integers(1, 4)))
+                    for _ in range(300)})
+    ids = tuple(rng.permutation(words).tolist())
+    distinct = rng.integers(-2, 3, size=(int(rng.integers(2, 12)), 4)).astype(float)
+    vectors = distinct[rng.integers(0, len(distinct), size=len(ids))]
+    line = build_line(rng.normal(size=(2, 4)), rng.normal(size=(2, 4)))
+    vocab = EmbeddingMatrix(ids, vectors)
+    dist = perpendicular_distance(vectors, line)
+    assert np.unique(dist).size < len(ids) // 10
+    for n in (1, len(ids) // 3, len(ids), len(ids) + 5):
+        assert np.array_equal(select_words(vocab, line, n=n),
+                              lexsort_rows(vocab, line, n))
+
+
 def selected(vocab, line, n):
     """The words of the rows ``select_words`` picks."""
     return [vocab.ids[i] for i in select_words(vocab, line, n=n)]
