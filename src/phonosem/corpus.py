@@ -143,7 +143,11 @@ class EmbeddingMatrix:
         return self.vectors.shape[1]
 
     def subset(self, keep: Sequence[int]) -> "EmbeddingMatrix":
+        """The rows at ``keep``, in that order: the matrix itself, not a
+        copy, when that is every row in order."""
         keep = list(keep)
+        if keep == list(range(self.n_items)):
+            return self
         return EmbeddingMatrix(
             ids=tuple(self.ids[i] for i in keep),
             vectors=self.vectors[keep],

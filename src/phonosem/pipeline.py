@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import re
-import tempfile
+import secrets
 import time
 import zipfile
 from dataclasses import dataclass, field
@@ -38,7 +38,7 @@ from .errors import AnalysisError, InputError
 from .phonetic import build_phonetic_embeddings
 from .segmentation import (PERPLEXITY_THRESHOLD, dedupe_into_morpheme_set,
                            perplexity_filter, read_segmentation_cache)
-from .stats import knn_overlap, mi_alignment, prepare, rsa
+from .stats import _row_blocks, knn_overlap, mi_alignment, prepare, rsa
 from .subspace import pool_candidates, scale_alignment
 
 log = logging.getLogger(__name__)
@@ -332,6 +332,19 @@ _NO_ROWS = VectorRows(ids=(), vectors=np.empty((0, 0)), lines=np.empty(0, np.int
 # a store is named by its file's SHA-256; a write in progress, or one a
 # killed run left, by that name with a dot before it and a suffix after
 _STORE_NAME = re.compile(r"([0-9a-f]{64})|\.[0-9a-f]{64}\..+")
+# A store read takes its rows by windows of _SCRATCH_BYTES of the body. A
+# window is read whole into a scratch buffer of that size, and its rows
+# gathered from there, when its wanted rows span at most _READ_BYTES per
+# run of consecutive rows past the first _GATHER_READS runs; else it takes
+# one read per run. On one CPU, from the page cache, at d = 100 and 300: a
+# run's seek and read cost 1.0-1.2 us, what one read spends on about
+# 15 KiB more; of 8, 12 and 16 KiB, the last read scattered rows fastest
+# (12,487 random rows of 20,000 at d = 100: 5.5-5.9 ms run by run,
+# 1.8-2.0 ms by windows); and a window's gather costs about four runs'
+# reads.
+_SCRATCH_BYTES = 1 << 18
+_READ_BYTES = 1 << 14
+_GATHER_READS = 4
 
 
 def load_vectors(config: RunConfig, language: str, digests: dict[str, str],
@@ -376,7 +389,7 @@ def load_vectors(config: RunConfig, language: str, digests: dict[str, str],
         del parsed  # freed before the gather below
     # the wanted rows, in the line order the store holds them in
     hits = [i for i, token in enumerate(stored.ids) if token in wanted]
-    rows = stored if len(hits) == stored.n_items else stored.subset(hits)
+    rows = stored.subset(hits)
     if not rows.n_items and not allow_none:
         raise InputError(f"{path}: no vocabulary items matched")
     missing = sorted(wanted & absent)
@@ -388,18 +401,30 @@ def load_vectors(config: RunConfig, language: str, digests: dict[str, str],
     return rows, missing
 
 
-def _merge_rows(a: VectorRows, b: VectorRows) -> VectorRows:
-    """The rows of both, which hold no line in common, in line order."""
-    if not a.n_items:
-        return b
-    lines = np.concatenate([a.lines, b.lines])
+def _merge_rows(stored: VectorRows, parsed: VectorRows) -> VectorRows:
+    """The rows of both, which hold no line in common, in line order.
+
+    The result's array is ``parsed.vectors``, grown in place: only the
+    read that parsed them may hold those rows, and ``parsed`` is spent.
+    The parsed rows move to their line-order slots one row block
+    (:func:`~phonosem.stats._row_blocks`) at a time, last block first. A
+    row's slot is never before it, so no row is overwritten before it
+    moves, and an overlapping move copies one block at most. The stored
+    rows then fill the slots left.
+    """
+    if not stored.n_items:
+        return parsed
+    lines = np.concatenate([stored.lines, parsed.lines])
     order = np.argsort(lines)
     at = np.empty_like(order)
     at[order] = np.arange(len(order))
-    vectors = np.empty((len(order), b.n_dims))
-    vectors[at[:a.n_items]] = a.vectors
-    vectors[at[a.n_items:]] = b.vectors
-    ids = a.ids + b.ids
+    vectors, s = parsed.vectors, stored.n_items
+    blocks = list(_row_blocks(parsed.n_items, parsed.n_dims))  # before it grows
+    vectors.resize((len(order), parsed.n_dims), refcheck=False)
+    for r0, r1 in reversed(blocks):
+        vectors[at[s + r0:s + r1]] = vectors[r0:r1]
+    vectors[at[:s]] = stored.vectors
+    ids = stored.ids + parsed.ids
     return VectorRows(ids=tuple(ids[i] for i in order.tolist()), vectors=vectors,
                       lines=lines[order])
 
@@ -417,7 +442,7 @@ def _read_store(path: Path, digest: str, wanted: set[str]
                 ) -> tuple[VectorRows, frozenset[str]] | None:
     """Rows of the store, in line order, and the items recorded as absent
     from the vectors file whose SHA-256 is ``digest``: only the ``wanted``
-    rows, read by runs of consecutive rows, when it holds or records as
+    rows (read by :func:`_read_rows`), when it holds or records as
     absent every wanted item, else every row, since the read that parses
     the others rewrites it. A store that is missing, does not load, does
     not match that digest or its own row count and dimension, or whose
@@ -446,19 +471,7 @@ def _read_store(path: Path, digest: str, wanted: set[str]
             if not wanted.difference(absent).difference(tokens):
                 take = take[np.fromiter(map(wanted.__contains__, tokens), bool)]
             vectors = np.empty((take.size, dim), dtype="<f8")
-            # the runs are take[cuts[i]:cuts[i + 1]]; the -2 ends cut both ends
-            cuts = np.flatnonzero(np.diff(take, prepend=-2, append=-2) != 1)
-            offsets = (start + take[cuts[:-1]] * width).tolist()
-            # unbuffered reads, each straight into the bytes of its rows
-            raw, rows = fh.raw, memoryview(vectors.reshape(-1).view(np.uint8))
-            cuts = (cuts * width).tolist()
-            for b0, b1, offset in zip(cuts, cuts[1:], offsets):
-                raw.seek(offset)
-                while b0 < b1:  # a read may return fewer bytes than asked
-                    n = raw.readinto(rows[b0:b1])
-                    if not n:
-                        raise ValueError("store cut short while read")
-                    b0 += n
+            _read_rows(fh.raw, start, take, vectors)
         return VectorRows(ids=tuple(map(tokens.__getitem__, take.tolist())),
                           vectors=vectors, lines=lines[take]), absent
     except FileNotFoundError:
@@ -466,6 +479,55 @@ def _read_store(path: Path, digest: str, wanted: set[str]
     except (OSError, ValueError, LookupError, TypeError, OverflowError) as exc:
         log.warning("%s: store ignored (%s: %s)", path, type(exc).__name__, exc)
         return None
+
+
+def _read_rows(raw, start: int, take: np.ndarray, out: np.ndarray) -> None:
+    """Read rows ``take`` (increasing) of a store body that starts at byte
+    ``start`` of the unbuffered file ``raw`` into ``out``: one read per
+    run of consecutive rows, straight into its rows of ``out``, but one
+    read per window whose runs lie close enough (see ``_READ_BYTES``)."""
+    if not take.size:
+        return
+    dim, n = out.shape[1], take.size
+    width = 8 * dim
+    window = take // max(1, _SCRATCH_BYTES // max(width, 1))
+    edge = np.ones(n, bool)  # the first wanted row of each window
+    edge[1:] = window[1:] != window[:-1]
+    run = np.ones(n, bool)  # and of each run of consecutive rows
+    run[1:] = take[1:] - take[:-1] != 1
+    first = np.flatnonzero(edge)
+    ends = np.append(first[1:], n)
+    span = take[ends - 1] + 1 - take[first]
+    runs = np.add.reduceat(run | edge, first, dtype=np.int64)
+    whole = np.repeat(span * width <= (runs - _GATHER_READS) * _READ_BYTES,
+                      ends - first)
+    # a read starts at each run outside the windows read whole, at each
+    # such window, and after it
+    new = run & ~whole | edge & whole
+    new[1:] |= edge[1:] & whole[:-1]
+    bounds = np.append(np.flatnonzero(new), n)
+    rows = memoryview(out.reshape(-1).view(np.uint8))
+    scratch = np.empty(_SCRATCH_BYTES if whole.any() else 0, np.uint8)
+    for k0, k1, r0, r1 in zip(bounds.tolist(), bounds[1:].tolist(),
+                              take[bounds[:-1]].tolist(),
+                              (take[bounds[1:] - 1] + 1).tolist()):
+        offset = start + r0 * width
+        if r1 - r0 == k1 - k0:  # one run
+            _fill(raw, rows[k0 * width:k1 * width], offset)
+        else:
+            _fill(raw, memoryview(scratch)[:(r1 - r0) * width], offset)
+            block = scratch[:(r1 - r0) * width].view("<f8").reshape(r1 - r0, dim)
+            out[k0:k1] = block[take[k0:k1] - r0]
+
+
+def _fill(raw, view: memoryview, offset: int) -> None:
+    """Read ``len(view)`` bytes at ``offset`` of ``raw`` into ``view``."""
+    raw.seek(offset)
+    while view:  # a read may return fewer bytes than asked
+        n = raw.readinto(view)
+        if not n:
+            raise ValueError("store cut short while read")
+        view = view[n:]
 
 
 def _write_store(path: Path, digest: str, rows: VectorRows,
@@ -478,9 +540,10 @@ def _write_store(path: Path, digest: str, rows: VectorRows,
               "lines": rows.lines.tolist(), "absent": sorted(absent)}
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}"
+        fh = open(tmp, "xb")  # mode 0o666 less the umask, as every output
         try:
-            with os.fdopen(fd, "wb") as fh:
+            with fh:
                 fh.write(json.dumps(header).encode("ascii") + b"\n")
                 fh.write(np.ascontiguousarray(rows.vectors, dtype="<f8").data)
             os.replace(tmp, path)
@@ -632,6 +695,13 @@ def run_subspace(config: RunConfig) -> dict[str, Path]:
     for lang in config.languages:
         lexicon, vocab = load_vocabulary(config, lang, digests)
         candidates = pool_candidates(vocab, lexicon, table)
+        # the scales read the candidates and the semantic exemplars' rows
+        # alone, so the lexicon and the vocabulary go before they run
+        exemplars = {w for scale in scales
+                     for side in (scale.semantic_pos, scale.semantic_neg)
+                     for w in side.get(lang, ())}
+        vocab = vocab.subset([i for i, w in enumerate(vocab.ids) if w in exemplars])
+        del lexicon
         for scale in scales:
             result = scale_alignment(
                 scale, lang, vocab, table, candidates, n_words=p["subspace_pool"],
@@ -646,6 +716,7 @@ def run_subspace(config: RunConfig) -> dict[str, Path]:
                                         result.phonetic_coords):
                         fh.write(f"{w}\t{s!r}\t{ph!r}\n")
                 written[f"scatter:{lang}:{scale.name}"] = scatter
+        del vocab, candidates  # before the next language's rows are read
 
     payload = {
         "config_hash": config.config_hash(),

@@ -63,9 +63,13 @@ def project(points: np.ndarray, line: CentroidLine) -> np.ndarray:
 
 
 def _midpoint_coord(points: np.ndarray, line: CentroidLine) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
+    return _centred_coord(np.asarray(points, dtype=np.float64) - line.midpoint, line)
+
+
+def _centred_coord(centred: np.ndarray, line: CentroidLine) -> np.ndarray:
+    """:func:`_midpoint_coord` of points already less ``line.midpoint``."""
     d2 = float(np.dot(line.direction, line.direction))
-    return (pts - line.midpoint) @ line.direction / d2
+    return centred @ line.direction / d2
 
 
 def perpendicular_distance(points: np.ndarray, line: CentroidLine) -> np.ndarray:
@@ -163,12 +167,10 @@ class ScaleCandidates:
     """A language's candidate words for every scale: the words with an
     embedding, an IPA transcription and a non-empty tokenization, with
     their semantic vectors and mean-pooled phonetic feature vectors (rows
-    in word order). ``vocabulary_rows`` maps every word of the vocabulary
-    they were pooled from to its row there."""
+    in word order)."""
 
     words: EmbeddingMatrix
     phonetic: np.ndarray
-    vocabulary_rows: dict[str, int]
     dropped_no_embedding: int
     dropped_no_phonetics: int
 
@@ -177,17 +179,19 @@ def pool_candidates(
     vocabulary: EmbeddingMatrix, lexicon: tuple[Lexeme, ...],
     table: SegmentFeatureTable
 ) -> ScaleCandidates:
+    """The candidates among the vocabulary's words. Their semantic rows
+    are the vocabulary itself when every word pools (``subset``), else a
+    compact copy of their rows; the scales only read them."""
     ipa = {lx.word: lx.ipa for lx in lexicon}
-    emb_index = {w: i for i, w in enumerate(vocabulary.ids)}
-    words, rows, no_phon = _tokenize_and_pool(
+    _, rows, no_phon = _tokenize_and_pool(
         [(w, ipa.get(w, "")) for w in vocabulary.ids], table)
+    skipped = set(no_phon)
+    in_vocabulary = set(vocabulary.ids)
     return ScaleCandidates(
-        words=EmbeddingMatrix(
-            ids=tuple(words),
-            vectors=vocabulary.vectors[[emb_index[w] for w in words]]),
+        words=vocabulary.subset(
+            [i for i, w in enumerate(vocabulary.ids) if w not in skipped]),
         phonetic=rows,
-        vocabulary_rows=emb_index,
-        dropped_no_embedding=sum(1 for lx in lexicon if lx.word not in emb_index),
+        dropped_no_embedding=sum(1 for lx in lexicon if lx.word not in in_vocabulary),
         dropped_no_phonetics=len(no_phon),
     )
 
@@ -213,11 +217,16 @@ def scale_alignment(
     are mapped through the same transform before the phonetic line is
     built. Significance shuffles the word-to-phonetic-coordinate
     assignment, two-sided; both coordinate vectors are ranked once.
+
+    The semantic exemplars' rows are read from ``vocabulary``, which
+    needs to hold only those rows.
     """
     if language not in scale.semantic_pos:
         raise InputError(f"scale {scale.name!r} has no exemplars for {language!r}")
 
-    index = candidates.vocabulary_rows
+    exemplars = set(scale.semantic_pos[language]).union(
+        scale.semantic_neg.get(language, ()))
+    index = {w: i for i, w in enumerate(vocabulary.ids) if w in exemplars}
     no_vector = (f"scale {scale.name!r} ({language}): semantic exemplars "
                  "missing from embeddings")
     sem_line = build_line(
@@ -239,7 +248,11 @@ def scale_alignment(
     neg_seg = np.vstack(_exemplars(scale.phonetic_neg, table, no_segment))[:, kept]
     phon_line = build_line((pos_seg - mean) / std, (neg_seg - mean) / std)
 
-    sem_coords = project(candidates.words.vectors[rows], sem_line)
+    # the gathered rows are this call's own, so they are centred in place
+    selected = candidates.words.vectors[rows]
+    selected -= sem_line.midpoint
+    sem_coords = _centred_coord(selected, sem_line) + 0.5
+    del selected
     phon_coords = project(phon_std, phon_line)
 
     centered_sem = _centered(_doubled_ranks(sem_coords))

@@ -22,7 +22,7 @@ import phonosem
 from phonosem import pipeline
 from phonosem.cca import PoleCandidates, build_pole_report
 from phonosem.cli import main
-from phonosem.corpus import (load_feature_table, load_lexicon,
+from phonosem.corpus import (VectorRows, load_feature_table, load_lexicon,
                              load_semantic_embeddings)
 from phonosem.errors import InputError
 from phonosem.pipeline import PARAMS
@@ -1355,7 +1355,8 @@ class TestVectorStore:
         subspace = (tmp_path / "out" / "subspace.json").read_bytes()
         stale = store.parent / ("0" * 64)  # the store of another file
         stale.write_bytes(good)
-        # what writes killed between mkstemp and os.replace leave
+        # what writes killed between creating a temporary file and
+        # os.replace leave
         temporaries = [store.parent / f".{store.name}.k1ll3d",
                        store.parent / f".{'0' * 64}.x_y"]
         other = [store.parent / "notes.txt", store.parent / ("0" * 63)]
@@ -1519,6 +1520,191 @@ class TestVectorStore:
                      if r.getMessage().startswith(f"{paths['vectors']}: ")]
             assert len(reads) == 1 and message in reads[0], (command, reads)
         assert n_words == n_forms + 4
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o002], ids=oct)
+    def test_store_has_the_mode_of_a_plain_file(self, tmp_path, umask):
+        path, paths = language_config(tmp_path, SMALL_RUN)
+        config = pipeline.RunConfig.from_file(path)
+        digests = pipeline.input_digests(config, ("vectors",))
+        store = self.store(tmp_path, paths)
+        words = [lx.word for lx in load_lexicon(paths["lexicon"])]
+        before = os.umask(umask)
+        try:
+            pipeline.load_vectors(config, "syn", digests, words)
+            with open(store.parent / "plain.txt", "w", encoding="utf-8"):
+                pass
+        finally:
+            os.umask(before)
+        assert (store.stat().st_mode
+                == (store.parent / "plain.txt").stat().st_mode)
+
+    @staticmethod
+    def many_rows_store(tmp_path, n_rows):
+        """A config over a vectors file of ``n_rows`` random 4-dimensional
+        rows, with its store filled with every row; with the words."""
+        path, paths = language_config(tmp_path, SMALL_RUN)
+        words = [f"v{i:05d}" for i in range(n_rows)]
+        vectors = tmp_path / "many.vec"
+        rng = np.random.default_rng(n_rows)
+        vectors.write_text("".join(
+            w + "".join(f" {x!r}" for x in row) + "\n"
+            for w, row in zip(words, rng.normal(size=(n_rows, 4)).tolist())),
+            encoding="utf-8")
+        cfg = json.loads(path.read_text("utf-8"))
+        cfg["inputs"]["syn"]["vectors"] = str(vectors)
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        config = pipeline.RunConfig.from_file(path)
+        digests = pipeline.input_digests(config, ("vectors",))
+        pipeline.load_vectors(config, "syn", digests, words)
+        return config, digests, vectors, words
+
+    def test_scattered_majority_read_takes_nearby_runs_in_one_read(
+            self, tmp_path, monkeypatch):
+        config, digests, vectors, words = self.many_rows_store(tmp_path, 12_000)
+        store = tmp_path / "out" / "vectors" / digests[str(vectors)]
+        stored = store.read_bytes()
+        # two of every three rows, one row apart, but for a 1,000-row gap:
+        # 3,667 runs, in spans longer than one scratch buffer's
+        wanted = [w for i, w in enumerate(words) if i % 3 and not 1000 <= i < 2000]
+        fresh, _ = load_semantic_embeddings(vectors, wanted)
+        reads = []
+
+        class CountingFile(io.FileIO):
+            at_rows = False
+
+            def seek(self, *args):
+                self.at_rows = True  # the header is read without a seek
+                return super().seek(*args)
+
+            def readinto(self, buffer):
+                n = super().readinto(buffer)
+                if self.at_rows:
+                    reads.append(n)
+                return n
+
+        class TrickleFile(io.FileIO):
+            def readinto(self, buffer):  # 7 bytes at most, as a read may
+                return super().readinto(memoryview(buffer).cast("B")[:7])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("text parsed for rows the store holds")
+        for file_class in (CountingFile, TrickleFile):
+            self.open_store_with(monkeypatch, store, file_class)
+            monkeypatch.setattr(pipeline, "load_semantic_embeddings", refuse)
+            rows, missing = pipeline.load_vectors(config, "syn", digests, wanted)
+            monkeypatch.undo()
+            assert rows.ids == fresh.ids and missing == []
+            assert rows.vectors.tobytes() == fresh.vectors.tobytes()
+        assert 0 < len(reads) <= 10
+        assert store.read_bytes() == stored
+
+    @pytest.mark.parametrize("step", [600, 1])
+    def test_read_of_far_apart_or_all_rows_takes_only_its_runs(self, step):
+        # rows 600 apart, 19,200 bytes at d = 4, are each read alone, since
+        # reading the rows between them would cost more than the reads;
+        # every row is one read, across the three windows it spans
+        body = np.arange(24_000 * 4, dtype="<f8")
+        take = np.arange(7 if step > 1 else 0, 24_000, step)
+        reads = []
+
+        class CountingBytes(io.BytesIO):
+            def readinto(self, buffer):
+                reads.append((self.tell(), len(buffer)))
+                return super().readinto(buffer)
+
+        out = np.empty((take.size, 4))
+        pipeline._read_rows(CountingBytes(body.tobytes()), 0, take, out)
+        assert out.tobytes() == body.reshape(-1, 4)[take].tobytes()
+        expected = [(32 * row, 32) for row in take.tolist()]
+        assert reads == (expected if step > 1 else [(0, body.nbytes)])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_read_rows_equals_a_gather(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = [1, 4, 100, 300][seed % 4]
+        body = rng.normal(size=(int(rng.integers(1, 200_000 // dim)), dim))
+        # stretches of 50 rows that want a few, most or all of their rows
+        share = np.repeat(rng.choice([0.02, 0.7, 1.0], size=len(body) // 50 + 1), 50)
+        take = np.flatnonzero(rng.random(len(body)) < share[:len(body)])
+        out = np.empty((take.size, dim))
+        pipeline._read_rows(io.BytesIO(b"head" + body.tobytes()), 4, take, out)
+        assert out.tobytes() == body[take].tobytes()
+
+    def test_scattered_read_of_a_store_cut_short_is_rewritten(self, tmp_path,
+                                                              caplog):
+        config, digests, vectors, words = self.many_rows_store(tmp_path, 1500)
+        store = tmp_path / "out" / "vectors" / digests[str(vectors)]
+        stored = store.read_bytes()
+        wanted = [w for i, w in enumerate(words[:-3]) if i % 3]
+        store.write_bytes(stored[:-40])  # every wanted row is whole
+        caplog.clear()
+        rows, _ = pipeline.load_vectors(config, "syn", digests, wanted)
+        assert f"{store}: store ignored (ValueError: " in caplog.text
+        fresh, _ = load_semantic_embeddings(vectors, wanted)
+        assert rows.ids == fresh.ids
+        assert rows.vectors.tobytes() == fresh.vectors.tobytes()
+        header = json.loads(store.read_bytes().split(b"\n", 1)[0])
+        assert header["tokens"] == list(fresh.ids)
+
+
+def old_merge_rows(a, b):
+    """``pipeline._merge_rows`` as it was when it merged into a new array:
+    the oracle of the in-place merge."""
+    if not a.n_items:
+        return b
+    lines = np.concatenate([a.lines, b.lines])
+    order = np.argsort(lines)
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    vectors = np.empty((len(order), b.n_dims))
+    vectors[at[:a.n_items]] = a.vectors
+    vectors[at[a.n_items:]] = b.vectors
+    ids = a.ids + b.ids
+    return VectorRows(ids=tuple(ids[i] for i in order.tolist()), vectors=vectors,
+                      lines=lines[order])
+
+
+class TestMergeRows:
+    @staticmethod
+    def rows(lines, dims, rng):
+        lines = np.asarray(lines, dtype=np.int64)
+        return VectorRows(ids=tuple(f"w{x}" for x in lines.tolist()),
+                          vectors=rng.normal(size=(lines.size, dims)), lines=lines)
+
+    def check(self, stored_lines, parsed_lines, dims, rng):
+        stored = self.rows(stored_lines, dims, rng)
+        parsed = self.rows(parsed_lines, dims, rng)
+        expected = old_merge_rows(
+            stored, VectorRows(ids=parsed.ids, vectors=parsed.vectors.copy(),
+                               lines=parsed.lines))
+        array = parsed.vectors
+        merged = pipeline._merge_rows(stored, parsed)
+        assert merged.vectors is array  # grown in place, not copied
+        assert merged.ids == expected.ids
+        assert merged.lines.tolist() == expected.lines.tolist()
+        assert merged.vectors.tobytes() == expected.vectors.tobytes()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_interleavings_equal_the_old_merge(self, seed):
+        rng = np.random.default_rng(seed)
+        # past one row block (stats._row_blocks) at dimension 1 and 3
+        n = int(rng.integers(2, 70_000 if seed < 4 else 3_000))
+        lines = np.sort(rng.choice(10 * n, size=n, replace=False)) + 1
+        stored = rng.random(n) < rng.choice([0.02, 0.3, 0.9])
+        self.check(lines[stored], lines[~stored], [1, 3, 100][seed % 3], rng)
+
+    @pytest.mark.parametrize("stored,parsed", [
+        ([], [4, 9]), ([4, 9], []), ([7], [2]), ([2], [7]), ([1, 2, 3], [9]),
+        ([9], [1, 2, 3]), ([5], [1, 9]), ([1, 9], [5]), ([], [3])])
+    @pytest.mark.parametrize("dims", [1, 5])
+    def test_edge_cases_equal_the_old_merge(self, stored, parsed, dims):
+        self.check(stored, parsed, dims, np.random.default_rng(dims))
+
+    def test_stored_rows_first_move_every_row_in_blocks(self):
+        # every parsed row moves by the same count, through more than one
+        # row block, overlapping where it lands
+        rng = np.random.default_rng(3)
+        self.check(np.arange(1, 6), np.arange(6, 200_000), 1, rng)
 
 
 class TestReport:

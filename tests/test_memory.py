@@ -7,6 +7,10 @@ well under the 41 bytes per n^2 cell that holding both matrices through
 all three statistics took. The cosine build itself makes the matrix
 symmetric in place, where averaging it with its transpose held two more
 n x n temporaries.
+
+A cold ``analyze-subspace`` holds one full-size copy of the vocabulary's
+vector rows, the candidates' (which are the vocabulary's own array when
+every word pools), plus one full-size temporary while it selects words.
 """
 
 import json
@@ -14,9 +18,9 @@ import tracemalloc
 
 import numpy as np
 
-from phonosem.corpus import EmbeddingMatrix
+from phonosem.corpus import EmbeddingMatrix, load_lexicon
 from phonosem.phonetic import cosine_similarity_matrix
-from phonosem.pipeline import RunConfig, run_global
+from phonosem.pipeline import RunConfig, run_global, run_subspace
 from phonosem.stats import prepare
 from phonosem.synth import make_planted_language
 
@@ -27,6 +31,10 @@ MAX_COSINE_MATRICES = 1.5
 # copy, each 8 bytes per pair, plus one chunk's temporaries: a fourth
 # pair-length 8-byte array would pass 4.
 MAX_PREPARE_PAIR_ARRAYS = 3.5
+# The candidates' rows and the selection's (rows - midpoint) temporary,
+# plus the lexicon and the ids: a third full-size copy of the rows, as a
+# merge into a new array or a copy of the candidates holds, would pass it.
+MAX_SUBSPACE_ROW_COPIES = 2.5
 
 
 def test_global_suite_peak_per_cell(tmp_path):
@@ -80,3 +88,34 @@ def test_prepare_peak_in_pair_arrays():
         tracemalloc.stop()
     assert space.doubled_ranks is not None and space.bin_index is not None
     assert peak <= MAX_PREPARE_PAIR_ARRAYS * 8 * n * (n - 1) // 2
+
+
+def test_cold_subspace_peak_in_row_copies(tmp_path):
+    n, d = 2000, 100
+    paths = make_planted_language(tmp_path / "lang", n_morphemes=n,
+                                  semantic_dim=d)
+    words = [lx.word for lx in load_lexicon(paths["lexicon"])]
+    scales = tmp_path / "scales.json"
+    scales.write_text(json.dumps({"scales": {"demo": {
+        "phonetic": {"pos": ["m", "n"], "neg": ["p", "t"]},
+        "semantic": {"syn": {"pos": words[:2], "neg": words[2:4]}}}}}),
+        encoding="utf-8")
+    cfg = {"languages": ["syn"],
+           "feature_table": str(paths["feature_table"]),
+           "inputs": {"syn": {k: str(v) for k, v in paths.items()
+                              if k != "feature_table"}},
+           "output_dir": str(tmp_path / "out"), "scales": str(scales),
+           "params": {"subspace_shuffles": 2, "subspace_null_points": 2,
+                      "subspace_pool": n // 2}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    config = RunConfig.from_file(path)
+    tracemalloc.start()
+    try:
+        run_subspace(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = json.loads((tmp_path / "out" / "subspace.json").read_text("utf-8"))
+    assert [cell["n_words"] for cell in payload["cells"]] == [n // 2]
+    assert peak <= MAX_SUBSPACE_ROW_COPIES * 8 * n * d

@@ -2,17 +2,22 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from phonosem import pipeline, subspace
-from phonosem.corpus import EmbeddingMatrix, Lexeme, ScaleConfig, load_lexicon
+from phonosem.corpus import (EmbeddingMatrix, Lexeme, ScaleConfig,
+                             load_feature_table, load_lexicon, load_scale_configs,
+                             load_semantic_embeddings, save_lexicon)
 from phonosem.errors import AnalysisError, InputError
+from phonosem.phonetic import _tokenize_and_pool
 from phonosem.stats import _BLOCK_ELEMENTS, _row_blocks
 from phonosem.subspace import (CentroidLine, build_line,
                                perpendicular_distance, pool_candidates,
                                project, scale_alignment, select_words)
+from phonosem.synth import make_planted_language
 
 
 class TestBuildLine:
@@ -351,3 +356,100 @@ def test_run_subspace_pools_once_per_language(planted_dir, tmp_path, monkeypatch
     assert len(calls) == len(languages)
     payload = json.loads((tmp_path / "out" / "subspace.json").read_text(encoding="utf-8"))
     assert len(payload["cells"]) == 6
+
+
+def copying_pool(vocabulary, lexicon, table):
+    """``pool_candidates`` as it was when the candidates' rows were always
+    a copy gathered from the vocabulary: the oracle of the pooling that
+    reuses the vocabulary's array."""
+    ipa = {lx.word: lx.ipa for lx in lexicon}
+    emb_index = {w: i for i, w in enumerate(vocabulary.ids)}
+    words, rows, no_phon = _tokenize_and_pool(
+        [(w, ipa.get(w, "")) for w in vocabulary.ids], table)
+    return subspace.ScaleCandidates(
+        words=EmbeddingMatrix(
+            ids=tuple(words),
+            vectors=vocabulary.vectors[[emb_index[w] for w in words]]),
+        phonetic=rows,
+        dropped_no_embedding=sum(1 for lx in lexicon if lx.word not in emb_index),
+        dropped_no_phonetics=len(no_phon),
+    )
+
+
+def subspace_language(tmp_path, all_pool):
+    """A config over a 300-word planted language and three scales. Unless
+    ``all_pool``, every seventh word (two semantic exemplars among them)
+    has a transcription no segment matches, and one more word has no
+    vector."""
+    paths = make_planted_language(tmp_path / "lang", n_morphemes=300, seed=4)
+    lexicon = load_lexicon(paths["lexicon"])
+    words = [lx.word for lx in lexicon]
+    if not all_pool:
+        lexicon = [Lexeme(lx.word, lx.lemma, lx.zipf, "ʔʔ" if i % 7 == 0
+                          else lx.ipa) for i, lx in enumerate(lexicon)]
+        lexicon.append(Lexeme("zz_no_vector", "zz_no_vector", 5.0, "pata"))
+        save_lexicon(lexicon, paths["lexicon"])
+    scales = paths["lexicon"].parent / "scales.json"
+    scales.write_text(json.dumps({"scales": {
+        name: {"phonetic": {"pos": pos, "neg": neg},
+               "semantic": {"syn": {"pos": words[i:i + 2],
+                                    "neg": words[i + 2:i + 4]}}}
+        for name, i, pos, neg in [("one", 0, ["m", "n"], ["p", "t"]),
+                                  ("two", 5, ["l", "a"], ["k", "s"]),
+                                  ("three", 15, ["i", "u"], ["b", "d"])]}}),
+        encoding="utf-8")
+    return pipeline.RunConfig(
+        languages=("syn",), feature_table=str(paths["feature_table"]),
+        inputs={"syn": {role: str(paths[role])
+                        for role in ("lexicon", "vectors", "segmentations")}},
+        output_dir=str(tmp_path / "out"), scales=str(scales),
+        params={"subspace_shuffles": 30, "subspace_null_points": 20,
+                "subspace_pool": 120})
+
+
+@pytest.mark.parametrize("all_pool", [True, False], ids=["all-pool", "some-pool"])
+def test_run_subspace_equals_a_copying_oracle(tmp_path, all_pool):
+    config = subspace_language(tmp_path, all_pool)
+    lexicon = load_lexicon(config.inputs["syn"]["lexicon"])
+    # a store of every fifth word, so the read merges parsed rows into it
+    pipeline.load_vectors(config, "syn", pipeline.input_digests(config, ("vectors",)),
+                          [lx.word for lx in lexicon[::5]])
+    pipeline.run_subspace(config)
+    payload = json.loads((tmp_path / "out" / "subspace.json").read_text("utf-8"))
+
+    table = load_feature_table(config.feature_table)
+    vocab, _ = load_semantic_embeddings(config.inputs["syn"]["vectors"],
+                                        [lx.word for lx in lexicon])
+    candidates = copying_pool(vocab, lexicon, table)
+    assert (candidates.words.n_items == vocab.n_items) == all_pool
+    assert candidates.dropped_no_embedding == (0 if all_pool else 1)
+    row = {w: i for i, w in enumerate(vocab.ids)}
+    cells = []
+    for scale in load_scale_configs(config.scales):
+        pooled = [w for w in scale.semantic_pos["syn"] + scale.semantic_neg["syn"]
+                  if w in candidates.words.ids]
+        assert (len(pooled) == 4) == (all_pool or scale.name == "three")
+        result = scale_alignment(
+            scale, "syn", vocab, table, candidates, n_words=120,
+            **pipeline._null(config, f"subspace:{scale.name}", "syn", "subspace_"))
+        # the in-place centring gives the bits of project over a gather
+        line = build_line(vocab.vectors[[row[w] for w in scale.semantic_pos["syn"]]],
+                          vocab.vectors[[row[w] for w in scale.semantic_neg["syn"]]])
+        expected = project(vocab.vectors[[row[w] for w in result.words]], line)
+        assert result.semantic_coords.tobytes() == expected.tobytes()
+        cells.append(result.to_record())
+    assert (json.dumps(payload["cells"], sort_keys=True)
+            == json.dumps(cells, sort_keys=True))
+
+
+def test_run_subspace_names_missing_exemplars_in_scale_order(tmp_path):
+    config = subspace_language(tmp_path, all_pool=False)
+    scales = json.loads(Path(config.scales).read_text("utf-8"))
+    scales["scales"]["two"]["semantic"]["syn"]["pos"][1] = "zz_q"
+    scales["scales"]["two"]["semantic"]["syn"]["pos"][0] = "zz_no_vector"
+    scales["scales"]["three"]["semantic"]["syn"]["neg"][0] = "zz_r"
+    Path(config.scales).write_text(json.dumps(scales), encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(
+            "scale 'two' (syn): semantic exemplars missing from embeddings: "
+            "zz_no_vector, zz_q")):
+        pipeline.run_subspace(config)
