@@ -233,11 +233,15 @@ def _centered(doubled: np.ndarray) -> np.ndarray:
     return np.subtract(doubled, doubled.size + 1, dtype=np.float64)
 
 
-def _rho(cx: np.ndarray, cy: np.ndarray) -> float:
-    """Spearman's rho of two centred doubled-rank vectors, clipped to [-1, 1]."""
+def _rho(cx: np.ndarray, cy: np.ndarray, xx: float | None = None) -> float:
+    """Spearman's rho of two centred doubled-rank vectors, clipped to
+    [-1, 1]; ``xx``, when given, is ``np.dot(cx, cx)`` taken once by a
+    caller whose ``cx`` is fixed."""
     if cx.size < 3:
         raise AnalysisError(f"spearman_rho needs >= 3 points, got {cx.size}")
-    denom = float(np.sqrt(np.dot(cx, cx) * np.dot(cy, cy)))
+    if xx is None:
+        xx = np.dot(cx, cx)
+    denom = float(np.sqrt(xx * np.dot(cy, cy)))
     if denom == 0.0:
         raise AnalysisError("spearman_rho undefined for a constant vector")
     return min(1.0, max(-1.0, float(np.dot(cx, cy) / denom)))
@@ -327,13 +331,12 @@ def _mean_overlap(na: np.ndarray, nb: np.ndarray, k: int) -> float:
 # ---------------------------------------------------------------------------
 # Pair gathers
 
-def _permuted_pairs(matrix: np.ndarray, perm: np.ndarray) -> Iterator[np.ndarray]:
-    """The pair vector of ``matrix[perm][:, perm]`` (strict upper
-    triangle, row-major), one row block at a time."""
-    n = perm.size
-    for i0, i1 in _row_blocks(n, n):
-        block = matrix.take(perm[i0:i1], axis=0).take(perm[i0 + 1:], axis=1)
-        yield block[np.arange(n - i0 - 1) >= np.arange(i1 - i0)[:, None]]
+def _permuted_block(matrix: np.ndarray, perm: np.ndarray, i0: int,
+                    i1: int) -> np.ndarray:
+    """Rows ``i0:i1`` and columns ``i0 + 1:`` of ``matrix[perm][:, perm]``,
+    a row take then a column take: row r of the block holds its strict
+    upper triangle in the columns c >= r."""
+    return matrix.take(perm[i0:i1], axis=0).take(perm[i0 + 1:], axis=1)
 
 
 def _symmetric(pairs: np.ndarray, n: int) -> np.ndarray:
@@ -534,27 +537,38 @@ def rsa(
     """Spearman correlation of the two pair vectors, permutation-tested.
 
     The ranks of a permuted pair vector are the permuted ranks, so a
-    shuffle gathers B's prepared doubled ranks, spread into a symmetric
-    matrix, in permuted pair order and centres them in one reused buffer.
+    shuffle gathers B's prepared doubled ranks, centred and spread into a
+    symmetric matrix of their signed dtype, in permuted pair order, into
+    one reused float64 buffer. A's centred ranks and their sum of
+    squares are computed once.
     """
     _check_same_items(sim_a, sim_b)
     a, b = _prepared(sim_a, "rsa"), _prepared(sim_b, "rsa")
-    # A's ranks are centred once, B's in one reused buffer
+    n = a.n_items
     centered_a = _centered(a.doubled_ranks)
     centered_b = _centered(b.doubled_ranks)
-    observed = _rho(centered_a, centered_b)
-    doubled_b = _symmetric(b.doubled_ranks, b.n_items)
-    shift = centered_b.size + 1
+    aa = np.dot(centered_a, centered_a)
+    observed = _rho(centered_a, centered_b, aa)
+    # doubled ranks are at most 2P for P pairs, so r - (P + 1) fits the
+    # signed type of their width: subtract with wrap-around, view as signed
+    ranks_b = _symmetric(b.doubled_ranks, n)
+    ranks_b -= centered_b.size + 1
+    ranks_b = ranks_b.view(np.dtype(f"i{ranks_b.itemsize}"))
+    # every block's pairs are its rows' columns c >= r: the top-left
+    # corner of the first block's mask
+    rows = next(_row_blocks(n, n))[1]
+    mask = np.arange(n - 1) >= np.arange(rows)[:, None]
 
     def stat(perm: np.ndarray) -> float:
         start = 0
-        for block in _permuted_pairs(doubled_b, perm):
-            np.subtract(block, shift, out=centered_b[start:start + block.size],
-                        dtype=np.float64)
-            start += block.size
-        return _rho(centered_a, centered_b)
+        for i0, i1 in _row_blocks(n, n):
+            block = _permuted_block(ranks_b, perm, i0, i1)
+            pairs = block[mask[:i1 - i0, :n - i0 - 1]]
+            np.copyto(centered_b[start:start + pairs.size], pairs)
+            start += pairs.size
+        return _rho(centered_a, centered_b, aa)
 
-    p, null = permutation_test(stat, observed, a.n_items, n_shuffles,
+    p, null = permutation_test(stat, observed, n, n_shuffles,
                                null_points, seed, "greater")
     return _summarize("rsa", observed, null, p, n_shuffles, seed, "greater")
 
@@ -571,8 +585,12 @@ def mi_alignment(
 
     Bin edges depend only on each pair vector's value set, so every
     pair's bin is prepared once (B's spread into a symmetric matrix); the
-    observed MI counts the prepared joint bins, and a shuffle counts the
-    gathered ones.
+    observed MI counts the prepared joint bins. A's joint-bin codes lie
+    in the strict upper triangle of an n x n matrix whose other cells
+    hold the sentinel code ``bins * bins``, so a shuffle adds each
+    gathered block of B's bins to its codes and counts the whole block:
+    the sentinel's counts fall past the joint bins and are dropped, and
+    no mask is applied.
     """
     _check_same_items(sim_a, sim_b)
     a = _prepared(sim_a, "mi", bins=bins)
@@ -582,15 +600,19 @@ def mi_alignment(
     codes_a = a.bin_index.astype(np.min_scalar_type(cells - 1))
     codes_a *= bins
     observed = _mi_bits(np.bincount(codes_a + b.bin_index, minlength=cells), bins)
+    # the sentinel plus B's largest bin must fit, which the codes' own
+    # dtype need not (cells = 256 at bins = 16)
+    codes = np.full((n, n), cells, dtype=np.min_scalar_type(cells + bins - 1))
+    for i, start, stop in _upper_rows(n):
+        codes[i, i + 1:] = codes_a[start:stop]
+    del codes_a
     bins_b = _symmetric(b.bin_index, n)
 
     def stat(perm: np.ndarray) -> float:
         counts = np.zeros(cells, dtype=np.intp)
-        start = 0
-        for pairs in _permuted_pairs(bins_b, perm):
-            counts += np.bincount(codes_a[start:start + pairs.size] + pairs,
-                                  minlength=cells)
-            start += pairs.size
+        for i0, i1 in _row_blocks(n, n):
+            joint = codes[i0:i1, i0 + 1:] + _permuted_block(bins_b, perm, i0, i1)
+            counts += np.bincount(joint.ravel(), minlength=cells + bins)[:cells]
         return _mi_bits(counts, bins)
 
     p, null = permutation_test(stat, observed, n, n_shuffles, null_points,

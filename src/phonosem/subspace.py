@@ -257,10 +257,11 @@ def scale_alignment(
 
     centered_sem = _centered(_doubled_ranks(sem_coords))
     centered_phon = _centered(_doubled_ranks(phon_coords))
-    rho = _rho(centered_sem, centered_phon)
+    sem_sq = np.dot(centered_sem, centered_sem)
+    rho = _rho(centered_sem, centered_phon, sem_sq)
 
     def stat(perm: np.ndarray) -> float:
-        return _rho(centered_sem, centered_phon[perm])
+        return _rho(centered_sem, centered_phon[perm], sem_sq)
 
     p, null = permutation_test(stat, rho, rows.size, n_shuffles,
                                null_points, seed, "two-sided")

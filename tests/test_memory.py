@@ -8,6 +8,11 @@ all three statistics took. The cosine build itself makes the matrix
 symmetric in place, where averaging it with its transpose held two more
 n x n temporaries.
 
+Inside the global suite, ``rsa`` holds both spaces' centred float64 ranks
+beside B's symmetric rank matrix, and ``mi_alignment`` its n x n joint-bin
+code matrix (2 bytes per cell at 20 bins) beside B's symmetric bin
+matrix; each is bounded on its own, with MI's bound below RSA's peak.
+
 A cold ``analyze-subspace`` holds one full-size copy of the vocabulary's
 vector rows, the candidates' (which are the vocabulary's own array when
 every word pools), plus one full-size temporary while it selects words.
@@ -17,11 +22,12 @@ import json
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from phonosem.corpus import EmbeddingMatrix, load_lexicon
 from phonosem.phonetic import cosine_similarity_matrix
 from phonosem.pipeline import RunConfig, run_global, run_subspace
-from phonosem.stats import prepare
+from phonosem.stats import mi_alignment, prepare, rsa
 from phonosem.synth import make_planted_language
 
 MAX_BYTES_PER_CELL = 30
@@ -31,6 +37,13 @@ MAX_COSINE_MATRICES = 1.5
 # copy, each 8 bytes per pair, plus one chunk's temporaries: a fourth
 # pair-length 8-byte array would pass 4.
 MAX_PREPARE_PAIR_ARRAYS = 3.5
+# Traced peaks inside each statistic, with both spaces prepared for RSA,
+# MI and kNN, in bytes per n^2 cell at n = 800: 19.2 for RSA and 13.1 for
+# MI (20 bins), plus under one byte per cell. A float64 centred rank
+# matrix (4 more bytes per cell) would fail the first; an 8-byte code
+# matrix the second.
+MAX_RSA_BYTES_PER_CELL = 20
+MAX_MI_BYTES_PER_CELL = 14
 # The candidates' rows and the selection's (rows - midpoint) temporary,
 # plus the lexicon and the ids: a third full-size copy of the rows, as a
 # merge into a new array or a copy of the candidates holds, would pass it.
@@ -88,6 +101,28 @@ def test_prepare_peak_in_pair_arrays():
         tracemalloc.stop()
     assert space.doubled_ranks is not None and space.bin_index is not None
     assert peak <= MAX_PREPARE_PAIR_ARRAYS * 8 * n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("statistic,bound", [
+    (lambda a, b: rsa(a, b, n_shuffles=2, null_points=2), MAX_RSA_BYTES_PER_CELL),
+    (lambda a, b: mi_alignment(a, b, bins=20, n_shuffles=2, null_points=2),
+     MAX_MI_BYTES_PER_CELL),
+], ids=["rsa", "mi_alignment"])
+def test_statistic_peak_per_cell(statistic, bound):
+    n = 800
+    rng = np.random.default_rng(13)
+    tracemalloc.start()
+    try:
+        a, b = (prepare(EmbeddingMatrix(tuple(f"w{i}" for i in range(n)),
+                                        rng.normal(size=(n, d))),
+                        ("rsa", "mi", "knn"))
+                for d in (50, 100))
+        tracemalloc.reset_peak()
+        statistic(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n ** 2 <= bound
 
 
 def test_cold_subspace_peak_in_row_copies(tmp_path):

@@ -175,6 +175,11 @@ PAIRS = {
     "grid": lambda: (grid(np.random.default_rng(304), 30, 4),
                      grid(np.random.default_rng(305), 30, 4)),
     "random": lambda: random_pair(306, 45),
+    # uint8 ranks; uint32 ranks in blocks of 255 and 2 rows; blocks of
+    # 218 and 82 rows (see test_fixtures_reach_every_width_and_block)
+    "random n=12": lambda: random_pair(310, 12),
+    "random n=257": lambda: random_pair(311, 257),
+    "random n=300": lambda: random_pair(312, 300),
 }
 
 
@@ -183,6 +188,19 @@ def test_grid_puts_pairs_on_the_top_edge():
     tri = sim.pair_vector()
     assert np.sum(tri == tri.max()) > 1
     assert np.all(np.isin(tri, np.linspace(0.0, 1.0, 5)))
+
+
+@pytest.mark.parametrize("case,rank_dtype,block_rows", [
+    ("random n=12", np.uint8, [12]),
+    ("random", np.uint16, [45]),
+    ("random n=257", np.uint32, [255, 2]),
+    ("random n=300", np.uint32, [218, 82]),
+])
+def test_fixtures_reach_every_width_and_block(case, rank_dtype, block_rows):
+    sim, _ = PAIRS[case]()
+    n = sim.n_items
+    assert prepare(sim, ("rsa",)).doubled_ranks.dtype == rank_dtype
+    assert [i1 - i0 for i0, i1 in stats._row_blocks(n, n)] == block_rows
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +214,10 @@ def test_rsa_equals_oracle(case):
 
 
 @pytest.mark.parametrize("case,bins", [
-    ("tied", 20), ("grid", 4), ("grid", 20), ("random", 7), ("random", 300)])
+    ("tied", 20), ("grid", 4), ("grid", 20), ("random", 7), ("random", 300),
+    # at bins=16 the joint-bin codes fit uint8 and the sentinel 256 does not
+    ("random n=12", 16), ("random n=257", 16), ("random n=257", 300),
+    ("random n=300", 16), ("random n=300", 20)])
 def test_mi_alignment_equals_oracle(case, bins):
     sim_a, sim_b = PAIRS[case]()
     got = mi_alignment(sim_a, sim_b, bins=bins, n_shuffles=30, null_points=20,
@@ -205,7 +226,8 @@ def test_mi_alignment_equals_oracle(case, bins):
 
 
 @pytest.mark.parametrize("case,k", [
-    ("tied", 4), ("tied", 1), ("tied", 5), ("grid", 3), ("random", 6)])
+    ("tied", 4), ("tied", 1), ("tied", 5), ("grid", 3), ("random", 6),
+    ("random n=12", 3), ("random n=257", 10), ("random n=300", 10)])
 def test_knn_overlap_equals_oracle(case, k):
     sim_a, sim_b = PAIRS[case]()
     got = knn_overlap(sim_a, sim_b, k=k, n_shuffles=30, null_points=20,
