@@ -332,19 +332,6 @@ _NO_ROWS = VectorRows(ids=(), vectors=np.empty((0, 0)), lines=np.empty(0, np.int
 # a store is named by its file's SHA-256; a write in progress, or one a
 # killed run left, by that name with a dot before it and a suffix after
 _STORE_NAME = re.compile(r"([0-9a-f]{64})|\.[0-9a-f]{64}\..+")
-# A store read takes its rows by windows of _SCRATCH_BYTES of the body. A
-# window is read whole into a scratch buffer of that size, and its rows
-# gathered from there, when its wanted rows span at most _READ_BYTES per
-# run of consecutive rows past the first _GATHER_READS runs; else it takes
-# one read per run. On one CPU, from the page cache, at d = 100 and 300: a
-# run's seek and read cost 1.0-1.2 us, what one read spends on about
-# 15 KiB more; of 8, 12 and 16 KiB, the last read scattered rows fastest
-# (12,487 random rows of 20,000 at d = 100: 5.5-5.9 ms run by run,
-# 1.8-2.0 ms by windows); and a window's gather costs about four runs'
-# reads.
-_SCRATCH_BYTES = 1 << 18
-_READ_BYTES = 1 << 14
-_GATHER_READS = 4
 
 
 def load_vectors(config: RunConfig, language: str, digests: dict[str, str],
@@ -442,12 +429,13 @@ def _read_store(path: Path, digest: str, wanted: set[str]
                 ) -> tuple[VectorRows, frozenset[str]] | None:
     """Rows of the store, in line order, and the items recorded as absent
     from the vectors file whose SHA-256 is ``digest``: only the ``wanted``
-    rows (read by :func:`_read_rows`), when it holds or records as
-    absent every wanted item, else every row, since the read that parses
-    the others rewrites it. A store that is missing, does not load, does
-    not match that digest or its own row count and dimension, or whose
-    line numbers do not strictly increase is none: it is never trusted,
-    and the next read that parses rows replaces it."""
+    rows, when it holds or records as absent every wanted item, else every
+    row, since the read that parses the others rewrites it. The rows are
+    gathered from a map of the body, which is dropped once they are taken.
+    A store that is missing, does not load, does not match that digest or
+    its own row count and dimension, or whose line numbers do not strictly
+    increase is none: it is never trusted, and the next read that parses
+    rows replaces it."""
     try:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
@@ -470,8 +458,11 @@ def _read_store(path: Path, digest: str, wanted: set[str]
             take = np.arange(len(tokens))
             if not wanted.difference(absent).difference(tokens):
                 take = take[np.fromiter(map(wanted.__contains__, tokens), bool)]
-            vectors = np.empty((take.size, dim), dtype="<f8")
-            _read_rows(fh.raw, start, take, vectors)
+            if take.size:
+                vectors = np.memmap(fh, "<f8", "r", offset=start,
+                                    shape=(len(tokens), dim))[take]
+            else:  # no row to take, and a store of no rows has no body to map
+                vectors = np.empty((0, dim))
         return VectorRows(ids=tuple(map(tokens.__getitem__, take.tolist())),
                           vectors=vectors, lines=lines[take]), absent
     except FileNotFoundError:
@@ -479,55 +470,6 @@ def _read_store(path: Path, digest: str, wanted: set[str]
     except (OSError, ValueError, LookupError, TypeError, OverflowError) as exc:
         log.warning("%s: store ignored (%s: %s)", path, type(exc).__name__, exc)
         return None
-
-
-def _read_rows(raw, start: int, take: np.ndarray, out: np.ndarray) -> None:
-    """Read rows ``take`` (increasing) of a store body that starts at byte
-    ``start`` of the unbuffered file ``raw`` into ``out``: one read per
-    run of consecutive rows, straight into its rows of ``out``, but one
-    read per window whose runs lie close enough (see ``_READ_BYTES``)."""
-    if not take.size:
-        return
-    dim, n = out.shape[1], take.size
-    width = 8 * dim
-    window = take // max(1, _SCRATCH_BYTES // max(width, 1))
-    edge = np.ones(n, bool)  # the first wanted row of each window
-    edge[1:] = window[1:] != window[:-1]
-    run = np.ones(n, bool)  # and of each run of consecutive rows
-    run[1:] = take[1:] - take[:-1] != 1
-    first = np.flatnonzero(edge)
-    ends = np.append(first[1:], n)
-    span = take[ends - 1] + 1 - take[first]
-    runs = np.add.reduceat(run | edge, first, dtype=np.int64)
-    whole = np.repeat(span * width <= (runs - _GATHER_READS) * _READ_BYTES,
-                      ends - first)
-    # a read starts at each run outside the windows read whole, at each
-    # such window, and after it
-    new = run & ~whole | edge & whole
-    new[1:] |= edge[1:] & whole[:-1]
-    bounds = np.append(np.flatnonzero(new), n)
-    rows = memoryview(out.reshape(-1).view(np.uint8))
-    scratch = np.empty(_SCRATCH_BYTES if whole.any() else 0, np.uint8)
-    for k0, k1, r0, r1 in zip(bounds.tolist(), bounds[1:].tolist(),
-                              take[bounds[:-1]].tolist(),
-                              (take[bounds[1:] - 1] + 1).tolist()):
-        offset = start + r0 * width
-        if r1 - r0 == k1 - k0:  # one run
-            _fill(raw, rows[k0 * width:k1 * width], offset)
-        else:
-            _fill(raw, memoryview(scratch)[:(r1 - r0) * width], offset)
-            block = scratch[:(r1 - r0) * width].view("<f8").reshape(r1 - r0, dim)
-            out[k0:k1] = block[take[k0:k1] - r0]
-
-
-def _fill(raw, view: memoryview, offset: int) -> None:
-    """Read ``len(view)`` bytes at ``offset`` of ``raw`` into ``view``."""
-    raw.seek(offset)
-    while view:  # a read may return fewer bytes than asked
-        n = raw.readinto(view)
-        if not n:
-            raise ValueError("store cut short while read")
-        view = view[n:]
 
 
 def _write_store(path: Path, digest: str, rows: VectorRows,

@@ -584,8 +584,8 @@ def mi_alignment(
     """Binned MI between the two pair vectors with an item-identity null.
 
     Bin edges depend only on each pair vector's value set, so every
-    pair's bin is prepared once (B's spread into a symmetric matrix); the
-    observed MI counts the prepared joint bins. A's joint-bin codes lie
+    pair's bin is prepared once (B's spread into a symmetric matrix), and
+    the observed MI is the shuffle by the identity. A's joint-bin codes lie
     in the strict upper triangle of an n x n matrix whose other cells
     hold the sentinel code ``bins * bins``, so a shuffle adds each
     gathered block of B's bins to its codes and counts the whole block:
@@ -597,15 +597,13 @@ def mi_alignment(
     b = _prepared(sim_b, "mi", bins=bins)
     n = a.n_items
     cells = bins * bins
-    codes_a = a.bin_index.astype(np.min_scalar_type(cells - 1))
-    codes_a *= bins
-    observed = _mi_bits(np.bincount(codes_a + b.bin_index, minlength=cells), bins)
-    # the sentinel plus B's largest bin must fit, which the codes' own
-    # dtype need not (cells = 256 at bins = 16)
-    codes = np.full((n, n), cells, dtype=np.min_scalar_type(cells + bins - 1))
+    # A's bin times bins in the strict upper triangle, the sentinel bins
+    # times bins elsewhere; the sentinel plus B's largest bin must fit,
+    # which a dtype holding only the codes need not (cells = 256 at 16 bins)
+    codes = np.full((n, n), bins, dtype=np.min_scalar_type(cells + bins - 1))
     for i, start, stop in _upper_rows(n):
-        codes[i, i + 1:] = codes_a[start:stop]
-    del codes_a
+        codes[i, i + 1:] = a.bin_index[start:stop]
+    codes *= bins
     bins_b = _symmetric(b.bin_index, n)
 
     def stat(perm: np.ndarray) -> float:
@@ -615,6 +613,7 @@ def mi_alignment(
             counts += np.bincount(joint.ravel(), minlength=cells + bins)[:cells]
         return _mi_bits(counts, bins)
 
+    observed = stat(np.arange(n))
     p, null = permutation_test(stat, observed, n, n_shuffles, null_points,
                                seed, "greater")
     return _summarize("mutual_information", observed, null, p, n_shuffles,

@@ -2,7 +2,6 @@
 
 import ast
 import importlib
-import io
 import json
 import logging
 import os
@@ -10,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from urllib.parse import unquote
@@ -1185,68 +1185,6 @@ class TestVectorStore:
         form_rows = [i for i, token in enumerate(header["tokens"]) if token in forms]
         return path, paths, store, header, len(line) + 1, form_rows
 
-    @staticmethod
-    def open_store_with(monkeypatch, store, file_class):
-        """Have ``pipeline`` open the store through ``file_class``, an
-        ``io.FileIO`` subclass, under a buffered reader."""
-        def patched(file, mode="r", *args, **kwargs):
-            if Path(file) == store:
-                return io.BufferedReader(file_class(file, mode))
-            return open(file, mode, *args, **kwargs)
-        monkeypatch.setattr(pipeline, "open", patched, raising=False)
-
-    def test_warm_read_takes_only_the_wanted_rows(self, tmp_path, monkeypatch,
-                                                   caplog):
-        path, paths, store, header, start, form_rows = self.filled_store(tmp_path)
-        width = 8 * header["dim"]
-        # the forms' rows, with rows that are not forms among them
-        assert 0 < len(form_rows) < len(header["tokens"])
-        assert form_rows[-1] - form_rows[0] >= len(form_rows)
-        stored = store.read_bytes()
-        reads = []  # (offset into the rows, bytes read)
-
-        class CountingFile(io.FileIO):
-            at_rows = False
-
-            def seek(self, *args):
-                self.at_rows = True  # the header is read without a seek
-                return super().seek(*args)
-
-            def readinto(self, buffer):
-                offset = self.tell() - start
-                n = super().readinto(buffer)
-                if self.at_rows:
-                    reads.append((offset, n))
-                return n
-
-        self.open_store_with(monkeypatch, store, CountingFile)
-        result = invoke("analyze-global", "--config", path)
-        assert result.exit_code == 0, result.output
-        monkeypatch.undo()
-        assert all(offset % width == n % width == 0 for offset, n in reads)
-        rows_read = [row for offset, n in reads
-                     for row in range(offset // width, (offset + n) // width)]
-        assert rows_read == form_rows
-        assert store.read_bytes() == stored
-        kept = (tmp_path / "out" / "syn" / "global.json").read_bytes()
-
-        class TrickleFile(io.FileIO):
-            def readinto(self, buffer):  # 7 bytes at most, as a read may
-                return super().readinto(memoryview(buffer).cast("B")[:7])
-
-        self.open_store_with(monkeypatch, store, TrickleFile)
-        caplog.clear()
-        result = invoke("analyze-global", "--config", path)
-        assert result.exit_code == 0, result.output
-        monkeypatch.undo()
-        assert "store ignored" not in caplog.text
-        assert store.read_bytes() == stored
-        assert (tmp_path / "out" / "syn" / "global.json").read_bytes() == kept
-        shutil.rmtree(tmp_path / "out" / "vectors")
-        result = invoke("analyze-global", "--config", path)
-        assert result.exit_code == 0, result.output
-        assert (tmp_path / "out" / "syn" / "global.json").read_bytes() == kept
-
     def test_store_cut_short_after_the_wanted_rows_is_rewritten(self, tmp_path,
                                                                caplog):
         path, paths, store, header, start, form_rows = self.filled_store(tmp_path)
@@ -1539,16 +1477,17 @@ class TestVectorStore:
                 == (store.parent / "plain.txt").stat().st_mode)
 
     @staticmethod
-    def many_rows_store(tmp_path, n_rows):
-        """A config over a vectors file of ``n_rows`` random 4-dimensional
-        rows, with its store filled with every row; with the words."""
+    def many_rows_store(tmp_path, n_rows, dim=4):
+        """A config over a vectors file of ``n_rows`` random rows of
+        dimension ``dim``, with its store filled with every row; with the
+        words."""
         path, paths = language_config(tmp_path, SMALL_RUN)
         words = [f"v{i:05d}" for i in range(n_rows)]
         vectors = tmp_path / "many.vec"
         rng = np.random.default_rng(n_rows)
         vectors.write_text("".join(
             w + "".join(f" {x!r}" for x in row) + "\n"
-            for w, row in zip(words, rng.normal(size=(n_rows, 4)).tolist())),
+            for w, row in zip(words, rng.normal(size=(n_rows, dim)).tolist())),
             encoding="utf-8")
         cfg = json.loads(path.read_text("utf-8"))
         cfg["inputs"]["syn"]["vectors"] = str(vectors)
@@ -1558,77 +1497,85 @@ class TestVectorStore:
         pipeline.load_vectors(config, "syn", digests, words)
         return config, digests, vectors, words
 
-    def test_scattered_majority_read_takes_nearby_runs_in_one_read(
-            self, tmp_path, monkeypatch):
-        config, digests, vectors, words = self.many_rows_store(tmp_path, 12_000)
+    def test_warm_read_allocates_only_the_wanted_rows(self, tmp_path,
+                                                      monkeypatch):
+        n_rows, dim = 3000, 300
+        config, digests, vectors, words = self.many_rows_store(tmp_path, n_rows,
+                                                               dim)
         store = tmp_path / "out" / "vectors" / digests[str(vectors)]
         stored = store.read_bytes()
-        # two of every three rows, one row apart, but for a 1,000-row gap:
-        # 3,667 runs, in spans longer than one scratch buffer's
-        wanted = [w for i, w in enumerate(words) if i % 3 and not 1000 <= i < 2000]
+        wanted = words[7::250]
         fresh, _ = load_semantic_embeddings(vectors, wanted)
-        reads = []
-
-        class CountingFile(io.FileIO):
-            at_rows = False
-
-            def seek(self, *args):
-                self.at_rows = True  # the header is read without a seek
-                return super().seek(*args)
-
-            def readinto(self, buffer):
-                n = super().readinto(buffer)
-                if self.at_rows:
-                    reads.append(n)
-                return n
-
-        class TrickleFile(io.FileIO):
-            def readinto(self, buffer):  # 7 bytes at most, as a read may
-                return super().readinto(memoryview(buffer).cast("B")[:7])
 
         def refuse(*args, **kwargs):
             raise AssertionError("text parsed for rows the store holds")
-        for file_class in (CountingFile, TrickleFile):
-            self.open_store_with(monkeypatch, store, file_class)
-            monkeypatch.setattr(pipeline, "load_semantic_embeddings", refuse)
+        monkeypatch.setattr(pipeline, "load_semantic_embeddings", refuse)
+        tracemalloc.start()
+        try:
             rows, missing = pipeline.load_vectors(config, "syn", digests, wanted)
-            monkeypatch.undo()
-            assert rows.ids == fresh.ids and missing == []
-            assert rows.vectors.tobytes() == fresh.vectors.tobytes()
-        assert 0 < len(reads) <= 10
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.ids == fresh.ids and missing == []
+        assert rows.vectors.tobytes() == fresh.vectors.tobytes()
         assert store.read_bytes() == stored
-
-    @pytest.mark.parametrize("step", [600, 1])
-    def test_read_of_far_apart_or_all_rows_takes_only_its_runs(self, step):
-        # rows 600 apart, 19,200 bytes at d = 4, are each read alone, since
-        # reading the rows between them would cost more than the reads;
-        # every row is one read, across the three windows it spans
-        body = np.arange(24_000 * 4, dtype="<f8")
-        take = np.arange(7 if step > 1 else 0, 24_000, step)
-        reads = []
-
-        class CountingBytes(io.BytesIO):
-            def readinto(self, buffer):
-                reads.append((self.tell(), len(buffer)))
-                return super().readinto(buffer)
-
-        out = np.empty((take.size, 4))
-        pipeline._read_rows(CountingBytes(body.tobytes()), 0, take, out)
-        assert out.tobytes() == body.reshape(-1, 4)[take].tobytes()
-        expected = [(32 * row, 32) for row in take.tolist()]
-        assert reads == (expected if step > 1 else [(0, body.nbytes)])
+        # the wanted rows, plus the parsed header (each stored row's token
+        # and line number) under 256 bytes a stored row: a tenth of a row
+        # at d = 300, where reading the whole body takes 2,400 bytes a row
+        assert peak <= 8 * dim * len(wanted) + 256 * n_rows
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_read_rows_equals_a_gather(self, seed):
+    def test_read_rows_equals_a_gather(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
         dim = [1, 4, 100, 300][seed % 4]
-        body = rng.normal(size=(int(rng.integers(1, 200_000 // dim)), dim))
+        n = int(rng.integers(1, 200_000 // dim))
+        body = rng.normal(size=(n, dim))
+        tokens = tuple(f"w{i}" for i in range(n))
+        lines = np.sort(rng.choice(3 * n, size=n, replace=False)) + 1
+        store, digest = tmp_path / "store", "0" * 64
+        pipeline._write_store(store, digest, VectorRows(ids=tokens, vectors=body,
+                                                        lines=lines),
+                              frozenset({"zz"}))
         # stretches of 50 rows that want a few, most or all of their rows
-        share = np.repeat(rng.choice([0.02, 0.7, 1.0], size=len(body) // 50 + 1), 50)
-        take = np.flatnonzero(rng.random(len(body)) < share[:len(body)])
-        out = np.empty((take.size, dim))
-        pipeline._read_rows(io.BytesIO(b"head" + body.tobytes()), 4, take, out)
-        assert out.tobytes() == body[take].tobytes()
+        share = np.repeat(rng.choice([0.02, 0.7, 1.0], size=n // 50 + 1), 50)[:n]
+        for take in (np.arange(0), np.arange(n),
+                     np.flatnonzero(rng.random(n) < 0.02),
+                     np.flatnonzero(rng.random(n) < share)):
+            wanted = {tokens[i] for i in take.tolist()} | {"zz"}
+            rows, absent = pipeline._read_store(store, digest, wanted)
+            assert type(rows.vectors) is np.ndarray and absent == {"zz"}
+            assert rows.ids == tuple(tokens[i] for i in take.tolist())
+            assert rows.lines.tolist() == lines[take].tolist()
+            assert rows.vectors.tobytes() == body[take].tobytes()
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(),
+                        reason="no /proc/self/maps")
+    def test_no_map_of_the_store_outlives_a_read(self, tmp_path, monkeypatch):
+        config, digests, vectors, words = self.many_rows_store(tmp_path, 12_000)
+        store = tmp_path / "out" / "vectors" / digests[str(vectors)]
+        stored = store.read_bytes()
+
+        def mapped():
+            return str(store.resolve()) in Path("/proc/self/maps").read_text()
+        seen = []  # whether each map shows while it is in place
+        memmap = np.memmap
+
+        def spy(*args, **kwargs):
+            body = memmap(*args, **kwargs)
+            seen.append(mapped())
+            return body
+        monkeypatch.setattr(np, "memmap", spy)
+        # two of every three rows, one row apart, but for a 1,000-row gap;
+        # then the same with a word to parse, which reads every stored row
+        wanted = [w for i, w in enumerate(words) if i % 3 and not 1000 <= i < 2000]
+        fresh, _ = load_semantic_embeddings(vectors, wanted)
+        rows, missing = pipeline.load_vectors(config, "syn", digests, wanted)
+        assert seen == [True] and not mapped()
+        assert rows.ids == fresh.ids and missing == []
+        assert rows.vectors.tobytes() == fresh.vectors.tobytes()
+        assert store.read_bytes() == stored
+        pipeline.load_vectors(config, "syn", digests, wanted + ["zz_q"])
+        assert seen == [True, True] and not mapped()
 
     def test_scattered_read_of_a_store_cut_short_is_rewritten(self, tmp_path,
                                                               caplog):
@@ -1874,6 +1821,32 @@ def test_every_imported_name_is_used():
                     for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert not imported - used, (path.name, sorted(imported - used))
+
+
+def test_every_library_function_has_a_caller():
+    """Each top-level function and class of ``src/phonosem`` is named
+    elsewhere in the package, is a command of ``main`` or is imported in
+    a README python block: library code that only tests call goes."""
+    package = Path(phonosem.__file__).parent
+    trees = [ast.parse(path.read_text("utf-8"))
+             for path in sorted(package.glob("*.py"))]
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    commands = {command.callback.__name__ for command in main.commands.values()}
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    shown = {alias.name
+             for block in re.findall(r"```python\n(.*?)```", readme, re.S)
+             for node in ast.walk(ast.parse(block))
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").startswith("phonosem")
+             for alias in node.names}
+    # scores the filled verification sheet once ROADMAP item 14 lands
+    waiting = {"error_rate_ci"}
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined - named - commands - shown - waiting, sorted(
+        defined - named - commands - shown - waiting)
 
 
 def test_readme_parameter_table_lists_every_param():

@@ -38,12 +38,13 @@ MAX_COSINE_MATRICES = 1.5
 # pair-length 8-byte array would pass 4.
 MAX_PREPARE_PAIR_ARRAYS = 3.5
 # Traced peaks inside each statistic, with both spaces prepared for RSA,
-# MI and kNN, in bytes per n^2 cell at n = 800: 19.2 for RSA and 13.1 for
+# MI and kNN, in bytes per n^2 cell at n = 800: 19.3 for RSA and 9.4 for
 # MI (20 bins), plus under one byte per cell. A float64 centred rank
 # matrix (4 more bytes per cell) would fail the first; an 8-byte code
-# matrix the second.
+# matrix, or an observed MI counted from a pair-length sum cast to intp
+# (11.4), the second.
 MAX_RSA_BYTES_PER_CELL = 20
-MAX_MI_BYTES_PER_CELL = 14
+MAX_MI_BYTES_PER_CELL = 10
 # The candidates' rows and the selection's (rows - midpoint) temporary,
 # plus the lexicon and the ids: a third full-size copy of the rows, as a
 # merge into a new array or a copy of the candidates holds, would pass it.
