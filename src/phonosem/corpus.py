@@ -155,14 +155,6 @@ class EmbeddingMatrix:
 
 
 @dataclass(frozen=True)
-class VectorRows(EmbeddingMatrix):
-    """Rows read from a vectors file, with the number of the line each
-    was read from."""
-
-    lines: np.ndarray  # int64, one per row
-
-
-@dataclass(frozen=True)
 class ScaleConfig:
     """One hypothesized sound/meaning scale.
 
@@ -302,21 +294,26 @@ def save_feature_table(table: SegmentFeatureTable, path: str | Path) -> None:
 # Semantic vectors
 
 def load_semantic_embeddings(
-    path: str | Path, vocabulary: Iterable[str]
-) -> tuple[VectorRows, list[str]]:
+    path: str | Path, vocabulary: Iterable[str],
+    known: EmbeddingMatrix | None = None,
+) -> tuple[EmbeddingMatrix, list[str]]:
     """Load vectors for the given vocabulary from a word2vec-style text file.
 
     Only the rows of vocabulary items are parsed; every other row is only
     checked for its dimension, so a bad value there is no error. Trailing
     whitespace on a line is ignored. A token listed more than once keeps
-    its first vector. Returns the rows (in file order of first
-    occurrence, each with its line number) and the sorted list of
+    its first vector. ``known`` holds rows an earlier read parsed from
+    this very file: its tokens join the vocabulary, and at a known token's
+    first line its row is copied, not parsed. Known rows of another
+    dimension than the file's are parsed instead, with a warning. Returns
+    the rows (in file order of first occurrence) and the sorted list of
     vocabulary items not found in the file; a file that holds none of the
     vocabulary gives no rows.
     """
     wanted = {_nfc(w) for w in vocabulary}
+    place = {} if known is None else dict(zip(known.ids, range(known.n_items)))
+    wanted.update(place)
     ids: list[str] = []
-    lines: list[int] = []
     vectors = np.empty((0, 0))  # then one row per wanted item, filled in order
     dim: int | None = None
     with _open_input(path) as fh:
@@ -337,32 +334,42 @@ def load_semantic_embeddings(
             token = _nfc(line[:end])
             # a token leaves ``wanted`` once read, so a repeat is not kept
             keep = token in wanted
-            # only the kept lines are split; the others are counted
-            cells = line.split(" ") if keep else None
-            n_values = len(cells) - 1 if keep else line.count(" ")
+            # only the lines parsed are split; the others are counted
+            cells = line.split(" ") if keep and token not in place else None
+            n_values = line.count(" ") if cells is None else len(cells) - 1
             if dim is None:
                 dim = n_values
+                if place and known.n_dims != dim:
+                    log.warning("%s: %d known rows of dimension %d, but the file's "
+                                "is %d; they are parsed", path, len(place),
+                                known.n_dims, dim)
+                    place = {}
                 vectors = np.empty((len(wanted), dim))
             elif n_values != dim:
                 raise ParseError(
                     f"{path}:{lineno}: dimension {n_values} != {dim}"
                 )
-            if keep:
+            if not keep:
+                continue
+            at = place.get(token)
+            if at is None:
+                # a known first line is split here when its rows do not fit
+                cells = cells or line.split(" ")
                 try:
                     vectors[len(ids)] = list(map(float, cells[1:]))
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: non-numeric vector value") from None
-                wanted.remove(token)
-                ids.append(token)
-                lines.append(lineno)
+            else:
+                vectors[len(ids)] = known.vectors[at]
+            wanted.remove(token)
+            ids.append(token)
     # the rows of items not found were never filled
     vectors.resize((len(ids), vectors.shape[1]), refcheck=False)
     finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
         token = ids[int(np.argmin(finite))]
         raise ParseError(f"{path}: non-finite vector value for {token!r}")
-    return VectorRows(ids=tuple(ids), vectors=vectors,
-                      lines=np.asarray(lines, dtype=np.int64)), sorted(wanted)
+    return EmbeddingMatrix(ids=tuple(ids), vectors=vectors), sorted(wanted)
 
 
 def save_semantic_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:

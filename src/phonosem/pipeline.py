@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import (EmbeddingMatrix, Lexeme, Morpheme, MorphemeSet,
-                     SegmentFeatureTable, VectorRows, _nfc, _open_input,
+                     SegmentFeatureTable, _nfc, _open_input,
                      load_feature_table, load_lexicon, load_scale_configs,
                      load_semantic_embeddings)
 from .cca import (DEFAULT_RIDGE, CcaModel, PoleCandidates, build_pole_report,
@@ -38,7 +38,7 @@ from .errors import AnalysisError, InputError
 from .phonetic import build_phonetic_embeddings
 from .segmentation import (PERPLEXITY_THRESHOLD, dedupe_into_morpheme_set,
                            perplexity_filter, read_segmentation_cache)
-from .stats import _row_blocks, knn_overlap, mi_alignment, prepare, rsa
+from .stats import knn_overlap, mi_alignment, prepare, rsa
 from .subspace import pool_candidates, scale_alignment
 
 log = logging.getLogger(__name__)
@@ -179,6 +179,17 @@ def payload_fields(path: str | Path):
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"{path}: not a payload this version reads "
                          f"({type(exc).__name__}: {exc})") from None
+
+
+def check_config_hash(path: str | Path, payload: dict, config_hash: str,
+                      command: str) -> None:
+    """A payload at ``path`` that another config wrote is an InputError
+    naming the file and ``command``, the command that writes it."""
+    with payload_fields(path):
+        written = payload["config_hash"]
+    if written != config_hash:
+        raise InputError(f"{path}: written with config hash {written}, but this "
+                         f"config's hash is {config_hash}; run {command} again")
 
 
 def derive_seed(master: int, analysis: str, language: str) -> int:
@@ -328,7 +339,7 @@ def load_language_spaces(config: RunConfig, language: str,
 # ---------------------------------------------------------------------------
 # Store of parsed vector rows
 
-_NO_ROWS = VectorRows(ids=(), vectors=np.empty((0, 0)), lines=np.empty(0, np.int64))
+_NO_ROWS = EmbeddingMatrix(ids=(), vectors=np.empty((0, 0)))
 # a store is named by its file's SHA-256; a write in progress, or one a
 # killed run left, by that name with a dot before it and a suffix after
 _STORE_NAME = re.compile(r"([0-9a-f]{64})|\.[0-9a-f]{64}\..+")
@@ -343,8 +354,9 @@ def load_vectors(config: RunConfig, language: str, digests: dict[str, str],
     vectors file to its SHA-256. The rows come in file order.
 
     Items that an earlier read looked up, found in the file or not, come
-    from the store. Only the others are parsed from the text, in one
-    scan, and join the store's rows, in line order, once this read has
+    from the store. Only the others are parsed from the text, in one scan
+    that copies each stored row into place at its first line, so the
+    scan's rows, in file order, become the store once this read has
     succeeded. The result is that of a parse of the whole vocabulary,
     errors included: a stored row passed every check of the scan that
     parsed it, and that scan checked the dimension of every line of the
@@ -358,23 +370,14 @@ def load_vectors(config: RunConfig, language: str, digests: dict[str, str],
     _prune_stores(store_path.parent, {digests[config.inputs[lang]["vectors"]]
                                       for lang in config.languages})
     wanted = {_nfc(w) for w in vocabulary}
-    store = _read_store(store_path, digest, wanted)
-    stored, absent = store or (_NO_ROWS, frozenset())
+    stored, absent = _read_store(store_path, digest, wanted) or (_NO_ROWS, frozenset())
     rest = wanted - absent - set(stored.ids)
     n_parsed = 0
     if rest:
-        parsed, not_found = load_semantic_embeddings(path, rest)
-        if store and parsed.n_dims != stored.n_dims:
-            # the store's rows do not fit the file: every row is parsed
-            log.warning("%s: rows of dimension %d, but the file's is %d; store "
-                        "ignored", store_path, stored.n_dims, parsed.n_dims)
-            stored, absent, rest = _NO_ROWS, frozenset(), wanted
-            parsed, not_found = load_semantic_embeddings(path, rest)
-        n_parsed = parsed.n_items
+        stored, not_found = load_semantic_embeddings(path, rest, known=stored)
+        n_parsed = len(rest.difference(not_found))
         absent |= set(not_found)
-        stored = _merge_rows(stored, parsed)
-        del parsed  # freed before the gather below
-    # the wanted rows, in the line order the store holds them in
+    # the wanted rows, in the file order the store holds them in
     hits = [i for i, token in enumerate(stored.ids) if token in wanted]
     rows = stored.subset(hits)
     if not rows.n_items and not allow_none:
@@ -388,34 +391,6 @@ def load_vectors(config: RunConfig, language: str, digests: dict[str, str],
     return rows, missing
 
 
-def _merge_rows(stored: VectorRows, parsed: VectorRows) -> VectorRows:
-    """The rows of both, which hold no line in common, in line order.
-
-    The result's array is ``parsed.vectors``, grown in place: only the
-    read that parsed them may hold those rows, and ``parsed`` is spent.
-    The parsed rows move to their line-order slots one row block
-    (:func:`~phonosem.stats._row_blocks`) at a time, last block first. A
-    row's slot is never before it, so no row is overwritten before it
-    moves, and an overlapping move copies one block at most. The stored
-    rows then fill the slots left.
-    """
-    if not stored.n_items:
-        return parsed
-    lines = np.concatenate([stored.lines, parsed.lines])
-    order = np.argsort(lines)
-    at = np.empty_like(order)
-    at[order] = np.arange(len(order))
-    vectors, s = parsed.vectors, stored.n_items
-    blocks = list(_row_blocks(parsed.n_items, parsed.n_dims))  # before it grows
-    vectors.resize((len(order), parsed.n_dims), refcheck=False)
-    for r0, r1 in reversed(blocks):
-        vectors[at[s + r0:s + r1]] = vectors[r0:r1]
-    vectors[at[:s]] = stored.vectors
-    ids = stored.ids + parsed.ids
-    return VectorRows(ids=tuple(ids[i] for i in order.tolist()), vectors=vectors,
-                      lines=lines[order])
-
-
 def _prune_stores(directory: Path, keep: set[str]) -> None:
     """Delete the stores under ``directory`` whose digest is not in
     ``keep``, and every temporary file a store write left."""
@@ -426,30 +401,26 @@ def _prune_stores(directory: Path, keep: set[str]) -> None:
 
 
 def _read_store(path: Path, digest: str, wanted: set[str]
-                ) -> tuple[VectorRows, frozenset[str]] | None:
-    """Rows of the store, in line order, and the items recorded as absent
+                ) -> tuple[EmbeddingMatrix, frozenset[str]] | None:
+    """Rows of the store, in file order, and the items recorded as absent
     from the vectors file whose SHA-256 is ``digest``: only the ``wanted``
     rows, when it holds or records as absent every wanted item, else every
     row, since the read that parses the others rewrites it. The rows are
     gathered from a map of the body, which is dropped once they are taken.
     A store that is missing, does not load, does not match that digest or
-    its own row count and dimension, or whose line numbers do not strictly
-    increase is none: it is never trusted, and the next read that parses
-    rows replaces it."""
+    its own row count and dimension, or lists a token twice is none: it is
+    never trusted, and the next read that parses rows replaces it."""
     try:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
-            tokens, lines, absent, dim = (header["tokens"], header["lines"],
-                                          header["absent"], header["dim"])
+            tokens, absent, dim = header["tokens"], header["absent"], header["dim"]
             if not (header["digest"] == digest and type(dim) is int and dim >= 0
                     and isinstance(tokens, list) and isinstance(absent, list)
-                    and isinstance(lines, list) and len(lines) == len(tokens)
-                    and set(map(type, tokens)).union(map(type, absent)) <= {str}
-                    and set(map(type, lines)) <= {int} and min(lines, default=1) > 0):
+                    and set(map(type, tokens)).union(map(type, absent)) <= {str}):
                 raise ValueError("header does not match the rows or the file")
-            lines = np.array(lines, dtype=np.int64)
-            if not np.all(lines[1:] > lines[:-1]):
-                raise ValueError("rows out of line order")
+            # one scan writes each token once
+            if len(set(tokens)) != len(tokens):
+                raise ValueError("a token listed twice")
             start, width = fh.tell(), 8 * dim
             if os.fstat(fh.fileno()).st_size - start != len(tokens) * width:
                 raise ValueError(f"{len(tokens)} rows of dimension {dim} do not "
@@ -463,8 +434,8 @@ def _read_store(path: Path, digest: str, wanted: set[str]
                                     shape=(len(tokens), dim))[take]
             else:  # no row to take, and a store of no rows has no body to map
                 vectors = np.empty((0, dim))
-        return VectorRows(ids=tuple(map(tokens.__getitem__, take.tolist())),
-                          vectors=vectors, lines=lines[take]), absent
+        return EmbeddingMatrix(ids=tuple(map(tokens.__getitem__, take.tolist())),
+                               vectors=vectors), absent
     except FileNotFoundError:
         return None
     except (OSError, ValueError, LookupError, TypeError, OverflowError) as exc:
@@ -472,14 +443,14 @@ def _read_store(path: Path, digest: str, wanted: set[str]
         return None
 
 
-def _write_store(path: Path, digest: str, rows: VectorRows,
+def _write_store(path: Path, digest: str, rows: EmbeddingMatrix,
                  absent: frozenset[str]) -> None:
     """Replace the store at ``path`` with ``rows`` and the absent items: a
     JSON header line, then the rows as raw little-endian float64. The file
     appears whole or not at all; a store that cannot be written is
     skipped with a warning, since it only saves work."""
     header = {"digest": digest, "dim": rows.n_dims, "tokens": list(rows.ids),
-              "lines": rows.lines.tolist(), "absent": sorted(absent)}
+              "absent": sorted(absent)}
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}"
@@ -691,12 +662,8 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
         if not global_path.exists():
             raise InputError(f"{global_path}: run analyze-global first")
         payload = read_json(global_path)
+        check_config_hash(global_path, payload, config_hash, "analyze-global")
         with payload_fields(global_path):
-            if payload["config_hash"] != config_hash:
-                raise InputError(
-                    f"{global_path}: written with config hash "
-                    f"{payload['config_hash']}, but this config's hash is "
-                    f"{config_hash}; run analyze-global again")
             cca_records = payload.get("results", {}).get("cca")
             if cca_records is None:
                 raise InputError(f"{lang}: no CCA results to interpret")

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import unicodedata
 from collections import Counter
 from pathlib import Path
 from urllib.parse import unquote
@@ -22,7 +23,7 @@ import phonosem
 from phonosem import pipeline
 from phonosem.cca import PoleCandidates, build_pole_report
 from phonosem.cli import main
-from phonosem.corpus import (VectorRows, load_feature_table, load_lexicon,
+from phonosem.corpus import (EmbeddingMatrix, load_feature_table, load_lexicon,
                              load_semantic_embeddings)
 from phonosem.errors import InputError
 from phonosem.pipeline import PARAMS
@@ -1234,7 +1235,7 @@ class TestVectorStore:
         assert store.read_bytes() == good
         assert (tmp_path / "out" / "subspace.json").read_bytes() == subspace
 
-    def test_rows_that_do_not_fit_the_file_are_not_read(self, tmp_path):
+    def test_rows_that_do_not_fit_the_file_are_not_read(self, tmp_path, caplog):
         # the header's row count and dimension agree with the bytes, but
         # the dimension is not the file's
         path, paths = scaled_language_config(tmp_path, SMALL_RUN)
@@ -1246,10 +1247,13 @@ class TestVectorStore:
         header, rows = good.split(b"\n", 1)
         obj = json.loads(header)
         half = len(obj["tokens"]) // 2
-        obj.update(dim=16, tokens=obj["tokens"][:half], lines=obj["lines"][:half])
+        obj.update(dim=16, tokens=obj["tokens"][:half])
         store.write_bytes(json.dumps(obj).encode() + b"\n" + rows[:half * 16 * 8])
+        caplog.clear()
         result = invoke("analyze-subspace", "--config", path)
         assert result.exit_code == 0, result.output
+        assert (f"{paths['vectors']}: {half} known rows of dimension 16, but the "
+                "file's is 8; they are parsed") in caplog.text
         assert store.read_bytes() == good
         assert (tmp_path / "out" / "subspace.json").read_bytes() == subspace
 
@@ -1322,10 +1326,10 @@ class TestVectorStore:
         config = pipeline.RunConfig.from_file(path)
         assert stores == sorted(pipeline.input_digests(config, ("vectors",)).values())
 
-    def test_store_out_of_line_order_is_ignored_and_rewritten(self, tmp_path,
-                                                              caplog):
-        # every version writes a store's rows in line order, so rows that
-        # are not in line order are damage
+    def test_store_that_lists_a_token_twice_is_ignored_and_rewritten(
+            self, tmp_path, caplog):
+        # one scan writes each token of a store once, so a token listed
+        # twice is damage
         path, paths = self.odd_language(tmp_path)
         out = tmp_path / "out"
         for command in ("analyze-global", "analyze-subspace", "interpret"):
@@ -1337,22 +1341,22 @@ class TestVectorStore:
         header, body = store.read_bytes().split(b"\n", 1)
         header = json.loads(header)
         width = 8 * header["dim"]
-        rows = [body[i:i + width] for i in range(0, len(body), width)]
-        assert len(rows) == len(header["tokens"]) > 2
-        header.update(tokens=header["tokens"][::-1], lines=header["lines"][::-1])
-        store.write_bytes(json.dumps(header).encode() + b"\n" + b"".join(rows[::-1]))
+        assert len(body) == len(header["tokens"]) * width > 2 * width
+        # the last row's token in place of the first's: the row count still
+        # fits the bytes
+        header["tokens"][0] = header["tokens"][-1]
+        store.write_bytes(json.dumps(header).encode() + b"\n" + body)
 
         caplog.clear()
         result = invoke("analyze-subspace", "--config", path)
         assert result.exit_code == 0, result.output
-        assert (f"{store}: store ignored (ValueError: rows out of line order)"
+        assert (f"{store}: store ignored (ValueError: a token listed twice)"
                 in caplog.text)
         vocabulary = [lx.word for lx in load_lexicon(paths["lexicon"])]
         fresh, fresh_missing = load_semantic_embeddings(paths["vectors"], vocabulary)
         header, body = store.read_bytes().split(b"\n", 1)
         header = json.loads(header)
         assert header["tokens"] == list(fresh.ids)
-        assert header["lines"] == fresh.lines.tolist()
         assert header["absent"] == fresh_missing == ["zz_absent"]
         assert body == fresh.vectors.astype("<f8").tobytes()
 
@@ -1362,6 +1366,42 @@ class TestVectorStore:
         assert "store ignored" not in caplog.text
         for name, payload in payloads.items():
             assert (out / name).read_bytes() == payload, name
+
+    def test_store_with_line_numbers_serves_a_warm_read(self, tmp_path,
+                                                        monkeypatch):
+        # a store written while its header held each row's line number has
+        # its rows in file order, so it is read as it is
+        path, paths = self.odd_language(tmp_path)
+        result = invoke("analyze-subspace", "--config", path)
+        assert result.exit_code == 0, result.output
+        store = self.store(tmp_path, paths)
+        header, body = store.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        text = paths["vectors"].read_text("utf-8").split("\n")
+        first = {}  # token -> the number of its first line
+        for lineno, line in enumerate(text[1:], start=2):
+            first.setdefault(unicodedata.normalize("NFC", line.split(" ")[0]), lineno)
+        header = {"digest": header["digest"], "dim": header["dim"],
+                  "tokens": header["tokens"],
+                  "lines": [first[token] for token in header["tokens"]],
+                  "absent": header["absent"]}
+        store.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+        vocabulary = [lx.word for lx in load_lexicon(paths["lexicon"])]
+        fresh, fresh_missing = load_semantic_embeddings(paths["vectors"], vocabulary)
+        config = pipeline.RunConfig.from_file(path)
+        digests = pipeline.input_digests(config, ("vectors",))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("text parsed for rows the store holds")
+        monkeypatch.setattr("phonosem.pipeline.load_semantic_embeddings", refuse)
+        for words in (set(vocabulary), set(vocabulary[::3])):
+            rows, missing = pipeline.load_vectors(config, "syn", digests, words)
+            expected = fresh.subset([i for i, token in enumerate(fresh.ids)
+                                     if token in words])
+            assert rows.ids == expected.ids
+            assert rows.vectors.tobytes() == expected.vectors.tobytes()
+            assert missing == sorted(words.intersection(fresh_missing))
 
     def test_nothing_matched_names_the_file(self, tmp_path, monkeypatch):
         path, paths = language_config(tmp_path, SMALL_RUN)
@@ -1519,8 +1559,8 @@ class TestVectorStore:
         assert rows.ids == fresh.ids and missing == []
         assert rows.vectors.tobytes() == fresh.vectors.tobytes()
         assert store.read_bytes() == stored
-        # the wanted rows, plus the parsed header (each stored row's token
-        # and line number) under 256 bytes a stored row: a tenth of a row
+        # the wanted rows, plus the parsed header (each stored row's token)
+        # under 256 bytes a stored row: a tenth of a row
         # at d = 300, where reading the whole body takes 2,400 bytes a row
         assert peak <= 8 * dim * len(wanted) + 256 * n_rows
 
@@ -1531,10 +1571,8 @@ class TestVectorStore:
         n = int(rng.integers(1, 200_000 // dim))
         body = rng.normal(size=(n, dim))
         tokens = tuple(f"w{i}" for i in range(n))
-        lines = np.sort(rng.choice(3 * n, size=n, replace=False)) + 1
         store, digest = tmp_path / "store", "0" * 64
-        pipeline._write_store(store, digest, VectorRows(ids=tokens, vectors=body,
-                                                        lines=lines),
+        pipeline._write_store(store, digest, EmbeddingMatrix(ids=tokens, vectors=body),
                               frozenset({"zz"}))
         # stretches of 50 rows that want a few, most or all of their rows
         share = np.repeat(rng.choice([0.02, 0.7, 1.0], size=n // 50 + 1), 50)[:n]
@@ -1545,7 +1583,6 @@ class TestVectorStore:
             rows, absent = pipeline._read_store(store, digest, wanted)
             assert type(rows.vectors) is np.ndarray and absent == {"zz"}
             assert rows.ids == tuple(tokens[i] for i in take.tolist())
-            assert rows.lines.tolist() == lines[take].tolist()
             assert rows.vectors.tobytes() == body[take].tobytes()
 
     @pytest.mark.skipif(not Path("/proc/self/maps").exists(),
@@ -1592,66 +1629,6 @@ class TestVectorStore:
         assert rows.vectors.tobytes() == fresh.vectors.tobytes()
         header = json.loads(store.read_bytes().split(b"\n", 1)[0])
         assert header["tokens"] == list(fresh.ids)
-
-
-def old_merge_rows(a, b):
-    """``pipeline._merge_rows`` as it was when it merged into a new array:
-    the oracle of the in-place merge."""
-    if not a.n_items:
-        return b
-    lines = np.concatenate([a.lines, b.lines])
-    order = np.argsort(lines)
-    at = np.empty_like(order)
-    at[order] = np.arange(len(order))
-    vectors = np.empty((len(order), b.n_dims))
-    vectors[at[:a.n_items]] = a.vectors
-    vectors[at[a.n_items:]] = b.vectors
-    ids = a.ids + b.ids
-    return VectorRows(ids=tuple(ids[i] for i in order.tolist()), vectors=vectors,
-                      lines=lines[order])
-
-
-class TestMergeRows:
-    @staticmethod
-    def rows(lines, dims, rng):
-        lines = np.asarray(lines, dtype=np.int64)
-        return VectorRows(ids=tuple(f"w{x}" for x in lines.tolist()),
-                          vectors=rng.normal(size=(lines.size, dims)), lines=lines)
-
-    def check(self, stored_lines, parsed_lines, dims, rng):
-        stored = self.rows(stored_lines, dims, rng)
-        parsed = self.rows(parsed_lines, dims, rng)
-        expected = old_merge_rows(
-            stored, VectorRows(ids=parsed.ids, vectors=parsed.vectors.copy(),
-                               lines=parsed.lines))
-        array = parsed.vectors
-        merged = pipeline._merge_rows(stored, parsed)
-        assert merged.vectors is array  # grown in place, not copied
-        assert merged.ids == expected.ids
-        assert merged.lines.tolist() == expected.lines.tolist()
-        assert merged.vectors.tobytes() == expected.vectors.tobytes()
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_random_interleavings_equal_the_old_merge(self, seed):
-        rng = np.random.default_rng(seed)
-        # past one row block (stats._row_blocks) at dimension 1 and 3
-        n = int(rng.integers(2, 70_000 if seed < 4 else 3_000))
-        lines = np.sort(rng.choice(10 * n, size=n, replace=False)) + 1
-        stored = rng.random(n) < rng.choice([0.02, 0.3, 0.9])
-        self.check(lines[stored], lines[~stored], [1, 3, 100][seed % 3], rng)
-
-    @pytest.mark.parametrize("stored,parsed", [
-        ([], [4, 9]), ([4, 9], []), ([7], [2]), ([2], [7]), ([1, 2, 3], [9]),
-        ([9], [1, 2, 3]), ([5], [1, 9]), ([1, 9], [5]), ([], [3])])
-    @pytest.mark.parametrize("dims", [1, 5])
-    def test_edge_cases_equal_the_old_merge(self, stored, parsed, dims):
-        self.check(stored, parsed, dims, np.random.default_rng(dims))
-
-    def test_stored_rows_first_move_every_row_in_blocks(self):
-        # every parsed row moves by the same count, through more than one
-        # row block, overlapping where it lands
-        rng = np.random.default_rng(3)
-        self.check(np.arange(1, 6), np.arange(6, 200_000), 1, rng)
 
 
 class TestReport:
@@ -1711,6 +1688,31 @@ class TestReport:
         assert isinstance(result.exception, SystemExit)
         assert f"input error: {path}: " in result.output
         assert f"KeyError: '{key}'" in result.output
+
+    @pytest.mark.parametrize("payload,command", [
+        ("syn/global.json", "analyze-global"), ("subspace.json", "analyze-subspace"),
+        ("syn/poles.json", "interpret")])
+    def test_payload_of_another_config_is_exit_one(self, workspace, tmp_path,
+                                                   payload, command):
+        _, _, config = workspace
+        out = tmp_path / "out"
+        path = out / payload
+        path.parent.mkdir(parents=True)
+        # every key any of the three renders reads
+        path.write_text(json.dumps({
+            "config_hash": "0" * 16, "language": "syn", "n_morphemes": 3,
+            "results": {}, "cells": [], "components": []}), encoding="utf-8")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**config, "output_dir": str(out)}),
+                            encoding="utf-8")
+        config_hash = pipeline.RunConfig.from_file(cfg_path).config_hash()
+        result = invoke("report", "--config", cfg_path)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert (f"input error: {path}: written with config hash {'0' * 16}, but "
+                f"this config's hash is {config_hash}; run {command} again"
+                in result.output)
+        assert not list(out.rglob("*.md"))
 
     def test_report_renders_the_typed_interpretations(self, workspace, tmp_path):
         path, lang_dir = TestAnalyze.global_results(workspace, tmp_path)
@@ -1784,6 +1786,9 @@ class TestReport:
     def test_rerender_from_json(self, workspace):
         ws, config_path, _ = workspace
         out = ws / "results"
+        # test_subspace_writes_grid's subspace.json is another config's
+        result = invoke("analyze-subspace", "--config", config_path)
+        assert result.exit_code == 0, result.output
         (out / "global.md").unlink()
         (out / "subspace.md").unlink()
         result = invoke("report", "--config", config_path)

@@ -320,7 +320,6 @@ class TestSemanticEmbeddings:
         matrix, missing = load_semantic_embeddings(path, {"q", "r"})
         assert matrix.ids == ()
         assert matrix.vectors.shape == (0, 2)
-        assert matrix.lines.shape == (0,)
         assert missing == ["q", "r"]
 
     @pytest.mark.parametrize("eol", [" \n", " \r\n"])
@@ -340,6 +339,36 @@ class TestSemanticEmbeddings:
         matrix, _ = load_semantic_embeddings(path, {"x", "y"})
         assert matrix.ids == ("x", "y")
         assert np.array_equal(matrix.vectors, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_known_rows_are_placed_in_file_order(self, tmp_path):
+        path = tmp_path / "v.vec"
+        self.write_vec(path, [("a", [1.0, 2.0]), ("k1", [3.0, 4.0]),
+                              ("b", [5.0, 6.0]), ("k2", [7.0, 8.0]),
+                              ("c", [9.0, 10.0]), ("k1", [11.0, 12.0])],
+                       header="6 2")
+        # rows unlike their lines' text, so a row parsed shows
+        known = EmbeddingMatrix(ids=("k2", "k1"),
+                                vectors=np.array([[-0.5, 1e-300], [np.pi, -7.25]]))
+        matrix, missing = load_semantic_embeddings(path, {"c", "a", "q"}, known=known)
+        expected = np.array([[1.0, 2.0], [np.pi, -7.25], [-0.5, 1e-300],
+                             [9.0, 10.0]])
+        assert matrix.ids == ("a", "k1", "k2", "c")
+        assert matrix.vectors.tobytes() == expected.tobytes()
+        # the second k1 line is a later duplicate; no known token is missing
+        assert missing == ["q"]
+
+    def test_known_rows_of_another_dimension_are_parsed(self, tmp_path, caplog):
+        path = tmp_path / "v.vec"
+        # the first line, whose dimension the known rows are checked against,
+        # is a known token's
+        self.write_vec(path, [("k", [3.0, 4.0]), ("a", [1.0, 2.0])])
+        known = EmbeddingMatrix(ids=("k",), vectors=np.array([[9.0, 9.0, 9.0]]))
+        with caplog.at_level(logging.WARNING, logger="phonosem.corpus"):
+            matrix, missing = load_semantic_embeddings(path, {"a"}, known=known)
+        assert matrix.ids == ("k", "a") and missing == []
+        assert matrix.vectors.tobytes() == np.array([[3.0, 4.0], [1.0, 2.0]]).tobytes()
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 1 and warnings[0].startswith(f"{path}: ")
 
     def test_round_trip(self, tmp_path):
         matrix = EmbeddingMatrix(ids=("x", "y"),

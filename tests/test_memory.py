@@ -47,7 +47,7 @@ MAX_RSA_BYTES_PER_CELL = 20
 MAX_MI_BYTES_PER_CELL = 10
 # The candidates' rows and the selection's (rows - midpoint) temporary,
 # plus the lexicon and the ids: a third full-size copy of the rows, as a
-# merge into a new array or a copy of the candidates holds, would pass it.
+# copy of the candidates holds, would pass it.
 MAX_SUBSPACE_ROW_COPIES = 2.5
 
 

@@ -411,7 +411,8 @@ def subspace_language(tmp_path, all_pool):
 def test_run_subspace_equals_a_copying_oracle(tmp_path, all_pool):
     config = subspace_language(tmp_path, all_pool)
     lexicon = load_lexicon(config.inputs["syn"]["lexicon"])
-    # a store of every fifth word, so the read merges parsed rows into it
+    # a store of every fifth word, so the read places those rows among the
+    # parsed ones
     pipeline.load_vectors(config, "syn", pipeline.input_digests(config, ("vectors",)),
                           [lx.word for lx in lexicon[::5]])
     pipeline.run_subspace(config)
