@@ -16,11 +16,9 @@ import click
 from .corpus import load_feature_table, load_lexicon, load_scale_configs
 from .errors import AnalysisError, InputError, ProviderError
 from .phonetic import cosine_similarity_matrix
-from .pipeline import (RunConfig, analysed_morphemes, check_config_hash,
-                       input_digests, load_language_spaces, load_vocabulary,
-                       payload_fields, read_json, render_global_grid,
-                       render_pole_tables, render_subspace_grid, run_global,
-                       run_interpret, run_subspace)
+from .pipeline import (RunConfig, analysed_morphemes, input_digests,
+                       load_language_spaces, load_vocabulary, render_reports,
+                       run_global, run_interpret, run_subspace)
 from .segmentation import (HttpProvider, ReplayProvider, sample_for_verification,
                            dedupe_into_morpheme_set, read_verdicts, segment_words,
                            write_verification_sheet)
@@ -186,38 +184,9 @@ def interpret(config):
 @config_option
 def report(config):
     """Re-render markdown reports from existing JSON payloads of this
-    config."""
-    out = Path(config.output_dir)
-    config_hash = config.config_hash()
-    payloads = []
-    for lang in config.languages:
-        path = out / lang / "global.json"
-        if path.exists():
-            payloads.append(read_json(path))
-            with payload_fields(path):
-                render_global_grid(payloads[-1:])
-            check_config_hash(path, payloads[-1], config_hash, "analyze-global")
-    if payloads:
-        (out / "global.md").write_text(render_global_grid(payloads),
-                                       encoding="utf-8")
-        click.echo(f"rendered {out / 'global.md'}")
-    sub = out / "subspace.json"
-    if sub.exists():
-        payload = read_json(sub)
-        with payload_fields(sub):
-            text = render_subspace_grid(payload)
-        check_config_hash(sub, payload, config_hash, "analyze-subspace")
-        (out / "subspace.md").write_text(text, encoding="utf-8")
-        click.echo(f"rendered {out / 'subspace.md'}")
-    for lang in config.languages:
-        poles = out / lang / "poles.json"
-        if poles.exists():
-            payload = read_json(poles)
-            with payload_fields(poles):
-                text = render_pole_tables(payload)
-            check_config_hash(poles, payload, config_hash, "interpret")
-            (out / lang / "poles.md").write_text(text, encoding="utf-8")
-            click.echo(f"rendered {out / lang / 'poles.md'}")
+    config; every payload is checked before any file is written."""
+    for path in render_reports(config):
+        click.echo(f"rendered {path}")
 
 
 if __name__ == "__main__":

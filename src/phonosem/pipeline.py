@@ -181,15 +181,19 @@ def payload_fields(path: str | Path):
                          f"({type(exc).__name__}: {exc})") from None
 
 
-def check_config_hash(path: str | Path, payload: dict, config_hash: str,
-                      command: str) -> None:
-    """A payload at ``path`` that another config wrote is an InputError
-    naming the file and ``command``, the command that writes it."""
+def read_payload(path: Path, config_hash: str, command: str, render) -> dict:
+    """The payload at ``path`` that ``command`` wrote under the config of
+    hash ``config_hash``. One that is not a JSON object, lacks a key
+    ``render`` reads from ``[payload]`` or that another config wrote is
+    an InputError naming it; the last says to run ``command`` again."""
+    payload = read_json(path)
     with payload_fields(path):
+        render([payload])
         written = payload["config_hash"]
     if written != config_hash:
         raise InputError(f"{path}: written with config hash {written}, but this "
                          f"config's hash is {config_hash}; run {command} again")
+    return payload
 
 
 def derive_seed(master: int, analysis: str, language: str) -> int:
@@ -303,8 +307,9 @@ def _morpheme_id(morpheme: Morpheme) -> str:
 
 def load_language_spaces(config: RunConfig, language: str,
                          table: SegmentFeatureTable, digests: dict[str, str]):
-    """Aligned phonetic and semantic embedding matrices over morphemes;
-    ``digests`` is the map of ``input_digests``.
+    """Aligned phonetic and semantic embedding matrices over morphemes,
+    the feature names, ``n_morphemes_segmented`` and
+    ``n_skipped_phonetics``; ``digests`` is the map of ``input_digests``.
 
     A morpheme is kept when its form has a vector and neither of its two
     rows has zero norm, since cosine similarity is undefined there. The
@@ -332,8 +337,7 @@ def load_language_spaces(config: RunConfig, language: str,
     phon = EmbeddingMatrix(ids=ids, vectors=pooled.vectors[keep])
     sem = EmbeddingMatrix(
         ids=ids, vectors=sem_by_form.vectors[[form_index[m.form] for m in kept]])
-    return (phon, sem, feature_names, len(mset),
-            [_morpheme_id(morphemes[int(i)]) for i in skipped])
+    return phon, sem, feature_names, len(mset), len(skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +482,8 @@ def run_global(config: RunConfig) -> dict[str, Path]:
     table = load_feature_table(config.feature_table)
     out_dir = Path(config.output_dir)
     written: dict[str, Path] = {}
-    grid_rows = []
     for lang in config.languages:
-        phon, sem, feature_names, n_total, skipped = load_language_spaces(
+        phon, sem, feature_names, n_total, n_skipped = load_language_spaces(
             config, lang, table, digests)
         results = _similarity_results(config, lang, phon, sem)
         if config.analyses.get("cca", True):
@@ -495,7 +498,7 @@ def run_global(config: RunConfig) -> dict[str, Path]:
             "language": lang,
             "n_morphemes": phon.n_items,
             "n_morphemes_segmented": n_total,
-            "n_skipped_phonetics": len(skipped),
+            "n_skipped_phonetics": n_skipped,
             "config_hash": config.config_hash(),
             "params": p,
             "results": results,
@@ -514,11 +517,8 @@ def run_global(config: RunConfig) -> dict[str, Path]:
                 {role: digests[input_path]
                  for role, input_path in _language_inputs(config, lang).items()})
         written[f"global:{lang}"] = path
-        grid_rows.append(payload)
 
-    md_path = out_dir / "global.md"
-    md_path.write_text(render_global_grid(grid_rows), encoding="utf-8")
-    written["global:grid"] = md_path
+    [written["global:grid"]] = render_reports(config, "analyze-global")
     write_manifest(config, written, digests)
     return written
 
@@ -641,9 +641,7 @@ def run_subspace(config: RunConfig) -> dict[str, Path]:
     path = out_dir / "subspace.json"
     _dump_json(payload, path)
     written["subspace"] = path
-    md_path = out_dir / "subspace.md"
-    md_path.write_text(render_subspace_grid(payload), encoding="utf-8")
-    written["subspace:grid"] = md_path
+    [written["subspace:grid"]] = render_reports(config, "analyze-subspace")
     write_manifest(config, written, digests)
     return written
 
@@ -661,10 +659,10 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
         global_path = lang_dir / "global.json"
         if not global_path.exists():
             raise InputError(f"{global_path}: run analyze-global first")
-        payload = read_json(global_path)
-        check_config_hash(global_path, payload, config_hash, "analyze-global")
+        payload = read_payload(global_path, config_hash, "analyze-global",
+                               render_global_grid)
         with payload_fields(global_path):
-            cca_records = payload.get("results", {}).get("cca")
+            cca_records = payload["results"].get("cca")
             if cca_records is None:
                 raise InputError(f"{lang}: no CCA results to interpret")
             significant = [c for c, rec in enumerate(cca_records)
@@ -690,14 +688,38 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
         path = lang_dir / "poles.json"
         _dump_json(out, path)
         written[f"poles:{lang}"] = path
-        md = lang_dir / "poles.md"
-        md.write_text(render_pole_tables(out), encoding="utf-8")
+    for lang, md in zip(config.languages, render_reports(config, "interpret")):
         written[f"poles:{lang}:md"] = md
     return written
 
 
 # ---------------------------------------------------------------------------
 # Markdown rendering (derived from the JSON payloads, never recomputed)
+
+def render_reports(config: RunConfig, command: str | None = None) -> list[Path]:
+    """Write the markdown of this config's payloads under ``output_dir``
+    (of those ``command`` writes, if given) and return its paths. Every
+    payload present passes ``read_payload`` before any file is written,
+    so a stale or damaged one leaves every markdown file as it was."""
+    out = Path(config.output_dir)
+    config_hash = config.config_hash()
+    reports = [  # markdown, its payloads, the command that writes them, renderer
+        (out / "global.md", [out / lang / "global.json" for lang in config.languages],
+         "analyze-global", render_global_grid),
+        (out / "subspace.md", [out / "subspace.json"], "analyze-subspace",
+         lambda payloads: render_subspace_grid(*payloads)),
+        *((out / lang / "poles.md", [out / lang / "poles.json"], "interpret",
+           lambda payloads: render_pole_tables(*payloads)) for lang in config.languages)]
+    texts = {}
+    for md, paths, writer, render in reports:
+        payloads = [read_payload(path, config_hash, writer, render)
+                    for path in paths if command in (None, writer) and path.exists()]
+        if payloads:
+            texts[md] = render(payloads)
+    for md, text in texts.items():
+        md.write_text(text, encoding="utf-8")
+    return list(texts)
+
 
 _SIGNIFICANCE = "Significance: * p < 0.05, ** p < 0.01, *** p < 0.001."
 

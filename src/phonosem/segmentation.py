@@ -407,15 +407,23 @@ def segment_words(
     per request.
 
     Results are appended to the line-delimited JSON cache as they
-    arrive; words already cached are not re-requested. A response
-    without log-probabilities, or whose perplexity overflows a float, is
-    a ProviderError, raised before its word is cached.
+    arrive; words already cached are not re-requested, and one cached
+    with another transcription is an InputError, raised before any
+    request. A response without log-probabilities, or whose perplexity
+    overflows a float, is a ProviderError, raised before its word is
+    cached.
     """
     cache_path = Path(cache_path)
     done: dict[str, Segmentation] = {}
     if cache_path.exists():
         _end_last_line(cache_path)
         done = {seg.word: seg for seg in read_segmentation_cache(cache_path)}
+    for word, _, ipa in words:
+        if word in done and done[word].ipa != ipa:
+            raise InputError(
+                f"{cache_path}: {word!r} is cached with the transcription "
+                f"/{done[word].ipa}/, but the lexicon gives /{ipa}/; remove "
+                "its record from the cache and segment again")
     out: list[Segmentation] = []
     cache_path.parent.mkdir(parents=True, exist_ok=True)
     with cache_path.open("a", encoding="utf-8") as fh:

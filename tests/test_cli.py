@@ -428,6 +428,21 @@ class TestSegmentAndVerify:
         assert [seg.word for seg in read_segmentation_cache(cache)] == [
             "run", "sit", "hop"]
 
+    def test_word_cached_with_another_transcription_is_exit_one(self, tmp_path):
+        path, cache = self.three_word_config(tmp_path)
+        replay = self.replay(tmp_path / "replay.jsonl")
+        assert invoke("segment", "--config", path, "--replay", replay).exit_code == 0
+        cached = cache.read_bytes()
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text(lexicon.read_text("utf-8").replace("\trʌn\n", "\tran\n"),
+                           encoding="utf-8")
+        result = invoke("segment", "--config", path, "--replay", replay)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert (f"input error: {cache}: 'run' is cached with the transcription "
+                "/rʌn/, but the lexicon gives /ran/" in result.output)
+        assert cache.read_bytes() == cached
+
     def test_response_whose_perplexity_overflows_is_exit_three_and_not_cached(
             self, tmp_path):
         path, cache = self.three_word_config(tmp_path)
@@ -613,6 +628,31 @@ class TestAnalyze:
         full["results"] = {"cca": full["results"]["cca"]}
         full["config_hash"] = cca_only["config_hash"]
         assert cca_only == full
+
+    def test_stage_counts_of_morphemes_without_a_segment(self, tmp_path):
+        # three morphemes whose transcriptions match no segment; only the
+        # one whose form has a non-zero vector counts as skipped
+        path, paths = language_config(tmp_path, SMALL_RUN)
+        global_path = tmp_path / "out" / "syn" / "global.json"
+        assert invoke("analyze-global", "--config", path).exit_code == 0
+        before = json.loads(global_path.read_text("utf-8"))
+        dim = int(paths["vectors"].read_text("utf-8").split("\n", 1)[0].split()[1])
+        with paths["vectors"].open("a", encoding="utf-8") as fh:
+            fh.write("qvec " + " ".join(["0.5"] * dim) + "\n")
+            fh.write("qzero " + " ".join(["0.0"] * dim) + "\n")
+        with paths["segmentations"].open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({
+                "word": "qq", "ipa": "ʘʘʘ",
+                "pairs": [["qvec", "ʘ"], ["qnone", "ʘʘ"], ["qzero", "ʘʘʘ"]],
+                "perplexity": 1.0, "provider": "synthetic", "timestamp": 0.0},
+                ensure_ascii=False) + "\n")
+        result = invoke("analyze-global", "--config", path)
+        assert result.exit_code == 0, result.output
+        after = json.loads(global_path.read_text("utf-8"))
+        assert before["n_skipped_phonetics"] == 0
+        assert after["n_morphemes_segmented"] == before["n_morphemes_segmented"] + 3
+        assert after["n_skipped_phonetics"] == 1
+        assert after["n_morphemes"] == before["n_morphemes"]
 
     def test_subspace_writes_grid(self, workspace):
         ws, _, config = workspace
@@ -1713,6 +1753,37 @@ class TestReport:
                 f"this config's hash is {config_hash}; run {command} again"
                 in result.output)
         assert not list(out.rglob("*.md"))
+
+    def test_stale_payload_leaves_every_markdown_file_as_it_was(
+            self, workspace, tmp_path):
+        path, lang_dir = TestAnalyze.global_results(workspace, tmp_path)
+        for command in ("analyze-subspace", "interpret"):
+            result = invoke(command, "--config", path)
+            assert result.exit_code == 0, result.output
+        out = tmp_path / "out"
+        mds = sorted(out.rglob("*.md"))
+        assert [md.relative_to(out).as_posix() for md in mds] == [
+            "global.md", "subspace.md", "syn/poles.md"]
+        # what the commands wrote is what report writes from their payloads
+        written = [md.read_bytes() for md in mds]
+        result = invoke("report", "--config", path)
+        assert result.exit_code == 0, result.output
+        assert result.output == "".join(f"rendered {md}\n" for md in mds)
+        assert [md.read_bytes() for md in mds] == written
+
+        poles_path = lang_dir / "poles.json"
+        poles = json.loads(poles_path.read_text("utf-8"))
+        poles["config_hash"] = "0" * 16
+        poles_path.write_text(json.dumps(poles), encoding="utf-8")
+        for md in mds:
+            md.write_text(f"an earlier render of {md.name}\n", encoding="utf-8")
+        result = invoke("report", "--config", path)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert (f"input error: {poles_path}: written with config hash {'0' * 16}"
+                in result.output)
+        assert [md.read_text("utf-8") for md in mds] == [
+            f"an earlier render of {md.name}\n" for md in mds]
 
     def test_report_renders_the_typed_interpretations(self, workspace, tmp_path):
         path, lang_dir = TestAnalyze.global_results(workspace, tmp_path)

@@ -427,6 +427,18 @@ class TestCacheResume:
         assert [s.word for s in segs] == ["run"]
         assert cache.read_text(encoding="utf-8") == self.line("run", "rʌn")
 
+    def test_word_cached_with_another_transcription_raises(self, tmp_path):
+        # the lexicon changed "run" from /rʌn/ to /ran/ since it was cached
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(self.line("run", "rʌn"), encoding="utf-8")
+        words = [("odd", "odd", "ɒd"), ("run", "run", "ran")]
+        with pytest.raises(InputError, match=re.escape(
+                f"{cache}: 'run' is cached with the transcription /rʌn/, "
+                "but the lexicon gives /ran/")):
+            segment_words(words, "en", self.replay(tmp_path), cache)
+        # raised before any request: "odd" is not cached either
+        assert cache.read_text(encoding="utf-8") == self.line("run", "rʌn")
+
     @pytest.mark.parametrize("after", ["odd line", "odd line cut", ""])
     def test_malformed_complete_line_raises(self, tmp_path, after):
         """A malformed line that ends in a newline is an error, whether

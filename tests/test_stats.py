@@ -246,6 +246,24 @@ class TestKnnOverlap:
         assert knn_overlap(warped, sim_b, k=4, n_shuffles=1,
                            null_points=1).value == base.value
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 2: a tie at the k-th "
+                       "neighbour is broken by item index")
+    def test_observed_value_is_free_of_item_order(self):
+        # 40 items over 10 distinct phonetic rows, so many rows tie at the
+        # k-th neighbour; reversing the items relabels both spaces jointly
+        rng = np.random.default_rng(0)
+        phon = rng.integers(-1, 2, size=(10, 6)).astype(float)
+        phon = phon[rng.integers(0, 10, size=40)]
+        sem = rng.standard_normal((40, 8))
+
+        def observed(order):
+            ids = tuple(f"m{i}" for i in order)
+            sim_a, sim_b = (cosine_similarity_matrix(EmbeddingMatrix(ids, x[order]))
+                            for x in (phon, sem))
+            return knn_overlap(sim_a, sim_b, k=4, n_shuffles=1, null_points=1).value
+        assert observed(np.arange(40)) == observed(np.arange(40)[::-1])
+
 
 # ---------------------------------------------------------------------------
 # Permutation engine
