@@ -241,10 +241,23 @@ def input_digests(config: RunConfig, roles: tuple[str, ...],
     return {path: _file_digest(path) for path in dict.fromkeys(filter(None, paths))}
 
 
-def write_manifest(config: RunConfig, written: dict, digests: dict) -> Path:
-    """Run manifest with wall-clock metadata; kept apart from payloads."""
-    out = Path(config.output_dir)
-    manifest = {
+def write_manifest(config: RunConfig, command: str, written: dict,
+                   digests: dict) -> Path:
+    """Merge ``command``'s record, with its wall-clock metadata, into the
+    run manifest under ``runs``; kept apart from payloads. The manifest
+    is never an input: one that does not load as a JSON object with a
+    ``runs`` object is replaced, with a warning."""
+    path = Path(config.output_dir) / "manifest.json"
+    runs = {}
+    if path.exists():
+        try:
+            runs = read_json(path).get("runs", {})
+            if not isinstance(runs, dict):
+                raise InputError(f"{path}: runs is not a JSON object")
+        except InputError as exc:
+            log.warning("replacing the run manifest: %s", exc)
+            runs = {}
+    runs[command] = {
         "config": config.to_obj(),
         "config_hash": config.config_hash(),
         "input_digests": digests,
@@ -252,8 +265,7 @@ def write_manifest(config: RunConfig, written: dict, digests: dict) -> Path:
         "tool_version": __version__,
         "timestamp": time.time(),
     }
-    path = out / "manifest.json"
-    _dump_json(manifest, path)
+    _dump_json({"runs": runs}, path)
     return path
 
 
@@ -519,7 +531,7 @@ def run_global(config: RunConfig) -> dict[str, Path]:
         written[f"global:{lang}"] = path
 
     [written["global:grid"]] = render_reports(config, "analyze-global")
-    write_manifest(config, written, digests)
+    write_manifest(config, "analyze-global", written, digests)
     return written
 
 
@@ -642,13 +654,14 @@ def run_subspace(config: RunConfig) -> dict[str, Path]:
     _dump_json(payload, path)
     written["subspace"] = path
     [written["subspace:grid"]] = render_reports(config, "analyze-subspace")
-    write_manifest(config, written, digests)
+    write_manifest(config, "analyze-subspace", written, digests)
     return written
 
 
 def run_interpret(config: RunConfig) -> dict[str, Path]:
     """Pole reports for every significant canonical variate (p < 0.05),
-    from the ``analyze-global`` outputs of this very config."""
+    from the ``analyze-global`` outputs of this very config, and the
+    command's manifest record."""
     p = config.params
     config_hash = config.config_hash()
     digests = input_digests(config, INPUT_ROLES, config.feature_table)
@@ -690,6 +703,7 @@ def run_interpret(config: RunConfig) -> dict[str, Path]:
         written[f"poles:{lang}"] = path
     for lang, md in zip(config.languages, render_reports(config, "interpret")):
         written[f"poles:{lang}:md"] = md
+    write_manifest(config, "interpret", written, digests)
     return written
 
 

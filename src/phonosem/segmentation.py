@@ -161,57 +161,78 @@ class HttpProvider:
     """Thin JSON-over-HTTP adapter.
 
     Request: ``{"model", "system", "user", "structured"}``; response:
-    ``{"text", "logprobs"?}``. Transient failures (connection errors,
-    timeouts, 5xx responses) are retried with exponential backoff
-    (3 attempts); a 4xx response fails at once. All exchanges are
-    appended to an audit log when one is configured.
+    ``{"text", "logprobs"?}``. Transient failures (a dropped or refused
+    connection, a timeout, a 5xx response, a body that is not JSON) are
+    retried with exponential backoff (3 attempts); any other response
+    outside 2xx fails at once. Every response received is appended to
+    the audit log, when one is configured, before any error is raised.
+    A URL whose scheme is not http or https is an InputError.
     """
 
     def __init__(self, url: str, model: str,
                  audit_path: str | Path | None = None):
+        # urllib would also open file: and ftp: URLs
+        if not url.lower().startswith(("http://", "https://")):
+            raise InputError(f"provider URL {url!r}: the scheme must be "
+                             "http or https")
         self.url = url
         self.model = model
         self.audit_path = Path(audit_path) if audit_path else None
         self.name = f"http:{model}"
 
     def complete(self, system: str, user: str) -> ProviderResponse:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
         payload = {"model": self.model, "system": system, "user": user,
                    "structured": True}
-        last_exc: Exception | None = None
+        request = urllib.request.Request(
+            self.url, data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"})
         for attempt in range(HTTP_ATTEMPTS):
+            if attempt:
+                time.sleep(2.0 ** (attempt - 1))
             try:
-                resp = requests.post(self.url, json=payload, timeout=HTTP_TIMEOUT_S)
-                resp.raise_for_status()
-                body = resp.json()
+                try:
+                    resp = urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_S)
+                except urllib.error.HTTPError as exc:  # a status outside 2xx
+                    resp = exc
+                with resp:
+                    status, reason, raw = resp.status, resp.reason, resp.read()
+            except (OSError, http.client.HTTPException) as exc:
+                failure = exc  # refused, dropped or timed out
+                continue
+            try:
+                body, failure = json.loads(raw), None
+            except ValueError as exc:  # audited as text
+                body, failure = raw.decode("utf-8", "replace"), exc
+            if self.audit_path is not None:
+                self.audit_path.parent.mkdir(parents=True, exist_ok=True)
+                with self.audit_path.open("a", encoding="utf-8") as fh:
+                    fh.write(json.dumps({"request": payload, "status": status,
+                                         "response": body},
+                                        ensure_ascii=False) + "\n")
+            if status >= 500:
+                failure = f"HTTP {status} {reason}"
+            elif not 200 <= status < 300:
+                # the request itself is wrong; a retry repeats it
+                raise ProviderError(
+                    f"provider rejected the request: HTTP {status} {reason}")
+            elif failure is None:
                 break
-            except requests.HTTPError as exc:
-                # a 4xx means the request itself is wrong; a retry repeats it
-                if exc.response is not None and exc.response.status_code < 500:
-                    raise ProviderError(f"provider rejected the request: {exc}") from None
-                last_exc = exc
-            except (requests.ConnectionError, requests.Timeout, ValueError) as exc:
-                last_exc = exc
-            if attempt + 1 < HTTP_ATTEMPTS:
-                time.sleep(2.0 ** attempt)
         else:
             raise ProviderError(
-                f"provider call failed after {HTTP_ATTEMPTS} attempts: {last_exc}"
+                f"provider call failed after {HTTP_ATTEMPTS} attempts: {failure}"
             )
         if not isinstance(body, dict):
             raise ProviderError("provider response is not a JSON object "
                                 f"({type(body).__name__})")
         try:
-            response = ProviderResponse.from_body(body)
+            return ProviderResponse.from_body(body)
         except (KeyError, ValueError) as exc:
             raise ProviderError(f"provider response: {_record_error(exc)}") from None
-        if self.audit_path is not None:
-            self.audit_path.parent.mkdir(parents=True, exist_ok=True)
-            with self.audit_path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps({"request": payload, "response": body},
-                                    ensure_ascii=False) + "\n")
-        return response
+
 
 
 class ReplayProvider:

@@ -1,6 +1,7 @@
 """Command-line workflow: exit codes, artifacts, and re-rendering."""
 
 import ast
+import hashlib
 import importlib
 import json
 import logging
@@ -817,10 +818,10 @@ class TestAnalyze:
         assert result.exit_code == 1
         assert f"{paths['vectors']}: not the vectors file" in result.output
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text("utf-8"))
+        digests = manifest["runs"]["analyze-global"]["input_digests"]
         with np.load(tmp_path / "out" / "syn" / "cca_model.npz") as z:
             stamp = json.loads(str(z["input_sha256"]))
-        assert stamp == {role: manifest["input_digests"][str(p)]
-                         for role, p in paths.items()}
+        assert stamp == {role: digests[str(p)] for role, p in paths.items()}
 
     @pytest.mark.parametrize("killed_at", ["global.json", "cca_model.npz"])
     def test_interpret_refuses_a_run_killed_between_its_writes(
@@ -859,9 +860,33 @@ class TestAnalyze:
         result = invoke("analyze-subspace", "--config", path)
         assert result.exit_code == 0, result.output
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text("utf-8"))
-        assert sorted(manifest["input_digests"]) == sorted(
+        assert sorted(manifest["runs"]["analyze-subspace"]["input_digests"]) == sorted(
             str(paths[role]) for role in
             ("feature_table", "lexicon", "vectors", "scales"))
+
+    def test_each_command_keeps_its_own_manifest_record(self, tmp_path, caplog):
+        path, paths = scaled_language_config(tmp_path, SMALL_RUN)
+        manifest = tmp_path / "out" / "manifest.json"
+        manifest.parent.mkdir()
+        manifest.write_text("[]", encoding="utf-8")  # not an object: replaced
+        commands = {  # command -> the roles of its inputs, its outputs
+            "analyze-global": (("feature_table", "lexicon", "vectors", "segmentations"),
+                               ["global:grid", "global:syn"]),
+            "analyze-subspace": (("feature_table", "lexicon", "vectors", "scales"),
+                                 ["subspace", "subspace:grid"]),
+            "interpret": (("feature_table", "lexicon", "vectors", "segmentations"),
+                          ["poles:syn", "poles:syn:md"])}
+        for command in commands:
+            result = invoke(command, "--config", path)
+            assert result.exit_code == 0, result.output
+        assert "replacing the run manifest" in caplog.text
+        runs = json.loads(manifest.read_text("utf-8"))["runs"]
+        assert sorted(runs) == sorted(commands)
+        for command, (roles, outputs) in commands.items():
+            assert runs[command]["input_digests"] == {
+                str(paths[role]): hashlib.sha256(paths[role].read_bytes()).hexdigest()
+                for role in roles}
+            assert sorted(runs[command]["results"]) == outputs
 
     def test_interpret_reads_no_vectors_without_a_significant_variate(
             self, tmp_path, monkeypatch):

@@ -1,15 +1,18 @@
 """Prompt assembly, response parsing, filtering, sampling, and the
 provider boundary."""
 
+import contextlib
 import json
 import math
 import re
-import time
+import socket
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from importlib import resources
 
 import numpy as np
 import pytest
-import requests
 from click.testing import CliRunner
 
 from phonosem import segmentation
@@ -464,50 +467,142 @@ class TestCacheResume:
             read_segmentation_cache(cache)
 
 
-class _FakeResponse:
-    def __init__(self, status, body=None):
-        self.status_code = status
-        self._body = body
+# replies of a LoopbackProvider other than a (status, body) pair
+DROP = "drop the connection"
+HANG = "send nothing until the server stops"
 
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise requests.HTTPError(f"{self.status_code} error", response=self)
 
-    def json(self):
-        return self._body
+class LoopbackProvider:
+    """An HTTP provider on 127.0.0.1 that answers each POST with the next
+    of ``replies`` and keeps the headers and body of every POST it got.
+
+    A reply is a (status, body) pair, whose body is sent as JSON unless
+    it is bytes, or DROP or HANG."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.received = []
+        self.stopping = threading.Event()
+        provider = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                provider.received.append((self.headers, body))
+                reply = provider.replies.pop(0)
+                if reply == HANG:
+                    provider.stopping.wait(10)
+                if reply in (DROP, HANG):
+                    return
+                status, content = reply
+                data = content if isinstance(content, bytes) else \
+                    json.dumps(content).encode("utf-8")
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server.server_port}/seg"
+        self.thread = threading.Thread(target=self.server.serve_forever,
+                                       kwargs={"poll_interval": 0.05})
+        self.thread.start()
+
+    def close(self):
+        self.stopping.set()
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(10)
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture
+def serve(monkeypatch):
+    """Start a LoopbackProvider over the given replies, stopped after
+    the test; a proxy in the environment is not used for it."""
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    providers = []
+
+    def start(replies):
+        providers.append(LoopbackProvider(replies))
+        return providers[-1]
+    yield start
+    for provider in providers:
+        provider.close()
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The backoff sleeps of the provider, which take no time."""
+    calls = []
+    monkeypatch.setattr(segmentation.time, "sleep", calls.append)
+    return calls
+
+
+def segment_config(tmp_path, words):
+    """A config file over a lexicon of (word, ipa) pairs, whose cache and
+    output directories do not exist yet; and the cache's path."""
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("word\tlemma\tzipf\tipa\n" + "".join(
+        f"{w}\t{w}\t5.0\t{ipa}\n" for w, ipa in words), encoding="utf-8")
+    cache = tmp_path / "segs" / "en.jsonl"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "languages": ["en"], "feature_table": str(tmp_path / "features.tsv"),
+        "inputs": {"en": {"lexicon": str(lexicon),
+                          "vectors": str(tmp_path / "en.vec"),
+                          "segmentations": str(cache)}},
+        "output_dir": str(tmp_path / "results")}), encoding="utf-8")
+    return config, cache
+
+
+RUN = {"text": "(run,rʌn)", "logprobs": [-0.1]}
 
 
 class TestHttpProvider:
-    def serve(self, monkeypatch, outcomes):
-        """Answer successive posts with ``outcomes`` (a response or an
-        exception to raise); return the post and sleep call logs."""
-        posts, sleeps = [], []
+    def test_request_is_utf8_json(self, serve, sleeps):
+        provider = serve([(200, RUN)])
+        resp = HttpProvider(provider.url, "m").complete("sys", "input: sœur,sœʁ")
+        assert resp == ProviderResponse(text="(run,rʌn)", logprobs=(-0.1,))
+        [(headers, body)] = provider.received
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(body.decode("utf-8")) == {
+            "model": "m", "system": "sys", "user": "input: sœur,sœʁ",
+            "structured": True}
 
-        def post(url, json, timeout):
-            posts.append(json)
-            outcome = outcomes[len(posts) - 1]
-            if isinstance(outcome, Exception):
-                raise outcome
-            return outcome
-
-        monkeypatch.setattr(requests, "post", post)
-        monkeypatch.setattr(time, "sleep", sleeps.append)
-        return posts, sleeps
-
-    def test_client_error_is_not_retried(self, monkeypatch):
-        posts, sleeps = self.serve(monkeypatch, [_FakeResponse(404)])
-        with pytest.raises(ProviderError, match="rejected"):
-            HttpProvider("http://localhost:1/seg", "m").complete("sys", "user")
-        assert len(posts) == 1
+    def test_client_error_is_not_retried(self, serve, sleeps):
+        provider = serve([(404, {"error": "no such model"})])
+        with pytest.raises(ProviderError, match="rejected the request: HTTP 404"):
+            HttpProvider(provider.url, "m").complete("sys", "user")
+        assert len(provider.received) == 1
         assert sleeps == []
 
-    def test_transient_errors_are_retried(self, monkeypatch):
-        posts, sleeps = self.serve(monkeypatch, [
-            requests.ConnectionError("refused"), _FakeResponse(503),
-            _FakeResponse(200, {"text": "(run,rʌn)", "logprobs": [-0.1]})])
-        resp = HttpProvider("http://localhost:1/seg", "m").complete("sys", "user")
+    def test_transient_errors_are_retried(self, serve, sleeps):
+        provider = serve([DROP, (503, b"busy"), (200, RUN)])
+        resp = HttpProvider(provider.url, "m").complete("sys", "user")
         assert resp.text == "(run,rʌn)"
-        assert len(posts) == 3
+        assert len(provider.received) == 3
+        assert sleeps == [1.0, 2.0]
+
+    def test_timeout_is_per_attempt(self, serve, sleeps, monkeypatch):
+        monkeypatch.setattr(segmentation, "HTTP_TIMEOUT_S", 0.2)
+        provider = serve([HANG, (200, RUN)])
+        resp = HttpProvider(provider.url, "m").complete("sys", "user")
+        assert resp.text == "(run,rʌn)"
+        assert len(provider.received) == 2
+        assert sleeps == [1.0]
+
+    def test_refused_connection_fails_after_every_attempt(self, sleeps):
+        with socket.socket() as sock:  # a port that nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        with pytest.raises(ProviderError, match="failed after 3 attempts"):
+            HttpProvider(f"http://127.0.0.1:{port}/seg", "m").complete(
+                "sys", "user")
         assert sleeps == [1.0, 2.0]
 
     @pytest.mark.parametrize("body,message", [
@@ -521,44 +616,75 @@ class TestHttpProvider:
          "provider response: log-probability 0.5 is above 0")],
         ids=["list", "string", "no-text", "text-int", "logprob-nan",
              "logprob-positive"])
-    def test_malformed_body_is_a_provider_error(self, monkeypatch, tmp_path,
+    def test_malformed_body_is_a_provider_error(self, serve, sleeps,
                                                 body, message):
-        posts, _ = self.serve(monkeypatch, [_FakeResponse(200, body)])
+        provider = serve([(200, body)])
         with pytest.raises(ProviderError, match=re.escape(message)):
-            HttpProvider("http://localhost:1/seg", "m").complete("sys", "user")
-        assert len(posts) == 1
+            HttpProvider(provider.url, "m").complete("sys", "user")
+        assert len(provider.received) == 1
 
-    def test_audit_log_in_a_new_directory(self, monkeypatch, tmp_path):
-        self.serve(monkeypatch, [_FakeResponse(200, {"text": "(run,rʌn)"})])
+    def test_audit_log_in_a_new_directory(self, serve, sleeps, tmp_path):
+        provider = serve([(200, {"text": "(run,rʌn)"})])
         audit = tmp_path / "new" / "audit.jsonl"
-        resp = HttpProvider("http://localhost:1/seg", "m",
+        resp = HttpProvider(provider.url, "m",
                             audit_path=audit).complete("sys", "user")
         assert resp == ProviderResponse(text="(run,rʌn)", logprobs=())
-        assert json.loads(audit.read_text("utf-8"))["response"] == {
-            "text": "(run,rʌn)"}
+        assert json.loads(audit.read_text("utf-8")) == {
+            "request": {"model": "m", "system": "sys", "user": "user",
+                        "structured": True},
+            "status": 200, "response": {"text": "(run,rʌn)"}}
 
-    def test_segment_into_new_directories(self, monkeypatch, tmp_path):
-        # the first run of a project: neither results/ nor the cache's
-        # directory exists yet
-        words = [("run", "rʌn"), ("sit", "sɪt"), ("hop", "hɒp")]
-        self.serve(monkeypatch, [_FakeResponse(200, {
-            "text": f"({w},{ipa})", "logprobs": [-0.1]}) for w, ipa in words])
-        lexicon = tmp_path / "lexicon.tsv"
-        lexicon.write_text("word\tlemma\tzipf\tipa\n" + "".join(
-            f"{w}\t{w}\t5.0\t{ipa}\n" for w, ipa in words), encoding="utf-8")
-        cache = tmp_path / "segs" / "en.jsonl"
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "languages": ["en"], "feature_table": str(tmp_path / "features.tsv"),
-            "inputs": {"en": {"lexicon": str(lexicon),
-                              "vectors": str(tmp_path / "en.vec"),
-                              "segmentations": str(cache)}},
-            "output_dir": str(tmp_path / "results")}), encoding="utf-8")
+    @pytest.mark.parametrize("replies,error", [
+        ([(200, {"text": 5})], "text 5 is not a string"),
+        ([(400, {"error": "bad model"})], "rejected the request: HTTP 400"),
+        ([(200, b"<html>")] * 3, "failed after 3 attempts"),
+        ([(503, b"busy"), (200, RUN)], None)],
+        ids=["refused-body", "rejected", "not-json", "503-then-200"])
+    def test_audit_log_holds_every_response(self, serve, sleeps, tmp_path,
+                                            replies, error):
+        provider = serve(replies)
+        audit = tmp_path / "audit.jsonl"
+        with pytest.raises(ProviderError, match=error) if error \
+                else contextlib.nullcontext():
+            HttpProvider(provider.url, "m", audit_path=audit).complete(
+                "sys", "user")
+        records = [json.loads(line) for line in
+                   audit.read_text("utf-8").splitlines()]
+        assert [(r["status"], r["response"]) for r in records] == [
+            (status, body.decode() if isinstance(body, bytes) else body)
+            for status, body in replies]
+        assert all(r["request"]["user"] == "user" for r in records)
+
+    @pytest.mark.parametrize("scheme", ["file", "ftp"])
+    def test_url_that_is_not_http_is_an_input_error(self, tmp_path, sleeps,
+                                                    scheme):
+        config, cache = segment_config(tmp_path, [("run", "rʌn")])
+        # a file holding what an HTTP provider would answer
+        reply = tmp_path / "reply.json"
+        reply.write_text(json.dumps(RUN), encoding="utf-8")
+        url = {"file": reply.as_uri(), "ftp": "ftp://127.0.0.1/seg"}[scheme]
         result = CliRunner().invoke(main, [
-            "segment", "--config", str(config),
-            "--provider-url", "http://localhost:1/seg"])
+            "segment", "--config", str(config), "--provider-url", url])
+        assert result.exit_code == 1
+        assert f"input error: provider URL {url!r}" in result.output
+        assert sleeps == []
+        assert not cache.exists()
+
+    def test_segment_into_new_directories(self, serve, sleeps, tmp_path,
+                                          monkeypatch):
+        # the first run of a project: neither results/ nor the cache's
+        # directory exists yet; and no runtime path imports requests
+        monkeypatch.setitem(sys.modules, "requests", None)
+        # in the order segment sends them: by Zipf value, then by word
+        words = [("hop", "hɒp"), ("run", "rʌn"), ("sit", "sɪt")]
+        provider = serve([(200, {"text": f"({w},{ipa})", "logprobs": [-0.1]})
+                          for w, ipa in words])
+        config, cache = segment_config(tmp_path, words)
+        result = CliRunner().invoke(main, [
+            "segment", "--config", str(config), "--provider-url", provider.url])
         assert result.exit_code == 0, result.output
-        assert len(read_segmentation_cache(cache)) == 3
+        assert [(s.word, s.pairs) for s in read_segmentation_cache(cache)] == [
+            (w, ((w, ipa),)) for w, ipa in words]
         audit = tmp_path / "results" / "provider_audit.jsonl"
         assert len(audit.read_text("utf-8").splitlines()) == 3
 
