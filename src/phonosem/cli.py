@@ -7,6 +7,7 @@ option, a missing ``--config`` file), 2 analysis error, 3 provider error.
 from __future__ import annotations
 
 import contextlib
+import json
 import logging
 import sys
 from pathlib import Path
@@ -20,8 +21,8 @@ from .pipeline import (RunConfig, analysed_morphemes, input_digests,
                        load_language_spaces, load_vocabulary, render_reports,
                        run_global, run_interpret, run_subspace)
 from .segmentation import (HttpProvider, ReplayProvider, sample_for_verification,
-                           dedupe_into_morpheme_set, read_verdicts, segment_words,
-                           write_verification_sheet)
+                           dedupe_into_morpheme_set, read_verdicts, score_verdicts,
+                           segment_words, write_verification_sheet)
 
 log = logging.getLogger(__name__)
 
@@ -123,19 +124,29 @@ def segment(config, provider_url, provider_model, replay_path):
 @click.option("-n", "sample_n", type=int, default=150, show_default=True)
 def verify(config, sample_n):
     """Draw the native-speaker verification sample per language; a sheet
-    in which any row holds a verdict is kept as it is."""
+    in which any row holds a verdict is kept as it is and scored."""
     for lang in config.languages:
         mset = analysed_morphemes(config, lang)
         sample = sample_for_verification(mset, n=sample_n, seed=config.seed)
         path = Path(config.output_dir) / lang / "verification.tsv"
-        verdicts = read_verdicts(path) if path.exists() else []
-        filled = sum(map(bool, verdicts))
+        score_path = path.with_suffix(".json")
+        rows = read_verdicts(path) if path.exists() else []
+        filled = sum(1 for row in rows if row[3])
         if filled:
-            click.echo(f"{lang}: kept {path}: {filled} of {len(verdicts)} rows "
+            score = score_verdicts(path, rows, mset)
+            score_path.write_text(json.dumps(score, indent=2, sort_keys=True)
+                                  + "\n", encoding="utf-8")
+            click.echo(f"{lang}: kept {path}: {filled} of {len(rows)} rows "
                        "hold a verdict")
+            click.echo(f"{lang}: {score['error']} errors in {filled} reviewed "
+                       f"rows: error rate {100 * score['error_rate']:.1f} % "
+                       f"± {100 * score['half_width']:.2f} %, written to "
+                       f"{score_path}")
             continue
         path.parent.mkdir(parents=True, exist_ok=True)
         write_verification_sheet(sample, path)
+        # a score read from an earlier sheet no longer holds
+        score_path.unlink(missing_ok=True)
         note = " (fewer morphemes than requested)" if len(sample) < sample_n else ""
         click.echo(f"{lang}: wrote {len(sample)} rows to {path}{note}")
 

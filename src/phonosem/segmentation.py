@@ -29,6 +29,8 @@ from .errors import InputError, ParseError, ProviderError
 log = logging.getLogger(__name__)
 
 PERPLEXITY_THRESHOLD = 1.4
+# the words a native speaker writes in a review sheet's verdict column
+VERDICTS = ("correct", "error")
 # HttpProvider: attempts per request and seconds per attempt
 HTTP_ATTEMPTS = 3
 HTTP_TIMEOUT_S = 60.0
@@ -382,25 +384,61 @@ def sample_for_verification(
 
 
 def write_verification_sheet(sample: Sequence[Morpheme], path: str | Path) -> None:
-    """TSV review sheet with a blank verdict column."""
+    """TSV review sheet with a blank verdict column. A form, transcription
+    or example word that holds a tab or a line break would shift its row's
+    cells, so it is an InputError naming the morpheme, raised before any
+    row is written."""
+    rows = [(m.form, m.transcription, min(m.sources) if m.sources else "")
+            for m in sample]
+    for row in rows:
+        if any(c in cell for cell in row for c in "\t\n\r"):
+            raise InputError(f"morpheme {row[0]!r} (transcription {row[1]!r}, "
+                             f"example {row[2]!r}) holds a tab or a line "
+                             "break, which the review sheet cannot hold")
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write("morpheme\ttranscription\texample_source\tverdict\n")
-        for m in sample:
-            example = min(m.sources) if m.sources else ""
-            fh.write(f"{m.form}\t{m.transcription}\t{example}\t\n")
+        for row in rows:
+            fh.write("\t".join(row) + "\t\n")
 
 
-def read_verdicts(path: str | Path) -> list[str]:
-    """The ``verdict`` cell of each row of a review sheet, stripped of
-    whitespace; blank for a row not yet reviewed. Text that is not UTF-8
-    is a ParseError naming the file."""
+def read_verdicts(path: str | Path) -> list[tuple[int, str, str, str]]:
+    """(line number, form, transcription, verdict) of each row of a
+    review sheet, the verdict stripped of whitespace and blank for a row
+    not yet reviewed. Text that is not UTF-8 is a ParseError naming the
+    file."""
     with _open_input(path) as fh:
-        rows = fh.read().split("\n")[1:]
-    verdicts = []
-    for row in filter(None, rows):
-        cells = row.split("\t")
-        verdicts.append(cells[3].strip() if len(cells) > 3 else "")
-    return verdicts
+        lines = fh.read().split("\n")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        if line:
+            cells = line.split("\t") + ["", "", ""]
+            rows.append((number, cells[0], cells[1], cells[3].strip()))
+    return rows
+
+
+def score_verdicts(path: str | Path, rows: Sequence[tuple[int, str, str, str]],
+                   analysed: MorphemeSet) -> dict:
+    """The verdict counts of a review sheet's ``rows`` (:func:`read_verdicts`)
+    and the error rate of the reviewed ones with its 95% half-width. Blank
+    rows are not yet reviewed. A verdict outside ``VERDICTS``, or a row
+    whose (form, transcription) is not in ``analysed`` (the segmentations
+    changed since the sheet was drawn), is an InputError naming the file
+    and line."""
+    keys = {m.key() for m in analysed}
+    counts = dict.fromkeys(("unreviewed",) + VERDICTS, 0)
+    for number, form, transcription, verdict in rows:
+        if (form, transcription) not in keys:
+            raise InputError(f"{path}:{number}: {form!r} /{transcription}/ is "
+                             "not an analysed morpheme; the segmentations "
+                             "changed since the sheet was drawn")
+        if verdict and verdict not in VERDICTS:
+            raise InputError(f"{path}:{number}: verdict {verdict!r} is not "
+                             + " or ".join(map(repr, VERDICTS)))
+        counts[verdict or "unreviewed"] += 1
+    reviewed = counts["correct"] + counts["error"]
+    rate, half_width = error_rate_ci(counts["error"], reviewed)
+    return {**counts, "reviewed": reviewed, "error_rate": rate,
+            "half_width": half_width}
 
 
 def error_rate_ci(errors: int, n: int) -> tuple[float, float]:

@@ -8,7 +8,8 @@ cross-space correspondence under test.
 
 Each shuffle draws its permutation from an independent substream seeded
 by (seed, shuffle index), so results are identical regardless of
-evaluation order or parallelism.
+evaluation order or parallelism. The seed words of a null's shuffles are
+hashed in one pass, as NumPy's SeedSequence would hash each of them.
 
 Whatever a permutation leaves unchanged is computed once per space by
 :func:`prepare`: the pair ranks (RSA), the pair bin indices (MI) and
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .corpus import EmbeddingMatrix
 from .errors import AnalysisError
@@ -352,9 +354,85 @@ def _symmetric(pairs: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Permutation engine
 
-def shuffle_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent deterministic substream for one shuffle."""
-    return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, index])
+def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
+    """SeedSequence's hash constant before and after each of ``steps``
+    multiplies, as a (2, steps, 1) array of xor and multiply words."""
+    pairs, const = [], init
+    for _ in range(steps):
+        pairs.append((const, const * mult & 0xFFFFFFFF))
+        const = pairs[-1][1]
+    return np.array(pairs, dtype=np.uint32).T[..., None]
+
+
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx) with its pool of
+# four words. Its hash constants do not depend on the entropy: 4 steps
+# fill the pool, then each source word is hashed into the other three in
+# turn, then generate_state draws 8 words. The entropy (one or two seed
+# words, then the index) never outgrows the pool, so SeedSequence's loop
+# over the words past the pool never runs.
+_ENTROPY_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_FILL = _ENTROPY_HASH[:, :4]
+_MIX = _ENTROPY_HASH[:, 4:].reshape(2, 4, 3, 1).transpose(1, 0, 2, 3)
+_DRAW = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_OTHERS = [np.array([w for w in range(4) if w != src]) for src in range(4)]
+# uint32 arrays, not scalars, so no operation converts a constant
+_MIX_L, _MIX_R, _SHIFT = np.array([[0xCA01F9DD], [0x4973F715], [16]],
+                                  dtype=np.uint32)
+
+
+def shuffle_seeds(seed: int, count: int) -> np.ndarray:
+    """The seed words of shuffles 0..count-1: row i is
+    ``SeedSequence([seed mod 2**64, i]).generate_state(4, np.uint64)``,
+    hashed for every i at once in uint32 arithmetic. Each index is one
+    32-bit word, so more than 2**32 shuffles is an AnalysisError."""
+    if count > 1 << 32:
+        raise AnalysisError(f"{count} shuffles: at most 2**32 have seeds")
+    seed &= 0xFFFFFFFFFFFFFFFF
+    # SeedSequence splits an integer into 32-bit words, low first
+    words = [seed & 0xFFFFFFFF, seed >> 32] if seed >> 32 else [seed]
+    pool = np.zeros((4, count), dtype=np.uint32)
+    pool[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    pool[len(words)] = np.arange(count, dtype=np.uint32)
+    pool ^= _FILL[0]
+    pool *= _FILL[1]
+    pool ^= pool >> _SHIFT
+    for (xor, mul), others, src in zip(_MIX, _OTHERS, pool):
+        hashed = src ^ xor
+        hashed *= mul
+        hashed ^= hashed >> _SHIFT
+        hashed *= _MIX_R
+        mixed = pool[others]
+        mixed *= _MIX_L
+        mixed -= hashed
+        mixed ^= mixed >> _SHIFT
+        pool[others] = mixed
+    state = np.concatenate((pool, pool))
+    state ^= _DRAW[0]
+    state *= _DRAW[1]
+    state ^= state >> _SHIFT
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(
+        np.uint64, copy=False)
+
+
+class _SeedWords(ISeedSequence):
+    """One row of :func:`shuffle_seeds`, handed to PCG64 as the four
+    uint64 words it draws from its seed sequence. PCG64 reads them
+    through a raw pointer, so they are made four contiguous words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = np.ascontiguousarray(words, dtype=np.uint64)
+        if self.words.shape != (4,):
+            raise AnalysisError(f"shuffle seed words of shape "
+                                f"{self.words.shape}: PCG64 takes 4")
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def shuffle_rng(words: np.ndarray) -> np.random.Generator:
+    """The generator of one shuffle from its row of :func:`shuffle_seeds`:
+    the same stream as ``np.random.default_rng([seed, i])``."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def permutation_pvalue(
@@ -397,9 +475,10 @@ def permutation_test(
         raise AnalysisError(
             f"null_points={null_points} outside 1..n_shuffles={n_shuffles}")
     null = np.empty((null_points,) + np.shape(observed), dtype=np.float64)
+    seeds = shuffle_seeds(seed, null_points)
     start = time.perf_counter()
     for i in range(null_points):
-        perm = shuffle_rng(seed, i).permutation(n_items)
+        perm = shuffle_rng(seeds[i]).permutation(n_items)
         null[i] = statistic(perm)
         if (i + 1) * 10 // null_points > i * 10 // null_points:
             elapsed = time.perf_counter() - start

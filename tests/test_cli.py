@@ -498,7 +498,8 @@ class TestSegmentAndVerify:
         blank = sheet.read_bytes()
         rows = blank.decode("utf-8").split("\n")
         assert all(row.endswith("\t") for row in rows[1:-1])
-        for i, verdict in enumerate(["ok", "wrong", "ok", " ok ", "?"], start=1):
+        for i, verdict in enumerate(
+                ["correct", "error", "correct", " correct ", "error"], start=1):
             rows[i] += verdict
         rows[6] += "  "  # whitespace is no verdict
         sheet.write_bytes("\r\n".join(rows).encode("utf-8"))
@@ -526,6 +527,109 @@ class TestSegmentAndVerify:
         assert result.exit_code == 1
         assert f"input error: {sheet}: not UTF-8 text" in result.output
         assert sheet.read_bytes() == damaged
+
+    @staticmethod
+    def filled_sheet(workspace, tmp_path, verdicts):
+        """A config with its own output directory and the path of the
+        150-row sheet ``verify`` draws there, its first rows given
+        ``verdicts``; the sheet's bytes before they were filled."""
+        _, _, config = workspace
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "output_dir": str(tmp_path / "out")}),
+                        encoding="utf-8")
+        result = invoke("verify", "--config", path)
+        assert result.exit_code == 0, result.output
+        sheet = tmp_path / "out" / "syn" / "verification.tsv"
+        blank = sheet.read_bytes()
+        rows = blank.decode("utf-8").split("\n")
+        for i, verdict in enumerate(verdicts, start=1):
+            rows[i] += verdict
+        sheet.write_bytes("\n".join(rows).encode("utf-8"))
+        return path, sheet, blank
+
+    def test_verify_scores_a_filled_sheet(self, workspace, tmp_path):
+        path, sheet, _ = self.filled_sheet(
+            workspace, tmp_path, ["correct"] * 100 + ["error"] * 3 + ["correct"] * 47)
+        filled = sheet.read_bytes()
+        score_path = sheet.with_suffix(".json")
+        result = invoke("verify", "--config", path)
+        assert result.exit_code == 0, result.output
+        assert f"syn: kept {sheet}: 150 of 150 rows hold a verdict" in result.output
+        assert ("syn: 3 errors in 150 reviewed rows: error rate 2.0 % ± 2.24 %"
+                in result.output)
+        score = json.loads(score_path.read_text("utf-8"))
+        assert score == {"correct": 147, "error": 3, "unreviewed": 0,
+                         "reviewed": 150, "error_rate": 0.02,
+                         "half_width": pytest.approx(0.0224, abs=5e-5)}
+        scored = score_path.read_bytes()
+        result = invoke("verify", "--config", path)
+        assert result.exit_code == 0, result.output
+        assert sheet.read_bytes() == filled and score_path.read_bytes() == scored
+
+    def test_verify_scores_only_the_reviewed_rows(self, workspace, tmp_path):
+        path, sheet, blank = self.filled_sheet(
+            workspace, tmp_path, ["error", "", " correct", "correct\t"])
+        result = invoke("verify", "--config", path)
+        assert result.exit_code == 0, result.output
+        score = json.loads(sheet.with_suffix(".json").read_text("utf-8"))
+        assert score["reviewed"] == 3 and score["unreviewed"] == 147
+        assert score["error"] == 1 and score["error_rate"] == pytest.approx(1 / 3)
+        # a sheet drawn again drops the score of the sheet it replaces
+        sheet.write_bytes(blank)
+        result = invoke("verify", "--config", path)
+        assert result.exit_code == 0, result.output
+        assert not sheet.with_suffix(".json").exists()
+
+    @pytest.mark.parametrize("verdict", ["ok", "Correct", "errors", "?"])
+    def test_verify_refuses_a_verdict_it_does_not_define(
+            self, workspace, tmp_path, verdict):
+        path, sheet, _ = self.filled_sheet(
+            workspace, tmp_path, ["correct", "error", verdict])
+        filled = sheet.read_bytes()
+        result = invoke("verify", "--config", path)
+        assert result.exit_code == 1
+        assert (f"input error: {sheet}:4: verdict {verdict!r} is not 'correct' "
+                "or 'error'" in result.output)
+        assert sheet.read_bytes() == filled
+        assert not sheet.with_suffix(".json").exists()
+
+    def test_verify_refuses_a_sheet_of_other_morphemes(self, workspace, tmp_path):
+        path, sheet, _ = self.filled_sheet(workspace, tmp_path, ["correct"])
+        rows = sheet.read_text("utf-8").split("\n")
+        form, transcription, rest = rows[3].split("\t", 2)
+        rows[3] = "\t".join([form + "x", transcription, rest])
+        sheet.write_text("\n".join(rows), encoding="utf-8")
+        result = invoke("verify", "--config", path)
+        assert result.exit_code == 1
+        assert (f"input error: {sheet}:4: {form + 'x'!r} /{transcription}/ is not "
+                "an analysed morpheme" in result.output)
+        assert not sheet.with_suffix(".json").exists()
+
+    @pytest.mark.parametrize("form,transcription", [
+        ("wa\tlk", "wɔk"), ("walk", "wɔ\tk"), ("wa\nlk", "wɔk"),
+        ("walk", "wɔk\r")])
+    def test_verify_refuses_a_morpheme_that_would_break_the_sheet(
+            self, workspace, tmp_path, form, transcription):
+        _, _, config = workspace
+        segs = tmp_path / "segs.jsonl"
+        segs.write_text("".join(json.dumps({
+            "word": word, "ipa": word, "pairs": pairs, "perplexity": 1.0,
+            "provider": "replay", "timestamp": 0.0}) + "\n"
+            for word, pairs in [("calm", [["calm", "kam"]]),
+                                ("walked", [[form, transcription], ["ed", "t"]])]),
+            encoding="utf-8")
+        cfg = {**config,
+               "inputs": {"syn": {**config["inputs"]["syn"],
+                                  "segmentations": str(segs)}},
+               "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        result = invoke("verify", "--config", path, "-n", 10)
+        assert result.exit_code == 1
+        assert (f"input error: morpheme {form!r} (transcription "
+                f"{transcription!r}, example 'walked') holds a tab or a line "
+                "break" in result.output)
+        assert not (tmp_path / "out" / "syn" / "verification.tsv").exists()
 
     def test_verify_samples_the_perplexity_filtered_set(self, workspace, tmp_path):
         _, _, config = workspace
@@ -1942,12 +2046,10 @@ def test_every_library_function_has_a_caller():
              if isinstance(node, ast.ImportFrom)
              and (node.module or "").startswith("phonosem")
              for alias in node.names}
-    # scores the filled verification sheet once ROADMAP item 14 lands
-    waiting = {"error_rate_ci"}
     defined = {node.name for tree in trees for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert not defined - named - commands - shown - waiting, sorted(
-        defined - named - commands - shown - waiting)
+    assert not defined - named - commands - shown, sorted(
+        defined - named - commands - shown)
 
 
 def test_readme_parameter_table_lists_every_param():

@@ -24,8 +24,9 @@ from phonosem.stats import (_BLOCK_ELEMENTS, _doubled_ranks, _sort,
                             _sorted_bins, _summarize, _symmetric,
                             _tie_doubled_ranks, _tie_starts, knn_overlap,
                             mi_alignment, permutation_test, prepare, rsa,
-                            shuffle_rng, spearman_rho)
+                            spearman_rho)
 from phonosem.subspace import pool_candidates, scale_alignment
+from reference_streams import reference_rng
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +492,7 @@ def oracle_cca(model, X, Y, shuffles, points, seed):
                              model.scores_semantic[:, c]) for c in range(k)]
     null = np.empty((shuffles, k))
     for i in range(shuffles):
-        perm = shuffle_rng(seed, i).permutation(n)
+        perm = reference_rng(seed, i).permutation(n)
         shuffled = fit_cca(X, np.asarray(Y)[perm], n_components=k,
                            ridge=model.ridge)
         for c in range(k):

@@ -2,6 +2,7 @@
 permutation engine's contract."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 from phonosem.errors import AnalysisError
 from phonosem.phonetic import SimilarityMatrix, cosine_similarity_matrix
 from phonosem.corpus import EmbeddingMatrix
+from phonosem.pipeline import derive_seed
 from phonosem.stats import (knn_overlap, mi_alignment, permutation_pvalue,
-                            permutation_test, rsa, shuffle_rng, spearman_rho,
-                            stars)
+                            permutation_test, rsa, shuffle_rng, shuffle_seeds,
+                            spearman_rho, stars)
+from reference_streams import SEED_MASK, reference_rng
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +301,43 @@ class TestPermutationEngine:
         assert np.array_equal(null, [s[0] for s in seen[:10]])
 
     def test_substreams_reproducible(self):
-        a = shuffle_rng(42, 7).permutation(50)
-        b = shuffle_rng(42, 7).permutation(50)
-        c = shuffle_rng(42, 8).permutation(50)
+        a = reference_rng(42, 7).permutation(50)
+        b = reference_rng(42, 7).permutation(50)
+        c = reference_rng(42, 8).permutation(50)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("count", [1, 2, 1000])
+    @pytest.mark.parametrize("seed", [
+        0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 - 1, -1,
+        derive_seed(1, "subspace:size", "syn")])
+    def test_shuffle_seeds_are_numpys_seed_sequence(self, seed, count):
+        rows = shuffle_seeds(seed, count)
+        assert rows.dtype == np.uint64 and rows.shape == (count, 4)
+        for i, row in enumerate(rows):
+            words = np.random.SeedSequence([seed & SEED_MASK, i])
+            assert np.array_equal(row, words.generate_state(4, np.uint64)), i
+            assert np.array_equal(shuffle_rng(row).permutation(20),
+                                  reference_rng(seed, i).permutation(20)), i
+
+    def test_shuffle_seeds_refuse_an_index_past_32_bits(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(AnalysisError, match="at most 2\\*\\*32"):
+                shuffle_seeds(0, 2 ** 32 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_shuffle_rng_reads_four_words_of_any_stride(self):
+        rows = shuffle_seeds(9, 3)
+        strided = np.repeat(rows, 2, axis=1)[2, ::2]
+        assert np.array_equal(shuffle_rng(strided).permutation(30),
+                              reference_rng(9, 2).permutation(30))
+        for words in (rows[0, :2], rows[:2]):
+            with pytest.raises(AnalysisError, match="PCG64 takes 4"):
+                shuffle_rng(words)
 
     def test_null_points_exceeding_shuffles_rejected(self):
         with pytest.raises(AnalysisError):
@@ -325,7 +360,7 @@ class TestPermutationEngine:
                                    null_points=7, seed=5)
         assert len(drawn) == 7
         for i, perm in enumerate(drawn):
-            assert np.array_equal(perm, shuffle_rng(5, i).permutation(9))
+            assert np.array_equal(perm, reference_rng(5, i).permutation(9))
         assert np.array_equal(null, [perm[0] for perm in drawn])
 
     @pytest.mark.parametrize("n_shuffles,lines", [(100, 10), (25, 10),
